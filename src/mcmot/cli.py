@@ -143,11 +143,13 @@ def _cmd_simulate(args) -> int:
     )
     formats.write_truth_json(out / "truth.json", truth)
     for cam in sorted(streams):
-        records = formats.detections_to_records(streams[cam])
-        formats.write_detections(out / f"detections_cam{cam}.csv", records)
+        columns = formats.DetectionColumns.from_detections(streams[cam])
+        formats.write_detections(out / f"detections_cam{cam}.csv", columns)
         keyed = [
-            (r.frame, r.det_id, d.embedding)
-            for r, d in zip(records, streams[cam])
+            (frame, det_id, d.embedding)
+            for frame, det_id, d in zip(
+                columns.frame.tolist(), columns.det_id.tolist(), streams[cam]
+            )
             if d.embedding is not None
         ]
         formats.write_embeddings(out / f"embeddings_cam{cam}.csv", keyed, cfg.embedding_dim)
@@ -156,9 +158,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_camera_stream(det_path: Path, emb_path: Optional[Path]):
-    records = formats.read_detections(det_path)
+    detections = formats.read_detections(det_path)
     embeddings = formats.read_embeddings(emb_path) if emb_path else None
-    return formats.merge_embeddings(records, embeddings)
+    return formats.merge_embeddings(detections, embeddings)
 
 
 def _override_config(cfg, threshold: Optional[float]):

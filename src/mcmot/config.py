@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -120,7 +122,7 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         raise ConfigError("config document must be a JSON object")
     doc = dict(doc)
     preset = doc.pop("preset", "default")
-    if preset not in PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
     base = PRESETS[preset]()
 
@@ -137,26 +139,47 @@ def config_from_dict(doc: dict) -> PipelineConfig:
             continue
         if not isinstance(overrides, dict):
             raise ConfigError(f"config section {name!r} must be an object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(overrides) - known)
+        types = typing.get_type_hints(cls)
+        unknown = sorted(set(overrides) - set(types))
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r} in config section {name!r}")
+        checked = {
+            key: _typed(f"{name}.{key}", value, types[key]) for key, value in overrides.items()
+        }
         try:
-            kwargs[name] = dataclasses.replace(current, **overrides)
+            kwargs[name] = dataclasses.replace(current, **checked)
         except ValueError as exc:
             raise ConfigError(f"invalid {name} config: {exc}") from exc
 
     for scalar in ("detection_threshold", "export_confidence"):
-        kwargs[scalar] = float(doc.pop(scalar, getattr(base, scalar)))
+        kwargs[scalar] = _typed(scalar, doc.pop(scalar, getattr(base, scalar)), float)
     if "frame_keep" in doc:
         fk = doc.pop("frame_keep")
-        kwargs["frame_keep"] = None if fk is None else (int(fk[0]), int(fk[1]))
+        if fk is not None and not (isinstance(fk, list) and len(fk) == 2):
+            raise ConfigError(f"frame_keep must be null or a list [keep, block], got {fk!r}")
+        kwargs["frame_keep"] = (
+            None if fk is None else tuple(_typed("frame_keep", v, int) for v in fk)
+        )
     else:
         kwargs["frame_keep"] = base.frame_keep
 
     if doc:
         raise ConfigError(f"unknown config key {sorted(doc)[0]!r}")
     return PipelineConfig(**kwargs)
+
+
+def _typed(name: str, value, kind: type):
+    """`value` checked as a config field of type `kind`. The JSON type must
+    match exactly (true is not an integer, "5" is not a number), except that
+    an integer is taken as a float; floats must be finite."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
 def load_config(source: str | Path | None) -> PipelineConfig:

@@ -9,9 +9,10 @@ canonical files.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,68 +38,110 @@ def round9(v: float) -> float:
 DETECTION_HEADER = "frame,det_id,x,y,w,h,confidence,class_id"
 TRACK_HEADER = "frame,track_id,x,y,w,h,confidence"
 
+_DETECTION_DTYPE = np.dtype([
+    ("frame", np.int64),
+    ("det_id", np.int64),
+    ("box", np.float64, (4,)),
+    ("confidence", np.float64),
+    ("class_id", np.int64),
+])
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    frame: int
-    det_id: int
-    box: BoundingBox
-    confidence: float
-    class_id: int
-
-
-def detections_to_records(dets: Sequence[Detection]) -> list[DetectionRecord]:
-    """Assign per-frame det_ids by position; input must be frame-sorted."""
-    records = []
-    counters: dict[int, int] = {}
-    for d in dets:
-        det_id = counters.get(d.frame, 0)
-        counters[d.frame] = det_id + 1
-        records.append(DetectionRecord(d.frame, det_id, d.box, d.confidence, d.class_id))
-    return records
+# A row check: a mask flagging the rows that fail it, and the error message
+# for a flagged row index.
+_Check = tuple[np.ndarray, Callable[[int], str]]
 
 
-def write_detections(path: str | Path, records: Iterable[DetectionRecord]) -> None:
+@dataclass(frozen=True, eq=False)
+class DetectionColumns:
+    """One detections file as columns, one entry per data row in file order.
+
+    box rows are (x, y, w, h). (frame, det_id) is the key that joins a
+    detection to its embedding row.
+    """
+
+    frame: np.ndarray  # (n,) int64
+    det_id: np.ndarray  # (n,) int64
+    box: np.ndarray  # (n, 4) float64
+    confidence: np.ndarray  # (n,) float64
+    class_id: np.ndarray  # (n,) int64
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    @classmethod
+    def from_detections(cls, dets: Sequence[Detection]) -> "DetectionColumns":
+        """Columns of a frame-sorted stream; det_ids count up from 0 within each frame."""
+        det_ids = []
+        counters: dict[int, int] = {}
+        for d in dets:
+            det_id = counters.get(d.frame, 0)
+            counters[d.frame] = det_id + 1
+            det_ids.append(det_id)
+        return cls(
+            frame=np.array([d.frame for d in dets], dtype=np.int64),
+            det_id=np.array(det_ids, dtype=np.int64),
+            box=np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
+                         dtype=np.float64).reshape(-1, 4),
+            confidence=np.array([d.confidence for d in dets], dtype=np.float64),
+            class_id=np.array([d.class_id for d in dets], dtype=np.int64),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddingColumns:
+    """One embeddings file: row i of the C-contiguous (n, D) `vectors` matrix
+    is the embedding keyed by (frame[i], det_id[i])."""
+
+    frame: np.ndarray  # (n,) int64
+    det_id: np.ndarray  # (n,) int64
+    vectors: np.ndarray  # (n, D) float64
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+
+def write_detections(path: str | Path, detections: DetectionColumns) -> None:
     lines = [DETECTION_HEADER]
-    for r in records:
+    for frame, det_id, (x, y, w, h), conf, class_id in zip(
+        detections.frame.tolist(),
+        detections.det_id.tolist(),
+        detections.box.tolist(),
+        detections.confidence.tolist(),
+        detections.class_id.tolist(),
+    ):
         lines.append(
-            f"{r.frame},{r.det_id},{fmt9(r.box.x)},{fmt9(r.box.y)},"
-            f"{fmt9(r.box.w)},{fmt9(r.box.h)},{fmt9(r.confidence)},{r.class_id}"
+            f"{frame},{det_id},{fmt9(x)},{fmt9(y)},{fmt9(w)},{fmt9(h)},{fmt9(conf)},{class_id}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_detections(path: str | Path) -> list[DetectionRecord]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != DETECTION_HEADER:
+def read_detections(path: str | Path) -> DetectionColumns:
+    if _read_header(path) != DETECTION_HEADER:
         raise FormatError(f"{path}:1: expected header '{DETECTION_HEADER}'")
-    records: list[DetectionRecord] = []
-    seen: set[tuple[int, int]] = set()
-    last_frame = None
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise FormatError(f"{path}:{n}: expected 8 fields, got {len(parts)}")
-        try:
-            frame, det_id = int(parts[0]), int(parts[1])
-            x, y, w, h, conf = (float(p) for p in parts[2:7])
-            class_id = int(parts[7])
-        except ValueError as exc:
-            raise FormatError(f"{path}:{n}: {exc}") from exc
-        if not 0.0 <= conf <= 1.0:
-            raise FormatError(f"{path}:{n}: confidence {conf} outside [0, 1]")
-        if w <= 0 or h <= 0:
-            raise FormatError(f"{path}:{n}: non-positive box size {w}x{h}")
-        if last_frame is not None and frame < last_frame:
-            raise FormatError(f"{path}:{n}: frames must be sorted ascending")
-        if (frame, det_id) in seen:
-            raise FormatError(f"{path}:{n}: duplicate key (frame={frame}, det_id={det_id})")
-        seen.add((frame, det_id))
-        last_frame = frame
-        records.append(DetectionRecord(frame, det_id, BoundingBox(x, y, w, h), conf, class_id))
-    return records
+    rows = _read_rows(path, _DETECTION_DTYPE, _detection_checks)
+    return DetectionColumns(
+        frame=rows["frame"],
+        det_id=rows["det_id"],
+        box=rows["box"],
+        confidence=rows["confidence"],
+        class_id=rows["class_id"],
+    )
+
+
+def _detection_checks(rows: np.ndarray) -> list[_Check]:
+    box, conf, frame = rows["box"], rows["confidence"], rows["frame"]
+    w, h = box[:, 2], box[:, 3]
+    return [
+        (~(np.isfinite(box).all(axis=1) & np.isfinite(conf)),
+         lambda i: "non-finite box or confidence"),
+        (~((conf >= 0.0) & (conf <= 1.0)),
+         lambda i: f"confidence {conf[i].item()} outside [0, 1]"),
+        ((w <= 0) | (h <= 0),
+         lambda i: f"non-positive box size {w[i].item()}x{h[i].item()}"),
+        (np.diff(frame, prepend=frame[:1]) < 0,
+         lambda i: "frames must be sorted ascending"),
+        _duplicate_check(rows),
+    ]
 
 
 def write_embeddings(
@@ -114,59 +157,210 @@ def write_embeddings(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_embeddings(path: str | Path) -> dict[tuple[int, int], np.ndarray]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("frame,det_id,"):
+def read_embeddings(path: str | Path) -> EmbeddingColumns:
+    header = _read_header(path)
+    if not header.startswith("frame,det_id,"):
         raise FormatError(f"{path}:1: expected header 'frame,det_id,e0,...'")
-    cols = lines[0].split(",")[2:]
+    cols = header.split(",")[2:]
     if cols != [f"e{i}" for i in range(len(cols))] or not cols:
         raise FormatError(f"{path}:1: embedding columns must be e0..e{{D-1}}")
-    dim = len(cols)
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != dim + 2:
-            raise FormatError(f"{path}:{n}: expected {dim + 2} fields, got {len(parts)}")
-        try:
-            key = (int(parts[0]), int(parts[1]))
-            vec = np.array(parts[2:], dtype=float)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{n}: {exc}") from exc
-        if key in out:
-            raise FormatError(f"{path}:{n}: duplicate key (frame={key[0]}, det_id={key[1]})")
-        out[key] = vec
-    return out
+    dtype = np.dtype([("frame", np.int64), ("det_id", np.int64), ("e", np.float64, (len(cols),))])
+    rows = _read_rows(path, dtype, _embedding_checks)
+    return EmbeddingColumns(
+        frame=rows["frame"], det_id=rows["det_id"], vectors=np.ascontiguousarray(rows["e"])
+    )
+
+
+def _embedding_checks(rows: np.ndarray) -> list[_Check]:
+    return [
+        (~np.isfinite(rows["e"]).all(axis=1), lambda i: "non-finite embedding value"),
+        _duplicate_check(rows),
+    ]
 
 
 def merge_embeddings(
-    records: Sequence[DetectionRecord],
-    embeddings: Optional[Mapping[tuple[int, int], np.ndarray]],
+    detections: DetectionColumns, embeddings: Optional[EmbeddingColumns]
 ) -> list[Detection]:
-    """Join detection records with their embeddings; key sets must match."""
-    if embeddings is not None:
-        rec_keys = {(r.frame, r.det_id) for r in records}
-        missing = sorted(rec_keys - set(embeddings))
-        extra = sorted(set(embeddings) - rec_keys)
-        if missing:
-            raise FormatError(
-                f"detection (frame={missing[0][0]}, det_id={missing[0][1]}) has no embedding"
-            )
-        if extra:
-            raise FormatError(
-                f"embedding key (frame={extra[0][0]}, det_id={extra[0][1]}) matches no detection"
-            )
+    """Join detections with their embeddings; key sets must match.
+
+    Each detection's embedding is a row view of one (n, D) matrix.
+    """
+    if embeddings is None:
+        vectors: list[Optional[np.ndarray]] = [None] * len(detections)
+    else:
+        rows = _embedding_rows(detections, embeddings).tolist()
+        vectors = [embeddings.vectors[i] for i in rows]
     return [
         Detection(
-            frame=r.frame,
-            box=r.box,
-            confidence=r.confidence,
-            class_id=r.class_id,
-            embedding=None if embeddings is None else embeddings[(r.frame, r.det_id)],
+            frame=frame, box=BoundingBox(*box), confidence=conf, class_id=class_id,
+            embedding=vec,
         )
-        for r in records
+        for frame, box, conf, class_id, vec in zip(
+            detections.frame.tolist(),
+            detections.box.tolist(),
+            detections.confidence.tolist(),
+            detections.class_id.tolist(),
+            vectors,
+        )
     ]
+
+
+def _embedding_rows(detections: DetectionColumns, embeddings: EmbeddingColumns) -> np.ndarray:
+    """Row of `embeddings` keyed like each detection.
+
+    Both key sets are sorted together; a key present in both sorts as a
+    detection row directly followed by an embedding row (lexsort is stable).
+    A key without a partner names the smallest offending key.
+    """
+    n = len(detections)
+    frame = np.concatenate([detections.frame, embeddings.frame])
+    det_id = np.concatenate([detections.det_id, embeddings.det_id])
+    order = np.lexsort((det_id, frame))
+    frame, det_id = frame[order], det_id[order]
+    paired = (
+        (frame[1:] == frame[:-1]) & (det_id[1:] == det_id[:-1])
+        & (order[:-1] < n) & (order[1:] >= n)
+    )
+    alone = np.ones(len(order), dtype=bool)
+    alone[1:] &= ~paired
+    alone[:-1] &= ~paired
+    missing = np.flatnonzero(alone & (order < n))
+    if missing.size:
+        i = missing[0]
+        raise FormatError(f"detection (frame={frame[i]}, det_id={det_id[i]}) has no embedding")
+    extra = np.flatnonzero(alone)
+    if extra.size:
+        i = extra[0]
+        raise FormatError(
+            f"embedding key (frame={frame[i]}, det_id={det_id[i]}) matches no detection"
+        )
+    rows = np.empty(n, dtype=np.intp)
+    rows[order[:-1][paired]] = order[1:][paired] - n
+    return rows
+
+
+# ----------------------------------------------------------------------
+# Columnar CSV parsing. The fast path is one np.loadtxt call plus vectorized
+# checks; a file's lines are split out only to put a line number on an error.
+
+
+def _read_header(path: str | Path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.readline().rstrip("\n")
+
+
+def _loadtxt(source, dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
+    """Parse CSV rows (a path or a list of lines) into a 1-d structured array.
+
+    Empty lines are skipped; '#' is data, not a comment. Integer fields must
+    be integer literals: numpy < 2 parses "1.0" as an integer with a
+    DeprecationWarning, raised here as an error as numpy >= 2 does.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        return np.loadtxt(
+            source, delimiter=",", skiprows=skiprows, comments=None, ndmin=1, dtype=dtype,
+            encoding="utf-8",
+        )
+
+
+def _read_rows(
+    path: str | Path, dtype: np.dtype, checks: Callable[[np.ndarray], list[_Check]]
+) -> np.ndarray:
+    """Parse and check the data rows below a CSV header.
+
+    A bad file is reported at its first bad row, as a line-by-line reader
+    would: a row that fails to parse, or else the first row any check flags.
+    """
+    try:
+        rows = _loadtxt(path, dtype, skiprows=1)
+    except ValueError as exc:
+        error = exc
+    else:
+        found = _first_problem(checks(rows))
+        if found is None:
+            return rows
+        row, message = found
+        raise FormatError(f"{path}:{_data_lines(path)[row][0]}: {message}")
+
+    lines = _data_lines(path)
+    texts = [text for _, text in lines]
+    bad = _first_unparsable(texts, dtype)
+    if bad is None:  # the lines parse one by one: report what numpy saw
+        raise FormatError(f"{path}: {error}") from error
+    found = _first_problem(checks(_loadtxt(texts[:bad], dtype)))
+    row, message = found if found is not None else (bad, _parse_problem(texts[bad], dtype))
+    raise FormatError(f"{path}:{lines[row][0]}: {message}") from error
+
+
+def _data_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(line number, text) of each data row: every non-empty line after the
+    header, as np.loadtxt numbers its rows."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    return [(n, text) for n, text in enumerate(lines[1:], start=2) if text]
+
+
+def _first_unparsable(texts: list[str], dtype: np.dtype) -> Optional[int]:
+    """Index of the first line np.loadtxt rejects, or None. Lines parse
+    independently, so a prefix parses iff it ends before that line."""
+    if _parses(texts, dtype):
+        return None
+    good, bad = 0, len(texts)  # texts[:good] parses, texts[:bad] does not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _parses(texts[:mid], dtype):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def _parses(texts: list[str], dtype: np.dtype) -> bool:
+    try:
+        _loadtxt(texts, dtype)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_problem(text: str, dtype: np.dtype) -> str:
+    """Why one line fails to parse: its field count, or its first bad field."""
+    kinds = [
+        dtype[name].base for name in dtype.names for _ in range(int(np.prod(dtype[name].shape)))
+    ]
+    fields = text.split(",")
+    if len(fields) != len(kinds):
+        return f"expected {len(kinds)} fields, got {len(fields)}"
+    for field, kind in zip(fields, kinds):
+        if not (field.strip() and _parses([field], kind)):
+            what = "an integer" if kind.kind == "i" else "a number"
+            return f"cannot parse {field!r} as {what}"
+    return f"cannot parse {text!r}"
+
+
+def _duplicate_check(rows: np.ndarray) -> _Check:
+    """Check flagging each row whose (frame, det_id) key is on an earlier row."""
+    frame, det_id = rows["frame"], rows["det_id"]
+    order = np.lexsort((det_id, frame))  # stable: equal keys keep file order
+    same = (frame[order][1:] == frame[order][:-1]) & (det_id[order][1:] == det_id[order][:-1])
+    dup = np.zeros(len(rows), dtype=bool)
+    dup[order[1:][same]] = True
+    return dup, lambda i: f"duplicate key (frame={frame[i]}, det_id={det_id[i]})"
+
+
+def _first_problem(checks: list[_Check]) -> Optional[tuple[int, str]]:
+    """(row, message) of the first row any check flags, or None. On a tie the
+    check listed first wins, so list checks in the order a row is checked."""
+    found = None
+    for mask, message in checks:
+        hits = np.flatnonzero(mask)
+        if hits.size and (found is None or hits[0] < found[0]):
+            found = (int(hits[0]), message)
+    if found is None:
+        return None
+    row, message = found
+    return row, message(row)
 
 
 # ----------------------------------------------------------------------

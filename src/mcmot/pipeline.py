@@ -53,7 +53,8 @@ def process_camera(
 
     Every kept frame index in [0, total_frames) is stepped, including empty
     ones, so track aging matches the stream clock. total_frames defaults to
-    one past the last detection's frame.
+    one past the last detection's frame. A detection outside that range is
+    an error (ValueError), never silently dropped.
     """
     tcfg = cfg.tracker
     if total_frames is None:
@@ -61,6 +62,11 @@ def process_camera(
 
     by_frame: dict[int, list[Detection]] = {}
     for d in detections:
+        if not 0 <= d.frame < total_frames:
+            raise ValueError(
+                f"camera {camera_id}: detection at frame {d.frame} is outside the "
+                f"stream's frames [0, {total_frames})"
+            )
         if d.confidence < cfg.detection_threshold or d.confidence < tcfg.min_confidence:
             continue
         by_frame.setdefault(d.frame, []).append(d)

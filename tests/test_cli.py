@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from mcmot import formats
 from mcmot.cli import main
 
@@ -40,7 +42,7 @@ class TestSimulateCli:
             "embeddings_cam0.csv", "embeddings_cam1.csv", "embeddings_cam2.csv",
         }
         for cam in range(3):
-            frames = {r.frame for r in formats.read_detections(out / f"detections_cam{cam}.csv")}
+            frames = set(formats.read_detections(out / f"detections_cam{cam}.csv").frame.tolist())
             assert len(frames) <= 40
 
     def test_truth_lists_ground_embeddings(self, tmp_path):
@@ -111,6 +113,35 @@ class TestTrackCli:
         assert main(["track", "--detections", str(det), "--output", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert "error[format]" in err and ":2:" in err
+
+    def test_non_finite_box_rejected(self, tmp_path, capsys):
+        det = tmp_path / "dets.csv"
+        det.write_text(formats.DETECTION_HEADER + "\n0,0,1,1,5,5,0.9,0\n1,0,nan,1,5,5,0.9,0\n")
+        assert main(["track", "--detections", str(det), "--output", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[format]: {det}:3: ") and err.count("\n") == 1
+
+    def test_detection_beyond_frames_is_input_error(self, tmp_path, capsys):
+        det = tmp_path / "dets.csv"
+        det.write_text(formats.DETECTION_HEADER + "\n0,0,1,1,5,5,0.9,0\n12,0,1,1,5,5,0.9,0\n")
+        out = tmp_path / "t.csv"
+        assert main(["track", "--detections", str(det), "--output", str(out), "--frames", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "error[input]" in err and "frame 12" in err
+
+    @pytest.mark.parametrize(
+        "doc", [{"frame_keep": [1]}, {"tracker": {"max_age": "5"}}], ids=["frame_keep", "max_age"]
+    )
+    def test_mistyped_config_is_config_error(self, tmp_path, capsys, doc):
+        det = tmp_path / "dets.csv"
+        det.write_text(formats.DETECTION_HEADER + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["track", "--detections", str(det), "--config", str(cfg),
+                "--output", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and err.count("\n") == 1
 
     def test_embedding_key_mismatch_reported(self, tmp_path, capsys):
         det = tmp_path / "dets.csv"

@@ -1,8 +1,13 @@
-import dataclasses
 import json
+import re
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mcmot import formats
 from mcmot.config import (
@@ -14,18 +19,45 @@ from mcmot.config import (
     study1_preset,
     study2_preset,
 )
-from mcmot.formats import DetectionRecord, FormatError
+from mcmot.formats import DetectionColumns, EmbeddingColumns, FormatError
 from mcmot.geometry import BoundingBox, Detection
 from mcmot.sim import ConfigError, ScenarioConfig, generate
 from mcmot.tracker import Tracklet
 
 
+def columns(rows) -> DetectionColumns:
+    """Detection columns from (frame, det_id, (x, y, w, h), confidence, class_id) rows."""
+    return DetectionColumns(
+        frame=np.array([r[0] for r in rows], dtype=np.int64),
+        det_id=np.array([r[1] for r in rows], dtype=np.int64),
+        box=np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, 4),
+        confidence=np.array([r[3] for r in rows], dtype=np.float64),
+        class_id=np.array([r[4] for r in rows], dtype=np.int64),
+    )
+
+
+def embedding_columns(keyed, dim=2) -> EmbeddingColumns:
+    """Embedding columns from (frame, det_id, vector) rows."""
+    return EmbeddingColumns(
+        frame=np.array([k[0] for k in keyed], dtype=np.int64),
+        det_id=np.array([k[1] for k in keyed], dtype=np.int64),
+        vectors=np.array([k[2] for k in keyed], dtype=np.float64).reshape(len(keyed), dim),
+    )
+
+
+def assert_columns_equal(got: DetectionColumns, want: DetectionColumns) -> None:
+    for name in ("frame", "det_id", "box", "confidence", "class_id"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 def sample_records():
-    return [
-        DetectionRecord(0, 0, BoundingBox(1.5, 2.25, 30.0, 60.0), 0.875, 0),
-        DetectionRecord(0, 1, BoundingBox(100.0, 50.0, 25.5, 55.125), 0.5, 0),
-        DetectionRecord(2, 0, BoundingBox(3.0, 4.0, 10.0, 20.0), 0.999999999, 1),
-    ]
+    return columns([
+        (0, 0, (1.5, 2.25, 30.0, 60.0), 0.875, 0),
+        (0, 1, (100.0, 50.0, 25.5, 55.125), 0.5, 0),
+        (2, 0, (3.0, 4.0, 10.0, 20.0), 0.999999999, 1),
+    ])
 
 
 class TestDetectionFile:
@@ -33,7 +65,7 @@ class TestDetectionFile:
         path = tmp_path / "dets.csv"
         records = sample_records()
         formats.write_detections(path, records)
-        assert formats.read_detections(path) == records
+        assert_columns_equal(formats.read_detections(path), records)
         # Serialize(parse(file)) reproduces the file byte for byte.
         text = path.read_text()
         formats.write_detections(path, formats.read_detections(path))
@@ -41,24 +73,32 @@ class TestDetectionFile:
 
     def test_random_round_trip(self, tmp_path):
         rng = np.random.default_rng(61)
-        records = []
+        rows = []
         for f in range(50):
             for d in range(3):
-                records.append(
-                    DetectionRecord(
+                rows.append(
+                    (
                         f,
                         d,
-                        BoundingBox(*rng.uniform(0.01, 2000, 2), *rng.uniform(0.1, 500, 2)),
+                        (*rng.uniform(0.01, 2000, 2), *rng.uniform(0.1, 500, 2)),
                         float(rng.uniform(0, 1)),
                         int(rng.integers(0, 3)),
                     )
                 )
         path = tmp_path / "dets.csv"
-        formats.write_detections(path, records)
+        formats.write_detections(path, columns(rows))
         got = formats.read_detections(path)
         text = path.read_text()
         formats.write_detections(path, got)
         assert path.read_text() == text
+
+    def test_from_detections_numbers_det_ids_per_frame(self):
+        box = BoundingBox(1.0, 2.0, 3.0, 4.0)
+        dets = [Detection(f, box, 0.5) for f in (0, 0, 0, 3, 3, 7)]
+        got = DetectionColumns.from_detections(dets)
+        assert got.det_id.tolist() == [0, 1, 2, 0, 1, 0]
+        assert got.box.shape == (6, 4)
+        assert len(DetectionColumns.from_detections([])) == 0
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -90,6 +130,46 @@ class TestDetectionFile:
         with pytest.raises(FormatError, match="size"):
             formats.read_detections(path)
 
+    @pytest.mark.parametrize("field, value", [(2, "nan"), (5, "inf"), (6, "nan"), (4, "-inf")])
+    def test_non_finite_rejected(self, tmp_path, field, value):
+        row = "0,0,1,2,3,4,0.5,0".split(",")
+        row[field] = value
+        path = tmp_path / "bad.csv"
+        path.write_text(formats.DETECTION_HEADER + "\n0,1,1,2,3,4,0.5,0\n\n" + ",".join(row) + "\n")
+        with pytest.raises(FormatError, match=r"bad\.csv:4: non-finite"):
+            formats.read_detections(path)
+
+    @pytest.mark.parametrize("key", ["0.0", "1_0", "1e3", " ", "#1"])
+    def test_keys_must_be_integer_literals(self, tmp_path, key):
+        path = tmp_path / "bad.csv"
+        path.write_text(formats.DETECTION_HEADER + f"\n0,0,1,2,3,4,0.5,0\n{key},1,1,2,3,4,0.5,0\n")
+        with pytest.raises(FormatError, match=r":3: cannot parse .* as an integer"):
+            formats.read_detections(path)
+
+    def test_whitespace_only_line_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(formats.DETECTION_HEADER + "\n0,0,1,2,3,4,0.5,0\n\n  \n")
+        with pytest.raises(FormatError, match=":4: expected 8 fields, got 1"):
+            formats.read_detections(path)
+
+    def test_first_bad_row_wins_across_checks(self, tmp_path):
+        # A range error on line 2 is reported before the parse error on line 3.
+        path = tmp_path / "bad.csv"
+        path.write_text(formats.DETECTION_HEADER + "\n0,0,1,2,3,4,1.5,0\n0,1,oops,2,3,4,0.5,0\n")
+        with pytest.raises(FormatError, match=":2: confidence"):
+            formats.read_detections(path)
+        # Within one row, the checks apply in order: range, size, order, key.
+        path.write_text(formats.DETECTION_HEADER + "\n5,0,1,2,3,4,0.5,0\n4,0,1,2,0,4,1.5,0\n")
+        with pytest.raises(FormatError, match=":3: confidence"):
+            formats.read_detections(path)
+
+    def test_empty_body_and_blank_lines(self, tmp_path):
+        path = tmp_path / "dets.csv"
+        path.write_text(formats.DETECTION_HEADER + "\n")
+        assert len(formats.read_detections(path)) == 0
+        path.write_bytes((formats.DETECTION_HEADER + "\r\n\r\n0,0,1,2,3,4,0.5,0\r\n").encode())
+        assert formats.read_detections(path).frame.tolist() == [0]
+
 
 class TestEmbeddingFile:
     def test_round_trip(self, tmp_path):
@@ -98,16 +178,21 @@ class TestEmbeddingFile:
         path = tmp_path / "embs.csv"
         formats.write_embeddings(path, keyed, dim=8)
         got = formats.read_embeddings(path)
-        assert set(got) == {(f, d) for f, d, _ in keyed}
+        keys = list(zip(got.frame.tolist(), got.det_id.tolist()))
+        assert set(keys) == {(f, d) for f, d, _ in keyed}
+        assert got.vectors.flags["C_CONTIGUOUS"] and got.vectors.shape == (10, 8)
+        by_key = dict(zip(keys, got.vectors))
         text = path.read_text()
-        formats.write_embeddings(path, [(f, d, got[(f, d)]) for f, d, _ in keyed], dim=8)
+        formats.write_embeddings(path, [(f, d, by_key[(f, d)]) for f, d, _ in keyed], dim=8)
         assert path.read_text() == text
 
     def test_header_declares_dimension(self, tmp_path):
         path = tmp_path / "embs.csv"
         formats.write_embeddings(path, [(0, 0, np.zeros(4))], dim=4)
         assert path.read_text().splitlines()[0] == "frame,det_id,e0,e1,e2,e3"
-        assert formats.read_embeddings(path)[(0, 0)].shape == (4,)
+        got = formats.read_embeddings(path)
+        assert got.vectors.shape == (1, 4)
+        assert (got.frame.tolist(), got.det_id.tolist()) == ([0], [0])
 
     def test_wrong_length_row_rejected(self, tmp_path):
         path = tmp_path / "embs.csv"
@@ -115,21 +200,256 @@ class TestEmbeddingFile:
         with pytest.raises(FormatError, match=":2:"):
             formats.read_embeddings(path)
 
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "embs.csv"
+        path.write_text("frame,det_id,e0,e1\n0,0,1.0,2.0\n0,1,1.0,nan\n")
+        with pytest.raises(FormatError, match=r"embs\.csv:3: non-finite"):
+            formats.read_embeddings(path)
+
     def test_merge_key_mismatch_lists_first_offender(self):
-        records = [DetectionRecord(0, 0, BoundingBox(0, 0, 1, 1), 0.5, 0)]
+        records = columns([(0, 0, (0, 0, 1, 1), 0.5, 0)])
         with pytest.raises(FormatError, match=r"frame=0, det_id=0"):
-            formats.merge_embeddings(records, {})
+            formats.merge_embeddings(records, embedding_columns([]))
         with pytest.raises(FormatError, match=r"frame=3, det_id=1"):
             formats.merge_embeddings(
-                records, {(0, 0): np.zeros(2), (3, 1): np.zeros(2), (4, 0): np.zeros(2)}
+                records,
+                embedding_columns([(4, 0, np.zeros(2)), (0, 0, np.zeros(2)), (3, 1, np.zeros(2))]),
             )
 
     def test_merge_attaches_embeddings(self):
-        records = [DetectionRecord(0, 0, BoundingBox(0, 0, 1, 1), 0.5, 0)]
-        dets = formats.merge_embeddings(records, {(0, 0): np.array([1.0, 0.0])})
+        records = columns([(0, 0, (0, 0, 1, 1), 0.5, 0)])
+        dets = formats.merge_embeddings(records, embedding_columns([(0, 0, np.array([1.0, 0.0]))]))
         assert isinstance(dets[0], Detection)
         np.testing.assert_array_equal(dets[0].embedding, [1.0, 0.0])
         assert formats.merge_embeddings(records, None)[0].embedding is None
+
+    def test_merge_joins_rows_in_any_order(self):
+        records = columns([(f, d, (0, 0, 1, 1), 0.5, 0) for f, d in [(0, 1), (0, 0), (2, 5)]])
+        embeddings = embedding_columns([(2, 5, [3.0]), (0, 0, [1.0]), (0, 1, [2.0])], dim=1)
+        dets = formats.merge_embeddings(records, embeddings)
+        assert [d.embedding.tolist() for d in dets] == [[2.0], [1.0], [3.0]]
+        # Each embedding is a row of the one matrix, not a copy.
+        assert all(np.shares_memory(d.embedding, embeddings.vectors) for d in dets)
+
+
+# ----------------------------------------------------------------------
+# Ingest oracle: the line-by-line readers the columnar ones replaced, kept as
+# the reference. One rule is tightened to match the documented format: keys
+# must be integer literals (int() alone also takes "1_0" and " ٣").
+
+
+@dataclass(frozen=True)
+class RefRecord:
+    frame: int
+    det_id: int
+    box: BoundingBox
+    confidence: float
+    class_id: int
+
+
+def ref_int(text: str) -> int:
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
+def ref_read_detections(path) -> list[RefRecord]:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != formats.DETECTION_HEADER:
+        raise FormatError(f"{path}:1: expected header '{formats.DETECTION_HEADER}'")
+    records: list[RefRecord] = []
+    seen: set[tuple[int, int]] = set()
+    last_frame = None
+    for n, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise FormatError(f"{path}:{n}: expected 8 fields, got {len(parts)}")
+        try:
+            frame, det_id = ref_int(parts[0]), ref_int(parts[1])
+            x, y, w, h, conf = (float(p) for p in parts[2:7])
+            class_id = ref_int(parts[7])
+        except ValueError as exc:
+            raise FormatError(f"{path}:{n}: {exc}") from exc
+        if not 0.0 <= conf <= 1.0:
+            raise FormatError(f"{path}:{n}: confidence {conf} outside [0, 1]")
+        if w <= 0 or h <= 0:
+            raise FormatError(f"{path}:{n}: non-positive box size {w}x{h}")
+        if last_frame is not None and frame < last_frame:
+            raise FormatError(f"{path}:{n}: frames must be sorted ascending")
+        if (frame, det_id) in seen:
+            raise FormatError(f"{path}:{n}: duplicate key (frame={frame}, det_id={det_id})")
+        seen.add((frame, det_id))
+        last_frame = frame
+        records.append(RefRecord(frame, det_id, BoundingBox(x, y, w, h), conf, class_id))
+    return records
+
+
+def ref_read_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith("frame,det_id,"):
+        raise FormatError(f"{path}:1: expected header 'frame,det_id,e0,...'")
+    cols = lines[0].split(",")[2:]
+    if cols != [f"e{i}" for i in range(len(cols))] or not cols:
+        raise FormatError(f"{path}:1: embedding columns must be e0..e{{D-1}}")
+    dim = len(cols)
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for n, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != dim + 2:
+            raise FormatError(f"{path}:{n}: expected {dim + 2} fields, got {len(parts)}")
+        try:
+            key = (ref_int(parts[0]), ref_int(parts[1]))
+            vec = np.array(parts[2:], dtype=float)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{n}: {exc}") from exc
+        if key in out:
+            raise FormatError(f"{path}:{n}: duplicate key (frame={key[0]}, det_id={key[1]})")
+        out[key] = vec
+    return out
+
+
+def ref_merge_embeddings(records, embeddings) -> list[Detection]:
+    rec_keys = {(r.frame, r.det_id) for r in records}
+    missing = sorted(rec_keys - set(embeddings))
+    extra = sorted(set(embeddings) - rec_keys)
+    if missing:
+        raise FormatError(
+            f"detection (frame={missing[0][0]}, det_id={missing[0][1]}) has no embedding"
+        )
+    if extra:
+        raise FormatError(
+            f"embedding key (frame={extra[0][0]}, det_id={extra[0][1]}) matches no detection"
+        )
+    return [
+        Detection(r.frame, r.box, r.confidence, r.class_id, embeddings[(r.frame, r.det_id)])
+        for r in records
+    ]
+
+
+def detection_fields(d: Detection) -> tuple:
+    """Every field of a Detection, floats as their bytes."""
+    box = np.array([d.box.x, d.box.y, d.box.w, d.box.h])
+    return (
+        type(d.frame), d.frame, box.tobytes(), np.float64(d.confidence).tobytes(),
+        type(d.class_id), d.class_id, d.embedding.tobytes(),
+    )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOAT_TEXT = st.sampled_from([repr, formats.fmt9])
+
+
+@st.composite
+def camera_files(draw):
+    """A canonical detections file and its embeddings file, as lists of field
+    lists: frames ascending, keys unique, embedding rows shuffled."""
+    dim = draw(st.integers(1, 4))
+    frames = sorted(draw(st.lists(st.integers(-3, 40), max_size=12)))
+    det_rows, emb_rows = [], []
+    for frame in sorted(set(frames)):
+        k = frames.count(frame)
+        for det_id in draw(st.lists(st.integers(0, 50), min_size=k, max_size=k, unique=True)):
+            text = draw(FLOAT_TEXT)
+            box = [
+                draw(FINITE), draw(FINITE),
+                draw(st.floats(min_value=5e-324, max_value=1e300)),
+                draw(st.floats(min_value=5e-324, max_value=1e300)),
+            ]
+            det_rows.append(
+                [str(frame), str(det_id), *map(text, box),
+                 text(draw(st.floats(0.0, 1.0))), str(draw(st.integers(0, 3)))]
+            )
+            vec = draw(st.lists(FINITE, min_size=dim, max_size=dim))
+            emb_rows.append([str(frame), str(det_id), *map(text, vec)])
+    emb_rows = draw(st.permutations(emb_rows))
+    return dim, det_rows, emb_rows
+
+
+def render(draw, header: str, rows: list[list[str]]) -> str:
+    """CSV text with empty lines drawn in between rows."""
+    lines = [header]
+    for row in rows:
+        lines.extend([""] * draw(st.integers(0, 2)))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def read_both(draw, dim: int, det_rows, emb_rows) -> list:
+    """Write a camera's two files, then read and join them with the new and
+    the reference readers: [new, reference] outcomes, each the Detection
+    fields or the FormatError raised."""
+    emb_header = "frame,det_id," + ",".join(f"e{i}" for i in range(dim))
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        det_path, emb_path = Path(tmp) / "dets.csv", Path(tmp) / "embs.csv"
+        det_path.write_text(render(draw, formats.DETECTION_HEADER, det_rows))
+        emb_path.write_text(render(draw, emb_header, emb_rows))
+        for read_det, read_emb, merge in (
+            (formats.read_detections, formats.read_embeddings, formats.merge_embeddings),
+            (ref_read_detections, ref_read_embeddings, ref_merge_embeddings),
+        ):
+            try:
+                dets = merge(read_det(det_path), read_emb(emb_path))
+                outcomes.append([detection_fields(d) for d in dets])
+            except FormatError as exc:
+                outcomes.append(exc)
+    return outcomes
+
+
+def error_location(exc: FormatError) -> str:
+    """'path:line' of an error message, or the whole message if it has none."""
+    match = re.match(r"(.*?:\d+): ", str(exc))
+    return match.group(1) if match else str(exc)
+
+
+MUTATIONS = ["fields", "int_key", "duplicate", "unsorted", "confidence", "size",
+             "emb_fields", "emb_int_key", "emb_duplicate", "missing", "extra"]
+
+
+class TestIngestOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), camera_files())
+    def test_canonical_files_parse_bit_identically(self, data, files):
+        new, ref = read_both(data.draw, *files)
+        assert not isinstance(ref, FormatError), ref
+        assert new == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), camera_files(), st.sampled_from(MUTATIONS))
+    def test_mutated_files_fail_at_the_same_line(self, data, files, mutation):
+        dim, det_rows, emb_rows = files
+        draw = data.draw
+        rows = emb_rows if mutation.startswith("emb_") or mutation == "extra" else det_rows
+        need = 2 if mutation in ("duplicate", "unsorted", "emb_duplicate") else 1
+        assume(len(rows) >= need or mutation == "extra")
+        k = draw(st.integers(need - 1, len(rows) - 1)) if rows else 0
+        if mutation in ("fields", "emb_fields"):
+            rows[k] = rows[k][:-1] if draw(st.booleans()) else rows[k] + ["0"]
+        elif mutation in ("int_key", "emb_int_key"):
+            rows[k][draw(st.integers(0, 1))] = draw(st.sampled_from(["0.0", "1_0"]))
+        elif mutation == "duplicate":
+            rows[k][:2] = rows[k - 1][:2]
+        elif mutation == "emb_duplicate":
+            rows[k][:2] = rows[draw(st.integers(0, len(rows) - 1).filter(lambda j: j != k))][:2]
+        elif mutation == "unsorted":
+            rows[k][0] = str(int(rows[k - 1][0]) - 1)
+        elif mutation == "confidence":
+            rows[k][6] = draw(st.sampled_from(["1.5", "-0.25", "1.0000001"]))
+        elif mutation == "size":
+            rows[k][draw(st.integers(4, 5))] = draw(st.sampled_from(["0", "-3.5", "-0.0"]))
+        elif mutation == "missing":
+            del emb_rows[draw(st.integers(0, len(emb_rows) - 1))]
+        elif mutation == "extra":
+            emb_rows.append(["41", "0", *["0.5"] * dim])
+        new, ref = read_both(draw, dim, det_rows, emb_rows)
+        assert isinstance(ref, FormatError) and isinstance(new, FormatError), (new, ref)
+        assert error_location(new) == error_location(ref)
+        if "int_key" not in mutation:  # the reference words integer errors its own way
+            assert str(new) == str(ref)
 
 
 def make_tracklet(camera_id=0, track_id=1, n=5, with_embeddings=True):
@@ -279,6 +599,29 @@ class TestPresets:
         assert load_config(path) == study2_preset()
         with pytest.raises(ConfigError):
             load_config("no_such_preset_or_file")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"tracker": {"max_age": True}},
+            {"tracker": {"nms_threshold": "0.5"}},
+            {"tracker": {"appearance_metric": 1}},
+            {"association": {"intra_first": 1}},
+            {"association": {"threshold": float("nan")}},
+            {"detection_threshold": "0.3"},
+            {"frame_keep": [270, 300.0]},
+            {"frame_keep": {"keep": 1}},
+            {"preset": ["study1"]},
+        ],
+    )
+    def test_field_types_checked(self, doc):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    def test_integer_accepted_for_float_field(self):
+        cfg = config_from_dict({"association": {"threshold": 1}, "detection_threshold": 0})
+        assert cfg.association.threshold == 1.0 and type(cfg.association.threshold) is float
+        assert type(cfg.detection_threshold) is float
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):

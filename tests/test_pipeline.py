@@ -51,6 +51,13 @@ class TestProcessCamera:
         run = process_camera(0, constant_stream(10), cfg, total_frames=50)
         assert run.frames_processed == 50
 
+    def test_detection_beyond_total_frames_rejected(self):
+        with pytest.raises(ValueError, match="frame 12"):
+            process_camera(0, constant_stream(10) + constant_stream(13)[12:], PipelineConfig(),
+                           total_frames=10)
+        with pytest.raises(ValueError, match="frame -1"):
+            process_camera(0, [Detection(-1, BoundingBox(0, 0, 5, 5), 0.9)], PipelineConfig())
+
     def test_detection_threshold_filters_ingest(self):
         cfg = PipelineConfig(detection_threshold=0.95)
         run = process_camera(0, constant_stream(20, conf=0.9), cfg)
