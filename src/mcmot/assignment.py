@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import iou_matrix
 
@@ -35,6 +34,10 @@ def solve_assignment(cost: np.ndarray) -> Matching:
     cardinality, returns one of minimum total cost. Deterministic for a
     fixed input.
     """
+    # Imported here: scipy.optimize takes longer to import than `simulate` or
+    # `associate` take to run, and neither solves an assignment.
+    from scipy.optimize import linear_sum_assignment
+
     c = np.atleast_2d(np.asarray(cost, dtype=float))
     n_rows, n_cols = c.shape
     if n_rows == 0 or n_cols == 0:

@@ -22,7 +22,7 @@ import numpy as np
 from . import formats
 from .config import PRESETS, load_config
 from .formats import FormatError
-from .pipeline import associate_and_refine, process_camera, run_pipeline
+from .pipeline import associate_methods, process_camera, run_pipeline
 from .refine import (
     ConfusionCounts,
     CountReport,
@@ -210,25 +210,16 @@ def _cmd_associate(args) -> int:
         camera_tracklets.setdefault(camera_id, []).extend(tracklets)
 
     start = time.perf_counter()
-    methods = _resolve_methods(args, cfg)
-    clusters = None
-    counts: dict[str, int] = {}
-    for m in methods:
-        cl, n = associate_and_refine(camera_tracklets, cfg, method=m)
-        counts[m] = n
-        if clusters is None:
-            clusters = cl
+    clusters, counts = associate_methods(camera_tracklets, cfg, _resolve_methods(args, cfg))
     wall = time.perf_counter() - start
 
     frames_processed = sum(
         len({f for t in tracklets for f in t.frames}) for tracklets in camera_tracklets.values()
     )
-    doc = formats.results_doc(
-        camera_tracklets, clusters, counts if len(methods) > 1 else None, frames_processed
-    )
+    doc = formats.results_doc(camera_tracklets, clusters, counts, frames_processed)
     formats.write_results_json(args.output, doc)
     _report_timing(args, frames_processed, wall)
-    extra = f"  (by method: {counts})" if len(methods) > 1 else ""
+    extra = f"  (by method: {counts})" if counts else ""
     print(f"unique_count: {len(clusters)}{extra}")
     return 0
 
@@ -242,7 +233,7 @@ def _cmd_count(args) -> int:
     total_frames = None
     scenario_json = scenario / "scenario.json"
     if scenario_json.exists():
-        total_frames = scenario_from_dict(json.loads(scenario_json.read_text())).frames
+        total_frames = scenario_from_dict(formats.read_json(scenario_json)).frames
     streams = {}
     for det_path in det_files:
         cam = int(det_path.stem.removeprefix("detections_cam"))

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,7 +12,7 @@ from typing import Optional
 
 from .association import AssociationConfig
 from .refine import RefineConfig
-from .sim import ConfigError
+from .sim import ConfigError, typed_value
 from .tracker import TrackerConfig
 
 
@@ -144,7 +143,8 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r} in config section {name!r}")
         checked = {
-            key: _typed(f"{name}.{key}", value, types[key]) for key, value in overrides.items()
+            key: typed_value(f"{name}.{key}", value, types[key])
+            for key, value in overrides.items()
         }
         try:
             kwargs[name] = dataclasses.replace(current, **checked)
@@ -152,13 +152,13 @@ def config_from_dict(doc: dict) -> PipelineConfig:
             raise ConfigError(f"invalid {name} config: {exc}") from exc
 
     for scalar in ("detection_threshold", "export_confidence"):
-        kwargs[scalar] = _typed(scalar, doc.pop(scalar, getattr(base, scalar)), float)
+        kwargs[scalar] = typed_value(scalar, doc.pop(scalar, getattr(base, scalar)), float)
     if "frame_keep" in doc:
         fk = doc.pop("frame_keep")
         if fk is not None and not (isinstance(fk, list) and len(fk) == 2):
             raise ConfigError(f"frame_keep must be null or a list [keep, block], got {fk!r}")
         kwargs["frame_keep"] = (
-            None if fk is None else tuple(_typed("frame_keep", v, int) for v in fk)
+            None if fk is None else tuple(typed_value("frame_keep", v, int) for v in fk)
         )
     else:
         kwargs["frame_keep"] = base.frame_keep
@@ -166,20 +166,6 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     if doc:
         raise ConfigError(f"unknown config key {sorted(doc)[0]!r}")
     return PipelineConfig(**kwargs)
-
-
-def _typed(name: str, value, kind: type):
-    """`value` checked as a config field of type `kind`. The JSON type must
-    match exactly (true is not an integer, "5" is not a number), except that
-    an integer is taken as a float; floats must be finite."""
-    if kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return value
-
-
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
 def load_config(source: str | Path | None) -> PipelineConfig:

@@ -9,6 +9,7 @@ canonical files.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -408,12 +409,17 @@ def write_tracklets_json(path: str | Path, camera_id: int, tracklets: Sequence[T
 
 
 def read_tracklets_json(path: str | Path) -> tuple[int, list[Tracklet]]:
-    doc = _read_json(path)
+    doc = read_json(path)
     try:
         camera_id = int(doc["camera_id"])
         tracklets = []
         for td in doc["tracklets"]:
             pooled = td.get("mean_embedding")
+            if pooled is not None and not _is_number_list(pooled):
+                raise FormatError(
+                    f"{path}: track {td.get('track_id')!r}: mean_embedding must be null "
+                    "or a non-empty list of numbers"
+                )
             tracklets.append(
                 Tracklet(
                     camera_id=camera_id,
@@ -425,9 +431,17 @@ def read_tracklets_json(path: str | Path) -> tuple[int, list[Tracklet]]:
                     pooled_embedding=None if pooled is None else np.array(pooled, dtype=float),
                 )
             )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed tracklet file ({exc})") from exc
     return camera_id, tracklets
+
+
+def _is_number_list(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) > 0
+        and all(type(v) in (int, float) for v in value)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +474,7 @@ class TruthFile:
 
 
 def read_truth_json(path: str | Path) -> TruthFile:
-    doc = _read_json(path)
+    doc = read_json(path)
     try:
         cameras = {
             int(cam): {
@@ -491,7 +505,6 @@ def results_doc(
     clusters: Sequence[Cluster],
     method_counts: Optional[Mapping[str, int]],
     frames_processed: int,
-    count_report: Optional[CountReport] = None,
 ) -> dict:
     doc = {
         "cameras": [
@@ -517,7 +530,7 @@ def results_doc(
         ],
         "unique_count": len(clusters),
         "method_counts": dict(method_counts) if method_counts else None,
-        "count_report": None if count_report is None else count_report_doc(count_report),
+        "count_report": None,
         "timing": {"frames_processed": frames_processed, "cameras": len(camera_tracklets)},
     }
     return doc
@@ -552,7 +565,7 @@ class ResultsFile:
 
 
 def read_results_json(path: str | Path) -> ResultsFile:
-    doc = _read_json(path)
+    doc = read_json(path)
     try:
         camera_tracklets: dict[int, list[Tracklet]] = {}
         for cam_doc in doc["cameras"]:
@@ -594,8 +607,31 @@ def _write_json(path: str | Path, doc: dict) -> None:
     )
 
 
-def _read_json(path: str | Path) -> dict:
+class _NonFiniteNumber(ValueError):
+    """A JSON number that is not a finite float."""
+
+
+def _reject_constant(name: str):
+    raise _NonFiniteNumber(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NonFiniteNumber(f"number {text} overflows a float")
+    return value
+
+
+def read_json(path: str | Path) -> dict:
+    """Parse a JSON file, rejecting NaN, Infinity, -Infinity and float
+    literals too large for a float (which would parse as infinity)."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(
+            Path(path).read_text(encoding="utf-8"),
+            parse_constant=_reject_constant,
+            parse_float=_finite_float,
+        )
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    except _NonFiniteNumber as exc:
+        raise FormatError(f"{path}: {exc}") from exc

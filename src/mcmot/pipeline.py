@@ -164,6 +164,26 @@ def associate_and_refine(
     return clusters, count_unique(clusters)
 
 
+def associate_methods(
+    camera_tracklets: Mapping[int, Sequence[Tracklet]],
+    cfg: PipelineConfig,
+    methods: Sequence[str],
+) -> tuple[list[Cluster], Optional[dict[str, int]]]:
+    """Associate and refine once per method.
+
+    The first method provides the clustering. The per-method unique counts
+    are returned only when more than one method ran (side-by-side report);
+    otherwise the counts are None.
+    """
+    clusters: list[Cluster] = []
+    counts: dict[str, int] = {}
+    for i, m in enumerate(methods):
+        cl, counts[m] = associate_and_refine(camera_tracklets, cfg, method=m)
+        if i == 0:
+            clusters = cl
+    return clusters, counts if len(methods) > 1 else None
+
+
 def run_pipeline(
     streams: Mapping[int, Sequence[Detection]],
     cfg: PipelineConfig,
@@ -182,20 +202,14 @@ def run_pipeline(
 
     if methods is None:
         methods = [cfg.association.method]
-    clusters: Optional[list[Cluster]] = None
-    counts: dict[str, int] = {}
-    for m in methods:
-        cl, n = associate_and_refine(camera_tracklets, cfg, method=m)
-        counts[m] = n
-        if clusters is None:
-            clusters = cl
+    clusters, counts = associate_methods(camera_tracklets, cfg, methods)
     wall = time.perf_counter() - start
 
     return PipelineResult(
         camera_tracklets=camera_tracklets,
-        clusters=clusters if clusters is not None else [],
-        unique_count=len(clusters) if clusters is not None else 0,
-        method_counts=counts if len(methods) > 1 else None,
+        clusters=clusters,
+        unique_count=len(clusters),
+        method_counts=counts,
         frames_processed=sum(r.frames_processed for r in runs),
         wall_time_s=wall,
     )

@@ -11,6 +11,8 @@ camera (sorted) per frame per identity, then false positives.
 from __future__ import annotations
 
 import dataclasses
+import math
+import typing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -240,31 +242,57 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    """Strict parse of a scenario config document; unknown keys are rejected."""
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    doc = dict(doc)
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(f"unknown scenario config key {unknown[0]!r}")
-    if "occlusions" in doc:
-        try:
-            doc["occlusions"] = tuple(
-                Occlusion(
-                    camera=int(o["camera"]),
-                    frame_start=int(o["frame_start"]),
-                    frame_end=int(o["frame_end"]),
-                    region=tuple(float(v) for v in o["region"]),
-                )
-                for o in doc["occlusions"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed occlusion entry: {exc}") from exc
-    for key in ("image_size", "box_width_range", "box_height_range", "fp_size_range"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
-    return ScenarioConfig(**doc)
+    """Strict parse of a scenario config document: unknown keys are rejected
+    and every field must have its ScenarioConfig type (see typed_value);
+    tuples are JSON lists and occlusions are objects."""
+    return _from_json("", doc, ScenarioConfig)
+
+
+def _from_json(name: str, value, kind):
+    """`value` parsed as a field of type `kind`: a dataclass from an object
+    keyed by its field names (omitted fields take their defaults), a tuple
+    from a list, anything else by typed_value."""
+    if dataclasses.is_dataclass(kind):
+        where = name or "scenario config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        types = typing.get_type_hints(kind)
+        unknown = sorted(set(value) - set(types))
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+        fields = {
+            key: _from_json(f"{name}.{key}" if name else key, v, types[key])
+            for key, v in value.items()
+        }
+        for f in dataclasses.fields(kind):
+            required = f.default is f.default_factory is dataclasses.MISSING
+            if required and f.name not in fields:
+                raise ConfigError(f"{where} is missing {f.name!r}")
+        return kind(**fields)
+    if typing.get_origin(kind) is tuple:
+        args = typing.get_args(kind)
+        if not isinstance(value, list) or (args[-1] is not Ellipsis and len(value) != len(args)):
+            size = "a list" if args[-1] is Ellipsis else f"a list of {len(args)} items"
+            raise ConfigError(f"{name} must be {size}, got {value!r}")
+        items = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        return tuple(
+            _from_json(f"{name}[{i}]", v, t) for i, (v, t) in enumerate(zip(value, items))
+        )
+    return typed_value(name, value, kind)
+
+
+def typed_value(name: str, value, kind: type):
+    """`value` checked as a config field of type `kind`. The JSON type must
+    match exactly (true is not an integer, "5" is not a number), except that
+    an integer is taken as a float; floats must be finite."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _jitter_box(

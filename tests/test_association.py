@@ -1,9 +1,16 @@
+import copy
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcmot import association
 from mcmot.association import (
     AssociationConfig,
     Cluster,
+    _row_distances,
     associate_multicamera,
     count_unique,
     euclidean_associate,
@@ -86,6 +93,12 @@ class TestEuclideanAssociate:
         ts = [make_tracklet(0, i + 1, [v]) for i, v in enumerate((a, b, c * 1.5))]
         assert len(euclidean_associate(ts, 0.5)) == 1
         assert len(euclidean_associate(ts, 0.05)) == 3
+
+    def test_exact_tie_goes_to_earliest_cluster(self):
+        # Tracklet 3 lies exactly 0.5 from both clusters' centroids.
+        ts = [make_tracklet(0, i + 1, [[v]]) for i, v in enumerate((-0.5, 0.5, 0.0))]
+        clusters = euclidean_associate(ts, 0.5)
+        assert [c.members for c in clusters] == [[(0, 1), (0, 3)], [(0, 2)]]
 
     def test_centroid_invariant(self):
         rng = np.random.default_rng(31)
@@ -219,6 +232,16 @@ class TestAssociateMulticamera:
         b = associate_multicamera(per_camera, cfg)
         assert [(c.global_id, c.members) for c in a] == [(c.global_id, c.members) for c in b]
 
+    @pytest.mark.parametrize("intra_first", [True, False])
+    def test_mismatched_embedding_widths_rejected(self, intra_first):
+        per_camera = {
+            0: [make_tracklet(0, 1, [[0.5]]), make_tracklet(0, 2, [[0.5]])],
+            1: [make_tracklet(1, 4, [[1.0, 2.0, 3.0]]), make_tracklet(1, 5, [[1.0]])],
+        }
+        cfg = AssociationConfig(intra_first=intra_first)
+        with pytest.raises(ValueError, match=r"\(camera 1, track 4\) has a 3-wide embedding"):
+            associate_multicamera(per_camera, cfg)
+
     def test_intra_first_merges_fragments(self):
         # Two fragments of one identity in camera 0 plus the same identity in
         # camera 1 collapse to a single cluster.
@@ -264,3 +287,151 @@ class TestExactRecovery:
         assert count_unique([]) == 0
         clusters = [singleton_cluster(i + 1, [float(i), 0.0]) for i in range(5)]
         assert count_unique(clusters) == 5
+
+
+# ----------------------------------------------------------------------
+# Oracle: the loop implementations the array code replaced. They compute
+# one np.linalg.norm per (unit, cluster) or (member, cluster) pair and rescan
+# every pair after each merge; the array code must reproduce their clusters,
+# global ids and centroid bits exactly.
+
+
+def reference_greedy_pass(units, threshold):
+    clusters = []
+    for unit in units:
+        if clusters:
+            dists = [float(np.linalg.norm(unit.centroid - c.centroid)) for c in clusters]
+            best = int(np.argmin(dists))
+            if dists[best] <= threshold:
+                clusters[best].absorb(unit)
+                continue
+        clusters.append(
+            Cluster(
+                global_id=len(clusters) + 1,
+                members=list(unit.members),
+                member_embeddings=list(unit.member_embeddings),
+                centroid=unit.centroid.copy(),
+            )
+        )
+    return clusters
+
+
+def reference_voting_merge(clusters, threshold):
+    live = [copy.deepcopy(c) for c in clusters]
+    while True:
+        live.sort(key=lambda c: c.global_id)
+        merged = False
+        for a in live:
+            for b in live:
+                if a.global_id == b.global_id:
+                    continue
+                inside = sum(
+                    1
+                    for e in a.member_embeddings
+                    if float(np.linalg.norm(e - b.centroid)) <= threshold
+                )
+                if 2 * inside > len(a.member_embeddings):
+                    b.absorb(a)
+                    live.remove(a)
+                    merged = True
+                    break
+            if merged:
+                break
+        if not merged:
+            return live
+
+
+def snapshot(clusters):
+    return [
+        (c.global_id, list(c.members), [e.tobytes() for e in c.member_embeddings],
+         c.centroid.tobytes())
+        for c in clusters
+    ]
+
+
+def reference_associate(per_camera, cfg):
+    with mock.patch.object(association, "_greedy_pass", reference_greedy_pass), \
+            mock.patch.object(association, "voting_merge", reference_voting_merge):
+        return associate_multicamera(per_camera, cfg)
+
+
+@st.composite
+def embedding_sets(draw):
+    """Per-camera tracklets whose embeddings come from a small pool of grid
+    points on a 0.5 lattice: duplicates give exact argmin ties, and lattice
+    distances such as 0.5, 1.0 and 1.5 equal the thresholds exactly. Some
+    tracklets average several pool points (non-lattice means)."""
+    dim = draw(st.integers(1, 4))
+    pool = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=1, max_size=6
+    ))
+    pool = [np.asarray(p, dtype=float) * 0.5 for p in pool]
+    per_camera = {}
+    for cam in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 8))
+        per_camera[cam] = [
+            make_tracklet(cam, tid, [pool[i] for i in draw(
+                st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3)
+            )])
+            for tid in range(1, n + 1)
+        ]
+    return per_camera
+
+
+THRESHOLDS = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 100.0])
+
+
+class TestAssociationOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        per_camera=embedding_sets(),
+        method=st.sampled_from(association.METHODS),
+        threshold=THRESHOLDS,
+        intra_first=st.booleans(),
+    )
+    def test_matches_loop_reference(self, per_camera, method, threshold, intra_first):
+        cfg = AssociationConfig(method=method, threshold=threshold, intra_first=intra_first)
+        want = snapshot(reference_associate(per_camera, cfg))
+        assert snapshot(associate_multicamera(per_camera, cfg)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=0, max_size=12),
+        dim=st.integers(1, 3),
+        threshold=THRESHOLDS,
+        data=st.data(),
+    )
+    def test_passes_on_multi_member_clusters(self, sizes, dim, threshold, data):
+        """Each pass on its own, on clusters of several lattice members.
+        Global ids may repeat: clusters sharing one never vote for each other."""
+        points = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        clusters = []
+        for n, size in enumerate(sizes):
+            gid = data.draw(st.integers(1, len(sizes)))
+            embs = [np.asarray(data.draw(points), dtype=float) * 0.5 for _ in range(size)]
+            c = Cluster(gid, [(0, n * 10 + i) for i in range(size)], embs)
+            c.recompute_centroid()
+            clusters.append(c)
+        before = snapshot(clusters)
+        assert snapshot(voting_merge(clusters, threshold)) == snapshot(
+            reference_voting_merge(clusters, threshold)
+        )
+        assert snapshot(clusters) == before
+        assert snapshot(association._greedy_pass(copy.deepcopy(clusters), threshold)) == \
+            snapshot(reference_greedy_pass(copy.deepcopy(clusters), threshold))
+
+    def test_merge_heavy_fixpoint(self):
+        rng = np.random.default_rng(46)
+        clusters = [singleton_cluster(i + 1, rng.normal(size=8) * 0.3) for i in range(60)]
+        got = voting_merge(clusters, 0.9)
+        assert len(got) < 30
+        assert snapshot(got) == snapshot(reference_voting_merge(clusters, 0.9))
+
+    @pytest.mark.parametrize("dim", [1, 4, 7, 32, 33, 128, 512])
+    def test_row_distances_bit_identical_to_norm(self, dim):
+        rng = np.random.default_rng(dim)
+        X = rng.normal(size=(50, dim))
+        c = rng.normal(size=dim)
+        want = np.array([np.linalg.norm(x - c) for x in X])
+        assert _row_distances(X, c).tobytes() == want.tobytes()
+        assert _row_distances(X[:7], c).tobytes() == want[:7].tobytes()

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mcmot
 from mcmot import formats
 from mcmot.cli import main
 
@@ -250,6 +254,58 @@ class TestAssociateCli:
         assert "error[format]" in capsys.readouterr().err
 
 
+def write_sidecar(tracks_dir: Path, camera_id: int, mean_embedding_json: str) -> Path:
+    """A one-tracklet sidecar whose mean_embedding is the given JSON text."""
+    tracks_dir.mkdir(exist_ok=True)
+    path = tracks_dir / f"cam{camera_id}.tracklets.json"
+    path.write_text(
+        f'{{"camera_id": {camera_id}, "tracklets": [{{"track_id": 1, "frames": [0], '
+        f'"boxes": [[0.0, 0.0, 5.0, 5.0]], "confidences": [0.9], '
+        f'"mean_embedding": {mean_embedding_json}}}]}}'
+    )
+    return path
+
+
+class TestAssociateInputChecks:
+    def test_mismatched_embedding_widths_is_input_error(self, tmp_path, capsys):
+        tracks = tmp_path / "tracks"
+        write_sidecar(tracks, 0, "[0.5]")
+        write_sidecar(tracks, 1, "[1.0, 2.0, 3.0]")
+        argv = ["associate", "--tracks", str(tracks), "--output", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[input]: ") and err.count("\n") == 1
+        assert "(camera 1, track 1) has a 3-wide embedding" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+    def test_non_finite_sidecar_is_format_error(self, tmp_path, capsys, literal):
+        tracks = tmp_path / "tracks"
+        path = write_sidecar(tracks, 0, f"[{literal}, 1.0]")
+        argv = ["associate", "--tracks", str(tracks), "--output", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[format]: {path}: ") and literal.lstrip("-") in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_associate_never_imports_the_assignment_solver(self, tmp_path):
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=8)
+        tracks = track_all(tmp_path, scn, 2)
+        code = (
+            "import sys, mcmot.cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "rc = mcmot.cli.main(sys.argv[1:])\n"
+            "print(rc, 'scipy.optimize' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mcmot.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, "associate", "--tracks", str(tracks),
+             "--method", "both", "--output", str(tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.splitlines()
+        assert out[0] == "False"
+        assert out[-1] == "0 False"
+
+
 class TestEvalCli:
     def _results_for(self, tmp_path, scn, cameras=3, threshold="0.5"):
         tracks = track_all(tmp_path, scn, cameras)
@@ -387,6 +443,30 @@ class TestEvalCli:
         assert "camera-set mismatch" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("which", ["results", "truth"])
+    def test_non_finite_number_is_format_error(self, tmp_path, capsys, which):
+        truth = tmp_path / "truth.json"
+        truth.write_text(
+            '{"identity_count": 1, "embeddings": null, '
+            '"cameras": {"0": {"0": [[0, 0.0, 0.0, 5.0, 5.0]]}}}'
+        )
+        res = tmp_path / "results.json"
+        res.write_text(
+            '{"cameras": [{"camera_id": 0, "tracklets": [{"track_id": 1, "frames": [0], '
+            '"boxes": [[0.0, 0.0, 5.0, 5.0]], "confidences": [0.9]}]}], '
+            '"clusters": [{"global_id": 1, "members": [[0, 1]]}], "unique_count": 1, '
+            '"method_counts": null, "count_report": null, '
+            '"timing": {"frames_processed": 1, "cameras": 1}}'
+        )
+        assert main(["eval", "--results", str(res), "--truth", str(truth)]) == 0
+        capsys.readouterr()
+        bad = res if which == "results" else truth
+        bad.write_text(bad.read_text().replace("5.0, 5.0]", "5.0, NaN]", 1))
+        assert main(["eval", "--results", str(res), "--truth", str(truth)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[format]: {bad}: ") and "NaN" in err
+
+
 class TestCountCli:
     def test_full_pipeline_and_determinism(self, tmp_path):
         scn = simulate(tmp_path, cameras=3, identities=5, frames=60, embedding_dim=16)
@@ -434,3 +514,16 @@ class TestCountCli:
         # The results file itself carries only the deterministic frame count.
         res = json.loads((tmp_path / "r.json").read_text())
         assert res["timing"] == {"frames_processed": 20, "cameras": 1}
+
+    @pytest.mark.parametrize(
+        "text, category",
+        [('{"frames": "5"}', "config"), ('{"occlusions": [{"camera": 0}]}', "config"),
+         ('{"frames": 5', "format"), ('{"frames": NaN}', "format")],
+        ids=["mistyped", "occlusion", "invalid", "non-finite"],
+    )
+    def test_bad_scenario_json(self, tmp_path, capsys, text, category):
+        scn = simulate(tmp_path, cameras=1, identities=1, frames=5, embedding_dim=4)
+        (scn / "scenario.json").write_text(text)
+        assert main(["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{category}]: ") and err.count("\n") == 1

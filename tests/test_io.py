@@ -497,6 +497,18 @@ class TestTrackFiles:
             got[0].pooled_embedding, np.mean(tls[0].embeddings, axis=0), rtol=1e-8, atol=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "pooled", ['[]', '[[1.0, 2.0]]', '"abc"', '[true, 1.0]', '[1.0, null]', '{}', '1.5'],
+    )
+    def test_mean_embedding_must_be_flat_number_list(self, tmp_path, pooled):
+        path = tmp_path / "cam0.tracklets.json"
+        path.write_text(
+            '{"camera_id": 0, "tracklets": [{"track_id": 3, "frames": [0], '
+            '"boxes": [[0, 0, 5, 5]], "confidences": [0.9], "mean_embedding": ' + pooled + "}]}"
+        )
+        with pytest.raises(FormatError, match=r"track 3: mean_embedding must be"):
+            formats.read_tracklets_json(path)
+
     def test_sidecar_path(self):
         assert formats.tracklet_sidecar_path("/a/b/cam0.csv").name == "cam0.tracklets.json"
 
