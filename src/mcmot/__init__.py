@@ -14,10 +14,10 @@ from .association import (
     associate_multicamera,
     count_unique,
     euclidean_associate,
-    mean_embedding,
     voting_merge,
 )
 from .config import PipelineConfig, load_config, study1_preset, study2_preset
+from .errors import ConfigError
 from .geometry import BoundingBox, Detection, iou, iou_matrix, nms
 from .kalman import CHI2_GATE_95, KalmanFilter, KalmanState, NoiseProfile
 from .pipeline import process_camera, run_cameras, run_pipeline
@@ -30,7 +30,7 @@ from .refine import (
     l2_count_error,
     refine,
 )
-from .sim import ConfigError, GroundTruth, Occlusion, ScenarioConfig, generate
+from .sim import GroundTruth, Occlusion, ScenarioConfig, generate
 from .tracker import Track, Tracker, TrackerConfig, Tracklet, TrackStatus, appearance_cost
 
 __version__ = "0.1.0"

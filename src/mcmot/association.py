@@ -8,6 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .tracker import Tracklet
 
 METHODS = ("euclidean", "voting", "euclidean_voting")
@@ -57,20 +58,13 @@ class Cluster:
         self.recompute_centroid()
 
 
-def mean_embedding(t: Tracklet) -> np.ndarray:
-    """Arithmetic mean of a tracklet's embedding sequence."""
-    if t.embeddings:
-        return np.mean(np.asarray(t.embeddings), axis=0)
-    if t.pooled_embedding is not None:
-        return np.asarray(t.pooled_embedding, dtype=float)
-    raise ValueError(
-        f"tracklet (camera {t.camera_id}, track {t.track_id}) has no embeddings; "
-        "association requires embedding input"
-    )
-
-
 def _singleton(t: Tracklet, global_id: int) -> Cluster:
-    e = mean_embedding(t)
+    if t.embedding is None:
+        raise ConfigError(
+            f"tracklet (camera {t.camera_id}, track {t.track_id}) has no embeddings; "
+            "association requires embedding input"
+        )
+    e = np.asarray(t.embedding, dtype=float)
     return Cluster(
         global_id=global_id,
         members=[(t.camera_id, t.track_id)],

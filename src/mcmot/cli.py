@@ -21,6 +21,7 @@ import numpy as np
 
 from . import formats
 from .config import PRESETS, load_config
+from .errors import ConfigError
 from .formats import FormatError
 from .pipeline import associate_methods, process_camera, run_pipeline
 from .refine import (
@@ -30,7 +31,7 @@ from .refine import (
     count_confusion,
     match_tracklets_to_identities,
 )
-from .sim import ConfigError, generate, scenario_from_dict, scenario_to_dict
+from .sim import generate, scenario_from_dict, scenario_to_dict
 from .tracker import Tracklet
 
 # CLI method names: "voting" is the voting methodology (greedy clustering
@@ -205,8 +206,17 @@ def _cmd_associate(args) -> int:
     if not files:
         raise FormatError(f"no *.tracklets.json files found in {tracks_dir}")
     camera_tracklets: dict[int, list[Tracklet]] = {}
+    source: dict[tuple[int, int], Path] = {}  # (camera_id, track_id) -> sidecar
     for f in files:
         camera_id, tracklets = formats.read_tracklets_json(f)
+        for t in tracklets:
+            key = (camera_id, t.track_id)
+            if key in source:
+                raise FormatError(
+                    f"{f}: tracklet (camera {camera_id}, track {t.track_id}) is also in "
+                    f"{source[key]}"
+                )
+            source[key] = f
         camera_tracklets.setdefault(camera_id, []).extend(tracklets)
 
     start = time.perf_counter()

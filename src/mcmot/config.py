@@ -12,7 +12,8 @@ from typing import Optional
 
 from .association import AssociationConfig
 from .refine import RefineConfig
-from .sim import ConfigError, typed_value
+from .errors import ConfigError
+from .sim import typed_value
 from .tracker import TrackerConfig
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .association import Cluster, mean_embedding
+from .association import Cluster
 from .geometry import BoundingBox, Detection
 from .refine import CountReport
 from .sim import GroundTruth
@@ -391,15 +392,10 @@ def write_tracklets_json(path: str | Path, camera_id: int, tracklets: Sequence[T
         "camera_id": camera_id,
         "tracklets": [
             {
-                "track_id": t.track_id,
-                "frames": list(t.frames),
-                "boxes": [[round9(b.x), round9(b.y), round9(b.w), round9(b.h)] for b in t.boxes],
-                "confidences": [round9(c) for c in t.confidences],
+                **_tracklet_doc(t),
                 "mean_confidence": round9(t.mean_confidence),
                 "mean_embedding": (
-                    [round9(v) for v in mean_embedding(t)]
-                    if (t.embeddings or t.pooled_embedding is not None)
-                    else None
+                    None if t.embedding is None else [round9(v) for v in t.embedding]
                 ),
             }
             for t in tracklets
@@ -410,37 +406,63 @@ def write_tracklets_json(path: str | Path, camera_id: int, tracklets: Sequence[T
 
 def read_tracklets_json(path: str | Path) -> tuple[int, list[Tracklet]]:
     doc = read_json(path)
-    try:
-        camera_id = int(doc["camera_id"])
-        tracklets = []
-        for td in doc["tracklets"]:
-            pooled = td.get("mean_embedding")
-            if pooled is not None and not _is_number_list(pooled):
-                raise FormatError(
-                    f"{path}: track {td.get('track_id')!r}: mean_embedding must be null "
-                    "or a non-empty list of numbers"
-                )
-            tracklets.append(
-                Tracklet(
-                    camera_id=camera_id,
-                    track_id=int(td["track_id"]),
-                    frames=[int(f) for f in td["frames"]],
-                    boxes=[BoundingBox(*map(float, b)) for b in td["boxes"]],
-                    confidences=[float(c) for c in td["confidences"]],
-                    embeddings=[],
-                    pooled_embedding=None if pooled is None else np.array(pooled, dtype=float),
-                )
-            )
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise FormatError(f"{path}: malformed tracklet file ({exc})") from exc
-    return camera_id, tracklets
+    camera_id = _field(path, doc, "camera_id", int)
+    return camera_id, _tracklets_from_doc(path, camera_id, _field(path, doc, "tracklets", list))
 
 
-def _is_number_list(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) > 0
-        and all(type(v) in (int, float) for v in value)
+def _tracklet_doc(t: Tracklet) -> dict:
+    """The keys a tracklet entry has in both sidecars and results files."""
+    return {
+        "track_id": t.track_id,
+        "frames": list(t.frames),
+        "boxes": [[round9(b.x), round9(b.y), round9(b.w), round9(b.h)] for b in t.boxes],
+        "confidences": [round9(c) for c in t.confidences],
+    }
+
+
+def _tracklets_from_doc(path: str | Path, camera_id: int, entries: list) -> list[Tracklet]:
+    """One camera's tracklet entries; a track_id may appear once."""
+    tracklets = [_tracklet_from_doc(path, camera_id, entry) for entry in entries]
+    seen: set[int] = set()
+    for t in tracklets:
+        if t.track_id in seen:
+            raise FormatError(f"{path}: camera {camera_id}: track {t.track_id} is listed twice")
+        seen.add(t.track_id)
+    return tracklets
+
+
+def _tracklet_from_doc(path: str | Path, camera_id: int, entry) -> Tracklet:
+    """One tracklet entry of a sidecar or results file.
+
+    track_id and frames are JSON integers, at least one frame; boxes (4
+    numbers each) and confidences come one per frame. A sidecar's mean_embedding is null or a
+    non-empty list of numbers; mean_confidence is derived, so it is not read.
+    """
+    where = f"{path}: camera {camera_id}"
+    _typed(f"{where}: a tracklet entry", entry, dict)
+    track_id = _field(where, entry, "track_id", int)
+    where = f"{where}, track {track_id}"
+    frames, boxes, confidences = (
+        _field(where, entry, key, list) for key in ("frames", "boxes", "confidences")
+    )
+    if not 0 < len(frames) == len(boxes) == len(confidences):
+        raise FormatError(
+            f"{where}: frames, boxes and confidences must have one non-zero length, got "
+            f"{len(frames)}, {len(boxes)} and {len(confidences)}"
+        )
+    for f in frames:
+        if type(f) is not int:
+            _typed(f"{where}: frame", f, int)
+    pooled = entry.get("mean_embedding")
+    return Tracklet(
+        camera_id=camera_id,
+        track_id=track_id,
+        frames=frames,
+        boxes=[BoundingBox(*_numbers(where, "box", b, 4)) for b in boxes],
+        confidences=_numbers(where, "confidences", confidences, len(confidences)),
+        embedding=(
+            None if pooled is None else np.array(_numbers(where, "mean_embedding", pooled))
+        ),
     )
 
 
@@ -474,26 +496,37 @@ class TruthFile:
 
 
 def read_truth_json(path: str | Path) -> TruthFile:
+    """Camera and frame keys are decimal integer strings; identities are
+    JSON integers."""
     doc = read_json(path)
-    try:
-        cameras = {
-            int(cam): {
-                int(f): [
-                    (int(e[0]), BoundingBox(float(e[1]), float(e[2]), float(e[3]), float(e[4])))
-                    for e in entries
-                ]
-                for f, entries in frames.items()
-            }
-            for cam, frames in doc["cameras"].items()
+    identity_count = _field(path, doc, "identity_count", int)
+    cameras: dict[int, dict[int, list[tuple[int, BoundingBox]]]] = {}
+    for cam_key, frames in _field(path, doc, "cameras", dict).items():
+        cam = _int_key(path, "camera", cam_key)
+        where = f"{path}: camera {cam}"
+        cameras[cam] = {
+            _int_key(where, "frame", f_key): [
+                _truth_entry(f"{where}, frame {f_key}", e)
+                for e in _typed(f"{where}, frame {f_key}", entries, list)
+            ]
+            for f_key, entries in _typed(where, frames, dict).items()
         }
-        embeddings = doc.get("embeddings")
-        return TruthFile(
-            identity_count=int(doc["identity_count"]),
-            embeddings=None if embeddings is None else np.array(embeddings, dtype=float),
-            cameras=cameras,
+    embeddings = doc.get("embeddings")
+    if embeddings is not None:
+        rows = [_numbers(path, "embeddings", row) for row in _typed(path, embeddings, list)]
+        if len({len(row) for row in rows}) > 1:
+            raise FormatError(f"{path}: embeddings rows differ in length")
+        embeddings = np.array(rows, dtype=float)
+    return TruthFile(identity_count=identity_count, embeddings=embeddings, cameras=cameras)
+
+
+def _truth_entry(where: str, entry) -> tuple[int, BoundingBox]:
+    if not (type(entry) is list and len(entry) == 5 and type(entry[0]) is int):
+        raise FormatError(
+            f"{where}: an entry must be [identity, x, y, w, h] with an integer identity, "
+            f"got {_show(entry)}"
         )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise FormatError(f"{path}: malformed truth file ({exc})") from exc
+    return entry[0], BoundingBox(*_numbers(where, "box", entry[1:], 4))
 
 
 # ----------------------------------------------------------------------
@@ -506,22 +539,9 @@ def results_doc(
     method_counts: Optional[Mapping[str, int]],
     frames_processed: int,
 ) -> dict:
-    doc = {
+    return {
         "cameras": [
-            {
-                "camera_id": cam,
-                "tracklets": [
-                    {
-                        "track_id": t.track_id,
-                        "frames": list(t.frames),
-                        "boxes": [
-                            [round9(b.x), round9(b.y), round9(b.w), round9(b.h)] for b in t.boxes
-                        ],
-                        "confidences": [round9(c) for c in t.confidences],
-                    }
-                    for t in camera_tracklets[cam]
-                ],
-            }
+            {"camera_id": cam, "tracklets": [_tracklet_doc(t) for t in camera_tracklets[cam]]}
             for cam in sorted(camera_tracklets)
         ],
         "clusters": [
@@ -533,7 +553,6 @@ def results_doc(
         "count_report": None,
         "timing": {"frames_processed": frames_processed, "cameras": len(camera_tracklets)},
     }
-    return doc
 
 
 def count_report_doc(report: CountReport) -> dict:
@@ -565,32 +584,29 @@ class ResultsFile:
 
 
 def read_results_json(path: str | Path) -> ResultsFile:
+    """Ids are JSON integers; a camera_id, and a track_id within a camera,
+    may appear once."""
     doc = read_json(path)
-    try:
-        camera_tracklets: dict[int, list[Tracklet]] = {}
-        for cam_doc in doc["cameras"]:
-            cam = int(cam_doc["camera_id"])
-            camera_tracklets[cam] = [
-                Tracklet(
-                    camera_id=cam,
-                    track_id=int(td["track_id"]),
-                    frames=[int(f) for f in td["frames"]],
-                    boxes=[BoundingBox(*map(float, b)) for b in td["boxes"]],
-                    confidences=[float(c) for c in td["confidences"]],
-                    embeddings=[],
+    camera_tracklets: dict[int, list[Tracklet]] = {}
+    for cam_doc in _field(path, doc, "cameras", list):
+        cam = _field(f"{path}: a cameras entry", cam_doc, "camera_id", int)
+        if cam in camera_tracklets:
+            raise FormatError(f"{path}: camera {cam} is listed twice")
+        entries = _field(f"{path}: camera {cam}", cam_doc, "tracklets", list)
+        camera_tracklets[cam] = _tracklets_from_doc(path, cam, entries)
+    clusters = []
+    for cd in _field(path, doc, "clusters", list):
+        gid = _field(f"{path}: a clusters entry", cd, "global_id", int)
+        members = []
+        for m in _field(f"{path}: cluster {gid}", cd, "members", list):
+            if not (type(m) is list and len(m) == 2 and all(type(v) is int for v in m)):
+                raise FormatError(
+                    f"{path}: cluster {gid}: a member must be [camera_id, track_id] integers, "
+                    f"got {_show(m)}"
                 )
-                for td in cam_doc["tracklets"]
-            ]
-        clusters = [
-            Cluster(
-                global_id=int(cd["global_id"]),
-                members=[(int(m[0]), int(m[1])) for m in cd["members"]],
-            )
-            for cd in doc["clusters"]
-        ]
-        unique_count = int(doc["unique_count"])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise FormatError(f"{path}: malformed results file ({exc})") from exc
+            members.append((m[0], m[1]))
+        clusters.append(Cluster(global_id=gid, members=members))
+    unique_count = _field(path, doc, "unique_count", int)
     if unique_count != len(clusters):
         raise FormatError(f"{path}: unique_count {unique_count} != {len(clusters)} clusters")
     return ResultsFile(
@@ -607,31 +623,93 @@ def _write_json(path: str | Path, doc: dict) -> None:
     )
 
 
-class _NonFiniteNumber(ValueError):
-    """A JSON number that is not a finite float."""
-
-
 def _reject_constant(name: str):
-    raise _NonFiniteNumber(f"non-finite number {name} is not allowed")
+    raise ValueError(f"non-finite number {name} is not allowed")
 
 
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise _NonFiniteNumber(f"number {text} overflows a float")
+        raise ValueError(f"number {text} overflows a float")
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def read_json(path: str | Path) -> dict:
-    """Parse a JSON file, rejecting NaN, Infinity, -Infinity and float
-    literals too large for a float (which would parse as infinity)."""
+    """Parse a JSON file, rejecting NaN, Infinity, -Infinity, float literals
+    too large for a float (which would parse as infinity) and an object
+    that repeats a key (json keeps the last silently)."""
     try:
         return json.loads(
             Path(path).read_text(encoding="utf-8"),
+            object_pairs_hook=_unique_keys,
             parse_constant=_reject_constant,
             parse_float=_finite_float,
         )
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    except _NonFiniteNumber as exc:
+    except ValueError as exc:  # a number hook, or text that is not UTF-8
         raise FormatError(f"{path}: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# Typed access to parsed JSON values. A JSON integer is a Python int, never
+# a bool; a JSON number is an int or a float.
+
+_KIND_NAMES = {int: "an integer", list: "a list", dict: "an object"}
+_NUMBER_TYPES = frozenset((int, float))
+_INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _typed(what: str, value, kind: type):
+    """value, which must be of the given JSON kind (int, list or dict)."""
+    if type(value) is not kind:
+        raise FormatError(f"{what} must be {_KIND_NAMES[kind]}, got {_show(value)}")
+    return value
+
+
+def _field(where: str, obj, key: str, kind: type):
+    """obj[key], where obj must be a JSON object holding key."""
+    _typed(where, obj, dict)
+    if key not in obj:
+        raise FormatError(f"{where}: missing key {key!r}")
+    return _typed(f"{where}: {key}", obj[key], kind)
+
+
+def _numbers(where: str, name: str, value, length: Optional[int] = None) -> list[float]:
+    """A JSON list of numbers, as floats: `length` of them, or at least one."""
+    if (
+        type(value) is list
+        and (len(value) == length if length is not None else len(value) > 0)
+        and _NUMBER_TYPES.issuperset(map(type, value))
+    ):
+        try:
+            return list(map(float, value))
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    count = "a non-empty list of" if length is None else f"a list of {length}"
+    raise FormatError(f"{where}: {name} must be {count} numbers, got {_show(value)}")
+
+
+def _int_key(where: str, what: str, key: str) -> int:
+    """An object key naming an integer id, in canonical decimal form."""
+    if _INT_KEY.fullmatch(key):
+        try:
+            return int(key)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise FormatError(f"{where}: {what} key {_show(key)} must be a decimal integer")
+
+
+def _show(value) -> str:
+    """A parsed JSON value as an error message quotes it, cut to 40 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."

@@ -23,7 +23,6 @@ from .association import (
 from .config import PipelineConfig
 from .geometry import Detection, nms
 from .refine import refine
-from .sim import ConfigError
 from .tracker import Tracker, Tracklet
 
 
@@ -150,13 +149,6 @@ def associate_and_refine(
         acfg = AssociationConfig(
             method=method, threshold=acfg.threshold, intra_first=acfg.intra_first
         )
-    for tracklets in camera_tracklets.values():
-        for t in tracklets:
-            if not t.embeddings and t.pooled_embedding is None:
-                raise ConfigError(
-                    f"tracklet (camera {t.camera_id}, track {t.track_id}) has no embeddings; "
-                    "association requires embedding input"
-                )
     clusters = associate_multicamera(camera_tracklets, acfg)
     all_tracklets = [t for cam in sorted(camera_tracklets) for t in camera_tracklets[cam]]
     surviving = {(t.camera_id, t.track_id) for t in refine(all_tracklets, cfg.refine)}

@@ -18,11 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import BoundingBox, Detection
-
-
-class ConfigError(ValueError):
-    """Invalid or unsatisfiable scenario/pipeline configuration."""
 
 
 @dataclass(frozen=True)

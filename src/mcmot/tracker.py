@@ -110,7 +110,7 @@ class Track:
     time_since_update: int = 0
     gallery: Gallery = field(default_factory=Gallery)
     history: list[tuple[int, BoundingBox, float]] = field(default_factory=list)
-    embeddings: list[np.ndarray] = field(default_factory=list)
+    embeddings: list[np.ndarray] = field(default_factory=list)  # pooled at export
     ever_confirmed: bool = False
 
     def __post_init__(self) -> None:
@@ -129,9 +129,8 @@ class Track:
 class Tracklet:
     """A completed per-camera track exported for cross-camera association.
 
-    `embeddings` is frame-aligned with `frames` (or empty for motion-only
-    input); `pooled_embedding` carries a precomputed mean when a tracklet was
-    loaded from a file that stores only the pooled descriptor.
+    `embedding` is the pooled appearance descriptor, the mean of the
+    per-frame embeddings; None when any update had no embedding.
     """
 
     camera_id: int
@@ -139,8 +138,7 @@ class Tracklet:
     frames: list[int]
     boxes: list[BoundingBox]
     confidences: list[float]
-    embeddings: list[np.ndarray]
-    pooled_embedding: Optional[np.ndarray] = None
+    embedding: Optional[np.ndarray] = None
 
     @property
     def mean_confidence(self) -> float:
@@ -239,7 +237,11 @@ class Tracker:
         for t in self._finished + self.tracks:
             if not t.ever_confirmed:
                 continue
-            embeddings = list(t.embeddings) if len(t.embeddings) == len(t.history) else []
+            pooled = (
+                np.mean(np.asarray(t.embeddings), axis=0)
+                if len(t.embeddings) == len(t.history)
+                else None
+            )
             out.append(
                 Tracklet(
                     camera_id=self.camera_id,
@@ -247,7 +249,7 @@ class Tracker:
                     frames=[f for f, _, _ in t.history],
                     boxes=[b for _, b, _ in t.history],
                     confidences=[c for _, _, c in t.history],
-                    embeddings=embeddings,
+                    embedding=pooled,
                 )
             )
         return sorted(out, key=lambda tl: tl.track_id)

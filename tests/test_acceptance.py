@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mcmot.assignment import solve_assignment
-from mcmot.association import AssociationConfig, associate_multicamera, mean_embedding
+from mcmot.association import AssociationConfig, associate_multicamera
 from mcmot.config import PipelineConfig, study2_preset
 from mcmot.kalman import KalmanFilter, KalmanState
 from mcmot.pipeline import run_cameras, run_pipeline
@@ -181,7 +181,7 @@ def test_criterion_4_margin_guaranteed_clustering():
             mapped = match_tracklets_to_identities(tracklets, truth.frames_of(cam))
             identity.update({key: val[0] for key, val in mapped.items()})
         means = {
-            (t.camera_id, t.track_id): mean_embedding(t)
+            (t.camera_id, t.track_id): t.embedding
             for tracklets in per_camera.values()
             for t in tracklets
         }
@@ -264,7 +264,7 @@ def test_criterion_7_refinement_boundary():
             frames=list(range(10)),
             boxes=[BoundingBox(0, 0, w, h)] * 10,
             confidences=[0.9] * 10,
-            embeddings=[],
+            embedding=None,
         )
 
     kept = refine([tracklet(61, 51)], cfg)
@@ -280,7 +280,7 @@ def tracklet_fingerprint(camera_tracklets):
             tuple(t.frames),
             tuple((b.x, b.y, b.w, b.h) for b in t.boxes),
             tuple(t.confidences),
-            tuple(np.asarray(e).tobytes() for e in t.embeddings),
+            None if t.embedding is None else t.embedding.tobytes(),
         )
         for cam in sorted(camera_tracklets)
         for t in camera_tracklets[cam]

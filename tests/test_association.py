@@ -14,14 +14,15 @@ from mcmot.association import (
     associate_multicamera,
     count_unique,
     euclidean_associate,
-    mean_embedding,
     voting_merge,
 )
+from mcmot.geometry import BoundingBox, Detection
 from mcmot.sim import ScenarioConfig, generate
 from mcmot.tracker import Tracker, TrackerConfig, Tracklet
 
 
 def make_tracklet(camera_id, track_id, embeddings):
+    """A tracklet with one frame per embedding, pooled as the tracker pools them."""
     n = len(embeddings)
     return Tracklet(
         camera_id=camera_id,
@@ -29,7 +30,7 @@ def make_tracklet(camera_id, track_id, embeddings):
         frames=list(range(n)),
         boxes=[None] * n,
         confidences=[0.9] * n,
-        embeddings=[np.asarray(e, dtype=float) for e in embeddings],
+        embedding=np.mean(np.asarray(embeddings, dtype=float), axis=0),
     )
 
 
@@ -38,36 +39,37 @@ def singleton_cluster(gid, embedding):
     return Cluster(global_id=gid, members=[(0, gid)], member_embeddings=[e], centroid=e.copy())
 
 
+def pooled_by_tracker(embeddings):
+    """The embedding a Tracker exports for one track whose per-frame
+    detections carry these embeddings (None: no embedding that frame)."""
+    tracker = Tracker(TrackerConfig(n_init=1))
+    box = BoundingBox(10.0, 10.0, 40.0, 80.0)
+    for f, e in enumerate(embeddings):
+        emb = None if e is None else np.asarray(e, dtype=float)
+        tracker.step(f, [Detection(frame=f, box=box, confidence=0.9, embedding=emb)])
+    (t,) = tracker.export_tracklets()
+    assert t.frames == list(range(len(embeddings)))
+    return t.embedding
+
+
 class TestMeanEmbedding:
     def test_single_embedding(self):
-        t = make_tracklet(0, 1, [[1.0, 0.0]])
-        np.testing.assert_array_equal(mean_embedding(t), [1.0, 0.0])
+        np.testing.assert_array_equal(pooled_by_tracker([[1.0, 0.0]]), [1.0, 0.0])
 
     def test_arithmetic_mean(self):
-        t = make_tracklet(0, 1, [[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(mean_embedding(t), [0.5, 0.5])
+        np.testing.assert_allclose(pooled_by_tracker([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
 
     def test_mean_of_copies_is_identity(self):
         e = np.array([0.6, 0.8])
-        t = make_tracklet(0, 1, [e] * 7)
-        np.testing.assert_allclose(mean_embedding(t), e)
+        np.testing.assert_allclose(pooled_by_tracker([e] * 7), e)
+
+    def test_update_without_embedding_leaves_none(self):
+        assert pooled_by_tracker([[1.0, 0.0], None, [1.0, 0.0]]) is None
 
     def test_embeddingless_rejected(self):
-        t = Tracklet(camera_id=0, track_id=1, frames=[0], boxes=[None], confidences=[1.0], embeddings=[])
-        with pytest.raises(ValueError):
-            mean_embedding(t)
-
-    def test_pooled_fallback(self):
-        t = Tracklet(
-            camera_id=0,
-            track_id=1,
-            frames=[0],
-            boxes=[None],
-            confidences=[1.0],
-            embeddings=[],
-            pooled_embedding=np.array([0.0, 1.0]),
-        )
-        np.testing.assert_array_equal(mean_embedding(t), [0.0, 1.0])
+        t = Tracklet(camera_id=0, track_id=1, frames=[0], boxes=[None], confidences=[1.0], embedding=None)
+        with pytest.raises(ValueError, match="no embeddings"):
+            euclidean_associate([t], 0.5)
 
 
 class TestEuclideanAssociate:

@@ -234,7 +234,7 @@ class TestAssociateCli:
         from mcmot.tracker import Tracklet
         from mcmot.geometry import BoundingBox
 
-        t = Tracklet(0, 1, [0, 1], [BoundingBox(0, 0, 5, 5)] * 2, [0.9, 0.9], [])
+        t = Tracklet(0, 1, [0, 1], [BoundingBox(0, 0, 5, 5)] * 2, [0.9, 0.9], None)
         formats.write_tracklets_json(tracks_dir / "cam0.tracklets.json", 0, [t])
         assert (
             main(["associate", "--tracks", str(tracks_dir), "--output", str(tmp_path / "r.json")])
@@ -465,6 +465,199 @@ class TestEvalCli:
         assert main(["eval", "--results", str(res), "--truth", str(truth)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[format]: {bad}: ") and "NaN" in err
+
+
+def sidecar_entry(track_id=1, frames=(0, 1)):
+    n = len(frames)
+    return {
+        "track_id": track_id, "frames": list(frames), "boxes": [[0.0, 0.0, 5.0, 5.0]] * n,
+        "confidences": [0.9] * n, "mean_confidence": 0.9, "mean_embedding": [1.0, 0.0],
+    }
+
+
+def valid_results_doc():
+    return {
+        "cameras": [{"camera_id": 0, "tracklets": [
+            {"track_id": 1, "frames": [0], "boxes": [[0.0, 0.0, 5.0, 5.0]], "confidences": [0.9]},
+        ]}],
+        "clusters": [{"global_id": 1, "members": [[0, 1]]}],
+        "unique_count": 1, "method_counts": None, "count_report": None,
+        "timing": {"frames_processed": 1, "cameras": 1},
+    }
+
+
+def valid_truth_doc():
+    return {"identity_count": 1, "embeddings": None,
+            "cameras": {"0": {"0": [[0, 0.0, 0.0, 5.0, 5.0]]}}}
+
+
+def format_error(capsys, argv) -> str:
+    """Run the CLI; it must fail with exactly one error[format] line."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[format]: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestTrackletJsonRules:
+    """Ids are JSON integers, tracklet keys are unique and a tracklet
+    entry's frames, boxes and confidences have one length."""
+
+    def associate(self, tmp_path, docs):
+        tracks = tmp_path / "tracks"
+        tracks.mkdir()
+        for name, doc in docs.items():
+            (tracks / f"{name}.tracklets.json").write_text(json.dumps(doc))
+        return ["associate", "--tracks", str(tracks), "--output", str(tmp_path / "r.json")]
+
+    def eval(self, tmp_path, results, truth=None):
+        res, tru = tmp_path / "results.json", tmp_path / "truth.json"
+        res.write_text(json.dumps(results))
+        tru.write_text(json.dumps(truth if truth is not None else valid_truth_doc()))
+        return ["eval", "--results", str(res), "--truth", str(tru)]
+
+    def test_valid_files_pass(self, tmp_path, capsys):
+        doc = {"camera_id": 0, "tracklets": [sidecar_entry(1), sidecar_entry(2)]}
+        assert main(self.associate(tmp_path, {"cam0": doc})) == 0
+        assert main(self.eval(tmp_path, valid_results_doc())) == 0
+
+    @pytest.mark.parametrize("bad", [1.5, "abc", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize("field", ["camera_id", "track_id", "frame"])
+    def test_sidecar_ids_must_be_integers(self, tmp_path, capsys, field, bad):
+        doc = {"camera_id": 0, "tracklets": [sidecar_entry()]}
+        if field == "camera_id":
+            doc["camera_id"] = bad
+        elif field == "track_id":
+            doc["tracklets"][0]["track_id"] = bad
+        else:
+            doc["tracklets"][0]["frames"][1] = bad
+        err = format_error(capsys, self.associate(tmp_path, {"cam0": doc}))
+        assert "must be an integer, got " + json.dumps(bad) in err
+
+    @pytest.mark.parametrize("bad", [1.5, "abc", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize("field", ["camera_id", "track_id", "frame", "global_id", "member"])
+    def test_results_ids_must_be_integers(self, tmp_path, capsys, field, bad):
+        doc = valid_results_doc()
+        entry = doc["cameras"][0]["tracklets"][0]
+        if field == "camera_id":
+            doc["cameras"][0]["camera_id"] = bad
+        elif field == "track_id":
+            entry["track_id"] = bad
+        elif field == "frame":
+            entry["frames"][0] = bad
+        elif field == "global_id":
+            doc["clusters"][0]["global_id"] = bad
+        else:
+            doc["clusters"][0]["members"][0][1] = bad
+        err = format_error(capsys, self.eval(tmp_path, doc))
+        assert json.dumps(bad) in err
+
+    @pytest.mark.parametrize("bad", [1.5, "abc", True], ids=["float", "string", "bool"])
+    def test_truth_identity_must_be_integer(self, tmp_path, capsys, bad):
+        truth = valid_truth_doc()
+        truth["cameras"]["0"]["0"][0][0] = bad
+        err = format_error(capsys, self.eval(tmp_path, valid_results_doc(), truth))
+        assert "integer identity" in err
+
+    @pytest.mark.parametrize("key", ["1_0", "01", "+0", " 0", "x", "9" * 5000],
+                             ids=["underscore", "leading-zero", "plus", "space", "letter", "huge"])
+    @pytest.mark.parametrize("where", ["camera", "frame"])
+    def test_truth_keys_must_be_decimal_integers(self, tmp_path, capsys, where, key):
+        truth = valid_truth_doc()
+        if where == "camera":
+            truth["cameras"] = {key: truth["cameras"]["0"]}
+        else:
+            truth["cameras"]["0"] = {key: truth["cameras"]["0"]["0"]}
+        err = format_error(capsys, self.eval(tmp_path, valid_results_doc(), truth))
+        assert f"{where} key {json.dumps(key)[:37]}" in err and "must be a decimal integer" in err
+
+    def test_duplicate_track_in_one_sidecar(self, tmp_path, capsys):
+        doc = {"camera_id": 0, "tracklets": [sidecar_entry(1), sidecar_entry(1)]}
+        err = format_error(capsys, self.associate(tmp_path, {"cam0": doc}))
+        assert "camera 0: track 1 is listed twice" in err
+
+    def test_duplicate_track_across_sidecars_names_both_files(self, tmp_path, capsys):
+        docs = {name: {"camera_id": 0, "tracklets": [sidecar_entry(1)]} for name in ("a", "b")}
+        err = format_error(capsys, self.associate(tmp_path, docs))
+        tracks = tmp_path / "tracks"
+        assert err == (
+            f"error[format]: {tracks / 'b.tracklets.json'}: tracklet (camera 0, track 1) "
+            f"is also in {tracks / 'a.tracklets.json'}\n"
+        )
+
+    def test_same_track_id_on_two_cameras_is_fine(self, tmp_path):
+        docs = {f"cam{c}": {"camera_id": c, "tracklets": [sidecar_entry(1)]} for c in (0, 1)}
+        assert main(self.associate(tmp_path, docs)) == 0
+
+    def test_results_repeated_camera(self, tmp_path, capsys):
+        doc = valid_results_doc()
+        doc["cameras"].append({"camera_id": 0, "tracklets": []})
+        err = format_error(capsys, self.eval(tmp_path, doc))
+        assert "camera 0 is listed twice" in err
+
+    def test_results_repeated_track(self, tmp_path, capsys):
+        doc = valid_results_doc()
+        tracklets = doc["cameras"][0]["tracklets"]
+        tracklets.append(dict(tracklets[0]))
+        err = format_error(capsys, self.eval(tmp_path, doc))
+        assert "camera 0: track 1 is listed twice" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("boxes", [[0.0, 0.0, 5.0, 5.0]]),
+        ("confidences", [0.9, 0.9, 0.9]),
+        ("frames", [0, 1, 2]),
+    ])
+    def test_ragged_sidecar_entry(self, tmp_path, capsys, key, value):
+        entry = sidecar_entry(frames=(0, 1))
+        entry[key] = value
+        doc = {"camera_id": 0, "tracklets": [entry]}
+        err = format_error(capsys, self.associate(tmp_path, {"cam0": doc}))
+        assert "frames, boxes and confidences must have one non-zero length" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_empty_tracklet_entry(self, tmp_path, capsys):
+        entry = dict(sidecar_entry(), frames=[], boxes=[], confidences=[])
+        doc = {"camera_id": 0, "tracklets": [entry]}
+        err = format_error(capsys, self.associate(tmp_path, {"cam0": doc}))
+        assert "got 0, 0 and 0" in err
+
+    @pytest.mark.parametrize("which", ["sidecar", "results", "truth"])
+    def test_repeated_json_key(self, tmp_path, capsys, which):
+        if which == "sidecar":
+            doc = {"camera_id": 0, "tracklets": [sidecar_entry()]}
+            argv = self.associate(tmp_path, {"cam0": doc})
+            path = tmp_path / "tracks" / "cam0.tracklets.json"
+            old, new = '{"camera_id": 0', '{"camera_id": 0, "camera_id": 1'
+        else:
+            argv = self.eval(tmp_path, valid_results_doc())
+            path = tmp_path / f"{which}.json"
+            old, new = (('"unique_count": 1', '"unique_count": 1, "unique_count": 2')
+                        if which == "results" else ('"0": {"0"', '"0": {"0": [], "0"'))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        err = format_error(capsys, argv)
+        assert err.startswith(f"error[format]: {path}: duplicate key ")
+
+    def test_ragged_results_entry(self, tmp_path, capsys):
+        doc = valid_results_doc()
+        doc["cameras"][0]["tracklets"][0]["confidences"] = []
+        err = format_error(capsys, self.eval(tmp_path, doc))
+        assert "got 1, 1 and 0" in err
+
+    @pytest.mark.parametrize("box", [[0.0, 0.0, 5.0], [0.0, 0.0, 5.0, 5.0, 1.0], [0, 0, "5", 5],
+                                     [0, 0, True, 5], 5.0, [0, 0, 5, 10**400]])
+    @pytest.mark.parametrize("which", ["sidecar", "results"])
+    def test_box_must_be_four_numbers(self, tmp_path, capsys, which, box):
+        if which == "sidecar":
+            entry = sidecar_entry(frames=(0,))
+            entry["boxes"] = [box]
+            argv = self.associate(tmp_path, {"cam0": {"camera_id": 0, "tracklets": [entry]}})
+        else:
+            doc = valid_results_doc()
+            doc["cameras"][0]["tracklets"][0]["boxes"] = [box]
+            argv = self.eval(tmp_path, doc)
+        assert "box must be a list of 4 numbers" in format_error(capsys, argv)
 
 
 class TestCountCli:

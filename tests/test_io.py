@@ -461,7 +461,7 @@ def make_tracklet(camera_id=0, track_id=1, n=5, with_embeddings=True):
         frames=list(range(n)),
         boxes=[BoundingBox(float(i), 2.0, 30.0, 60.0) for i in range(n)],
         confidences=[0.75 + 0.01 * i for i in range(n)],
-        embeddings=embs,
+        embedding=np.mean(np.asarray(embs), axis=0) if with_embeddings else None,
     )
 
 
@@ -488,14 +488,12 @@ class TestTrackFiles:
         camera_id, got = formats.read_tracklets_json(path)
         assert camera_id == 0
         assert [t.track_id for t in got] == [1, 2]
-        assert got[0].pooled_embedding is not None
-        assert got[1].pooled_embedding is None
+        assert got[0].embedding is not None
+        assert got[1].embedding is None
         assert got[0].frames == tls[0].frames
         # Pooled embedding matches the mean of the original embeddings at
         # 9-significant-digit precision.
-        np.testing.assert_allclose(
-            got[0].pooled_embedding, np.mean(tls[0].embeddings, axis=0), rtol=1e-8, atol=1e-12
-        )
+        np.testing.assert_allclose(got[0].embedding, tls[0].embedding, rtol=1e-8, atol=1e-12)
 
     @pytest.mark.parametrize(
         "pooled", ['[]', '[[1.0, 2.0]]', '"abc"', '[true, 1.0]', '[1.0, null]', '{}', '1.5'],

@@ -83,7 +83,7 @@ def make_tracklet(camera_id, track_id, embedding, length=10, w=80.0, h=120.0):
         frames=list(range(length)),
         boxes=[BoundingBox(0, 0, w, h)] * length,
         confidences=[0.9] * length,
-        embeddings=[np.asarray(embedding, dtype=float)] * length,
+        embedding=np.asarray(embedding, dtype=float),
     )
 
 
@@ -105,7 +105,7 @@ class TestAssociateAndRefine:
         assert [c.global_id for c in clusters] == [1]
 
     def test_missing_embeddings_rejected(self):
-        t = Tracklet(0, 1, [0], [BoundingBox(0, 0, 5, 5)], [0.9], [])
+        t = Tracklet(0, 1, [0], [BoundingBox(0, 0, 5, 5)], [0.9], None)
         with pytest.raises(ConfigError):
             associate_and_refine({0: [t]}, PipelineConfig())
 
@@ -143,7 +143,7 @@ class TestRunPipeline:
                     r.frames_processed,
                     [
                         (t.track_id, t.frames, [(b.x, b.y, b.w, b.h) for b in t.boxes],
-                         t.confidences, [e.tobytes() for e in t.embeddings])
+                         t.confidences, t.embedding.tobytes())
                         for t in r.tracklets
                     ],
                 )

@@ -28,7 +28,7 @@ def make_tracklet(w, h, length=10, conf=0.9, camera_id=0, track_id=1, frames=Non
         frames=frames,
         boxes=[BoundingBox(x, 0.0, w, h) for x in xs],
         confidences=[conf] * len(frames),
-        embeddings=[],
+        embedding=None,
     )
 
 

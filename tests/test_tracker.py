@@ -208,7 +208,7 @@ class TestMotionOnly:
             tr.step(f, [det(f, x=50 + 2.0 * f)])
         tls = tr.export_tracklets()
         assert len(tls) == 1
-        assert tls[0].embeddings == []
+        assert tls[0].embedding is None
         assert len(tls[0].frames) == 10
 
     def test_confirmed_track_survives_multi_frame_gap_via_iou(self):
