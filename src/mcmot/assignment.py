@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,24 +33,26 @@ def solve_assignment(cost: np.ndarray) -> Matching:
 
     Among all matchings that use only feasible pairs and have maximum
     cardinality, returns one of minimum total cost. Deterministic for a
-    fixed input.
+    fixed input; the pairs are those SciPy's `linear_sum_assignment` picks
+    on the surrogate matrix below, ties included.
     """
-    # Imported here: scipy.optimize takes longer to import than `simulate` or
-    # `associate` take to run, and neither solves an assignment.
-    from scipy.optimize import linear_sum_assignment
-
     c = np.atleast_2d(np.asarray(cost, dtype=float))
     n_rows, n_cols = c.shape
-    if n_rows == 0 or n_cols == 0:
-        return Matching((), tuple(range(n_rows)), tuple(range(n_cols)))
     feasible = c < INFEASIBLE
-    if not feasible.any():
+    rows, cols = np.nonzero(feasible)
+    rows, cols = rows.tolist(), cols.tolist()
+    if not rows:
         return Matching((), tuple(range(n_rows)), tuple(range(n_cols)))
     # A surrogate cost exceeding the sum of all feasible entries makes the
     # solver minimize the number of infeasible pairs first, then the cost.
     big = np.abs(c[feasible]).sum() + 1.0
-    rows, cols = linear_sum_assignment(np.where(feasible, c, big))
-    pairs = tuple((int(r), int(col)) for r, col in zip(rows, cols) if feasible[r, col])
+    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols) and np.isfinite(big):
+        # Every feasible cell is alone in its row and column, so together
+        # they are the only maximum-cardinality matching.
+        pairs = tuple(zip(rows, cols))
+    else:
+        rows, cols = _linear_sum_assignment(np.where(feasible, c, big))
+        pairs = tuple((r, col) for r, col in zip(rows, cols) if feasible[r, col])
     matched_rows = {r for r, _ in pairs}
     matched_cols = {col for _, col in pairs}
     return Matching(
@@ -57,6 +60,78 @@ def solve_assignment(cost: np.ndarray) -> Matching:
         tuple(r for r in range(n_rows) if r not in matched_rows),
         tuple(col for col in range(n_cols) if col not in matched_cols),
     )
+
+
+def _linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
+    """Rectangular linear sum assignment, as SciPy computes it.
+
+    A line-by-line port of SciPy's shortest augmenting path solver (Crouse,
+    "On implementing 2D rectangular assignment algorithms", IEEE TAES 2016):
+    the same scan order, tie rule and dual updates in the same float64
+    arithmetic, so it returns the same pairs, sorted by row, and raises
+    ValueError where SciPy does. Plain Python floats beat numpy calls on the
+    tracker's few-dozen-wide matrices.
+    """
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    n_rows, n_cols = cost.shape
+    c = cost.tolist()
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for cur_row in range(n_rows):
+        shortest = [math.inf] * n_cols
+        seen_rows = [cur_row]
+        seen_cols = []
+        # Unscanned columns, in reverse so a constant matrix yields the
+        # identity; a scanned column's slot takes the last one.
+        remaining = list(range(n_cols - 1, -1, -1))
+        min_val = 0.0
+        i = cur_row
+        while True:
+            index = -1
+            lowest = math.inf
+            c_i, u_i = c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + c_i[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # On a tie, prefer a column that ends the path.
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+            seen_rows.append(i)
+        u[cur_row] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for col in seen_cols:
+            v[col] -= min_val - shortest[col]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        order = sorted(range(n_rows), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(n_rows)), col4row
 
 
 def gate(cost: np.ndarray, feasible: np.ndarray) -> np.ndarray:

@@ -585,7 +585,7 @@ class ResultsFile:
 
 def read_results_json(path: str | Path) -> ResultsFile:
     """Ids are JSON integers; a camera_id, and a track_id within a camera,
-    may appear once."""
+    may appear once; each cluster member is a listed tracklet in one cluster."""
     doc = read_json(path)
     camera_tracklets: dict[int, list[Tracklet]] = {}
     for cam_doc in _field(path, doc, "cameras", list):
@@ -594,6 +594,8 @@ def read_results_json(path: str | Path) -> ResultsFile:
             raise FormatError(f"{path}: camera {cam} is listed twice")
         entries = _field(f"{path}: camera {cam}", cam_doc, "tracklets", list)
         camera_tracklets[cam] = _tracklets_from_doc(path, cam, entries)
+    listed = {(cam, t.track_id) for cam, tls in camera_tracklets.items() for t in tls}
+    owner: dict[tuple[int, int], int] = {}
     clusters = []
     for cd in _field(path, doc, "clusters", list):
         gid = _field(f"{path}: a clusters entry", cd, "global_id", int)
@@ -604,7 +606,19 @@ def read_results_json(path: str | Path) -> ResultsFile:
                     f"{path}: cluster {gid}: a member must be [camera_id, track_id] integers, "
                     f"got {_show(m)}"
                 )
-            members.append((m[0], m[1]))
+            key = (m[0], m[1])
+            if key not in listed:
+                raise FormatError(
+                    f"{path}: cluster {gid}: member (camera {key[0]}, track {key[1]}) "
+                    "is not a listed tracklet"
+                )
+            if key in owner:
+                raise FormatError(
+                    f"{path}: cluster {gid}: member (camera {key[0]}, track {key[1]}) "
+                    f"is also in cluster {owner[key]}"
+                )
+            owner[key] = gid
+            members.append(key)
         clusters.append(Cluster(global_id=gid, members=members))
     unique_count = _field(path, doc, "unique_count", int)
     if unique_count != len(clusters):

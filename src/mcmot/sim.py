@@ -283,7 +283,12 @@ def typed_value(name: str, value, kind: type):
     match exactly (true is not an integer, "5" is not a number), except that
     an integer is taken as a float; floats must be finite."""
     if kind is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"{name} must be a finite number, got an integer beyond the float range"
+            ) from None
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
         raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value

@@ -3,7 +3,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from mcmot import assignment
 from mcmot.assignment import INFEASIBLE, Matching, gate, iou_matching, matching_cascade, solve_assignment
 
 
@@ -114,6 +118,97 @@ class TestSolveAssignment:
         rng = np.random.default_rng(14)
         c = rng.uniform(0, 10, (6, 4))
         assert solve_assignment(c) == solve_assignment(c.copy())
+
+
+def scipy_matching(cost):
+    """The reference: scipy's solver on the surrogate matrix that
+    solve_assignment builds, with infeasible pairs dropped."""
+    c = np.asarray(cost, dtype=float)
+    n_rows, n_cols = c.shape
+    feasible = c < INFEASIBLE
+    if not feasible.any():
+        return Matching((), tuple(range(n_rows)), tuple(range(n_cols)))
+    big = np.abs(c[feasible]).sum() + 1.0
+    rows, cols = linear_sum_assignment(np.where(feasible, c, big))
+    pairs = tuple((int(r), int(col)) for r, col in zip(rows, cols) if feasible[r, col])
+    matched_rows, matched_cols = {r for r, _ in pairs}, {col for _, col in pairs}
+    return Matching(
+        pairs,
+        tuple(r for r in range(n_rows) if r not in matched_rows),
+        tuple(col for col in range(n_cols) if col not in matched_cols),
+    )
+
+
+@st.composite
+def cost_matrices(draw):
+    """1x1 to 8x8 costs: lattice values (exact ties) or continuous ones,
+    negatives included, with INFEASIBLE cells at densities 0 to 0.9 and
+    optionally NaN cells."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n = n_rows * n_cols
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([1.0, 0.5, 0.25]))
+        values = [v * step for v in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+    else:
+        values = draw(st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n))
+    c = np.array(values).reshape(n_rows, n_cols)
+    density = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    cells = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n)
+    c[np.array(draw(cells)).reshape(c.shape) < density] = INFEASIBLE
+    if draw(st.booleans()):
+        c[np.array(draw(cells)).reshape(c.shape) < 0.2] = np.nan
+    return c
+
+
+class TestScipyOracle:
+    """solve_assignment picks exactly the pairs scipy's linear_sum_assignment
+    picks on the same surrogate matrix, ties included."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(cost=cost_matrices())
+    def test_same_matching_as_scipy(self, cost):
+        assert solve_assignment(cost) == scipy_matching(cost)
+
+    def test_same_matching_on_dense_ties_and_wide_shapes(self):
+        rng = np.random.default_rng(17)
+        for k in range(1500):
+            shape = rng.integers(1, 31 if k % 10 == 0 else 9, 2)
+            c = rng.integers(0, 3, shape).astype(float) if k % 2 else rng.normal(0, 1, shape)
+            c[rng.random(tuple(shape)) < rng.uniform(0, 0.9)] = INFEASIBLE
+            assert solve_assignment(c) == scipy_matching(c)
+
+    def test_same_errors_as_scipy(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            c = rng.integers(0, 3, rng.integers(1, 6, 2)).astype(float)
+            c[rng.random(c.shape) < 0.4] = np.inf
+            try:
+                want = linear_sum_assignment(c)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=str(e)):
+                    assignment._linear_sum_assignment(c)
+            else:
+                got = assignment._linear_sum_assignment(c)
+                assert got == (want[0].tolist(), want[1].tolist())
+
+    def test_forced_pairs_skip_the_solver(self, monkeypatch):
+        def fail(cost):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(assignment, "_linear_sum_assignment", fail)
+        c = np.full((4, 5), INFEASIBLE)
+        c[0, 3], c[2, 0], c[3, 4] = 0.5, -2.0, 0.5
+        m = solve_assignment(c)
+        assert m == Matching(((0, 3), (2, 0), (3, 4)), (1,), (1, 2))
+        assert m == scipy_matching(c)
+
+    @pytest.mark.parametrize("shared_row", [False, True], ids=["forced", "solved"])
+    def test_negative_infinity_rejected(self, shared_row):
+        c = np.array([[-np.inf, INFEASIBLE], [INFEASIBLE, 1.0]])
+        if shared_row:
+            c[0, 1] = 1.0
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            solve_assignment(c)
 
 
 class TestGate:

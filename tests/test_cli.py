@@ -134,7 +134,9 @@ class TestTrackCli:
         assert "error[input]" in err and "frame 12" in err
 
     @pytest.mark.parametrize(
-        "doc", [{"frame_keep": [1]}, {"tracker": {"max_age": "5"}}], ids=["frame_keep", "max_age"]
+        "doc",
+        [{"frame_keep": [1]}, {"tracker": {"max_age": "5"}}, {"detection_threshold": 10**400}],
+        ids=["frame_keep", "max_age", "huge-integer-float"],
     )
     def test_mistyped_config_is_config_error(self, tmp_path, capsys, doc):
         det = tmp_path / "dets.csv"
@@ -290,20 +292,62 @@ class TestAssociateInputChecks:
     def test_associate_never_imports_the_assignment_solver(self, tmp_path):
         scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=8)
         tracks = track_all(tmp_path, scn, 2)
-        code = (
-            "import sys, mcmot.cli\n"
-            "print('scipy.optimize' in sys.modules)\n"
-            "rc = mcmot.cli.main(sys.argv[1:])\n"
-            "print(rc, 'scipy.optimize' in sys.modules)\n"
+        out = run_cli_reporting_scipy(
+            ["associate", "--tracks", str(tracks), "--method", "both",
+             "--output", str(tmp_path / "r.json")])
+        assert out == ["False", "0 False"]
+
+
+def cli_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(mcmot.__file__).parents[1]))
+
+
+def run_cli_reporting_scipy(argv) -> list[str]:
+    """Run the CLI in a fresh interpreter; report whether scipy was loaded
+    after `import mcmot.cli` and after the command."""
+    code = (
+        "import sys, mcmot.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "rc = mcmot.cli.main(sys.argv[1:])\n"
+        "print(rc, 'scipy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=cli_env(), capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    return [out[0], out[-1]]
+
+
+class TestTrackingWithoutScipy:
+    """Assignment is solved in-house: tracking never loads scipy."""
+
+    @pytest.mark.parametrize("command", ["count", "track"])
+    def test_tracking_never_imports_scipy(self, tmp_path, command):
+        scn = simulate(tmp_path, cameras=2, identities=3, frames=30, embedding_dim=8)
+        if command == "count":
+            argv = ["count", "--scenario", str(scn), "--method", "both",
+                    "--output", str(tmp_path / "r.json")]
+        else:
+            argv = ["track", "--detections", str(scn / "detections_cam0.csv"),
+                    "--embeddings", str(scn / "embeddings_cam0.csv"), "--camera-id", "0",
+                    "--output", str(tmp_path / "cam0.csv")]
+        assert run_cli_reporting_scipy(argv) == ["False", "0 False"]
+
+    def test_count_runs_with_scipy_blocked(self, tmp_path):
+        scn = simulate(tmp_path, cameras=3, identities=4, frames=40, embedding_dim=8,
+                       false_positive_rate=0.5, miss_prob=0.1)
+        free, blocked = tmp_path / "free.json", tmp_path / "blocked.json"
+        argv = ["count", "--scenario", str(scn), "--method", "both", "--output"]
+        assert main(argv + [str(free)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nsys.modules['scipy'] = None\n"
+             "import mcmot.cli\nsys.exit(mcmot.cli.main(sys.argv[1:]))\n",
+             *argv, str(blocked)],
+            env=cli_env(), capture_output=True, text=True, timeout=120,
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(mcmot.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code, "associate", "--tracks", str(tracks),
-             "--method", "both", "--output", str(tmp_path / "r.json")],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        ).stdout.splitlines()
-        assert out[0] == "False"
-        assert out[-1] == "0 False"
+        assert proc.returncode == 0, proc.stderr
+        assert blocked.read_bytes() == free.read_bytes()
 
 
 class TestEvalCli:
@@ -353,8 +397,13 @@ class TestEvalCli:
         }
         truth = tmp_path / "truth.json"
         truth.write_text(json.dumps(truth_doc))
+        tracklets = [
+            {"track_id": i + 1, "frames": [0], "boxes": [[10.0 * i, 0.0, 5.0, 5.0]],
+             "confidences": [0.9]}
+            for i in range(4)
+        ]
         results_doc = {
-            "cameras": [{"camera_id": 0, "tracklets": []}],
+            "cameras": [{"camera_id": 0, "tracklets": tracklets}],
             "clusters": [{"global_id": i + 1, "members": [[0, i + 1]]} for i in range(4)],
             "unique_count": 4,
             "method_counts": None,
@@ -601,6 +650,32 @@ class TestTrackletJsonRules:
         tracklets.append(dict(tracklets[0]))
         err = format_error(capsys, self.eval(tmp_path, doc))
         assert "camera 0: track 1 is listed twice" in err
+
+    @pytest.mark.parametrize("member", [[0, 99], [7, 1]], ids=["unknown-track", "unknown-camera"])
+    def test_results_member_must_be_listed(self, tmp_path, capsys, member):
+        doc = valid_results_doc()
+        doc["clusters"].append({"global_id": 2, "members": [member]})
+        doc["unique_count"] = 2
+        err = format_error(capsys, self.eval(tmp_path, doc))
+        assert err == (
+            f"error[format]: {tmp_path / 'results.json'}: cluster 2: member "
+            f"(camera {member[0]}, track {member[1]}) is not a listed tracklet\n"
+        )
+
+    @pytest.mark.parametrize("where", ["same-cluster", "two-clusters"])
+    def test_results_member_in_one_cluster_only(self, tmp_path, capsys, where):
+        doc = valid_results_doc()
+        if where == "same-cluster":
+            doc["clusters"][0]["members"].append([0, 1])
+        else:
+            doc["clusters"].append({"global_id": 2, "members": [[0, 1]]})
+            doc["unique_count"] = 2
+        err = format_error(capsys, self.eval(tmp_path, doc))
+        gid = 1 if where == "same-cluster" else 2
+        assert err == (
+            f"error[format]: {tmp_path / 'results.json'}: cluster {gid}: member "
+            "(camera 0, track 1) is also in cluster 1\n"
+        )
 
     @pytest.mark.parametrize("key, value", [
         ("boxes", [[0.0, 0.0, 5.0, 5.0]]),

@@ -1,10 +1,11 @@
-"""Fuzz the tracklet JSON boundary through the CLI.
+"""Fuzz the JSON input boundary through the CLI.
 
-Valid tracklet sidecars and results files are mutated (type swaps, dropped
-keys and elements, ragged lists, duplicated entries, wrong nesting) and fed
-to `mcmot associate` and `mcmot eval`. Every run must exit 0, or exit 1 with
-exactly one `error[<category>]: ...` line on stderr; an exception escaping
-`main` fails the test.
+Valid tracklet sidecars, results files, config files and truth files are
+mutated (type swaps, dropped keys and elements, ragged lists, duplicated
+entries, wrong nesting) and fed to `mcmot associate`, `mcmot eval` and
+`mcmot count --config`. Every run must exit 0, or exit 1 with exactly one
+`error[<category>]: ...` line on stderr; an exception escaping `main` fails
+the test.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmot.cli import main
+from mcmot.config import config_to_dict, study1_preset
 
 # Values a node may be swapped for: wrong JSON types, bools posing as
 # integers, an integer beyond the float range, and containers.
@@ -93,7 +95,7 @@ def mutated(draw, doc):
 
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
-    """Two cameras' sidecars, their results file and the truth file."""
+    """Two cameras' scenario, sidecars, their results file and the truth file."""
     root = tmp_path_factory.mktemp("fuzz")
     cfg = root / "scenario.json"
     cfg.write_text(json.dumps({"cameras": 2, "identities": 2, "frames": 12, "embedding_dim": 4}))
@@ -113,6 +115,7 @@ def valid(tmp_path_factory):
     assert all(doc["tracklets"] for doc in sidecars.values())
     return {
         "root": root,
+        "scenario": scn,
         "sidecars": sidecars,
         "results": json.loads(results.read_text()),
         "truth": truth,
@@ -139,4 +142,24 @@ def test_mutated_results(valid, data):
     results = valid["root"] / "fuzz_eval.json"
     results.write_text(json.dumps(data.draw(mutated(valid["results"]))))
     argv = ["eval", "--results", str(results), "--truth", str(valid["truth"])]
+    assert_clean_outcome(*run_cli(argv))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_truth(valid, data):
+    truth = valid["root"] / "fuzz_truth.json"
+    truth.write_text(json.dumps(data.draw(mutated(json.loads(valid["truth"].read_text())))))
+    argv = ["eval", "--results", str(valid["root"] / "results.json"), "--truth", str(truth)]
+    assert_clean_outcome(*run_cli(argv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_config(valid, data):
+    doc = dict(config_to_dict(study1_preset()), preset="study1")
+    config = valid["root"] / "fuzz_config.json"
+    config.write_text(json.dumps(data.draw(mutated(doc))))
+    argv = ["count", "--scenario", str(valid["scenario"]), "--config", str(config),
+            "--method", "both", "--output", str(valid["root"] / "fuzz_count.json")]
     assert_clean_outcome(*run_cli(argv))
