@@ -126,10 +126,7 @@ def _cmd_simulate(args) -> int:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"scenario config file not found: {path}")
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        doc = formats.read_json(path)
     if args.seed is not None:
         doc = dict(doc)
         doc["seed"] = args.seed

@@ -4,7 +4,6 @@ JSON config-file parsing with explicit overrides."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,6 +12,7 @@ from typing import Optional
 from .association import AssociationConfig
 from .refine import RefineConfig
 from .errors import ConfigError
+from .formats import read_json
 from .sim import typed_value
 from .tracker import TrackerConfig
 
@@ -170,7 +170,11 @@ def config_from_dict(doc: dict) -> PipelineConfig:
 
 
 def load_config(source: str | Path | None) -> PipelineConfig:
-    """Resolve a preset name or a JSON config file path."""
+    """Resolve a preset name or a JSON config file path.
+
+    The file is parsed like every JSON input (formats.read_json): invalid
+    JSON, a non-finite number or a repeated key is a FormatError.
+    """
     if source is None:
         return PipelineConfig()
     source = str(source)
@@ -179,8 +183,4 @@ def load_config(source: str | Path | None) -> PipelineConfig:
     path = Path(source)
     if not path.exists():
         raise ConfigError(f"config {source!r} is neither a preset {sorted(PRESETS)} nor a file")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(doc)
+    return config_from_dict(read_json(path))

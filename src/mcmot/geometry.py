@@ -27,17 +27,10 @@ class BoundingBox:
             raise ValueError(f"box height must be positive, got {self.h}")
         return (self.x + self.w / 2.0, self.y + self.h / 2.0, self.w / self.h, self.h)
 
-    def to_tlbr(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.x + self.w, self.y + self.h)
-
     @classmethod
     def from_xyah(cls, cx: float, cy: float, a: float, h: float) -> "BoundingBox":
         w = a * h
         return cls(cx - w / 2.0, cy - h / 2.0, w, h)
-
-    @classmethod
-    def from_tlbr(cls, x1: float, y1: float, x2: float, y2: float) -> "BoundingBox":
-        return cls(x1, y1, x2 - x1, y2 - y1)
 
     def to_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.w, self.h], dtype=float)
@@ -106,18 +99,29 @@ def nms(dets: Sequence[Detection], overlap_threshold: float) -> list[Detection]:
     Detections are processed in descending confidence order (ties broken by
     input order); a detection is kept iff its IoU with every already-kept
     detection of the same class is <= overlap_threshold. The output preserves
-    descending-confidence order.
+    descending-confidence order. A non-positive-area box is a ValueError when
+    its class has another detection (the boxes' IoU is undefined).
+
+    One iou_matrix gives every pair's IoU with the arithmetic of iou(), so
+    the kept set is the one pairwise iou() calls give.
     """
     if not 0.0 <= overlap_threshold <= 1.0:
         raise ValueError(f"overlap_threshold must be in [0, 1], got {overlap_threshold}")
     if not dets:
         return []
     order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
+    boxes = np.array([(dets[i].box.x, dets[i].box.y, dets[i].box.w, dets[i].box.h) for i in order])
+    classes = np.array([dets[i].class_id for i in order])
+    same_class = classes[:, None] == classes[None, :]
+    degenerate = (boxes[:, 2] <= 0) | (boxes[:, 3] <= 0)
+    if np.any(same_class[degenerate].sum(axis=1) > 1):
+        raise ValueError("iou requires boxes with positive area")
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate boxes alone in their class
+        overlaps = (iou_matrix(boxes, boxes) > overlap_threshold) & same_class
+    suppressed = np.zeros(len(order), dtype=bool)
     kept: list[Detection] = []
-    for i in order:
-        d = dets[i]
-        if all(
-            k.class_id != d.class_id or iou(k.box, d.box) <= overlap_threshold for k in kept
-        ):
-            kept.append(d)
+    for pos, i in enumerate(order):
+        if not suppressed[pos]:
+            kept.append(dets[i])
+            suppressed |= overlaps[pos]
     return kept

@@ -795,3 +795,28 @@ class TestCountCli:
         assert main(["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[{category}]: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"tracker": {"max_age": 5, "max_age": 7}}',
+         '{"detection_threshold": 0.1, "detection_threshold": 0.9}',
+         '{"preset": "study1", "preset": "study2"}'],
+        ids=["nested", "top-level", "preset"],
+    )
+    def test_repeated_config_key_is_format_error(self, tmp_path, capsys, text):
+        scn = simulate(tmp_path, cameras=1, identities=1, frames=5, embedding_dim=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "r.json"
+        argv = ["count", "--scenario", str(scn), "--config", str(cfg), "--output", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[format]: {cfg}: duplicate key ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_repeated_scenario_config_key_is_format_error(self, tmp_path, capsys):
+        cfg = write_scenario_config(tmp_path)
+        cfg.write_text('{"frames": 5, "frames": 6}')
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[format]: {cfg}: duplicate key ") and err.count("\n") == 1

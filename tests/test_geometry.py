@@ -81,17 +81,47 @@ class TestConversions:
         h = rng.uniform(0.1, 1e4, n)
         for i in range(n):
             b = BoundingBox(x[i], y[i], w[i], h[i])
-            via_xyah = BoundingBox.from_xyah(*b.to_xyah())
-            via_tlbr = BoundingBox.from_tlbr(*b.to_tlbr())
-            for got in (via_xyah, via_tlbr):
-                assert abs(got.x - b.x) < 1e-9
-                assert abs(got.y - b.y) < 1e-9
-                assert abs(got.w - b.w) < 1e-9
-                assert abs(got.h - b.h) < 1e-9
+            got = BoundingBox.from_xyah(*b.to_xyah())
+            assert abs(got.x - b.x) < 1e-9
+            assert abs(got.y - b.y) < 1e-9
+            assert abs(got.w - b.w) < 1e-9
+            assert abs(got.h - b.h) < 1e-9
 
 
 def det(x, y, w, h, conf, class_id=0, frame=0):
     return Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=conf, class_id=class_id)
+
+
+def pairwise_nms(dets, overlap_threshold):
+    """Reference NMS: the greedy loop with one scalar iou() per compared pair."""
+    if not 0.0 <= overlap_threshold <= 1.0:
+        raise ValueError(f"overlap_threshold must be in [0, 1], got {overlap_threshold}")
+    if not dets:
+        return []
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
+    kept = []
+    for i in order:
+        d = dets[i]
+        if all(
+            k.class_id != d.class_id or iou(k.box, d.box) <= overlap_threshold for k in kept
+        ):
+            kept.append(d)
+    return kept
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# Coordinates on a coarse grid make equal edges (touching boxes), identical
+# boxes and IoU exactly at a threshold common; few confidences make ties.
+GRID_COORD = st.integers(0, 12).map(float)
+GRID_SIZE = st.integers(1, 6).map(float)
+NMS_THRESHOLDS = st.one_of(st.sampled_from([0.0, 1.0, 0.25, 0.5, 1 / 3]), st.floats(0, 1))
 
 
 class TestNms:
@@ -156,6 +186,71 @@ class TestNms:
                     assert iou(a.box, b.box) <= threshold
         confs = [k.confidence for k in kept]
         assert confs == sorted(confs, reverse=True)
+
+
+class TestNmsOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                GRID_COORD, GRID_COORD, GRID_SIZE, GRID_SIZE,
+                st.sampled_from([0.3, 0.5, 0.9]), st.integers(0, 2),
+            ),
+            max_size=16,
+        ),
+        NMS_THRESHOLDS,
+    )
+    def test_same_kept_objects_in_same_order(self, raw, threshold):
+        dets = [det(*r) for r in raw]
+        got = nms(dets, threshold)
+        want = pairwise_nms(dets, threshold)
+        assert [id(d) for d in got] == [id(d) for d in want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-50, 50), st.floats(-50, 50), st.floats(0.5, 40), st.floats(0.5, 40),
+                st.floats(0, 1), st.integers(0, 3),
+            ),
+            max_size=20,
+        ),
+        NMS_THRESHOLDS,
+    )
+    def test_same_kept_objects_on_continuous_boxes(self, raw, threshold):
+        dets = [det(*r) for r in raw]
+        assert [id(d) for d in nms(dets, threshold)] == [
+            id(d) for d in pairwise_nms(dets, threshold)
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                GRID_COORD, GRID_COORD, st.integers(-1, 3).map(float), st.integers(-1, 3).map(float),
+                st.sampled_from([0.5, 0.9]), st.integers(0, 2),
+            ),
+            max_size=8,
+        ),
+        NMS_THRESHOLDS,
+    )
+    def test_non_positive_area_raises_as_pairwise(self, raw, threshold):
+        # A degenerate box is rejected exactly when the pairwise loop would
+        # compute its IoU, with the same message.
+        dets = [det(*r) for r in raw]
+        got = outcome(nms, dets, threshold)
+        want = outcome(pairwise_nms, dets, threshold)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert [id(d) for d in got] == [id(d) for d in want]
+
+    def test_degenerate_box_alone_in_its_class_passes(self):
+        a = det(0, 0, 0, 10, 0.9, class_id=0)
+        b = det(0, 0, 10, 10, 0.8, class_id=1)
+        assert nms([a, b], 0.4) == [a, b]
+        with pytest.raises(ValueError, match="positive area"):
+            nms([a, det(50, 50, 5, 5, 0.5, class_id=0)], 0.4)
 
 
 class TestDetection:

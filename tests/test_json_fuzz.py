@@ -154,12 +154,35 @@ def test_mutated_truth(valid, data):
     assert_clean_outcome(*run_cli(argv))
 
 
+def to_json(node, repeat=None, path=()):
+    """JSON text of node; repeat=(path, key, value) makes the object at path
+    end with a second `key` entry holding value."""
+    if isinstance(node, dict):
+        items = [f"{json.dumps(k)}: {to_json(v, repeat, path + (k,))}" for k, v in node.items()]
+        if repeat is not None and repeat[0] == path:
+            items.append(f"{json.dumps(repeat[1])}: {json.dumps(repeat[2])}")
+        return "{" + ", ".join(items) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(to_json(v, repeat, path + (i,)) for i, v in enumerate(node)) + "]"
+    return json.dumps(node)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_config(valid, data):
-    doc = dict(config_to_dict(study1_preset()), preset="study1")
+    doc = data.draw(mutated(dict(config_to_dict(study1_preset()), preset="study1")))
+    objects = [(path, node) for path, node in nodes(doc) if isinstance(node, dict) and node]
+    repeat = None
+    if objects and data.draw(st.booleans()):
+        path, node = data.draw(st.sampled_from(objects))
+        key = data.draw(st.sampled_from(sorted(node)))
+        repeat = (path, key, copy.deepcopy(data.draw(st.sampled_from([node[key]] + REPLACEMENTS))))
     config = valid["root"] / "fuzz_config.json"
-    config.write_text(json.dumps(data.draw(mutated(doc))))
+    config.write_text(to_json(doc, repeat))
     argv = ["count", "--scenario", str(valid["scenario"]), "--config", str(config),
             "--method", "both", "--output", str(valid["root"] / "fuzz_count.json")]
-    assert_clean_outcome(*run_cli(argv))
+    code, err = run_cli(argv)
+    assert_clean_outcome(code, err)
+    if repeat is not None:
+        # A repeated key is rejected whatever else the file holds.
+        assert code == 1 and err.startswith(f"error[format]: {config}: duplicate key "), err

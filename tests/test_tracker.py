@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcmot.assignment import INFEASIBLE, gate
 from mcmot.geometry import BoundingBox, Detection
+from mcmot.kalman import CHI2_GATE_95
 from mcmot.refine import id_switches
 from mcmot.sim import ScenarioConfig, generate
-from mcmot.tracker import Track, Tracker, TrackerConfig, TrackStatus, appearance_cost
+from mcmot.tracker import Track, Tracker, TrackerConfig, TrackStatus, TrackTable, appearance_cost
 
 
 def det(frame, x=50.0, y=50.0, w=20.0, h=40.0, conf=0.9, emb=None):
@@ -71,35 +75,148 @@ class TestLifecycle:
         assert sorted(new_ids) == new_ids == list(range(1, 6))
 
 
+def reference_cost(galleries, dets, metric="euclidean"):
+    """Reference appearance cost over every (track, detection) cell: min over
+    each track's gallery (k, D) of the embedding distance to each detection
+    (plain L2 by default, 1 - cosine optional). The tracker computes the
+    gated-in cells only; gate(reference_cost(...), feasible) is its oracle."""
+    if any(len(g) == 0 for g in galleries):
+        raise ValueError("appearance_cost requires a non-empty gallery per track")
+    if any(d.embedding is None for d in dets):
+        raise ValueError("appearance_cost requires an embedding per detection")
+    if not galleries or not dets:
+        return np.zeros((len(galleries), len(dets)))
+    gallery = np.concatenate([np.asarray(g, dtype=float) for g in galleries], axis=0)
+    sizes = [len(g) for g in galleries]
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    embs = np.stack([d.embedding for d in dets])
+    dots = gallery @ embs.T
+    if metric == "euclidean":
+        g2 = np.einsum("ij,ij->i", gallery, gallery)[:, None]
+        e2 = np.einsum("ij,ij->i", embs, embs)[None, :]
+        dist = np.sqrt(np.clip(g2 + e2 - 2.0 * dots, 0.0, None))
+    elif metric == "cosine":
+        g_norm = np.linalg.norm(gallery, axis=1, keepdims=True)
+        e_norm = np.linalg.norm(embs, axis=1, keepdims=True)
+        dist = 1.0 - dots / np.clip(g_norm * e_norm.T, 1e-12, None)
+    else:
+        raise ValueError(f"unknown appearance metric: {metric!r}")
+    return np.minimum.reduceat(dist, offsets, axis=0)
+
+
+def tracks_of(streams, budget=100, metric="euclidean"):
+    """One Track per stream, all rows of one TrackTable; track i's embeddings
+    are pushed in order, so its ring holds the last `budget` of streams[i]."""
+    table = TrackTable(budget, metric)
+    table.append(np.zeros((len(streams), 8)), np.zeros((len(streams), 8, 8)), 1)
+    for k in range(max((len(s) for s in streams), default=0)):
+        rows = np.array([i for i, s in enumerate(streams) if k < len(s)], dtype=np.intp)
+        if rows.size:
+            table.add_embeddings(rows, np.array([streams[i][k] for i in rows], dtype=float))
+    return [Track(track_id=i + 1, table=table, row=i) for i in range(len(streams))]
+
+
+def table_cost(galleries, dets, metric="euclidean"):
+    """The tracker's cost for every cell, with a gate that passes all."""
+    tracks = tracks_of(galleries, metric=metric)
+    return appearance_cost(tracks, dets, np.ones((len(tracks), len(dets)), dtype=bool))
+
+
 class TestAppearanceCost:
     def test_zero_for_gallery_member(self):
-        t = Track(track_id=1, kstate=None, gallery=[unit(1, 0, 0)])
         d = det(0, emb=unit(1, 0, 0))
-        cost = appearance_cost([t], [d])
+        cost = table_cost([[unit(1, 0, 0)]], [d])
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_min_over_gallery(self):
-        t = Track(track_id=1, kstate=None, gallery=[unit(1, 0), unit(0, 1)])
         d = det(0, emb=unit(0, 1))
-        assert appearance_cost([t], [d])[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert table_cost([[unit(1, 0), unit(0, 1)]], [d])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_unit_vectors_sqrt2(self):
-        t = Track(track_id=1, kstate=None, gallery=[unit(1, 0)])
         d = det(0, emb=unit(0, 1))
-        assert appearance_cost([t], [d])[0, 0] == pytest.approx(np.sqrt(2), abs=1e-9)
+        assert table_cost([[unit(1, 0)]], [d])[0, 0] == pytest.approx(np.sqrt(2), abs=1e-9)
 
     def test_cosine_metric(self):
-        t = Track(track_id=1, kstate=None, gallery=[unit(1, 0)])
         d = det(0, emb=unit(0, 1))
-        assert appearance_cost([t], [d], metric="cosine")[0, 0] == pytest.approx(1.0, abs=1e-9)
+        assert table_cost([[unit(1, 0)]], [d], metric="cosine")[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_missing_embedding_signalled(self):
-        t = Track(track_id=1, kstate=None, gallery=[unit(1, 0)])
         with pytest.raises(ValueError):
-            appearance_cost([t], [det(0)])
-        t_empty = Track(track_id=2, kstate=None, gallery=[])
+            table_cost([[unit(1, 0)]], [det(0)])
         with pytest.raises(ValueError):
-            appearance_cost([t_empty], [det(0, emb=unit(1, 0))])
+            table_cost([[]], [det(0, emb=unit(1, 0))])
+
+
+# Embedding entries on a grid of eighths: every product and partial sum is
+# exact in float64, so both costs must agree bit for bit whatever the
+# summation order; any difference is a logic error, not rounding.
+GRID = st.integers(-16, 16).map(lambda k: k / 8.0)
+
+
+@st.composite
+def gated_cost_case(draw):
+    dim = draw(st.integers(1, 5))
+    vector = st.lists(GRID, min_size=dim, max_size=dim)
+    streams = draw(st.lists(st.lists(vector, min_size=1, max_size=12), min_size=1, max_size=5))
+    dets = draw(st.lists(vector, min_size=0, max_size=6))
+    rows = draw(st.lists(st.sampled_from(range(len(streams))), unique=True, min_size=1))
+    gating = draw(st.lists(
+        st.lists(st.floats(0.0, 2 * CHI2_GATE_95), min_size=len(dets), max_size=len(dets)),
+        min_size=len(rows), max_size=len(rows),
+    ))
+    reject_all = draw(st.booleans())
+    return {
+        "budget": draw(st.integers(1, 5)),
+        "metric": draw(st.sampled_from(["euclidean", "cosine"])),
+        "streams": streams,
+        "dets": dets,
+        "rows": sorted(rows),
+        "gating": np.array(gating).reshape(len(rows), len(dets)) + (np.inf if reject_all else 0.0),
+    }
+
+
+def check_against_oracle(case):
+    """Gate-first cost equals gate(reference_cost(...), gating <= CHI2_GATE_95);
+    returns the number of cells that differ in any bit."""
+    budget, streams, rows = case["budget"], case["streams"], case["rows"]
+    tracks = tracks_of(streams, budget, case["metric"])
+    assert [len(t.gallery) for t in tracks] == [min(len(s), budget) for s in streams]
+    dets = [det(0, emb=np.array(e, dtype=float)) for e in case["dets"]]
+    feasible = case["gating"] <= CHI2_GATE_95
+    got = appearance_cost([tracks[i] for i in rows], dets, feasible)
+    galleries = [np.asarray(streams[i][-budget:], dtype=float) for i in rows]
+    want = gate(reference_cost(galleries, dets, case["metric"]), feasible)
+    assert np.array_equal(got == INFEASIBLE, want == INFEASIBLE)
+    assert np.all(got[~feasible] == INFEASIBLE)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    return int(np.count_nonzero(got != want))
+
+
+class TestGateFirstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(gated_cost_case())
+    def test_exact_on_grid_embeddings(self, case):
+        assert check_against_oracle(case) == 0
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("dim", [1, 2, 8, 32])
+    def test_within_1e12_on_unit_embeddings(self, metric, dim):
+        # Realistic unit-length embeddings: the two costs sum their dot
+        # products in different orders, so a cell may differ in its last bits.
+        rng = np.random.default_rng(dim)
+
+        def vectors(n):
+            v = rng.normal(size=(n, dim))
+            return (v / np.linalg.norm(v, axis=1, keepdims=True)).tolist()
+
+        for budget in range(1, 6):
+            for _ in range(20):
+                streams = [vectors(rng.integers(1, 13)) for _ in range(rng.integers(1, 6))]
+                dets = vectors(rng.integers(0, 7))
+                rows = sorted(rng.choice(len(streams), rng.integers(1, len(streams) + 1), replace=False))
+                gating = rng.uniform(0.0, 2 * CHI2_GATE_95, (len(rows), len(dets)))
+                check_against_oracle({"budget": budget, "metric": metric, "streams": streams,
+                                      "dets": dets, "rows": rows, "gating": gating})
 
 
 class TestExport:
@@ -189,6 +306,14 @@ class TestGalleryBudget:
                     )
             tr.step(f, dets)
             assert all(len(t.gallery) <= cfg.nn_budget for t in tr.tracks)
+            assert tr.table.gallery is None or tr.table.gallery.shape[1] <= cfg.nn_budget
+            for t in tr.tracks:
+                # The ring holds the track's last nn_budget embeddings, the
+                # j-th at position j % nn_budget.
+                n = len(t.embeddings)
+                want = {j % cfg.nn_budget: t.embeddings[j] for j in range(max(0, n - cfg.nn_budget), n)}
+                assert len(t.gallery) == len(want)
+                assert all(np.array_equal(t.gallery[k], e) for k, e in want.items())
 
     def test_no_detection_shared_between_tracks(self):
         tr = Tracker(TrackerConfig(n_init=1))
