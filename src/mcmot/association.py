@@ -3,6 +3,7 @@ pooled appearance embeddings, with an optional majority-voting merge pass."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -32,8 +33,8 @@ class AssociationConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be > 0")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be a finite number > 0, got {self.threshold}")
 
 
 @dataclass(eq=False)

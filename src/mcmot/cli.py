@@ -221,7 +221,8 @@ def _cmd_associate(args) -> int:
     wall = time.perf_counter() - start
 
     frames_processed = sum(
-        len({f for t in tracklets for f in t.frames}) for tracklets in camera_tracklets.values()
+        len(set().union(*(t.frames.tolist() for t in tracklets)))
+        for tracklets in camera_tracklets.values()
     )
     doc = formats.results_doc(camera_tracklets, clusters, counts, frames_processed)
     formats.write_results_json(args.output, doc)

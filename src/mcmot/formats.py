@@ -8,11 +8,13 @@ canonical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string_text
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -371,14 +373,18 @@ def _first_problem(checks: list[_Check]) -> Optional[tuple[int, str]]:
 
 def write_tracks_csv(path: str | Path, tracklets: Sequence[Tracklet]) -> None:
     """Per-frame rows of confirmed tracks, sorted by (frame, track_id)."""
-    rows = []
-    for t in tracklets:
-        for f, b, c in zip(t.frames, t.boxes, t.confidences):
-            rows.append((f, t.track_id, b, c))
-    rows.sort(key=lambda r: (r[0], r[1]))
     lines = [TRACK_HEADER]
-    for f, tid, b, c in rows:
-        lines.append(f"{f},{tid},{fmt9(b.x)},{fmt9(b.y)},{fmt9(b.w)},{fmt9(b.h)},{fmt9(c)}")
+    if tracklets:
+        frames = np.concatenate([t.frames for t in tracklets])
+        track_ids = np.repeat([t.track_id for t in tracklets], [len(t) for t in tracklets])
+        order = np.lexsort((track_ids, frames))  # stable, as one sort by (frame, track_id)
+        boxes = np.concatenate([t.boxes for t in tracklets])[order]
+        confidences = np.concatenate([t.confidences for t in tracklets])[order]
+        for f, tid, (x, y, w, h), c in zip(
+            frames[order].tolist(), track_ids[order].tolist(), boxes.tolist(),
+            confidences.tolist(),
+        ):
+            lines.append(f"{f},{tid},{x:.9g},{y:.9g},{w:.9g},{h:.9g},{c:.9g}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -393,10 +399,8 @@ def write_tracklets_json(path: str | Path, camera_id: int, tracklets: Sequence[T
         "tracklets": [
             {
                 **_tracklet_doc(t),
-                "mean_confidence": round9(t.mean_confidence),
-                "mean_embedding": (
-                    None if t.embedding is None else [round9(v) for v in t.embedding]
-                ),
+                "mean_confidence": t.mean_confidence,
+                "mean_embedding": t.embedding,
             }
             for t in tracklets
         ],
@@ -414,9 +418,9 @@ def _tracklet_doc(t: Tracklet) -> dict:
     """The keys a tracklet entry has in both sidecars and results files."""
     return {
         "track_id": t.track_id,
-        "frames": list(t.frames),
-        "boxes": [[round9(b.x), round9(b.y), round9(b.w), round9(b.h)] for b in t.boxes],
-        "confidences": [round9(c) for c in t.confidences],
+        "frames": t.frames,
+        "boxes": t.boxes,
+        "confidences": t.confidences,
     }
 
 
@@ -450,19 +454,25 @@ def _tracklet_from_doc(path: str | Path, camera_id: int, entry) -> Tracklet:
             f"{where}: frames, boxes and confidences must have one non-zero length, got "
             f"{len(frames)}, {len(boxes)} and {len(confidences)}"
         )
-    for f in frames:
-        if type(f) is not int:
+    if not _INT_TYPE.issuperset(map(type, frames)):
+        for f in frames:
             _typed(f"{where}: frame", f, int)
+    boxes = _number_rows(where, "box", boxes, 4)
+    confidences = _numbers(where, "confidences", confidences, len(confidences))
     pooled = entry.get("mean_embedding")
+    embedding = None if pooled is None else np.array(_numbers(where, "mean_embedding", pooled))
+    try:
+        frames = np.array(frames, dtype=np.int64)
+    except OverflowError:
+        f = next(f for f in frames if not _INT64_MIN <= f <= _INT64_MAX)
+        raise FormatError(f"{where}: frame {f} is outside the 64-bit integer range") from None
     return Tracklet(
         camera_id=camera_id,
         track_id=track_id,
         frames=frames,
-        boxes=[BoundingBox(*_numbers(where, "box", b, 4)) for b in boxes],
-        confidences=_numbers(where, "confidences", confidences, len(confidences)),
-        embedding=(
-            None if pooled is None else np.array(_numbers(where, "mean_embedding", pooled))
-        ),
+        boxes=boxes,
+        confidences=confidences,
+        embedding=embedding,
     )
 
 
@@ -473,11 +483,11 @@ def _tracklet_from_doc(path: str | Path, camera_id: int, entry) -> Tracklet:
 def write_truth_json(path: str | Path, truth: GroundTruth) -> None:
     doc = {
         "identity_count": truth.identity_count,
-        "embeddings": [[round9(v) for v in row] for row in truth.embeddings],
+        "embeddings": np.asarray(truth.embeddings, dtype=np.float64),
         "cameras": {
             str(cam): {
                 str(f): [
-                    [identity, round9(b.x), round9(b.y), round9(b.w), round9(b.h)]
+                    [identity, float(b.x), float(b.y), float(b.w), float(b.h)]
                     for identity, b in entries
                 ]
                 for f, entries in enumerate(frames)
@@ -632,9 +642,114 @@ def read_results_json(path: str | Path) -> ResultsFile:
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    Path(path).write_text(json_text(doc) + "\n", encoding="utf-8", newline="\n")
+
+
+def json_text(doc) -> str:
+    """doc as JSON with 2-space indentation and sorted keys, each float, also
+    a float array element, at 9 significant digits.
+
+    The text equals json.dumps(doc, indent=2, sort_keys=True) for the same
+    document with every numpy array as nested lists and every float v
+    replaced by round9(v). Object keys are strings; values are dicts, lists,
+    tuples, numpy arrays, str, int, float, bool or None.
+    """
+    parts: list[str] = []
+    _encode(doc, "\n", parts)
+    return "".join(parts)
+
+
+def _encode(value, newline: str, parts: list[str]) -> None:
+    """Append value's JSON text; `newline` is a line break plus the
+    indentation of the line value starts on."""
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        parts.append("{")
+        for i, key in enumerate(sorted(value)):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(("," if i else "") + inner + _string_text(key) + ": ")
+            _encode(value[key], inner, parts)
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        parts.append("[")
+        for i, item in enumerate(value):
+            parts.append("," + inner if i else inner)
+            _encode(item, inner, parts)
+        parts.append(newline + "]")
+    elif isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.dtype.kind in "fiu":
+        parts.append(_array_text(value, newline))
+    elif isinstance(value, np.ndarray):
+        _encode(value.tolist(), newline, parts)
+    else:
+        parts.append(_scalar_text(value))
+
+
+def _array_text(a: np.ndarray, newline: str) -> str:
+    """A 1-d or 2-d int or float array as nested JSON lists."""
+    if not len(a):
+        return "[]"
+    values = a.ravel().tolist()
+    if a.dtype.kind == "f":
+        text = _array_layout(a.shape, newline, "%.9g") % tuple(values)
+        # With a '.' in every number (a '.9g' text has at most one; NaN and
+        # inf have none) and no exponent, each is already its float's repr.
+        if text.count(".") == len(values) and "e" not in text:
+            return text
+        values = _float_texts(values)
+    return _array_layout(a.shape, newline, "%s") % tuple(values)
+
+
+def _array_layout(shape: tuple[int, ...], newline: str, slot: str) -> str:
+    """The JSON text of a 1-d or 2-d array with a %-format slot per element."""
+    inner = newline + "  "
+    item = slot
+    if len(shape) == 2:
+        item = "[" + inner + "  " + ("," + inner + "  ").join([slot] * shape[1]) + inner + "]"
+        if not shape[1]:
+            item = "[]"
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
+
+
+def _float_texts(values: list[float]) -> list[str]:
+    """json's text of round9(v) for each v. A 9-significant-digit text with
+    a '.' and no exponent is already the shortest repr of its float."""
+    return [
+        s if "." in s and "e" not in s else _float_repr(float(s))
+        for s in map("%.9g".__mod__, values)
+    ]
+
+
+def _float_repr(v: float) -> str:
+    """A float as json writes it."""
+    if v != v:
+        return "NaN"
+    if v in (math.inf, -math.inf):
+        return "Infinity" if v > 0 else "-Infinity"
+    return float.__repr__(v)
+
+
+def _scalar_text(value) -> str:
+    if isinstance(value, str):
+        return _string_text(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_texts([value])[0]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _reject_constant(name: str):
@@ -679,7 +794,9 @@ def read_json(path: str | Path) -> dict:
 # a bool; a JSON number is an int or a float.
 
 _KIND_NAMES = {int: "an integer", list: "a list", dict: "an object"}
+_INT_TYPE = frozenset((int,))
 _NUMBER_TYPES = frozenset((int, float))
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
@@ -711,6 +828,19 @@ def _numbers(where: str, name: str, value, length: Optional[int] = None) -> list
             pass
     count = "a non-empty list of" if length is None else f"a list of {length}"
     raise FormatError(f"{where}: {name} must be {count} numbers, got {_show(value)}")
+
+
+def _number_rows(where: str, name: str, rows: list, width: int) -> np.ndarray:
+    """A JSON list of lists of `width` numbers, as an (n, width) float array;
+    the first bad row is reported as _numbers reports it."""
+    try:
+        if all(type(row) is list and len(row) == width for row in rows) and (
+            _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows)))
+        ):
+            return np.array(rows, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        pass
+    return np.array([_numbers(where, name, row, width) for row in rows])
 
 
 def _int_key(where: str, what: str, key: str) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -100,6 +99,9 @@ def run_cameras(
     """Run every camera, optionally one worker process per camera."""
     jobs = [(cam, streams[cam], cfg, total_frames) for cam in sorted(streams)]
     if parallel and len(jobs) > 1:
+        # Imported here: the pool's modules cost every other command start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_process_camera_star, jobs))
@@ -138,20 +140,33 @@ def _prune_clusters(clusters: list[Cluster], surviving: set[tuple[int, int]]) ->
     return out
 
 
+def refined_keys(
+    camera_tracklets: Mapping[int, Sequence[Tracklet]], cfg: PipelineConfig
+) -> set[tuple[int, int]]:
+    """(camera_id, track_id) of every tracklet that survives refinement."""
+    all_tracklets = [t for cam in sorted(camera_tracklets) for t in camera_tracklets[cam]]
+    return {(t.camera_id, t.track_id) for t in refine(all_tracklets, cfg.refine)}
+
+
 def associate_and_refine(
     camera_tracklets: Mapping[int, Sequence[Tracklet]],
     cfg: PipelineConfig,
     method: Optional[str] = None,
+    surviving: Optional[set[tuple[int, int]]] = None,
 ) -> tuple[list[Cluster], int]:
-    """Cluster tracklets, apply output refinement, and count unique persons."""
+    """Cluster tracklets, apply output refinement, and count unique persons.
+
+    `surviving` is refined_keys(camera_tracklets, cfg), computed here when
+    not given; it does not depend on the method.
+    """
     acfg = cfg.association
     if method is not None:
         acfg = AssociationConfig(
             method=method, threshold=acfg.threshold, intra_first=acfg.intra_first
         )
     clusters = associate_multicamera(camera_tracklets, acfg)
-    all_tracklets = [t for cam in sorted(camera_tracklets) for t in camera_tracklets[cam]]
-    surviving = {(t.camera_id, t.track_id) for t in refine(all_tracklets, cfg.refine)}
+    if surviving is None:
+        surviving = refined_keys(camera_tracklets, cfg)
     clusters = _prune_clusters(clusters, surviving)
     return clusters, count_unique(clusters)
 
@@ -161,16 +176,17 @@ def associate_methods(
     cfg: PipelineConfig,
     methods: Sequence[str],
 ) -> tuple[list[Cluster], Optional[dict[str, int]]]:
-    """Associate and refine once per method.
+    """Associate once per method, refining once for all of them.
 
     The first method provides the clustering. The per-method unique counts
     are returned only when more than one method ran (side-by-side report);
     otherwise the counts are None.
     """
+    surviving = refined_keys(camera_tracklets, cfg)
     clusters: list[Cluster] = []
     counts: dict[str, int] = {}
     for i, m in enumerate(methods):
-        cl, counts[m] = associate_and_refine(camera_tracklets, cfg, method=m)
+        cl, counts[m] = associate_and_refine(camera_tracklets, cfg, method=m, surviving=surviving)
         if i == 0:
             clusters = cl
     return clusters, counts if len(methods) > 1 else None

@@ -32,17 +32,39 @@ class RefineConfig:
 def refine(tracklets: Sequence[Tracklet], cfg: RefineConfig) -> list[Tracklet]:
     """Drop tracklets whose median box is too small, that are too short, or
     whose mean confidence is too low; survivors pass through unchanged."""
-    out = []
-    for t in tracklets:
-        if len(t) < cfg.min_track_length:
-            continue
-        if t.mean_confidence < cfg.min_mean_confidence:
-            continue
-        med_w = float(np.median([b.w for b in t.boxes]))
-        med_h = float(np.median([b.h for b in t.boxes]))
-        if not (med_w > cfg.min_width and med_h > cfg.min_height):
-            continue
-        out.append(t)
+    if not tracklets:
+        return []
+    lengths = np.array([len(t) for t in tracklets])
+    mean_confidence = np.array([t.mean_confidence for t in tracklets])
+    med_w, med_h = segment_medians(np.concatenate([t.boxes[:, 2:] for t in tracklets]), lengths)
+    keep = (
+        ~(lengths < cfg.min_track_length)
+        & ~(mean_confidence < cfg.min_mean_confidence)
+        & (med_w > cfg.min_width)
+        & (med_h > cfg.min_height)
+    )
+    return [t for t, kept in zip(tracklets, keep.tolist()) if kept]
+
+
+def segment_medians(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """np.median of each column of values over each run of rows, by one sort
+    per column.
+
+    values is (sum(lengths), c); run i is the next lengths[i] rows. Returns
+    a (c, len(lengths)) array holding, as np.median gives: the middle value
+    of an odd run, (lo + hi) / 2 of the two middle values of an even run, and
+    NaN for a run holding a NaN or no rows.
+    """
+    out = np.full((values.shape[1], len(lengths)), np.nan)
+    filled = np.flatnonzero(lengths)
+    size = lengths[filled]
+    start = (np.cumsum(lengths) - lengths)[filled]
+    lo, hi, last = start + (size - 1) // 2, start + size // 2, start + size - 1
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    for column, v in zip(out, values.T):
+        v = v[np.lexsort((v, run))]  # ascending within each run, NaN last
+        middle = np.where(lo == hi, v[lo], (v[lo] + v[hi]) / 2)
+        column[filled] = np.where(np.isnan(v[last]), np.nan, middle)
     return out
 
 
@@ -149,13 +171,14 @@ FrameTruth = Mapping[int, Sequence[tuple[int, BoundingBox]]]
 
 
 def _frame_correspondence(
-    hyp: Sequence[tuple[int, BoundingBox]], truth: Sequence[tuple[int, BoundingBox]]
+    hyp: Sequence[tuple[int, np.ndarray]], truth: Sequence[tuple[int, BoundingBox]]
 ) -> list[tuple[int, int]]:
     """Match hypothesis ids to truth ids for one frame: min-cost assignment on
-    1 - IoU, restricted to pairs with IoU >= 0.5."""
+    1 - IoU, restricted to pairs with IoU >= 0.5. A hypothesis box is an
+    (x, y, w, h) row of a tracklet's boxes."""
     if not hyp or not truth:
         return []
-    hb = np.array([b.to_array() for _, b in hyp])
+    hb = np.array([b for _, b in hyp])
     tb = np.array([b.to_array() for _, b in truth])
     overlap = iou_matrix(hb, tb)
     cost = np.where(overlap >= 0.5, 1.0 - overlap, INFEASIBLE)
@@ -172,11 +195,11 @@ def match_tracklets_to_identities(
     Correspondence is per-frame box overlap (IoU >= 0.5, one-to-one); the
     tracklet's identity is the majority correspondent.
     """
-    by_frame: dict[int, list[tuple[int, BoundingBox]]] = {}
+    by_frame: dict[int, list[tuple[int, np.ndarray]]] = {}
     keys: dict[int, tuple[int, int]] = {}
     for i, t in enumerate(tracklets):
         keys[i] = (t.camera_id, t.track_id)
-        for f, b in zip(t.frames, t.boxes):
+        for f, b in zip(t.frames.tolist(), t.boxes):
             by_frame.setdefault(f, []).append((i, b))
 
     votes: dict[int, dict[int, int]] = {i: {} for i in keys}
@@ -221,9 +244,9 @@ def cluster_identity_claims(
 def id_switches(tracklets: Sequence[Tracklet], truth_frames: FrameTruth) -> int:
     """Count frames where a truth identity's corresponding hypothesis id
     differs from its previous corresponding id (IoU >= 0.5 per-frame match)."""
-    by_frame: dict[int, list[tuple[int, BoundingBox]]] = {}
+    by_frame: dict[int, list[tuple[int, np.ndarray]]] = {}
     for t in tracklets:
-        for f, b in zip(t.frames, t.boxes):
+        for f, b in zip(t.frames.tolist(), t.boxes):
             by_frame.setdefault(f, []).append((t.track_id, b))
 
     last_hyp: dict[int, int] = {}

@@ -84,7 +84,9 @@ class TrackTable:
     """
 
     def __init__(self, budget: int, metric: str):
-        self.budget = budget
+        # No int64 embedding count reaches a larger budget, so clamping it
+        # keeps the ring arithmetic in int64 without changing any result.
+        self.budget = min(budget, np.iinfo(np.int64).max)
         self.metric = metric
         self.means = np.empty((0, 8))
         self.covs = np.empty((0, 8, 8))
@@ -259,20 +261,39 @@ class Track:
 class Tracklet:
     """A completed per-camera track exported for cross-camera association.
 
-    `embedding` is the pooled appearance descriptor, the mean of the
-    per-frame embeddings; None when any update had no embedding.
+    Its columns hold one entry per updated frame: `frames` (n,) int64,
+    `boxes` (n, 4) float64 rows of (x, y, w, h) and `confidences` (n,)
+    float64. `embedding` is the pooled appearance descriptor, a float64
+    vector: the mean of the per-frame embeddings, or None when any update
+    had no embedding. Sequences passed in are converted to these arrays.
     """
 
     camera_id: int
     track_id: int
-    frames: list[int]
-    boxes: list[BoundingBox]
-    confidences: list[float]
+    frames: np.ndarray
+    boxes: np.ndarray
+    confidences: np.ndarray
     embedding: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        self.frames = np.asarray(self.frames, dtype=np.int64)
+        self.boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
+        self.confidences = np.asarray(self.confidences, dtype=np.float64)
+        if self.embedding is not None:
+            self.embedding = np.asarray(self.embedding, dtype=np.float64)
+        n = len(self.frames)
+        if self.frames.shape != (n,) or len(self.boxes) != n or self.confidences.shape != (n,):
+            raise ValueError(
+                f"tracklet {self.track_id}: frames, boxes and confidences must be columns of "
+                f"one length, got shapes {self.frames.shape}, {self.boxes.shape} and "
+                f"{self.confidences.shape}"
+            )
 
     @property
     def mean_confidence(self) -> float:
-        return float(np.mean(self.confidences)) if self.confidences else 0.0
+        """np.mean of the confidences (the same sum and division), 0.0 when empty."""
+        n = len(self.confidences)
+        return float(self.confidences.sum()) / n if n else 0.0
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -371,13 +392,14 @@ class Tracker:
                 if len(t.embeddings) == len(t.history)
                 else None
             )
+            frames, boxes, confidences = zip(*t.history)
             out.append(
                 Tracklet(
                     camera_id=self.camera_id,
                     track_id=t.track_id,
-                    frames=[f for f, _, _ in t.history],
-                    boxes=[b for _, b, _ in t.history],
-                    confidences=[c for _, _, c in t.history],
+                    frames=np.array(frames, dtype=np.int64),
+                    boxes=np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64),
+                    confidences=np.array(confidences, dtype=np.float64),
                     embedding=pooled,
                 )
             )

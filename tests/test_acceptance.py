@@ -22,7 +22,6 @@ from mcmot.refine import (
 )
 from mcmot.sim import ScenarioConfig, generate
 from mcmot.tracker import TrackerConfig, Tracklet
-from mcmot.geometry import BoundingBox
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -262,7 +261,7 @@ def test_criterion_7_refinement_boundary():
             camera_id=0,
             track_id=1,
             frames=list(range(10)),
-            boxes=[BoundingBox(0, 0, w, h)] * 10,
+            boxes=[(0, 0, w, h)] * 10,
             confidences=[0.9] * 10,
             embedding=None,
         )
@@ -277,9 +276,9 @@ def tracklet_fingerprint(camera_tracklets):
         (
             cam,
             t.track_id,
-            tuple(t.frames),
-            tuple((b.x, b.y, b.w, b.h) for b in t.boxes),
-            tuple(t.confidences),
+            tuple(t.frames.tolist()),
+            tuple(map(tuple, t.boxes.tolist())),
+            tuple(t.confidences.tolist()),
             None if t.embedding is None else t.embedding.tobytes(),
         )
         for cam in sorted(camera_tracklets)

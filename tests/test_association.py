@@ -28,7 +28,7 @@ def make_tracklet(camera_id, track_id, embeddings):
         camera_id=camera_id,
         track_id=track_id,
         frames=list(range(n)),
-        boxes=[None] * n,
+        boxes=np.zeros((n, 4)),
         confidences=[0.9] * n,
         embedding=np.mean(np.asarray(embeddings, dtype=float), axis=0),
     )
@@ -48,7 +48,7 @@ def pooled_by_tracker(embeddings):
         emb = None if e is None else np.asarray(e, dtype=float)
         tracker.step(f, [Detection(frame=f, box=box, confidence=0.9, embedding=emb)])
     (t,) = tracker.export_tracklets()
-    assert t.frames == list(range(len(embeddings)))
+    assert t.frames.tolist() == list(range(len(embeddings)))
     return t.embedding
 
 
@@ -67,7 +67,10 @@ class TestMeanEmbedding:
         assert pooled_by_tracker([[1.0, 0.0], None, [1.0, 0.0]]) is None
 
     def test_embeddingless_rejected(self):
-        t = Tracklet(camera_id=0, track_id=1, frames=[0], boxes=[None], confidences=[1.0], embedding=None)
+        t = Tracklet(
+            camera_id=0, track_id=1, frames=[0], boxes=np.zeros((1, 4)), confidences=[1.0],
+            embedding=None,
+        )
         with pytest.raises(ValueError, match="no embeddings"):
             euclidean_associate([t], 0.5)
 

@@ -234,9 +234,8 @@ class TestAssociateCli:
         tracks_dir = tmp_path / "tracks"
         tracks_dir.mkdir()
         from mcmot.tracker import Tracklet
-        from mcmot.geometry import BoundingBox
 
-        t = Tracklet(0, 1, [0, 1], [BoundingBox(0, 0, 5, 5)] * 2, [0.9, 0.9], None)
+        t = Tracklet(0, 1, [0, 1], [(0, 0, 5, 5)] * 2, [0.9, 0.9], None)
         formats.write_tracklets_json(tracks_dir / "cam0.tracklets.json", 0, [t])
         assert (
             main(["associate", "--tracks", str(tracks_dir), "--output", str(tmp_path / "r.json")])
@@ -316,6 +315,20 @@ def run_cli_reporting_scipy(argv) -> list[str]:
         env=cli_env(), capture_output=True, text=True, timeout=120, check=True,
     ).stdout.splitlines()
     return [out[0], out[-1]]
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    """Only --parallel needs ProcessPoolExecutor; every other run would pay
+    for importing it at start-up."""
+    code = (
+        "import sys, mcmot.cli\n"
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=cli_env(), capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestTrackingWithoutScipy:
@@ -690,6 +703,29 @@ class TestTrackletJsonRules:
         assert "frames, boxes and confidences must have one non-zero length" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("frame", [2**63, -(2**63) - 1, 10**400])
+    @pytest.mark.parametrize("which", ["sidecar", "results"])
+    def test_frame_must_fit_64_bits(self, tmp_path, capsys, which, frame):
+        if which == "sidecar":
+            entry = sidecar_entry(frames=(0, frame))
+            argv = self.associate(tmp_path, {"cam0": {"camera_id": 0, "tracklets": [entry]}})
+        else:
+            doc = valid_results_doc()
+            doc["cameras"][0]["tracklets"][0]["frames"] = [frame]
+            argv = self.eval(tmp_path, doc)
+        err = format_error(capsys, argv)
+        assert err.endswith(
+            f"camera 0, track 1: frame {frame} is outside the 64-bit integer range\n")
+
+    def test_frame_at_the_64_bit_limits_is_read(self, tmp_path):
+        for frame in (2**63 - 1, -(2**63)):
+            doc = valid_results_doc()
+            doc["cameras"][0]["tracklets"][0]["frames"] = [frame]
+            path = tmp_path / "results.json"
+            path.write_text(json.dumps(doc))
+            (t,) = formats.read_results_json(path).camera_tracklets[0]
+            assert t.frames.tolist() == [frame]
+
     def test_empty_tracklet_entry(self, tmp_path, capsys):
         entry = dict(sidecar_entry(), frames=[], boxes=[], confidences=[])
         doc = {"camera_id": 0, "tracklets": [entry]}
@@ -820,3 +856,24 @@ class TestCountCli:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[format]: {cfg}: duplicate key ") and err.count("\n") == 1
+
+
+class TestThresholdMustBeFinite:
+    """A NaN threshold passes a `<= 0` check and gives wrong counts; an
+    infinite one merges everyone. Both are rejected before any work."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["count", "associate"])
+    def test_non_finite_threshold_is_input_error(self, tmp_path, capsys, command, value):
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=8)
+        if command == "count":
+            argv = ["count", "--scenario", str(scn)]
+        else:
+            argv = ["associate", "--tracks", str(track_all(tmp_path, scn, 2))]
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(argv + [f"--threshold={value}", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[input]: threshold must be a finite number > 0"), err
+        assert err.count("\n") == 1, err
+        assert not out.exists()

@@ -459,7 +459,7 @@ def make_tracklet(camera_id=0, track_id=1, n=5, with_embeddings=True):
         camera_id=camera_id,
         track_id=track_id,
         frames=list(range(n)),
-        boxes=[BoundingBox(float(i), 2.0, 30.0, 60.0) for i in range(n)],
+        boxes=[(float(i), 2.0, 30.0, 60.0) for i in range(n)],
         confidences=[0.75 + 0.01 * i for i in range(n)],
         embedding=np.mean(np.asarray(embs), axis=0) if with_embeddings else None,
     )
@@ -490,7 +490,7 @@ class TestTrackFiles:
         assert [t.track_id for t in got] == [1, 2]
         assert got[0].embedding is not None
         assert got[1].embedding is None
-        assert got[0].frames == tls[0].frames
+        assert got[0].frames.tolist() == tls[0].frames.tolist()
         # Pooled embedding matches the mean of the original embeddings at
         # 9-significant-digit precision.
         np.testing.assert_allclose(got[0].embedding, tls[0].embedding, rtol=1e-8, atol=1e-12)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmot.geometry import BoundingBox
@@ -14,6 +14,7 @@ from mcmot.refine import (
     l2_count_error,
     match_tracklets_to_identities,
     refine,
+    segment_medians,
 )
 from mcmot.association import Cluster
 from mcmot.tracker import Tracklet
@@ -26,7 +27,7 @@ def make_tracklet(w, h, length=10, conf=0.9, camera_id=0, track_id=1, frames=Non
         camera_id=camera_id,
         track_id=track_id,
         frames=frames,
-        boxes=[BoundingBox(x, 0.0, w, h) for x in xs],
+        boxes=[(x, 0.0, w, h) for x in xs],
         confidences=[conf] * len(frames),
         embedding=None,
     )
@@ -81,6 +82,84 @@ class TestRefine:
     def test_validation(self):
         with pytest.raises(ValueError):
             RefineConfig(min_width=-1)
+
+
+def reference_refine(tracklets, cfg):
+    """Refinement one tracklet at a time, with np.median per tracklet."""
+    out = []
+    for t in tracklets:
+        if len(t) < cfg.min_track_length:
+            continue
+        if t.mean_confidence < cfg.min_mean_confidence:
+            continue
+        med_w = float(np.median(t.boxes[:, 2]))
+        med_h = float(np.median(t.boxes[:, 3]))
+        if not (med_w > cfg.min_width and med_h > cfg.min_height):
+            continue
+        out.append(t)
+    return out
+
+
+# Box sizes: a coarse lattice makes ties and equal middle values common.
+lattice = st.integers(0, 8).map(lambda k: 40.0 + 5.0 * k)
+sizes = lattice | st.floats(1.0, 200.0) | st.sampled_from([1e308, 5e-324, np.nan])
+# Runs of (width, height), 0 to 9 rows each.
+size_runs = st.lists(st.lists(st.tuples(sizes, sizes), max_size=9), max_size=8)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.median on empty or NaN runs
+class TestSegmentMedians:
+    @settings(max_examples=400, deadline=None)
+    @given(size_runs)
+    def test_equals_np_median_of_each_run(self, runs):
+        lengths = np.array([len(r) for r in runs], dtype=np.int64)
+        values = np.array([wh for r in runs for wh in r], dtype=float).reshape(-1, 2)
+        want = [[np.median([wh[c] for wh in r]) for r in runs] for c in (0, 1)]
+        np.testing.assert_array_equal(
+            segment_medians(values, lengths), np.array(want).reshape(2, len(runs)))
+
+    @pytest.mark.parametrize("run", [
+        [50.0], [50.0, 60.0], [60.0, 50.0, 55.0], [5.0, 5.0, 5.0, 7.0], [7.0, 5.0, 5.0, 5.0],
+        [3.0, 1.0, 2.0, 2.0, 9.0, 2.0, 4.0, 4.0, 1.0], [9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0],
+        [1e308, 1e308], [1.0, np.nan, 2.0], [],
+    ])
+    def test_single_runs(self, run):
+        got = segment_medians(np.array(run).reshape(-1, 1), np.array([len(run)]))
+        np.testing.assert_array_equal(got, [[np.median(run)]])
+
+
+class TestRefineOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0) | st.floats(), max_size=300))
+    def test_mean_confidence_is_np_mean(self, confidences):
+        t = Tracklet(0, 1, range(len(confidences)), np.zeros((len(confidences), 4)),
+                     confidences, None)
+        with np.errstate(all="ignore"):  # sums of huge values overflow alike
+            got = t.mean_confidence
+            want = float(np.mean(confidences)) if confidences else 0.0
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.lists(st.tuples(sizes, sizes), max_size=9), st.floats(0.0, 1.0)),
+                 max_size=8),
+        st.sampled_from([0.0, 45.0, 50.0, 60.0]),
+        st.sampled_from([0.0, 45.0, 55.0]),
+        st.integers(0, 5),
+        st.sampled_from([0.0, 0.5, 0.9]),
+    )
+    def test_same_survivors_as_per_tracklet_medians(
+        self, specs, min_w, min_h, min_len, min_conf
+    ):
+        tracklets = [
+            Tracklet(0, i, list(range(len(wh))), [(0.0, 0.0, w, h) for w, h in wh],
+                     [conf] * len(wh), None)
+            for i, (wh, conf) in enumerate(specs)
+        ]
+        cfg = RefineConfig(min_width=min_w, min_height=min_h, min_track_length=min_len,
+                           min_mean_confidence=min_conf)
+        assert refine(tracklets, cfg) == reference_refine(tracklets, cfg)
 
 
 class TestL2CountError:
@@ -154,6 +233,11 @@ class TestCountConfusion:
         assert r.accuracy == pytest.approx(0.625)
 
 
+def rows(boxes):
+    """A tracklet's (n, 4) box column from BoundingBox objects."""
+    return np.array([b.to_array() for b in boxes]).reshape(-1, 4)
+
+
 def truth_frames(entries):
     """{frame: [(identity, box), ...]} helper."""
     out = {}
@@ -165,14 +249,14 @@ def truth_frames(entries):
 class TestIdSwitches:
     def test_identical_hypothesis(self):
         boxes = [BoundingBox(10.0 * f, 0, 20, 40) for f in range(10)]
-        hyp = Tracklet(0, 1, list(range(10)), boxes, [0.9] * 10, [])
+        hyp = Tracklet(0, 1, list(range(10)), rows(boxes), [0.9] * 10, [])
         truth = truth_frames([(f, 7, boxes[f]) for f in range(10)])
         assert id_switches([hyp], truth) == 0
 
     def test_split_track_single_switch(self):
         boxes = [BoundingBox(10.0 * f, 0, 20, 40) for f in range(10)]
-        first = Tracklet(0, 1, list(range(5)), boxes[:5], [0.9] * 5, [])
-        second = Tracklet(0, 2, list(range(5, 10)), boxes[5:], [0.9] * 5, [])
+        first = Tracklet(0, 1, list(range(5)), rows(boxes[:5]), [0.9] * 5, [])
+        second = Tracklet(0, 2, list(range(5, 10)), rows(boxes[5:]), [0.9] * 5, [])
         truth = truth_frames([(f, 7, boxes[f]) for f in range(10)])
         assert id_switches([first, second], truth) == 1
 
@@ -181,7 +265,7 @@ class TestIdSwitches:
         for _ in range(20):
             n_ids, n_frames = 3, 15
             truth_boxes = {}
-            tracklets = {}
+            hyp_rows = {}  # hypothesis id -> [(frame, box)]
             for identity in range(n_ids):
                 x, y = rng.uniform(0, 400, 2)
                 for f in range(n_frames):
@@ -190,14 +274,15 @@ class TestIdSwitches:
                     # Hypothesis splits each identity at a random frame.
                     split = 5 + identity
                     hid = identity * 2 + (1 if f >= split else 0)
-                    t = tracklets.setdefault(
-                        hid, Tracklet(0, hid, [], [], [], [])
-                    )
+                    entries = hyp_rows.setdefault(hid, [])
                     if rng.random() < 0.9:
-                        t.frames.append(f)
-                        t.boxes.append(box)
-                        t.confidences.append(0.9)
-            got = id_switches(list(tracklets.values()), truth_boxes)
+                        entries.append((f, box))
+            tracklets = [
+                Tracklet(0, hid, [f for f, _ in entries], rows([b for _, b in entries]),
+                         [0.9] * len(entries), [])
+                for hid, entries in hyp_rows.items()
+            ]
+            got = id_switches(tracklets, truth_boxes)
 
             # Independent oracle: recount by brute-force per-frame matching.
             def best_match(hyps, truth_entries):
@@ -226,9 +311,9 @@ class TestIdSwitches:
                 ] if best else []
 
             hyp_by_frame = {}
-            for t in tracklets.values():
-                for f, b in zip(t.frames, t.boxes):
-                    hyp_by_frame.setdefault(f, []).append((t.track_id, b))
+            for hid, entries in hyp_rows.items():
+                for f, b in entries:
+                    hyp_by_frame.setdefault(f, []).append((hid, b))
             last = {}
             want = 0
             for f in sorted(truth_boxes):
@@ -242,7 +327,7 @@ class TestIdSwitches:
 class TestClusterIdentityClaims:
     def test_greedy_best_overlap_mapping(self):
         boxes = [BoundingBox(0, 0, 30, 60)] * 6
-        t1 = Tracklet(0, 1, list(range(6)), boxes, [0.9] * 6, [])
+        t1 = Tracklet(0, 1, list(range(6)), rows(boxes), [0.9] * 6, [])
         truth = truth_frames([(f, 5, boxes[f]) for f in range(6)])
         mapping = match_tracklets_to_identities([t1], truth)
         assert mapping[(0, 1)] == (5, 6)

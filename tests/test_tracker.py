@@ -226,7 +226,7 @@ class TestExport:
             tr.step(f, [det(f)])
         (tl,) = tr.export_tracklets()
         assert len(tl.frames) == len(tl.boxes) == len(tl.confidences) == 42
-        assert tl.frames == list(range(42))
+        assert tl.frames.tolist() == list(range(42))
 
     def test_overlapping_lifetimes_distinct_ids(self):
         tr = Tracker(TrackerConfig(n_init=1))
@@ -261,7 +261,7 @@ class TestDeterminism:
         for f, dets in stream:
             tr.step(f, dets)
         return [
-            (t.camera_id, t.track_id, t.frames, [(b.x, b.y, b.w, b.h) for b in t.boxes], t.confidences)
+            (t.camera_id, t.track_id, t.frames.tolist(), t.boxes.tolist(), t.confidences.tolist())
             for t in tr.export_tracklets()
         ]
 
@@ -315,6 +315,26 @@ class TestGalleryBudget:
                 assert len(t.gallery) == len(want)
                 assert all(np.array_equal(t.gallery[k], e) for k, e in want.items())
 
+    def test_budget_beyond_int64_tracks_like_an_unreached_budget(self):
+        rng = np.random.default_rng(5)
+        stream = []
+        for f in range(30):
+            embs = [rng.normal(size=4) for _ in range(2)]
+            stream.append([det(f, x=10.0 + f, emb=embs[0] / np.linalg.norm(embs[0])),
+                           det(f, x=300.0 - f, emb=embs[1] / np.linalg.norm(embs[1]))])
+        exports = []
+        for budget in (10**400, 1000):
+            tr = Tracker(TrackerConfig(n_init=1, nn_budget=budget))
+            for f, dets in enumerate(stream):
+                tr.step(f, dets)
+            exports.append(tr.export_tracklets())
+        huge, reference = exports
+        assert len(huge) == len(reference) == 2
+        for a, b in zip(huge, reference):
+            assert a.track_id == b.track_id
+            assert np.array_equal(a.frames, b.frames) and np.array_equal(a.boxes, b.boxes)
+            assert np.array_equal(a.embedding, b.embedding)
+
     def test_no_detection_shared_between_tracks(self):
         tr = Tracker(TrackerConfig(n_init=1))
         for f in range(20):
@@ -365,7 +385,8 @@ class TestSingleShotMatching:
             for f in range(cfg_noise.frames):
                 tr.step(f, by_frame.get(f, []))
             outputs.append(
-                [(t.track_id, t.frames, [(b.x, b.y) for b in t.boxes]) for t in tr.export_tracklets()]
+                [(t.track_id, t.frames.tolist(), t.boxes[:, :2].tolist())
+                 for t in tr.export_tracklets()]
             )
         # Without misses every track stays at age 1, where the cascade
         # degenerates to a single assignment round.
