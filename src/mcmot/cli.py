@@ -23,7 +23,7 @@ from . import formats
 from .config import PRESETS, load_config
 from .errors import ConfigError
 from .formats import FormatError
-from .pipeline import associate_methods, process_camera, run_pipeline
+from .pipeline import CameraFiles, associate_methods, process_camera, run_pipeline
 from .refine import (
     ConfusionCounts,
     CountReport,
@@ -155,12 +155,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_camera_stream(det_path: Path, emb_path: Optional[Path]):
-    detections = formats.read_detections(det_path)
-    embeddings = formats.read_embeddings(emb_path) if emb_path else None
-    return formats.merge_embeddings(detections, embeddings)
-
-
 def _override_config(cfg, threshold: Optional[float]):
     if threshold is not None:
         cfg = dataclasses.replace(
@@ -181,10 +175,8 @@ def _cmd_track(args) -> int:
         cfg = dataclasses.replace(
             cfg, tracker=dataclasses.replace(cfg.tracker, frame_stride=args.frame_stride)
         )
-    dets = _load_camera_stream(
-        Path(args.detections), Path(args.embeddings) if args.embeddings else None
-    )
-    run = process_camera(args.camera_id, dets, cfg, total_frames=args.frames)
+    files = CameraFiles(Path(args.detections), Path(args.embeddings) if args.embeddings else None)
+    run = process_camera(args.camera_id, files.load(), cfg, total_frames=args.frames)
     formats.write_tracks_csv(args.output, run.tracklets)
     formats.write_tracklets_json(
         formats.tracklet_sidecar_path(args.output), args.camera_id, run.tracklets
@@ -246,7 +238,7 @@ def _cmd_count(args) -> int:
     for det_path in det_files:
         cam = int(det_path.stem.removeprefix("detections_cam"))
         emb_path = scenario / f"embeddings_cam{cam}.csv"
-        streams[cam] = _load_camera_stream(det_path, emb_path if emb_path.exists() else None)
+        streams[cam] = CameraFiles(det_path, emb_path if emb_path.exists() else None)
 
     result = run_pipeline(
         streams,

@@ -184,29 +184,19 @@ def _embedding_checks(rows: np.ndarray) -> list[_Check]:
 
 def merge_embeddings(
     detections: DetectionColumns, embeddings: Optional[EmbeddingColumns]
-) -> list[Detection]:
-    """Join detections with their embeddings; key sets must match.
+) -> Optional[np.ndarray]:
+    """The (n, D) embedding matrix whose row i is keyed like detection i, or
+    None without embeddings; the key sets must match.
 
-    Each detection's embedding is a row view of one (n, D) matrix.
+    When the file's rows are already in detection order, its own matrix is
+    returned, not a copy.
     """
     if embeddings is None:
-        vectors: list[Optional[np.ndarray]] = [None] * len(detections)
-    else:
-        rows = _embedding_rows(detections, embeddings).tolist()
-        vectors = [embeddings.vectors[i] for i in rows]
-    return [
-        Detection(
-            frame=frame, box=BoundingBox(*box), confidence=conf, class_id=class_id,
-            embedding=vec,
-        )
-        for frame, box, conf, class_id, vec in zip(
-            detections.frame.tolist(),
-            detections.box.tolist(),
-            detections.confidence.tolist(),
-            detections.class_id.tolist(),
-            vectors,
-        )
-    ]
+        return None
+    rows = _embedding_rows(detections, embeddings)
+    if np.array_equal(rows, np.arange(len(rows))):
+        return embeddings.vectors
+    return embeddings.vectors[rows]
 
 
 def _embedding_rows(detections: DetectionColumns, embeddings: EmbeddingColumns) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -93,35 +93,70 @@ def iou_matrix(tlwh_a: np.ndarray, tlwh_b: np.ndarray) -> np.ndarray:
     return inter / (areas_a + areas_b - inter)
 
 
-def nms(dets: Sequence[Detection], overlap_threshold: float) -> list[Detection]:
-    """Greedy per-class non-maximum suppression.
+def nms(
+    boxes: np.ndarray,
+    confidences: np.ndarray,
+    overlap_threshold: float,
+    class_ids: Optional[np.ndarray] = None,
+    frames: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Greedy per-frame, per-class non-maximum suppression over a stream.
 
-    Detections are processed in descending confidence order (ties broken by
-    input order); a detection is kept iff its IoU with every already-kept
-    detection of the same class is <= overlap_threshold. The output preserves
-    descending-confidence order. A non-positive-area box is a ValueError when
-    its class has another detection (the boxes' IoU is undefined).
+    Row i is the box boxes[i] (x, y, w, h) with confidences[i], class_ids[i]
+    and frames[i] (both default to all zeros). Within each frame, rows are
+    processed in descending confidence order (ties broken by row order); a
+    row is kept iff its IoU with every already-kept row of the same frame
+    and class is <= overlap_threshold. Returns the kept row indices ordered
+    by frame, then by descending confidence. A non-positive-area box is a
+    ValueError when its frame and class hold another row (the boxes' IoU is
+    undefined).
 
-    One iou_matrix gives every pair's IoU with the arithmetic of iou(), so
-    the kept set is the one pairwise iou() calls give.
+    One vectorized pass computes the IoU of every within-frame, same-class
+    pair with the arithmetic of iou(), so the kept set is the one pairwise
+    iou() calls give; the greedy loop visits only the pairs above the
+    threshold.
     """
     if not 0.0 <= overlap_threshold <= 1.0:
         raise ValueError(f"overlap_threshold must be in [0, 1], got {overlap_threshold}")
-    if not dets:
-        return []
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
-    boxes = np.array([(dets[i].box.x, dets[i].box.y, dets[i].box.w, dets[i].box.h) for i in order])
-    classes = np.array([dets[i].class_id for i in order])
-    same_class = classes[:, None] == classes[None, :]
-    degenerate = (boxes[:, 2] <= 0) | (boxes[:, 3] <= 0)
-    if np.any(same_class[degenerate].sum(axis=1) > 1):
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    n = len(boxes)
+    zeros = np.zeros(n, dtype=np.int64)
+    classes = zeros if class_ids is None else np.asarray(class_ids)
+    frame = zeros if frames is None else np.asarray(frames)
+    order = np.lexsort((-np.asarray(confidences, dtype=float), frame))
+    first, second = _within_frame_pairs(frame[order])
+    same_class = classes[order][first] == classes[order][second]
+    first, second = first[same_class], second[same_class]
+
+    b = boxes[order]
+    degenerate = (b[:, 2] <= 0) | (b[:, 3] <= 0)
+    if np.any(degenerate[first] | degenerate[second]):
         raise ValueError("iou requires boxes with positive area")
-    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate boxes alone in their class
-        overlaps = (iou_matrix(boxes, boxes) > overlap_threshold) & same_class
-    suppressed = np.zeros(len(order), dtype=bool)
-    kept: list[Detection] = []
-    for pos, i in enumerate(order):
-        if not suppressed[pos]:
-            kept.append(dets[i])
-            suppressed |= overlaps[pos]
-    return kept
+    x2, y2 = b[:, 0] + b[:, 2], b[:, 1] + b[:, 3]
+    area = (x2 - b[:, 0]) * (y2 - b[:, 1])
+    ix = np.minimum(x2[first], x2[second]) - np.maximum(b[first, 0], b[second, 0])
+    iy = np.minimum(y2[first], y2[second]) - np.maximum(b[first, 1], b[second, 1])
+    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in iou_matrix
+        overlapping = inter / (area[first] + area[second] - inter) > overlap_threshold
+    first, second = first[overlapping], second[overlapping]
+
+    # Pairs come sorted by their first row, so a row's fate is settled
+    # before it gets to suppress anything.
+    suppressed = np.zeros(n, dtype=bool)
+    starts = np.flatnonzero(np.diff(first, prepend=-1))
+    for i, lo, hi in zip(first[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(first)]):
+        if not suppressed[i]:
+            suppressed[second[lo:hi]] = True
+    return order[~suppressed]
+
+
+def _within_frame_pairs(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j), i < j, with frame[i] == frame[j], for a
+    frame-sorted array; sorted by i, then j."""
+    n = len(frame)
+    group_end = np.searchsorted(frame, frame, side="right")
+    later = group_end - np.arange(n) - 1  # partners after each row
+    first = np.repeat(np.arange(n), later)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    return first, first + 1 + offset

@@ -1,9 +1,11 @@
 """End-to-end drivers: per-camera tracking runs, cross-camera association with
 refinement, and the optional per-camera parallel harness.
 
-Workers own their tracker state exclusively: per-camera runs are pure
-functions of (camera_id, detections, config), so parallel and sequential
-execution produce bit-identical results.
+A camera is one unit of work: parse its files (when given as CameraFiles),
+track its stream, export its tracklets. Workers own their tracker state
+exclusively: per-camera runs are pure functions of (camera_id, stream,
+config), so parallel and sequential execution produce bit-identical results,
+and both report the first failing camera's error.
 """
 
 from __future__ import annotations
@@ -11,8 +13,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Mapping, Optional, Sequence, Union
 
+import numpy as np
+
+from . import formats
 from .association import (
     AssociationConfig,
     Cluster,
@@ -25,13 +31,68 @@ from .refine import refine
 from .tracker import Tracker, Tracklet
 
 
-def keep_frame(frame: int, frame_keep: Optional[tuple[int, int]], stride: int) -> bool:
-    """Decimation rule: block rule (keep first m of every n) AND stride rule."""
+def keep_frame(frame, frame_keep: Optional[tuple[int, int]], stride: int):
+    """Decimation rule: block rule (keep first m of every n) AND stride rule.
+
+    Takes a frame index or an array of them."""
+    kept = frame % stride == 0
     if frame_keep is not None:
         keep, block = frame_keep
-        if frame % block >= keep:
-            return False
-    return frame % stride == 0
+        kept = kept & (frame % block < keep)
+    return kept
+
+
+@dataclass(frozen=True, eq=False)
+class CameraStream:
+    """One camera's detections as row-aligned columns: `frame` (n,) int64,
+    `box` (n, 4) float64 rows of (x, y, w, h), `confidence` (n,) float64,
+    `class_id` (n,) int64 and `embeddings` (n, D) float64, or None for a
+    stream without embeddings."""
+
+    frame: np.ndarray
+    box: np.ndarray
+    confidence: np.ndarray
+    class_id: np.ndarray
+    embeddings: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_detections(cls, dets: Sequence[Detection]) -> "CameraStream":
+        """Columns of a Detection list; its embeddings are all present or all
+        None (ValueError otherwise)."""
+        with_embedding = sum(d.embedding is not None for d in dets)
+        if with_embedding not in (0, len(dets)):
+            raise ValueError("a stream's detections must all carry embeddings or none")
+        return cls(
+            frame=np.array([d.frame for d in dets], dtype=np.int64),
+            box=np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
+                         dtype=np.float64).reshape(-1, 4),
+            confidence=np.array([d.confidence for d in dets], dtype=np.float64),
+            class_id=np.array([d.class_id for d in dets], dtype=np.int64),
+            embeddings=(np.array([d.embedding for d in dets], dtype=np.float64)
+                        if with_embedding else None),
+        )
+
+
+@dataclass(frozen=True)
+class CameraFiles:
+    """A camera's detections CSV and optional embeddings CSV, parsed by
+    whichever process tracks the camera."""
+
+    detections: Path
+    embeddings: Optional[Path] = None
+
+    def load(self) -> CameraStream:
+        dets = formats.read_detections(self.detections)
+        embs = formats.read_embeddings(self.embeddings) if self.embeddings is not None else None
+        return CameraStream(
+            frame=dets.frame, box=dets.box, confidence=dets.confidence, class_id=dets.class_id,
+            embeddings=formats.merge_embeddings(dets, embs),
+        )
+
+
+# What a camera's input may be: a Detection list (the simulator, the Python
+# API), its columns, or its files.
+CameraSource = Union[Sequence[Detection], CameraStream, CameraFiles]
 
 
 @dataclass(eq=False)
@@ -43,60 +104,78 @@ class CameraRun:
 
 def process_camera(
     camera_id: int,
-    detections: Sequence[Detection],
+    stream: Union[CameraStream, Sequence[Detection]],
     cfg: PipelineConfig,
     total_frames: Optional[int] = None,
 ) -> CameraRun:
     """Track one camera's detection stream under the given config.
 
-    Every kept frame index in [0, total_frames) is stepped, including empty
-    ones, so track aging matches the stream clock. total_frames defaults to
-    one past the last detection's frame. A detection outside that range is
-    an error (ValueError), never silently dropped.
-    """
-    tcfg = cfg.tracker
-    if total_frames is None:
-        total_frames = max((d.frame for d in detections), default=-1) + 1
+    A Detection list is converted to a CameraStream first. Every kept frame
+    index in [0, total_frames) is stepped, including empty ones, so track
+    aging matches the stream clock. total_frames defaults to one past the
+    last detection's frame. A detection outside that range is an error
+    (ValueError), never silently dropped.
 
-    by_frame: dict[int, list[Detection]] = {}
-    for d in detections:
-        if not 0 <= d.frame < total_frames:
-            raise ValueError(
-                f"camera {camera_id}: detection at frame {d.frame} is outside the "
-                f"stream's frames [0, {total_frames})"
-            )
-        if d.confidence < cfg.detection_threshold or d.confidence < tcfg.min_confidence:
-            continue
-        by_frame.setdefault(d.frame, []).append(d)
+    The confidence filter, the decimation, NMS and the split into frames
+    each run once over the whole stream.
+    """
+    if not isinstance(stream, CameraStream):
+        stream = CameraStream.from_detections(stream)
+    tcfg = cfg.tracker
+    frame = stream.frame
+    if total_frames is None:
+        total_frames = int(frame.max(initial=-1)) + 1
+    outside = np.flatnonzero((frame < 0) | (frame >= total_frames))
+    if outside.size:
+        raise ValueError(
+            f"camera {camera_id}: detection at frame {frame[outside[0]]} is outside the "
+            f"stream's frames [0, {total_frames})"
+        )
+
+    frames = [f for f in range(total_frames) if keep_frame(f, cfg.frame_keep, tcfg.frame_stride)]
+    rows = np.flatnonzero(
+        (stream.confidence >= cfg.detection_threshold)
+        & (stream.confidence >= tcfg.min_confidence)
+        & keep_frame(frame, cfg.frame_keep, tcfg.frame_stride)
+    )
+    rows = rows[np.argsort(frame[rows], kind="stable")]  # a no-op on a sorted stream
+    if rows.size and tcfg.nms_threshold < 1.0:
+        rows = rows[nms(stream.box[rows], stream.confidence[rows], tcfg.nms_threshold,
+                        stream.class_id[rows], frame[rows])]
+    row_frame = frame[rows]
+    bounds = zip(np.searchsorted(row_frame, frames).tolist(),
+                 np.searchsorted(row_frame, frames, side="right").tolist())
+    boxes, confidences = stream.box[rows], stream.confidence[rows]
 
     tracker = Tracker(tcfg, camera_id=camera_id)
-    frames_processed = 0
-    for frame in range(total_frames):
-        if not keep_frame(frame, cfg.frame_keep, tcfg.frame_stride):
-            continue
-        dets = by_frame.get(frame, [])
-        if dets and tcfg.nms_threshold < 1.0:
-            dets = nms(dets, tcfg.nms_threshold)
-        tracker.step(frame, dets)
-        frames_processed += 1
+    for f, (lo, hi) in zip(frames, bounds):
+        embeddings = None if stream.embeddings is None else stream.embeddings[rows[lo:hi]]
+        tracker.step(f, boxes[lo:hi], confidences[lo:hi], embeddings)
 
     tracklets = [
         t for t in tracker.export_tracklets() if t.mean_confidence >= cfg.export_confidence
     ]
-    return CameraRun(camera_id=camera_id, tracklets=tracklets, frames_processed=frames_processed)
+    return CameraRun(camera_id=camera_id, tracklets=tracklets, frames_processed=len(frames))
 
 
-def _process_camera_star(args) -> CameraRun:
-    return process_camera(*args)
+def _run_camera(job: tuple[int, CameraSource, PipelineConfig, Optional[int]]) -> CameraRun:
+    """One camera's unit of work: parse its files if given, then track it."""
+    camera_id, source, cfg, total_frames = job
+    if isinstance(source, CameraFiles):
+        source = source.load()
+    return process_camera(camera_id, source, cfg, total_frames)
 
 
 def run_cameras(
-    streams: Mapping[int, Sequence[Detection]],
+    streams: Mapping[int, CameraSource],
     cfg: PipelineConfig,
     parallel: bool = False,
     total_frames: Optional[int] = None,
 ) -> list[CameraRun]:
-    """Run every camera, optionally one worker process per camera."""
+    """Run every camera in camera order, optionally one worker process per
+    camera. A worker gets only its camera's source (file paths, for
+    CameraFiles) and returns only its CameraRun. Either way the error
+    raised is that of the first camera, in camera order, that fails."""
     jobs = [(cam, streams[cam], cfg, total_frames) for cam in sorted(streams)]
     if parallel and len(jobs) > 1:
         # Imported here: the pool's modules cost every other command start-up time.
@@ -104,8 +183,8 @@ def run_cameras(
 
         workers = min(len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_process_camera_star, jobs))
-    return [_process_camera_star(job) for job in jobs]
+            return list(pool.map(_run_camera, jobs))
+    return [_run_camera(job) for job in jobs]
 
 
 @dataclass(eq=False)
@@ -193,13 +272,14 @@ def associate_methods(
 
 
 def run_pipeline(
-    streams: Mapping[int, Sequence[Detection]],
+    streams: Mapping[int, CameraSource],
     cfg: PipelineConfig,
     parallel: bool = False,
     total_frames: Optional[int] = None,
     methods: Optional[Sequence[str]] = None,
 ) -> PipelineResult:
-    """Full run: track each camera, associate, refine, count.
+    """Full run: track each camera (parsing its files, for CameraFiles),
+    associate, refine, count.
 
     `methods` requests side-by-side counts; the first entry provides the
     primary clustering.

@@ -3,15 +3,17 @@
 Per frame: predict all live tracks, associate confirmed tracks to detections
 by appearance (Mahalanobis-gated, age-ordered cascade), associate the rest by
 IoU, then apply the lifecycle rules (confirmation after n_init hits, deletion
-after max_age missed frames). Detections without embeddings are tracked
-motion-only: the appearance stage is skipped and every live track competes in
-the IoU stage.
+after max_age missed frames). A stream's detections carry embeddings all or
+none; a stream without them is tracked motion-only: the appearance stage is
+skipped and every live track competes in the IoU stage.
 
 The live tracks' state is one struct-of-arrays TrackTable. A frame runs one
 Kalman predict over the whole table, one chi-square gating matrix of the
 confirmed tracks against all detections, appearance distances for the
 gated-in cells only (every cascade level slices the resulting cost matrix),
-and one Kalman update over the matched rows.
+and one Kalman update over the matched rows. Every detection a tracker is
+given becomes one row of its History, and a track's history is a list of
+those rows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assignment import INFEASIBLE, iou_matching, matching_cascade, solve_assignment
-from .geometry import BoundingBox, Detection
 from .kalman import CHI2_GATE_95, KalmanFilter, NoiseProfile
 
 
@@ -161,11 +162,11 @@ class TrackTable:
 
 
 def appearance_cost(
-    tracks: Sequence[Track], dets: Sequence[Detection], feasible: np.ndarray
+    tracks: Sequence[Track], embeddings: Optional[np.ndarray], feasible: np.ndarray
 ) -> np.ndarray:
     """Appearance cost of live tracks (rows of one TrackTable) against
-    detections, computed only where `feasible` (len(tracks), len(dets)) holds;
-    INFEASIBLE elsewhere.
+    detections with the given (m, D) embeddings, computed only where
+    `feasible` (len(tracks), m) holds; INFEASIBLE elsewhere.
 
     A cell's cost is the minimum over the track's gallery of the embedding
     distance: plain L2 (euclidean) or 1 - cosine similarity, as the table's
@@ -174,9 +175,9 @@ def appearance_cost(
     rows = [t.row for t in tracks]
     if None in rows or (tracks and np.any(tracks[0].table.n_embeddings[rows] == 0)):
         raise ValueError("appearance_cost requires a non-empty gallery per track")
-    if any(d.embedding is None for d in dets):
+    if embeddings is None:
         raise ValueError("appearance_cost requires an embedding per detection")
-    cost = np.full((len(tracks), len(dets)), INFEASIBLE)
+    cost = np.full((len(tracks), len(embeddings)), INFEASIBLE)
     if np.shape(feasible) != cost.shape:
         raise ValueError(f"shape mismatch: {cost.shape} cells vs mask {np.shape(feasible)}")
     r, c = np.nonzero(feasible)
@@ -188,7 +189,7 @@ def appearance_cost(
     width = int(fill.max())
     slots = table.slot[cell_rows]
     g = table.gallery[slots, :width]  # (cells, width, D)
-    e = np.array([d.embedding for d in dets])[c]
+    e = np.asarray(embeddings, dtype=float)[c]
     dots = np.matmul(g, e[:, :, None])[:, :, 0]
     g_norms = table.norms[slots, :width]
     e_norms = _row_norms(e, table.metric)[:, None]
@@ -208,21 +209,72 @@ def _row_norms(embs: np.ndarray, metric: str) -> np.ndarray:
     return np.linalg.norm(embs, axis=1)
 
 
+class History:
+    """Every detection a tracker was given, one row each in step order:
+    frame, box (x, y, w, h), confidence and, for a stream with embeddings,
+    the embedding. The columns are arrays whose capacity doubles as they
+    fill."""
+
+    def __init__(self) -> None:
+        self._n = 0
+        self._frame = np.empty(0, dtype=np.int64)
+        self._box = np.empty((0, 4))
+        self._confidence = np.empty(0)
+        self._embedding: Optional[np.ndarray] = None
+
+    def append(
+        self, frame: int, boxes: np.ndarray, confidences: np.ndarray,
+        embeddings: Optional[np.ndarray],
+    ) -> int:
+        """Add one frame's detections as rows; return the first row's index."""
+        first = self._n
+        self._n += len(boxes)
+        if self._n > len(self._frame):
+            cap = max(self._n, 2 * len(self._frame), 64)
+            self._frame, self._box, self._confidence = (
+                _grown(a, first, cap) for a in (self._frame, self._box, self._confidence)
+            )
+            if self._embedding is not None:
+                self._embedding = _grown(self._embedding, first, cap)
+        if embeddings is not None and self._embedding is None:
+            self._embedding = np.empty((len(self._frame), embeddings.shape[1]))
+        self._frame[first:self._n] = frame
+        self._box[first:self._n] = boxes
+        self._confidence[first:self._n] = confidences
+        if embeddings is not None:
+            self._embedding[first:self._n] = embeddings
+        return first
+
+    def take(
+        self, rows: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """(frames, boxes, confidences, embeddings or None) of the given rows."""
+        rows = np.asarray(rows, dtype=np.intp)
+        embeddings = None if self._embedding is None else self._embedding[rows]
+        return self._frame[rows], self._box[rows], self._confidence[rows], embeddings
+
+
+def _grown(a: np.ndarray, n: int, cap: int) -> np.ndarray:
+    """A copy of a's first n rows with room for cap rows."""
+    out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
+    out[:n] = a[:n]
+    return out
+
+
 @dataclass(eq=False)
 class Track:
     """Identity and history of one tracked object.
 
-    The history stores the matched detection's box and confidence per updated
-    frame, and `embeddings` the matched embeddings (pooled at export). Motion,
-    lifecycle and gallery state live in row `row` of `table`; `row` is None
-    once the track is deleted.
+    `history_rows` lists, in frame order, the rows of the tracker's History
+    holding the detections the track was updated with. Motion, lifecycle and
+    gallery state live in row `row` of `table`; `row` is None once the track
+    is deleted.
     """
 
     track_id: int
     table: TrackTable = field(repr=False)
     row: Optional[int]
-    history: list[tuple[int, BoundingBox, float]] = field(default_factory=list)
-    embeddings: list[np.ndarray] = field(default_factory=list)
+    history_rows: list[int] = field(default_factory=list)
 
     @property
     def status(self) -> TrackStatus:
@@ -264,8 +316,8 @@ class Tracklet:
     Its columns hold one entry per updated frame: `frames` (n,) int64,
     `boxes` (n, 4) float64 rows of (x, y, w, h) and `confidences` (n,)
     float64. `embedding` is the pooled appearance descriptor, a float64
-    vector: the mean of the per-frame embeddings, or None when any update
-    had no embedding. Sequences passed in are converted to these arrays.
+    vector: the mean of the per-frame embeddings, or None for a stream
+    without embeddings. Sequences passed in are converted to these arrays.
     """
 
     camera_id: int
@@ -317,12 +369,20 @@ class Tracker:
         self.kf = KalmanFilter(noise_profile)
         self.table = TrackTable(self.config.nn_budget, self.config.appearance_metric)
         self.tracks: list[Track] = []
+        self.history = History()
         self._finished: list[Track] = []
         self._next_id = 1
         self._last_frame: int | None = None
+        self._with_embeddings: bool | None = None  # set by the first non-empty frame
 
-    def step(self, frame: int, dets: Sequence[Detection]) -> list[Track]:
-        """Advance one frame with NMS/confidence-filtered detections.
+    def step(
+        self, frame: int, boxes: np.ndarray, confidences: np.ndarray,
+        embeddings: Optional[np.ndarray] = None,
+    ) -> list[Track]:
+        """Advance one frame with its NMS/confidence-filtered detections:
+        `boxes` (n, 4) rows of (x, y, w, h), `confidences` (n,) and
+        `embeddings` (n, D) or None. Either every non-empty frame of a
+        tracker has embeddings or none has.
 
         Returns the confirmed tracks updated at this frame. Frame indices must
         be strictly increasing across calls; each call is one motion tick
@@ -337,18 +397,25 @@ class Tracker:
             table.means, table.covs = self.kf.predict_batch(table.means, table.covs)
             table.time_since_update += 1
 
-        tlwh = np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets], dtype=float)
-        tlwh = tlwh.reshape(-1, 4)
+        tlwh = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        confidences = np.asarray(confidences, dtype=float)
+        n = len(tlwh)
+        if confidences.shape != (n,) or (embeddings is not None and len(embeddings) != n):
+            raise ValueError("step needs one box, confidence and embedding per detection")
         if np.any(tlwh[:, 3] <= 0):
             raise ValueError(f"box height must be positive, got {tlwh[:, 3].min()}")
+        embs = None
+        if n:
+            if self._with_embeddings is None:
+                self._with_embeddings = embeddings is not None
+            if self._with_embeddings != (embeddings is not None):
+                raise ValueError("a stream's detections must all carry embeddings or none")
+            if embeddings is not None:
+                embs = np.asarray(embeddings, dtype=float)
         x, y, w, h = tlwh.T
         xyah = np.column_stack((x + w / 2.0, y + h / 2.0, w / h, h))
-        embs = (
-            np.array([d.embedding for d in dets])
-            if dets and all(d.embedding is not None for d in dets)
-            else None
-        )
-        matches, unmatched_tracks, unmatched_dets = self._associate(dets, tlwh, xyah, embs)
+        matches, unmatched_tracks, unmatched_dets = self._associate(tlwh, xyah, embs)
+        first = self.history.append(frame, tlwh, confidences, embs)
 
         cfg = self.config
         if matches:
@@ -361,9 +428,10 @@ class Tracker:
             table.time_since_update[rows] = 0
             promoted = rows[(table.status[rows] == _TENTATIVE) & (table.hits[rows] >= cfg.n_init)]
             table.status[promoted] = _CONFIRMED
-            self._add_embeddings(rows, cols, dets, embs)
+            if embs is not None:
+                table.add_embeddings(rows, embs[cols])
             for r, c in matches:
-                self._record(self.tracks[r], frame, dets[c])
+                self.tracks[r].history_rows.append(first + c)
 
         missed = np.array(unmatched_tracks, dtype=np.intp)
         dead = np.sort(missed[
@@ -379,7 +447,7 @@ class Tracker:
                 t.row = row
 
         if unmatched_dets:
-            self._start_tracks(frame, unmatched_dets, dets, xyah, embs)
+            self._start_tracks(first, unmatched_dets, xyah, embs)
         updated = (table.status == _CONFIRMED) & (table.time_since_update == 0)
         return [self.tracks[i] for i in np.flatnonzero(updated)]
 
@@ -387,20 +455,15 @@ class Tracker:
         """One Tracklet per track that ever reached Confirmed, in id order."""
         out = []
         for t in self._finished + [t for t in self.tracks if t.is_confirmed]:
-            pooled = (
-                np.mean(np.asarray(t.embeddings), axis=0)
-                if len(t.embeddings) == len(t.history)
-                else None
-            )
-            frames, boxes, confidences = zip(*t.history)
+            frames, boxes, confidences, embeddings = self.history.take(t.history_rows)
             out.append(
                 Tracklet(
                     camera_id=self.camera_id,
                     track_id=t.track_id,
-                    frames=np.array(frames, dtype=np.int64),
-                    boxes=np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64),
-                    confidences=np.array(confidences, dtype=np.float64),
-                    embedding=pooled,
+                    frames=frames,
+                    boxes=boxes,
+                    confidences=confidences,
+                    embedding=None if embeddings is None else np.mean(embeddings, axis=0),
                 )
             )
         return sorted(out, key=lambda tl: tl.track_id)
@@ -408,33 +471,29 @@ class Tracker:
     # ------------------------------------------------------------------
 
     def _associate(
-        self, dets: Sequence[Detection], tlwh: np.ndarray, xyah: np.ndarray,
-        embs: Optional[np.ndarray],
+        self, tlwh: np.ndarray, xyah: np.ndarray, embs: Optional[np.ndarray]
     ) -> tuple[list, list, list]:
-        """Match tracks to dets; embs, the dets' stacked embeddings, is None
-        when any detection lacks one, and then the frame is motion-only."""
+        """Match tracks to the detections; embs, their embeddings, is None
+        for an empty frame or a stream without embeddings, and then the frame
+        is motion-only."""
         cfg = self.config
         table = self.table
         use_appearance = embs is not None
-        # Confirmed tracks without gallery entries (mixed embedding input)
-        # cannot join the appearance cascade; they compete in the IoU stage.
         in_cascade = table.status == _CONFIRMED
-        if use_appearance:
-            in_cascade &= table.n_embeddings > 0
         confirmed = np.flatnonzero(in_cascade)
         unconfirmed = np.flatnonzero(~in_cascade).tolist()
 
         matches: list[tuple[int, int]] = []
         if confirmed.size and use_appearance:
             ctracks = [self.tracks[i] for i in confirmed]
-            cost = self._gated_cost(ctracks, dets, xyah)
+            cost = self._gated_cost(ctracks, embs, xyah)
             if cfg.single_shot_matching:
                 cost = np.where(cost > cfg.max_appearance_distance, INFEASIBLE, cost)
                 m = solve_assignment(cost)
             else:
                 m = matching_cascade(
                     ctracks,
-                    dets,
+                    embs,
                     lambda _tracks, _dets, rows, cols: cost[np.ix_(rows, cols)],
                     cfg.max_age,
                     cfg.max_appearance_distance,
@@ -469,48 +528,31 @@ class Tracker:
         return matches, unmatched_tracks, unmatched_dets
 
     def _gated_cost(
-        self, tracks: list[Track], dets: Sequence[Detection], xyah: np.ndarray
+        self, tracks: list[Track], embs: np.ndarray, xyah: np.ndarray
     ) -> np.ndarray:
-        """Appearance cost of tracks against dets, INFEASIBLE outside the
-        chi-square gate: one gating matrix, then the gated-in cells only."""
+        """Appearance cost of tracks against the detections, INFEASIBLE
+        outside the chi-square gate: one gating matrix, then the gated-in
+        cells only."""
         rows = [t.row for t in tracks]
         gating = self.kf.gating_matrix(self.table.means[rows], self.table.covs[rows], xyah)
-        return appearance_cost(tracks, dets, gating <= CHI2_GATE_95)
-
-    def _add_embeddings(
-        self, rows: np.ndarray, cols: np.ndarray, dets: Sequence[Detection],
-        embs: Optional[np.ndarray],
-    ) -> None:
-        """Push each detection cols[i]'s embedding, if any, onto row rows[i]."""
-        if embs is not None:
-            self.table.add_embeddings(rows, embs[cols])
-            return
-        # Mixed input: push the embeddings the matched detections have.
-        has = [dets[c].embedding is not None for c in cols]
-        if any(has):
-            self.table.add_embeddings(rows[has], np.stack([dets[c].embedding for c in cols[has]]))
-
-    @staticmethod
-    def _record(t: Track, frame: int, det: Detection) -> None:
-        t.history.append((frame, det.box, det.confidence))
-        if det.embedding is not None:
-            t.embeddings.append(det.embedding)
+        return appearance_cost(tracks, embs, gating <= CHI2_GATE_95)
 
     def _start_tracks(
-        self, frame: int, det_idx: list[int], dets: Sequence[Detection], xyah: np.ndarray,
-        embs: Optional[np.ndarray],
+        self, first: int, det_idx: list[int], xyah: np.ndarray, embs: Optional[np.ndarray]
     ) -> None:
+        """One new track per detection det_idx[i], whose History row is
+        first + det_idx[i]."""
         states = [self.kf.initiate(xyah[c]) for c in det_idx]
-        first = len(self.table)
+        start = len(self.table)
         self.table.append(
             np.array([s.mean for s in states]),
             np.array([s.covariance for s in states]),
             _CONFIRMED if self.config.n_init <= 1 else _TENTATIVE,
         )
-        for row, c in enumerate(det_idx, start=first):
-            t = Track(track_id=self._next_id, table=self.table, row=row)
+        for row, c in enumerate(det_idx, start=start):
+            self.tracks.append(
+                Track(track_id=self._next_id, table=self.table, row=row, history_rows=[first + c])
+            )
             self._next_id += 1
-            self._record(t, frame, dets[c])
-            self.tracks.append(t)
-        rows = np.arange(first, len(self.table))
-        self._add_embeddings(rows, np.array(det_idx, dtype=np.intp), dets, embs)
+        if embs is not None:
+            self.table.add_embeddings(np.arange(start, len(self.table)), embs[det_idx])

@@ -16,7 +16,8 @@ from mcmot.association import (
     euclidean_associate,
     voting_merge,
 )
-from mcmot.geometry import BoundingBox, Detection
+from mcmot.config import PipelineConfig
+from mcmot.pipeline import process_camera
 from mcmot.sim import ScenarioConfig, generate
 from mcmot.tracker import Tracker, TrackerConfig, Tracklet
 
@@ -41,12 +42,11 @@ def singleton_cluster(gid, embedding):
 
 def pooled_by_tracker(embeddings):
     """The embedding a Tracker exports for one track whose per-frame
-    detections carry these embeddings (None: no embedding that frame)."""
+    detections carry these embeddings."""
     tracker = Tracker(TrackerConfig(n_init=1))
-    box = BoundingBox(10.0, 10.0, 40.0, 80.0)
+    box = np.array([[10.0, 10.0, 40.0, 80.0]])
     for f, e in enumerate(embeddings):
-        emb = None if e is None else np.asarray(e, dtype=float)
-        tracker.step(f, [Detection(frame=f, box=box, confidence=0.9, embedding=emb)])
+        tracker.step(f, box, np.array([0.9]), np.asarray(e, dtype=float)[None])
     (t,) = tracker.export_tracklets()
     assert t.frames.tolist() == list(range(len(embeddings)))
     return t.embedding
@@ -62,9 +62,6 @@ class TestMeanEmbedding:
     def test_mean_of_copies_is_identity(self):
         e = np.array([0.6, 0.8])
         np.testing.assert_allclose(pooled_by_tracker([e] * 7), e)
-
-    def test_update_without_embedding_leaves_none(self):
-        assert pooled_by_tracker([[1.0, 0.0], None, [1.0, 0.0]]) is None
 
     def test_embeddingless_rejected(self):
         t = Tracklet(
@@ -180,14 +177,9 @@ class TestVotingMerge:
 def run_scenario_tracklets(cfg):
     truth, streams = generate(cfg)
     per_camera = {}
+    pc = PipelineConfig(tracker=TrackerConfig(n_init=3, max_age=30))
     for cam, dets in streams.items():
-        tr = Tracker(TrackerConfig(n_init=3, max_age=30), camera_id=cam)
-        by_frame = {}
-        for d in dets:
-            by_frame.setdefault(d.frame, []).append(d)
-        for f in range(cfg.frames):
-            tr.step(f, by_frame.get(f, []))
-        per_camera[cam] = tr.export_tracklets()
+        per_camera[cam] = process_camera(cam, dets, pc, total_frames=cfg.frames).tracklets
     return truth, per_camera
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mcmot
-from mcmot import formats
+from mcmot import formats, geometry
 from mcmot.cli import main
 
 
@@ -856,6 +856,89 @@ class TestCountCli:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[format]: {cfg}: duplicate key ") and err.count("\n") == 1
+
+
+class TestColumnarStreams:
+    @pytest.mark.parametrize("command", ["count", "track"])
+    def test_no_per_row_objects_between_ingest_and_export(self, tmp_path, monkeypatch, command):
+        # study1 runs NMS; false positives give it boxes to suppress.
+        scn = simulate(tmp_path, cameras=2, identities=3, frames=30, embedding_dim=8,
+                       false_positive_rate=0.5, box_jitter_sigma=2.0)
+        if command == "count":
+            argv = ["count", "--scenario", str(scn), "--method", "both"]
+        else:
+            argv = ["track", "--detections", str(scn / "detections_cam0.csv"),
+                    "--embeddings", str(scn / "embeddings_cam0.csv")]
+        built = []
+        for cls in (geometry.Detection, geometry.BoundingBox):
+            def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        assert main(argv + ["--config", "study1", "--output", str(tmp_path / "out.json")]) == 0
+        assert built == []
+        geometry.BoundingBox(0.0, 0.0, 1.0, 1.0)  # the counter itself works
+        assert built == ["BoundingBox"]
+
+
+def replace_line(path: Path, index: int, text: str) -> None:
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestCountErrorParity:
+    """A camera is one unit of work (parse, track, export), run in camera
+    order: `count` prints the same single error line with and without
+    --parallel."""
+
+    def errors(self, capsys, argv) -> list[str]:
+        out = []
+        for extra in ([], ["--parallel"]):
+            capsys.readouterr()
+            assert main(argv + extra) == 1
+            out.append(capsys.readouterr().err)
+        return out
+
+    def test_malformed_embeddings_csv_in_camera_1(self, tmp_path, capsys):
+        scn = simulate(tmp_path, cameras=3, identities=2, frames=20, embedding_dim=4)
+        emb = scn / "embeddings_cam1.csv"
+        replace_line(emb, 3, "0,1,not,a,number,row")
+        argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+        seq, par = self.errors(capsys, argv)
+        assert seq == par
+        assert seq.startswith(f"error[format]: {emb}:4: ") and seq.count("\n") == 1
+
+    def test_first_failing_camera_wins(self, tmp_path, capsys):
+        # Camera 0 parses but has a detection beyond the scenario's 20
+        # frames; camera 2's detections CSV does not parse. Camera 0 fails
+        # first in camera order, in both modes.
+        scn = simulate(tmp_path, cameras=3, identities=2, frames=20, embedding_dim=4)
+        with open(scn / "detections_cam0.csv", "a") as fh:
+            fh.write("25,0,10,10,20,40,0.9,0\n")
+        with open(scn / "embeddings_cam0.csv", "a") as fh:
+            fh.write("25,0,0.5,0.5,0.5,0.5\n")
+        replace_line(scn / "detections_cam2.csv", 2, "1,0,10,10,20")
+        argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+        seq, par = self.errors(capsys, argv)
+        assert seq == par == (
+            "error[input]: camera 0: detection at frame 25 is outside the stream's "
+            "frames [0, 20)\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    def test_missing_embeddings_file_given_to_track(self, tmp_path, capsys):
+        scn = simulate(tmp_path, cameras=1, identities=2, frames=20, embedding_dim=4)
+        missing = tmp_path / "missing.csv"
+        argv = ["track", "--detections", str(scn / "detections_cam0.csv"),
+                "--embeddings", str(missing), "--output", str(tmp_path / "t.csv")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error[io]: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestThresholdMustBeFinite:

@@ -92,6 +92,50 @@ def det(x, y, w, h, conf, class_id=0, frame=0):
     return Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=conf, class_id=class_id)
 
 
+def nms_dets(dets, overlap_threshold):
+    """nms over a Detection list: the kept Detection objects, in nms's order."""
+    rows = nms(
+        np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets]).reshape(-1, 4),
+        np.array([d.confidence for d in dets]),
+        overlap_threshold,
+        np.array([d.class_id for d in dets]),
+        np.array([d.frame for d in dets]),
+    )
+    return [dets[i] for i in rows]
+
+
+def frame_nms(dets, overlap_threshold):
+    """Reference NMS for one frame's Detection list: the per-frame nms the
+    whole-stream one replaced, one iou_matrix per call."""
+    if not 0.0 <= overlap_threshold <= 1.0:
+        raise ValueError(f"overlap_threshold must be in [0, 1], got {overlap_threshold}")
+    if not dets:
+        return []
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].confidence)
+    boxes = np.array([(dets[i].box.x, dets[i].box.y, dets[i].box.w, dets[i].box.h) for i in order])
+    classes = np.array([dets[i].class_id for i in order])
+    same_class = classes[:, None] == classes[None, :]
+    degenerate = (boxes[:, 2] <= 0) | (boxes[:, 3] <= 0)
+    if np.any(same_class[degenerate].sum(axis=1) > 1):
+        raise ValueError("iou requires boxes with positive area")
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate boxes alone in their class
+        overlaps = (iou_matrix(boxes, boxes) > overlap_threshold) & same_class
+    suppressed = np.zeros(len(order), dtype=bool)
+    kept = []
+    for pos, i in enumerate(order):
+        if not suppressed[pos]:
+            kept.append(dets[i])
+            suppressed |= overlaps[pos]
+    return kept
+
+
+def stream_nms(dets, overlap_threshold):
+    """Reference NMS for a multi-frame stream: frame_nms on each frame's
+    detections (in stream order), frames ascending."""
+    frames = sorted({d.frame for d in dets})
+    return [k for f in frames for k in frame_nms([d for d in dets if d.frame == f], overlap_threshold)]
+
+
 def pairwise_nms(dets, overlap_threshold):
     """Reference NMS: the greedy loop with one scalar iou() per compared pair."""
     if not 0.0 <= overlap_threshold <= 1.0:
@@ -126,32 +170,34 @@ NMS_THRESHOLDS = st.one_of(st.sampled_from([0.0, 1.0, 0.25, 0.5, 1 / 3]), st.flo
 
 class TestNms:
     def test_empty(self):
-        assert nms([], 0.4) == []
+        assert nms_dets([], 0.4) == []
+        rows = nms(np.empty((0, 4)), np.empty(0), 0.4)
+        assert rows.dtype == np.intp and rows.shape == (0,)
 
     def test_high_overlap_suppressed(self):
         # IoU of these two is 8*10/(100+100-80) = 2/3 > 0.4.
         a = det(0, 0, 10, 10, 0.9)
         b = det(2, 0, 10, 10, 0.7)
-        assert nms([a, b], 0.4) == [a]
+        assert nms_dets([a, b], 0.4) == [a]
 
     def test_disjoint_kept(self):
         a = det(0, 0, 10, 10, 0.9)
         b = det(100, 100, 10, 10, 0.7)
-        assert nms([a, b], 0.4) == [a, b]
+        assert nms_dets([a, b], 0.4) == [a, b]
 
     def test_per_class(self):
         a = det(0, 0, 10, 10, 0.9, class_id=0)
         b = det(0, 0, 10, 10, 0.7, class_id=1)
-        assert nms([a, b], 0.4) == [a, b]
+        assert nms_dets([a, b], 0.4) == [a, b]
 
     def test_confidence_tie_broken_by_input_order(self):
         a = det(0, 0, 10, 10, 0.8)
         b = det(1, 0, 10, 10, 0.8)
-        assert nms([a, b], 0.4) == [a]
+        assert nms_dets([a, b], 0.4) == [a]
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
-            nms([det(0, 0, 1, 1, 0.5)], 1.5)
+            nms_dets([det(0, 0, 1, 1, 0.5)], 1.5)
 
     @settings(max_examples=200)
     @given(
@@ -170,7 +216,7 @@ class TestNms:
     )
     def test_output_submultiset_and_best_kept(self, raw, threshold):
         dets = [det(*r) for r in raw]
-        kept = nms(dets, threshold)
+        kept = nms_dets(dets, threshold)
         remaining = list(dets)
         for k in kept:
             assert k in remaining
@@ -202,7 +248,7 @@ class TestNmsOracle:
     )
     def test_same_kept_objects_in_same_order(self, raw, threshold):
         dets = [det(*r) for r in raw]
-        got = nms(dets, threshold)
+        got = nms_dets(dets, threshold)
         want = pairwise_nms(dets, threshold)
         assert [id(d) for d in got] == [id(d) for d in want]
 
@@ -219,7 +265,7 @@ class TestNmsOracle:
     )
     def test_same_kept_objects_on_continuous_boxes(self, raw, threshold):
         dets = [det(*r) for r in raw]
-        assert [id(d) for d in nms(dets, threshold)] == [
+        assert [id(d) for d in nms_dets(dets, threshold)] == [
             id(d) for d in pairwise_nms(dets, threshold)
         ]
 
@@ -238,7 +284,7 @@ class TestNmsOracle:
         # A degenerate box is rejected exactly when the pairwise loop would
         # compute its IoU, with the same message.
         dets = [det(*r) for r in raw]
-        got = outcome(nms, dets, threshold)
+        got = outcome(nms_dets, dets, threshold)
         want = outcome(pairwise_nms, dets, threshold)
         if isinstance(want, tuple):
             assert got == want
@@ -248,9 +294,61 @@ class TestNmsOracle:
     def test_degenerate_box_alone_in_its_class_passes(self):
         a = det(0, 0, 0, 10, 0.9, class_id=0)
         b = det(0, 0, 10, 10, 0.8, class_id=1)
-        assert nms([a, b], 0.4) == [a, b]
+        assert nms_dets([a, b], 0.4) == [a, b]
         with pytest.raises(ValueError, match="positive area"):
-            nms([a, det(50, 50, 5, 5, 0.5, class_id=0)], 0.4)
+            nms_dets([a, det(50, 50, 5, 5, 0.5, class_id=0)], 0.4)
+
+
+# Streams over a few frames, in any order: up to three classes, few
+# confidences (ties), grid boxes (touching and identical ones).
+STREAM_ROW = st.tuples(
+    GRID_COORD, GRID_COORD, GRID_SIZE, GRID_SIZE,
+    st.sampled_from([0.3, 0.5, 0.9]), st.integers(0, 2), st.integers(0, 3),
+)
+
+
+class TestWholeStreamNms:
+    """nms over a whole stream keeps the rows that per-frame NMS keeps,
+    in the same order."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(STREAM_ROW, max_size=24), NMS_THRESHOLDS)
+    def test_same_rows_as_per_frame_reference(self, raw, threshold):
+        dets = [det(*r) for r in raw]
+        assert [id(d) for d in nms_dets(dets, threshold)] == [
+            id(d) for d in stream_nms(dets, threshold)
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                GRID_COORD, GRID_COORD, st.integers(-1, 3).map(float),
+                st.integers(-1, 3).map(float), st.sampled_from([0.5, 0.9]), st.integers(0, 2),
+                st.integers(0, 3),
+            ),
+            max_size=12,
+        ),
+        NMS_THRESHOLDS,
+    )
+    def test_degenerate_box_raises_as_per_frame_reference(self, raw, threshold):
+        # Wherever the per-frame reference raises on a degenerate box that
+        # shares its frame and class, the whole-stream nms raises the same
+        # error; elsewhere both keep the same rows.
+        dets = [det(*r) for r in raw]
+        got = outcome(nms_dets, dets, threshold)
+        want = outcome(stream_nms, dets, threshold)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert [id(d) for d in got] == [id(d) for d in want]
+
+    def test_rows_ordered_by_frame_then_confidence(self):
+        boxes = np.array([[0, 0, 5, 5], [50, 0, 5, 5], [0, 0, 5, 5], [1, 0, 5, 5]], dtype=float)
+        conf = np.array([0.5, 0.9, 0.6, 0.7])
+        frames = np.array([1, 1, 0, 1])
+        assert nms(boxes, conf, 0.4, frames=frames).tolist() == [2, 1, 3]
+        assert nms(boxes, conf, 1.0, frames=frames).tolist() == [2, 1, 3, 0]
 
 
 class TestDetection:

@@ -218,18 +218,18 @@ class TestEmbeddingFile:
 
     def test_merge_attaches_embeddings(self):
         records = columns([(0, 0, (0, 0, 1, 1), 0.5, 0)])
-        dets = formats.merge_embeddings(records, embedding_columns([(0, 0, np.array([1.0, 0.0]))]))
-        assert isinstance(dets[0], Detection)
-        np.testing.assert_array_equal(dets[0].embedding, [1.0, 0.0])
-        assert formats.merge_embeddings(records, None)[0].embedding is None
+        embs = formats.merge_embeddings(records, embedding_columns([(0, 0, np.array([1.0, 0.0]))]))
+        assert isinstance(embs, np.ndarray) and embs.shape == (1, 2)
+        np.testing.assert_array_equal(embs[0], [1.0, 0.0])
+        assert formats.merge_embeddings(records, None) is None
 
     def test_merge_joins_rows_in_any_order(self):
         records = columns([(f, d, (0, 0, 1, 1), 0.5, 0) for f, d in [(0, 1), (0, 0), (2, 5)]])
         embeddings = embedding_columns([(2, 5, [3.0]), (0, 0, [1.0]), (0, 1, [2.0])], dim=1)
-        dets = formats.merge_embeddings(records, embeddings)
-        assert [d.embedding.tolist() for d in dets] == [[2.0], [1.0], [3.0]]
-        # Each embedding is a row of the one matrix, not a copy.
-        assert all(np.shares_memory(d.embedding, embeddings.vectors) for d in dets)
+        assert formats.merge_embeddings(records, embeddings).tolist() == [[2.0], [1.0], [3.0]]
+        # Rows already in detection order: the file's own matrix, not a copy.
+        in_order = embedding_columns([(0, 1, [2.0]), (0, 0, [1.0]), (2, 5, [3.0])], dim=1)
+        assert formats.merge_embeddings(records, in_order) is in_order.vectors
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +330,23 @@ def ref_merge_embeddings(records, embeddings) -> list[Detection]:
     ]
 
 
+def read_stream(det_path, emb_path) -> list[Detection]:
+    """The columnar readers' rows, as the Detections the reference builds."""
+    detections = formats.read_detections(det_path)
+    embeddings = formats.merge_embeddings(detections, formats.read_embeddings(emb_path))
+    return [
+        Detection(frame, BoundingBox(*box), conf, class_id, emb)
+        for frame, box, conf, class_id, emb in zip(
+            detections.frame.tolist(), detections.box.tolist(), detections.confidence.tolist(),
+            detections.class_id.tolist(), embeddings,
+        )
+    ]
+
+
+def read_reference(det_path, emb_path) -> list[Detection]:
+    return ref_merge_embeddings(ref_read_detections(det_path), ref_read_embeddings(emb_path))
+
+
 def detection_fields(d: Detection) -> tuple:
     """Every field of a Detection, floats as their bytes."""
     box = np.array([d.box.x, d.box.y, d.box.w, d.box.h])
@@ -388,13 +405,9 @@ def read_both(draw, dim: int, det_rows, emb_rows) -> list:
         det_path, emb_path = Path(tmp) / "dets.csv", Path(tmp) / "embs.csv"
         det_path.write_text(render(draw, formats.DETECTION_HEADER, det_rows))
         emb_path.write_text(render(draw, emb_header, emb_rows))
-        for read_det, read_emb, merge in (
-            (formats.read_detections, formats.read_embeddings, formats.merge_embeddings),
-            (ref_read_detections, ref_read_embeddings, ref_merge_embeddings),
-        ):
+        for read in (read_stream, read_reference):
             try:
-                dets = merge(read_det(det_path), read_emb(emb_path))
-                outcomes.append([detection_fields(d) for d in dets])
+                outcomes.append([detection_fields(d) for d in read(det_path, emb_path)])
             except FormatError as exc:
                 outcomes.append(exc)
     return outcomes

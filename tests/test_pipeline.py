@@ -5,6 +5,7 @@ from mcmot.association import AssociationConfig
 from mcmot.config import PipelineConfig, study1_preset
 from mcmot.geometry import BoundingBox, Detection
 from mcmot.pipeline import (
+    CameraStream,
     associate_and_refine,
     keep_frame,
     process_camera,
@@ -70,6 +71,36 @@ class TestProcessCamera:
         cfg = PipelineConfig(export_confidence=0.5)
         run = process_camera(0, constant_stream(20, conf=0.9), cfg)
         assert len(run.tracklets) == 1
+
+    @pytest.mark.parametrize("pc", [PipelineConfig(), study1_preset()], ids=["no-nms", "nms"])
+    def test_stream_order_across_frames_does_not_matter(self, pc):
+        # Frames may come in any order; within a frame, stream order is
+        # kept, so a frame-reversed stream tracks exactly as the sorted one.
+        cfg = ScenarioConfig(seed=72, cameras=1, identities=4, frames=40, embedding_dim=8,
+                             embedding_noise_sigma=0.05, false_positive_rate=0.5)
+        _, streams = generate(cfg)
+        reversed_frames = sorted(streams[0], key=lambda d: -d.frame)
+        runs = [process_camera(0, s, pc, total_frames=40) for s in (streams[0], reversed_frames)]
+        assert [(t.track_id, t.frames.tolist(), t.boxes.tolist(), t.embedding.tolist())
+                for t in runs[0].tracklets] == [
+            (t.track_id, t.frames.tolist(), t.boxes.tolist(), t.embedding.tolist())
+            for t in runs[1].tracklets]
+
+    def test_detection_list_and_columns_track_alike(self):
+        cfg = ScenarioConfig(seed=73, cameras=1, identities=3, frames=30, embedding_dim=8)
+        _, streams = generate(cfg)
+        stream = CameraStream.from_detections(streams[0])
+        assert stream.embeddings.shape == (len(streams[0]), 8)
+        a = process_camera(0, streams[0], PipelineConfig())
+        b = process_camera(0, stream, PipelineConfig())
+        assert [t.embedding.tobytes() for t in a.tracklets] == [
+            t.embedding.tobytes() for t in b.tracklets]
+
+    def test_mixed_embeddings_rejected(self):
+        dets = constant_stream(3)
+        dets[1] = Detection(1, dets[1].box, 0.9, embedding=np.ones(4))
+        with pytest.raises(ValueError, match="all carry embeddings or none"):
+            process_camera(0, dets, PipelineConfig())
 
     def test_study1_preset_decimation(self):
         run = process_camera(0, constant_stream(300), study1_preset())

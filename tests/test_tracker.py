@@ -15,6 +15,20 @@ def det(frame, x=50.0, y=50.0, w=20.0, h=40.0, conf=0.9, emb=None):
     return Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=conf, embedding=emb)
 
 
+def step(tr, frame, dets):
+    """Tracker.step on one frame's Detection list."""
+    boxes = np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets]).reshape(-1, 4)
+    embs = np.array([d.embedding for d in dets]) if dets and dets[0].embedding is not None else None
+    return tr.step(frame, boxes, np.array([d.confidence for d in dets]), embs)
+
+
+def embeddings_of(dets):
+    """The detections' embeddings as one (n, D) matrix; None if any lacks one."""
+    if any(d.embedding is None for d in dets):
+        return None
+    return np.array([d.embedding for d in dets]) if dets else np.empty((0, 0))
+
+
 def unit(*values):
     v = np.array(values, dtype=float)
     return v / np.linalg.norm(v)
@@ -24,51 +38,51 @@ class TestLifecycle:
     def test_empty_stream_yields_no_tracks(self):
         tr = Tracker(TrackerConfig())
         for f in range(10):
-            assert tr.step(f, []) == []
+            assert step(tr, f, []) == []
         assert tr.export_tracklets() == []
 
     def test_confirmation_after_n_init_hits(self):
         tr = Tracker(TrackerConfig(n_init=3))
-        assert tr.step(0, [det(0)]) == []
-        assert tr.step(1, [det(1)]) == []
-        out = tr.step(2, [det(2)])
+        assert step(tr, 0, [det(0)]) == []
+        assert step(tr, 1, [det(1)]) == []
+        out = step(tr, 2, [det(2)])
         assert len(out) == 1
         assert out[0].status is TrackStatus.CONFIRMED
         track_id = out[0].track_id
-        out = tr.step(3, [det(3)])
+        out = step(tr, 3, [det(3)])
         assert [t.track_id for t in out] == [track_id]
 
     def test_deletion_after_max_age_and_fresh_id_on_reappearance(self):
         cfg = TrackerConfig(n_init=1, max_age=3)
         tr = Tracker(cfg)
-        (first,) = tr.step(0, [det(0)])
+        (first,) = step(tr, 0, [det(0)])
         first_id = first.track_id
         for f in range(1, cfg.max_age + 2):
-            tr.step(f, [])
+            step(tr, f, [])
         assert all(t.track_id != first_id for t in tr.tracks)
-        (again,) = tr.step(cfg.max_age + 2, [det(cfg.max_age + 2)])
+        (again,) = step(tr, cfg.max_age + 2, [det(cfg.max_age + 2)])
         assert again.track_id != first_id
 
     def test_tentative_unmatched_is_dropped(self):
         tr = Tracker(TrackerConfig(n_init=3))
-        tr.step(0, [det(0)])
-        tr.step(1, [])  # one miss kills a tentative track
+        step(tr, 0, [det(0)])
+        step(tr, 1, [])  # one miss kills a tentative track
         assert tr.tracks == []
         assert tr.export_tracklets() == []
 
     def test_frames_must_increase(self):
         tr = Tracker(TrackerConfig())
-        tr.step(5, [])
+        step(tr, 5, [])
         with pytest.raises(ValueError):
-            tr.step(5, [])
+            step(tr, 5, [])
         with pytest.raises(ValueError):
-            tr.step(4, [])
+            step(tr, 4, [])
 
     def test_ids_strictly_increasing(self):
         tr = Tracker(TrackerConfig(n_init=1))
         ids = []
         for f in range(5):
-            out = tr.step(f, [det(f, x=100.0 * f + 10, y=10.0)])
+            out = step(tr, f, [det(f, x=100.0 * f + 10, y=10.0)])
             ids.extend(t.track_id for t in out if t.hits == 1)
         # Far-apart boxes never match, so each frame births a fresh id.
         new_ids = [t.track_id for t in tr._finished + tr.tracks]
@@ -119,7 +133,9 @@ def tracks_of(streams, budget=100, metric="euclidean"):
 def table_cost(galleries, dets, metric="euclidean"):
     """The tracker's cost for every cell, with a gate that passes all."""
     tracks = tracks_of(galleries, metric=metric)
-    return appearance_cost(tracks, dets, np.ones((len(tracks), len(dets)), dtype=bool))
+    return appearance_cost(
+        tracks, embeddings_of(dets), np.ones((len(tracks), len(dets)), dtype=bool)
+    )
 
 
 class TestAppearanceCost:
@@ -183,7 +199,7 @@ def check_against_oracle(case):
     assert [len(t.gallery) for t in tracks] == [min(len(s), budget) for s in streams]
     dets = [det(0, emb=np.array(e, dtype=float)) for e in case["dets"]]
     feasible = case["gating"] <= CHI2_GATE_95
-    got = appearance_cost([tracks[i] for i in rows], dets, feasible)
+    got = appearance_cost([tracks[i] for i in rows], embeddings_of(dets), feasible)
     galleries = [np.asarray(streams[i][-budget:], dtype=float) for i in rows]
     want = gate(reference_cost(galleries, dets, case["metric"]), feasible)
     assert np.array_equal(got == INFEASIBLE, want == INFEASIBLE)
@@ -223,7 +239,7 @@ class TestExport:
     def test_history_length(self):
         tr = Tracker(TrackerConfig(n_init=1))
         for f in range(42):
-            tr.step(f, [det(f)])
+            step(tr, f, [det(f)])
         (tl,) = tr.export_tracklets()
         assert len(tl.frames) == len(tl.boxes) == len(tl.confidences) == 42
         assert tl.frames.tolist() == list(range(42))
@@ -231,7 +247,7 @@ class TestExport:
     def test_overlapping_lifetimes_distinct_ids(self):
         tr = Tracker(TrackerConfig(n_init=1))
         for f in range(10):
-            tr.step(f, [det(f, x=10), det(f, x=500)])
+            step(tr, f, [det(f, x=10), det(f, x=500)])
         tls = tr.export_tracklets()
         assert len(tls) == 2
         assert tls[0].track_id != tls[1].track_id
@@ -239,19 +255,19 @@ class TestExport:
     def test_includes_deleted_confirmed_tracks(self):
         tr = Tracker(TrackerConfig(n_init=1, max_age=2))
         for f in range(3):
-            tr.step(f, [det(f)])
+            step(tr, f, [det(f)])
         for f in range(3, 10):
-            tr.step(f, [])
+            step(tr, f, [])
         for f in range(10, 13):
-            tr.step(f, [det(f)])
+            step(tr, f, [det(f)])
         tls = tr.export_tracklets()
         assert len(tls) == 2  # original died, reappearance got a new id
 
     def test_never_confirmed_dropped(self):
         tr = Tracker(TrackerConfig(n_init=5))
         for f in range(3):
-            tr.step(f, [det(f)])
-        tr.step(3, [])
+            step(tr, f, [det(f)])
+        step(tr, 3, [])
         assert tr.export_tracklets() == []
 
 
@@ -259,7 +275,7 @@ class TestDeterminism:
     def _run(self, stream):
         tr = Tracker(TrackerConfig(n_init=2, max_age=5))
         for f, dets in stream:
-            tr.step(f, dets)
+            step(tr, f, dets)
         return [
             (t.camera_id, t.track_id, t.frames.tolist(), t.boxes.tolist(), t.confidences.tolist())
             for t in tr.export_tracklets()
@@ -304,14 +320,15 @@ class TestGalleryBudget:
                             emb=e / np.linalg.norm(e),
                         )
                     )
-            tr.step(f, dets)
+            step(tr, f, dets)
             assert all(len(t.gallery) <= cfg.nn_budget for t in tr.tracks)
             assert tr.table.gallery is None or tr.table.gallery.shape[1] <= cfg.nn_budget
             for t in tr.tracks:
                 # The ring holds the track's last nn_budget embeddings, the
                 # j-th at position j % nn_budget.
-                n = len(t.embeddings)
-                want = {j % cfg.nn_budget: t.embeddings[j] for j in range(max(0, n - cfg.nn_budget), n)}
+                embeddings = tr.history.take(t.history_rows)[3]
+                n = len(embeddings)
+                want = {j % cfg.nn_budget: embeddings[j] for j in range(max(0, n - cfg.nn_budget), n)}
                 assert len(t.gallery) == len(want)
                 assert all(np.array_equal(t.gallery[k], e) for k, e in want.items())
 
@@ -326,7 +343,7 @@ class TestGalleryBudget:
         for budget in (10**400, 1000):
             tr = Tracker(TrackerConfig(n_init=1, nn_budget=budget))
             for f, dets in enumerate(stream):
-                tr.step(f, dets)
+                step(tr, f, dets)
             exports.append(tr.export_tracklets())
         huge, reference = exports
         assert len(huge) == len(reference) == 2
@@ -339,10 +356,9 @@ class TestGalleryBudget:
         tr = Tracker(TrackerConfig(n_init=1))
         for f in range(20):
             dets = [det(f, x=10), det(f, x=200)]
-            tr.step(f, dets)
-            boxes_this_frame = [
-                t.history[-1][1] for t in tr.tracks if t.history and t.history[-1][0] == f
-            ]
+            step(tr, f, dets)
+            last = [tr.history.take(t.history_rows[-1:]) for t in tr.tracks]
+            boxes_this_frame = [tuple(box[0]) for frame, box, _, _ in last if frame[0] == f]
             assert len(boxes_this_frame) == len(set(boxes_this_frame))
 
 
@@ -350,18 +366,27 @@ class TestMotionOnly:
     def test_tracks_without_embeddings(self):
         tr = Tracker(TrackerConfig(n_init=2, max_age=5))
         for f in range(10):
-            tr.step(f, [det(f, x=50 + 2.0 * f)])
+            step(tr, f, [det(f, x=50 + 2.0 * f)])
         tls = tr.export_tracklets()
         assert len(tls) == 1
         assert tls[0].embedding is None
         assert len(tls[0].frames) == 10
 
+    @pytest.mark.parametrize("first_has_embedding", [True, False])
+    def test_mixed_embedding_stream_rejected(self, first_has_embedding):
+        tr = Tracker(TrackerConfig(n_init=1))
+        emb = unit(1, 0)
+        step(tr, 0, [det(0, emb=emb if first_has_embedding else None)])
+        step(tr, 1, [])  # an empty frame carries none either way
+        with pytest.raises(ValueError, match="all carry embeddings or none"):
+            step(tr, 2, [det(2, emb=None if first_has_embedding else emb)])
+
     def test_confirmed_track_survives_multi_frame_gap_via_iou(self):
         tr = Tracker(TrackerConfig(n_init=1, max_age=10))
-        tr.step(0, [det(0)])
-        tr.step(1, [])
-        tr.step(2, [])
-        out = tr.step(3, [det(3)])
+        step(tr, 0, [det(0)])
+        step(tr, 1, [])
+        step(tr, 2, [])
+        out = step(tr, 3, [det(3)])
         assert len(out) == 1  # same track re-acquired by IoU in motion-only mode
         assert out[0].track_id == 1
 
@@ -383,7 +408,7 @@ class TestSingleShotMatching:
             for d in streams[0]:
                 by_frame.setdefault(d.frame, []).append(d)
             for f in range(cfg_noise.frames):
-                tr.step(f, by_frame.get(f, []))
+                step(tr, f, by_frame.get(f, []))
             outputs.append(
                 [(t.track_id, t.frames.tolist(), t.boxes[:, :2].tolist())
                  for t in tr.export_tracklets()]
@@ -402,7 +427,7 @@ class TestZeroNoiseScenario:
         for d in streams[0]:
             by_frame.setdefault(d.frame, []).append(d)
         for f in range(cfg.frames):
-            tr.step(f, by_frame.get(f, []))
+            step(tr, f, by_frame.get(f, []))
         tls = tr.export_tracklets()
         assert len(tls) == cfg.identities
         assert id_switches(tls, truth.frames_of(0)) == 0
