@@ -18,9 +18,9 @@ from .association import (
 )
 from .config import PipelineConfig, load_config, study1_preset, study2_preset
 from .errors import ConfigError
-from .geometry import BoundingBox, Detection, iou, iou_matrix, nms
+from .geometry import BoundingBox, CameraStream, Detection, iou, iou_matrix, nms
 from .kalman import CHI2_GATE_95, KalmanFilter, KalmanState, NoiseProfile
-from .pipeline import CameraFiles, CameraStream, process_camera, run_cameras, run_pipeline
+from .pipeline import CameraFiles, process_camera, run_cameras, run_pipeline
 from .refine import (
     ConfusionCounts,
     CountReport,

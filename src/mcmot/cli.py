@@ -10,6 +10,7 @@ directory). Exit code 0 on success; on failure a machine-parsable
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import sys
@@ -23,6 +24,7 @@ from . import formats
 from .config import PRESETS, load_config
 from .errors import ConfigError
 from .formats import FormatError
+from .geometry import CameraStream
 from .pipeline import CameraFiles, associate_methods, process_camera, run_pipeline
 from .refine import (
     ConfusionCounts,
@@ -44,7 +46,31 @@ _CLI_METHODS = {
 }
 
 
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 128 KiB
+    (a no-op without glibc).
+
+    A count frees its per-camera arrays of several MB (a parsed embeddings
+    file, its matrix, the tracker's history) after each camera. By default
+    glibc then raises both thresholds, so the next camera's arrays come from
+    the brk heap, where freed space stays resident and its reuse depends on
+    the heap's layout: the peak RSS of one count moved by up to 12 MB when
+    only the paths of its files changed. With the thresholds fixed, each such
+    array gets its own mapping, unmapped when freed; smaller blocks, most
+    per-frame arrays among them, keep coming from the heap.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD (malloc.h)
+        libc.mallopt(-1, 128 << 10)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError):
+        pass  # not glibc
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _fix_malloc_thresholds()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -141,16 +167,9 @@ def _cmd_simulate(args) -> int:
     )
     formats.write_truth_json(out / "truth.json", truth)
     for cam in sorted(streams):
-        columns = formats.DetectionColumns.from_detections(streams[cam])
-        formats.write_detections(out / f"detections_cam{cam}.csv", columns)
-        keyed = [
-            (frame, det_id, d.embedding)
-            for frame, det_id, d in zip(
-                columns.frame.tolist(), columns.det_id.tolist(), streams[cam]
-            )
-            if d.embedding is not None
-        ]
-        formats.write_embeddings(out / f"embeddings_cam{cam}.csv", keyed, cfg.embedding_dim)
+        stream = CameraStream.from_detections(streams[cam])
+        formats.write_detections(out / f"detections_cam{cam}.csv", stream)
+        formats.write_embeddings(out / f"embeddings_cam{cam}.csv", stream, cfg.embedding_dim)
     print(f"wrote scenario with {cfg.cameras} cameras, {cfg.identities} identities to {out}")
     return 0
 
@@ -236,7 +255,7 @@ def _cmd_count(args) -> int:
         total_frames = scenario_from_dict(formats.read_json(scenario_json)).frames
     streams = {}
     for det_path in det_files:
-        cam = int(det_path.stem.removeprefix("detections_cam"))
+        cam = formats.int_key(det_path, "camera", det_path.stem.removeprefix("detections_cam"))
         emb_path = scenario / f"embeddings_cam{cam}.csv"
         streams[cam] = CameraFiles(det_path, emb_path if emb_path.exists() else None)
 

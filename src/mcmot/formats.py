@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .association import Cluster
-from .geometry import BoundingBox, Detection
+from .geometry import BoundingBox, CameraStream
 from .refine import CountReport
 from .sim import GroundTruth
 from .tracker import Tracklet
@@ -56,42 +56,6 @@ _Check = tuple[np.ndarray, Callable[[int], str]]
 
 
 @dataclass(frozen=True, eq=False)
-class DetectionColumns:
-    """One detections file as columns, one entry per data row in file order.
-
-    box rows are (x, y, w, h). (frame, det_id) is the key that joins a
-    detection to its embedding row.
-    """
-
-    frame: np.ndarray  # (n,) int64
-    det_id: np.ndarray  # (n,) int64
-    box: np.ndarray  # (n, 4) float64
-    confidence: np.ndarray  # (n,) float64
-    class_id: np.ndarray  # (n,) int64
-
-    def __len__(self) -> int:
-        return len(self.frame)
-
-    @classmethod
-    def from_detections(cls, dets: Sequence[Detection]) -> "DetectionColumns":
-        """Columns of a frame-sorted stream; det_ids count up from 0 within each frame."""
-        det_ids = []
-        counters: dict[int, int] = {}
-        for d in dets:
-            det_id = counters.get(d.frame, 0)
-            counters[d.frame] = det_id + 1
-            det_ids.append(det_id)
-        return cls(
-            frame=np.array([d.frame for d in dets], dtype=np.int64),
-            det_id=np.array(det_ids, dtype=np.int64),
-            box=np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
-                         dtype=np.float64).reshape(-1, 4),
-            confidence=np.array([d.confidence for d in dets], dtype=np.float64),
-            class_id=np.array([d.class_id for d in dets], dtype=np.int64),
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class EmbeddingColumns:
     """One embeddings file: row i of the C-contiguous (n, D) `vectors` matrix
     is the embedding keyed by (frame[i], det_id[i])."""
@@ -104,14 +68,14 @@ class EmbeddingColumns:
         return len(self.frame)
 
 
-def write_detections(path: str | Path, detections: DetectionColumns) -> None:
+def write_detections(path: str | Path, stream: CameraStream) -> None:
     lines = [DETECTION_HEADER]
     for frame, det_id, (x, y, w, h), conf, class_id in zip(
-        detections.frame.tolist(),
-        detections.det_id.tolist(),
-        detections.box.tolist(),
-        detections.confidence.tolist(),
-        detections.class_id.tolist(),
+        stream.frame.tolist(),
+        stream.det_id.tolist(),
+        stream.box.tolist(),
+        stream.confidence.tolist(),
+        stream.class_id.tolist(),
     ):
         lines.append(
             f"{frame},{det_id},{fmt9(x)},{fmt9(y)},{fmt9(w)},{fmt9(h)},{fmt9(conf)},{class_id}"
@@ -119,11 +83,13 @@ def write_detections(path: str | Path, detections: DetectionColumns) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_detections(path: str | Path) -> DetectionColumns:
+def read_detections(path: str | Path) -> CameraStream:
+    """One detections file as a stream without embeddings, one row per data
+    row in file order."""
     if _read_header(path) != DETECTION_HEADER:
         raise FormatError(f"{path}:1: expected header '{DETECTION_HEADER}'")
     rows = _read_rows(path, _DETECTION_DTYPE, _detection_checks)
-    return DetectionColumns(
+    return CameraStream(
         frame=rows["frame"],
         det_id=rows["det_id"],
         box=rows["box"],
@@ -148,16 +114,16 @@ def _detection_checks(rows: np.ndarray) -> list[_Check]:
     ]
 
 
-def write_embeddings(
-    path: str | Path, keyed: Sequence[tuple[int, int, np.ndarray]], dim: int
-) -> None:
-    header = "frame,det_id," + ",".join(f"e{i}" for i in range(dim))
-    lines = [header]
-    for frame, det_id, vec in keyed:
-        if len(vec) != dim:
-            raise FormatError(f"embedding for (frame={frame}, det_id={det_id}) has length "
-                              f"{len(vec)}, expected {dim}")
-        lines.append(f"{frame},{det_id}," + ",".join(fmt9(v) for v in vec))
+def write_embeddings(path: str | Path, stream: CameraStream, dim: int) -> None:
+    """The stream's embeddings, one row per detection keyed by (frame, det_id).
+    The header declares `dim` columns, so a stream without rows keeps its D."""
+    vectors = stream.embeddings if len(stream) else np.empty((0, dim))
+    shape = None if vectors is None else vectors.shape
+    if shape != (len(stream), dim):
+        raise FormatError(f"expected a ({len(stream)}, {dim}) embedding matrix, got {shape}")
+    lines = ["frame,det_id," + ",".join(f"e{i}" for i in range(dim))]
+    for frame, det_id, vec in zip(stream.frame.tolist(), stream.det_id.tolist(), vectors.tolist()):
+        lines.append(f"{frame},{det_id}," + ",".join(map(fmt9, vec)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -183,7 +149,7 @@ def _embedding_checks(rows: np.ndarray) -> list[_Check]:
 
 
 def merge_embeddings(
-    detections: DetectionColumns, embeddings: Optional[EmbeddingColumns]
+    detections: CameraStream, embeddings: Optional[EmbeddingColumns]
 ) -> Optional[np.ndarray]:
     """The (n, D) embedding matrix whose row i is keyed like detection i, or
     None without embeddings; the key sets must match.
@@ -199,7 +165,7 @@ def merge_embeddings(
     return embeddings.vectors[rows]
 
 
-def _embedding_rows(detections: DetectionColumns, embeddings: EmbeddingColumns) -> np.ndarray:
+def _embedding_rows(detections: CameraStream, embeddings: EmbeddingColumns) -> np.ndarray:
     """Row of `embeddings` keyed like each detection.
 
     Both key sets are sorted together; a key present in both sorts as a
@@ -502,10 +468,10 @@ def read_truth_json(path: str | Path) -> TruthFile:
     identity_count = _field(path, doc, "identity_count", int)
     cameras: dict[int, dict[int, list[tuple[int, BoundingBox]]]] = {}
     for cam_key, frames in _field(path, doc, "cameras", dict).items():
-        cam = _int_key(path, "camera", cam_key)
+        cam = int_key(path, "camera", cam_key)
         where = f"{path}: camera {cam}"
         cameras[cam] = {
-            _int_key(where, "frame", f_key): [
+            int_key(where, "frame", f_key): [
                 _truth_entry(f"{where}, frame {f_key}", e)
                 for e in _typed(f"{where}, frame {f_key}", entries, list)
             ]
@@ -833,8 +799,9 @@ def _number_rows(where: str, name: str, rows: list, width: int) -> np.ndarray:
     return np.array([_numbers(where, name, row, width) for row in rows])
 
 
-def _int_key(where: str, what: str, key: str) -> int:
-    """An object key naming an integer id, in canonical decimal form."""
+def int_key(where: str | Path, what: str, key: str) -> int:
+    """A key naming an integer id (a JSON object key, or the K of a file
+    named like detections_cam<K>.csv), in canonical decimal form."""
     if _INT_KEY.fullmatch(key):
         try:
             return int(key)

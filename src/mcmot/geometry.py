@@ -1,9 +1,10 @@
-"""Bounding-box geometry: coordinate conversions, IoU, non-maximum suppression."""
+"""Bounding-box geometry: coordinate conversions, detections and a camera's
+detection columns, IoU, non-maximum suppression."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +54,50 @@ class Detection:
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+
+
+@dataclass(frozen=True, eq=False)
+class CameraStream:
+    """One camera's detections as row-aligned columns: `frame` (n,) int64,
+    `det_id` (n,) int64, `box` (n, 4) float64 rows of (x, y, w, h),
+    `confidence` (n,) float64, `class_id` (n,) int64 and `embeddings` (n, D)
+    float64, or None for a stream without embeddings.
+
+    (frame, det_id) is the key that joins a detection to its embedding row.
+    """
+
+    frame: np.ndarray
+    det_id: np.ndarray
+    box: np.ndarray
+    confidence: np.ndarray
+    class_id: np.ndarray
+    embeddings: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    @classmethod
+    def from_detections(cls, dets: Sequence[Detection]) -> "CameraStream":
+        """Columns of a Detection list, det_ids counting up from 0 within each
+        frame in stream order. Its embeddings are all present or all None
+        (ValueError otherwise)."""
+        with_embedding = sum(d.embedding is not None for d in dets)
+        if with_embedding not in (0, len(dets)):
+            raise ValueError("a stream's detections must all carry embeddings or none")
+        frame = np.array([d.frame for d in dets], dtype=np.int64)
+        order = np.argsort(frame, kind="stable")
+        det_id = np.empty_like(frame)
+        det_id[order] = np.arange(len(frame)) - np.searchsorted(frame[order], frame[order])
+        return cls(
+            frame=frame,
+            det_id=det_id,
+            box=np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
+                         dtype=np.float64).reshape(-1, 4),
+            confidence=np.array([d.confidence for d in dets], dtype=np.float64),
+            class_id=np.array([d.class_id for d in dets], dtype=np.int64),
+            embeddings=(np.array([d.embedding for d in dets], dtype=np.float64)
+                        if with_embedding else None),
+        )
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -26,7 +26,7 @@ from .association import (
     count_unique,
 )
 from .config import PipelineConfig
-from .geometry import Detection, nms
+from .geometry import CameraStream, Detection, nms
 from .refine import refine
 from .tracker import Tracker, Tracklet
 
@@ -42,37 +42,6 @@ def keep_frame(frame, frame_keep: Optional[tuple[int, int]], stride: int):
     return kept
 
 
-@dataclass(frozen=True, eq=False)
-class CameraStream:
-    """One camera's detections as row-aligned columns: `frame` (n,) int64,
-    `box` (n, 4) float64 rows of (x, y, w, h), `confidence` (n,) float64,
-    `class_id` (n,) int64 and `embeddings` (n, D) float64, or None for a
-    stream without embeddings."""
-
-    frame: np.ndarray
-    box: np.ndarray
-    confidence: np.ndarray
-    class_id: np.ndarray
-    embeddings: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_detections(cls, dets: Sequence[Detection]) -> "CameraStream":
-        """Columns of a Detection list; its embeddings are all present or all
-        None (ValueError otherwise)."""
-        with_embedding = sum(d.embedding is not None for d in dets)
-        if with_embedding not in (0, len(dets)):
-            raise ValueError("a stream's detections must all carry embeddings or none")
-        return cls(
-            frame=np.array([d.frame for d in dets], dtype=np.int64),
-            box=np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
-                         dtype=np.float64).reshape(-1, 4),
-            confidence=np.array([d.confidence for d in dets], dtype=np.float64),
-            class_id=np.array([d.class_id for d in dets], dtype=np.int64),
-            embeddings=(np.array([d.embedding for d in dets], dtype=np.float64)
-                        if with_embedding else None),
-        )
-
-
 @dataclass(frozen=True)
 class CameraFiles:
     """A camera's detections CSV and optional embeddings CSV, parsed by
@@ -82,12 +51,11 @@ class CameraFiles:
     embeddings: Optional[Path] = None
 
     def load(self) -> CameraStream:
-        dets = formats.read_detections(self.detections)
-        embs = formats.read_embeddings(self.embeddings) if self.embeddings is not None else None
-        return CameraStream(
-            frame=dets.frame, box=dets.box, confidence=dets.confidence, class_id=dets.class_id,
-            embeddings=formats.merge_embeddings(dets, embs),
-        )
+        stream = formats.read_detections(self.detections)
+        if self.embeddings is None:
+            return stream
+        embeddings = formats.read_embeddings(self.embeddings)
+        return replace(stream, embeddings=formats.merge_embeddings(stream, embeddings))
 
 
 # What a camera's input may be: a Detection list (the simulator, the Python
@@ -104,23 +72,20 @@ class CameraRun:
 
 def process_camera(
     camera_id: int,
-    stream: Union[CameraStream, Sequence[Detection]],
+    stream: CameraStream,
     cfg: PipelineConfig,
     total_frames: Optional[int] = None,
 ) -> CameraRun:
     """Track one camera's detection stream under the given config.
 
-    A Detection list is converted to a CameraStream first. Every kept frame
-    index in [0, total_frames) is stepped, including empty ones, so track
-    aging matches the stream clock. total_frames defaults to one past the
-    last detection's frame. A detection outside that range is an error
-    (ValueError), never silently dropped.
+    Every kept frame index in [0, total_frames) is stepped, including empty
+    ones, so track aging matches the stream clock. total_frames defaults to
+    one past the last detection's frame. A detection outside that range is
+    an error (ValueError), never silently dropped.
 
     The confidence filter, the decimation, NMS and the split into frames
     each run once over the whole stream.
     """
-    if not isinstance(stream, CameraStream):
-        stream = CameraStream.from_detections(stream)
     tcfg = cfg.tracker
     frame = stream.frame
     if total_frames is None:
@@ -158,12 +123,21 @@ def process_camera(
     return CameraRun(camera_id=camera_id, tracklets=tracklets, frames_processed=len(frames))
 
 
-def _run_camera(job: tuple[int, CameraSource, PipelineConfig, Optional[int]]) -> CameraRun:
+def _run_camera(
+    job: tuple[int, Union[CameraStream, CameraFiles], PipelineConfig, Optional[int]]
+) -> CameraRun:
     """One camera's unit of work: parse its files if given, then track it."""
     camera_id, source, cfg, total_frames = job
     if isinstance(source, CameraFiles):
         source = source.load()
     return process_camera(camera_id, source, cfg, total_frames)
+
+
+def _columns(source: CameraSource) -> Union[CameraStream, CameraFiles]:
+    """A Detection list as columns; columns and files as they are."""
+    if isinstance(source, (CameraStream, CameraFiles)):
+        return source
+    return CameraStream.from_detections(source)
 
 
 def run_cameras(
@@ -173,10 +147,16 @@ def run_cameras(
     total_frames: Optional[int] = None,
 ) -> list[CameraRun]:
     """Run every camera in camera order, optionally one worker process per
-    camera. A worker gets only its camera's source (file paths, for
-    CameraFiles) and returns only its CameraRun. Either way the error
-    raised is that of the first camera, in camera order, that fails."""
-    jobs = [(cam, streams[cam], cfg, total_frames) for cam in sorted(streams)]
+    camera.
+
+    Every Detection list is converted to a CameraStream here, in camera
+    order, before any camera runs, so a malformed list is reported first
+    and a worker never receives Detection objects. A worker gets only its
+    camera's columns or file paths, and returns only its CameraRun. Either
+    way the error raised is that of the first camera, in camera order, that
+    fails.
+    """
+    jobs = [(cam, _columns(streams[cam]), cfg, total_frames) for cam in sorted(streams)]
     if parallel and len(jobs) > 1:
         # Imported here: the pool's modules cost every other command start-up time.
         from concurrent.futures import ProcessPoolExecutor

@@ -75,6 +75,12 @@ class ScenarioConfig:
             raise ConfigError("identity_min_separation must be > 0")
         if not 0.0 <= self.miss_prob <= 1.0:
             raise ConfigError("miss_prob must be in [0, 1]")
+        if self.embedding_dim < 1:
+            raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
+        for name in ("embedding_noise_sigma", "false_positive_rate", "box_jitter_sigma",
+                     "camera_motion_sigma"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if (
             self.box_width_range[1] >= self.image_size[0]
             or self.box_height_range[1] >= self.image_size[1]

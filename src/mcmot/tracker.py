@@ -53,6 +53,8 @@ class TrackerConfig:
             raise ValueError("max_age, n_init, nn_budget and frame_stride must be >= 1")
         if self.appearance_metric not in ("euclidean", "cosine"):
             raise ValueError(f"unknown appearance metric: {self.appearance_metric!r}")
+        if not 0.0 <= self.nms_threshold <= 1.0:
+            raise ValueError(f"nms_threshold must be in [0, 1], got {self.nms_threshold}")
 
 
 class TrackStatus(enum.Enum):

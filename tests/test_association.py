@@ -17,6 +17,7 @@ from mcmot.association import (
     voting_merge,
 )
 from mcmot.config import PipelineConfig
+from mcmot.geometry import CameraStream
 from mcmot.pipeline import process_camera
 from mcmot.sim import ScenarioConfig, generate
 from mcmot.tracker import Tracker, TrackerConfig, Tracklet
@@ -179,7 +180,8 @@ def run_scenario_tracklets(cfg):
     per_camera = {}
     pc = PipelineConfig(tracker=TrackerConfig(n_init=3, max_age=30))
     for cam, dets in streams.items():
-        per_camera[cam] = process_camera(cam, dets, pc, total_frames=cfg.frames).tracklets
+        stream = CameraStream.from_detections(dets)
+        per_camera[cam] = process_camera(cam, stream, pc, total_frames=cfg.frames).tracklets
     return truth, per_camera
 
 

@@ -60,6 +60,20 @@ class TestSimulateCli:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         assert "error[config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("false_positive_rate", -1.0), ("camera_motion_sigma", -1.0),
+         ("embedding_noise_sigma", -0.1), ("box_jitter_sigma", -1.0),
+         ("embedding_dim", -1), ("embedding_dim", 0)],
+    )
+    def test_out_of_range_value_is_config_error(self, tmp_path, capsys, field, value):
+        cfg = write_scenario_config(tmp_path, identities=1, **{field: value})
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[config]: {field} must be >= ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestTrackCli:
     def test_empty_detections_empty_track_file(self, tmp_path):
@@ -848,6 +862,36 @@ class TestCountCli:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[format]: {cfg}: duplicate key ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", [-0.5, 1.5])
+    def test_nms_threshold_out_of_range_is_config_error(self, tmp_path, capsys, threshold):
+        # Reported from the config, before any CSV is read: this one is malformed.
+        scn = simulate(tmp_path, cameras=1, identities=1, frames=5, embedding_dim=4)
+        replace_line(scn / "detections_cam0.csv", 1, "0,0,oops")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "study1", "tracker": {"nms_threshold": threshold}}))
+        argv = ["count", "--scenario", str(scn), "--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error[config]: invalid tracker config: nms_threshold must be in [0, 1], "
+            f"got {threshold}\n"
+        )
+
+    @pytest.mark.parametrize("name", ["detections_cam01.csv", "detections_cam1_0.csv",
+                                      "detections_cam.csv", "detections_cam+1.csv"])
+    def test_camera_id_in_file_name_must_be_canonical(self, tmp_path, capsys, name):
+        # A second spelling of camera 1 once replaced it silently, and
+        # "1_0" read as camera 10.
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=10, embedding_dim=4)
+        bad = scn / name
+        bad.write_bytes((scn / "detections_cam1.csv").read_bytes())
+        out = tmp_path / "r.json"
+        assert main(["count", "--scenario", str(scn), "--output", str(out)]) == 1
+        key = json.dumps(name.removeprefix("detections_cam").removesuffix(".csv"))
+        assert capsys.readouterr().err == (
+            f"error[format]: {bad}: camera key {key} must be a decimal integer\n"
+        )
         assert not out.exists()
 
     def test_repeated_scenario_config_key_is_format_error(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import json
 import re
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,21 +19,28 @@ from mcmot.config import (
     study1_preset,
     study2_preset,
 )
-from mcmot.formats import DetectionColumns, EmbeddingColumns, FormatError
-from mcmot.geometry import BoundingBox, Detection
+from mcmot.formats import EmbeddingColumns, FormatError
+from mcmot.geometry import BoundingBox, CameraStream, Detection
 from mcmot.sim import ConfigError, ScenarioConfig, generate
 from mcmot.tracker import Tracklet
 
 
-def columns(rows) -> DetectionColumns:
-    """Detection columns from (frame, det_id, (x, y, w, h), confidence, class_id) rows."""
-    return DetectionColumns(
+def columns(rows, embeddings=None) -> CameraStream:
+    """A stream from (frame, det_id, (x, y, w, h), confidence, class_id) rows."""
+    return CameraStream(
         frame=np.array([r[0] for r in rows], dtype=np.int64),
         det_id=np.array([r[1] for r in rows], dtype=np.int64),
         box=np.array([r[2] for r in rows], dtype=np.float64).reshape(-1, 4),
         confidence=np.array([r[3] for r in rows], dtype=np.float64),
         class_id=np.array([r[4] for r in rows], dtype=np.int64),
+        embeddings=embeddings,
     )
+
+
+def keyed_stream(keyed, dim) -> CameraStream:
+    """A stream whose embeddings are the vectors of (frame, det_id, vector) rows."""
+    vectors = np.array([k[2] for k in keyed], dtype=np.float64).reshape(len(keyed), dim)
+    return columns([(f, d, (0, 0, 1, 1), 0.5, 0) for f, d, _ in keyed], vectors)
 
 
 def embedding_columns(keyed, dim=2) -> EmbeddingColumns:
@@ -45,7 +52,7 @@ def embedding_columns(keyed, dim=2) -> EmbeddingColumns:
     )
 
 
-def assert_columns_equal(got: DetectionColumns, want: DetectionColumns) -> None:
+def assert_columns_equal(got: CameraStream, want: CameraStream) -> None:
     for name in ("frame", "det_id", "box", "confidence", "class_id"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
@@ -95,10 +102,13 @@ class TestDetectionFile:
     def test_from_detections_numbers_det_ids_per_frame(self):
         box = BoundingBox(1.0, 2.0, 3.0, 4.0)
         dets = [Detection(f, box, 0.5) for f in (0, 0, 0, 3, 3, 7)]
-        got = DetectionColumns.from_detections(dets)
+        got = CameraStream.from_detections(dets)
         assert got.det_id.tolist() == [0, 1, 2, 0, 1, 0]
         assert got.box.shape == (6, 4)
-        assert len(DetectionColumns.from_detections([])) == 0
+        assert len(CameraStream.from_detections([])) == 0
+        # Numbered in stream order within each frame, whatever the frame order.
+        dets = [Detection(f, box, 0.5) for f in (3, 0, 3, 0, 7)]
+        assert CameraStream.from_detections(dets).det_id.tolist() == [0, 0, 1, 1, 0]
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -176,23 +186,40 @@ class TestEmbeddingFile:
         rng = np.random.default_rng(62)
         keyed = [(f, d, rng.normal(size=8)) for f in range(5) for d in range(2)]
         path = tmp_path / "embs.csv"
-        formats.write_embeddings(path, keyed, dim=8)
+        stream = keyed_stream(keyed, dim=8)
+        formats.write_embeddings(path, stream, dim=8)
         got = formats.read_embeddings(path)
         keys = list(zip(got.frame.tolist(), got.det_id.tolist()))
         assert set(keys) == {(f, d) for f, d, _ in keyed}
         assert got.vectors.flags["C_CONTIGUOUS"] and got.vectors.shape == (10, 8)
-        by_key = dict(zip(keys, got.vectors))
         text = path.read_text()
-        formats.write_embeddings(path, [(f, d, by_key[(f, d)]) for f, d, _ in keyed], dim=8)
+        merged = replace(stream, embeddings=formats.merge_embeddings(stream, got))
+        formats.write_embeddings(path, merged, dim=8)
         assert path.read_text() == text
 
     def test_header_declares_dimension(self, tmp_path):
         path = tmp_path / "embs.csv"
-        formats.write_embeddings(path, [(0, 0, np.zeros(4))], dim=4)
+        formats.write_embeddings(path, keyed_stream([(0, 0, np.zeros(4))], dim=4), dim=4)
         assert path.read_text().splitlines()[0] == "frame,det_id,e0,e1,e2,e3"
         got = formats.read_embeddings(path)
         assert got.vectors.shape == (1, 4)
         assert (got.frame.tolist(), got.det_id.tolist()) == ([0], [0])
+
+    def test_empty_stream_keeps_dimension(self, tmp_path):
+        # A camera without detections has no embeddings to take D from.
+        path = tmp_path / "embs.csv"
+        empty = CameraStream.from_detections([])
+        assert empty.embeddings is None
+        formats.write_embeddings(path, empty, dim=3)
+        assert path.read_text() == "frame,det_id,e0,e1,e2\n"
+        assert formats.read_embeddings(path).vectors.shape == (0, 3)
+
+    def test_matrix_shape_checked(self, tmp_path):
+        path = tmp_path / "embs.csv"
+        with pytest.raises(FormatError, match=r"\(1, 4\) embedding matrix, got \(1, 3\)"):
+            formats.write_embeddings(path, keyed_stream([(0, 0, np.zeros(3))], dim=3), dim=4)
+        with pytest.raises(FormatError, match="got None"):
+            formats.write_embeddings(path, columns([(0, 0, (0, 0, 1, 1), 0.5, 0)]), dim=4)
 
     def test_wrong_length_row_rejected(self, tmp_path):
         path = tmp_path / "embs.csv"
@@ -651,3 +678,6 @@ class TestPresets:
             config_from_dict({"tracker": {"max_age": 0}})
         with pytest.raises(ConfigError):
             config_from_dict({"association": {"method": "bogus"}})
+        for nms_threshold in (-0.5, 1.5):
+            with pytest.raises(ConfigError, match="invalid tracker config: nms_threshold"):
+                config_from_dict({"tracker": {"nms_threshold": nms_threshold}})

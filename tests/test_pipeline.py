@@ -1,11 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from mcmot.association import AssociationConfig
 from mcmot.config import PipelineConfig, study1_preset
 from mcmot.geometry import BoundingBox, Detection
+from mcmot.geometry import CameraStream
 from mcmot.pipeline import (
-    CameraStream,
+    CameraFiles,
     associate_and_refine,
     keep_frame,
     process_camera,
@@ -34,6 +37,11 @@ class TestKeepFrame:
         assert kept == [f for f in range(0, 270, 2)]
 
 
+def track(dets, cfg, total_frames=None):
+    """process_camera on a Detection list, converted as run_cameras does."""
+    return process_camera(0, CameraStream.from_detections(dets), cfg, total_frames)
+
+
 def constant_stream(frames, x=100.0, conf=0.9):
     return [
         Detection(frame=f, box=BoundingBox(x, 50.0, 30.0, 60.0), confidence=conf)
@@ -44,32 +52,32 @@ def constant_stream(frames, x=100.0, conf=0.9):
 class TestProcessCamera:
     def test_frames_processed_counts_decimated(self):
         cfg = PipelineConfig(tracker=TrackerConfig(frame_stride=4))
-        run = process_camera(0, constant_stream(300), cfg)
+        run = track(constant_stream(300), cfg)
         assert run.frames_processed == 75
 
     def test_total_frames_overrides_stream_extent(self):
         cfg = PipelineConfig()
-        run = process_camera(0, constant_stream(10), cfg, total_frames=50)
+        run = track(constant_stream(10), cfg, total_frames=50)
         assert run.frames_processed == 50
 
     def test_detection_beyond_total_frames_rejected(self):
         with pytest.raises(ValueError, match="frame 12"):
-            process_camera(0, constant_stream(10) + constant_stream(13)[12:], PipelineConfig(),
+            track(constant_stream(10) + constant_stream(13)[12:], PipelineConfig(),
                            total_frames=10)
         with pytest.raises(ValueError, match="frame -1"):
-            process_camera(0, [Detection(-1, BoundingBox(0, 0, 5, 5), 0.9)], PipelineConfig())
+            track([Detection(-1, BoundingBox(0, 0, 5, 5), 0.9)], PipelineConfig())
 
     def test_detection_threshold_filters_ingest(self):
         cfg = PipelineConfig(detection_threshold=0.95)
-        run = process_camera(0, constant_stream(20, conf=0.9), cfg)
+        run = track(constant_stream(20, conf=0.9), cfg)
         assert run.tracklets == []
 
     def test_export_confidence_filters_tracklets(self):
         cfg = PipelineConfig(export_confidence=0.95)
-        run = process_camera(0, constant_stream(20, conf=0.9), cfg)
+        run = track(constant_stream(20, conf=0.9), cfg)
         assert run.tracklets == []
         cfg = PipelineConfig(export_confidence=0.5)
-        run = process_camera(0, constant_stream(20, conf=0.9), cfg)
+        run = track(constant_stream(20, conf=0.9), cfg)
         assert len(run.tracklets) == 1
 
     @pytest.mark.parametrize("pc", [PipelineConfig(), study1_preset()], ids=["no-nms", "nms"])
@@ -80,7 +88,7 @@ class TestProcessCamera:
                              embedding_noise_sigma=0.05, false_positive_rate=0.5)
         _, streams = generate(cfg)
         reversed_frames = sorted(streams[0], key=lambda d: -d.frame)
-        runs = [process_camera(0, s, pc, total_frames=40) for s in (streams[0], reversed_frames)]
+        runs = [track(s, pc, total_frames=40) for s in (streams[0], reversed_frames)]
         assert [(t.track_id, t.frames.tolist(), t.boxes.tolist(), t.embedding.tolist())
                 for t in runs[0].tracklets] == [
             (t.track_id, t.frames.tolist(), t.boxes.tolist(), t.embedding.tolist())
@@ -91,8 +99,8 @@ class TestProcessCamera:
         _, streams = generate(cfg)
         stream = CameraStream.from_detections(streams[0])
         assert stream.embeddings.shape == (len(streams[0]), 8)
-        a = process_camera(0, streams[0], PipelineConfig())
-        b = process_camera(0, stream, PipelineConfig())
+        [a] = run_cameras({0: streams[0]}, PipelineConfig())
+        [b] = run_cameras({0: stream}, PipelineConfig())
         assert [t.embedding.tobytes() for t in a.tracklets] == [
             t.embedding.tobytes() for t in b.tracklets]
 
@@ -100,10 +108,21 @@ class TestProcessCamera:
         dets = constant_stream(3)
         dets[1] = Detection(1, dets[1].box, 0.9, embedding=np.ones(4))
         with pytest.raises(ValueError, match="all carry embeddings or none"):
-            process_camera(0, dets, PipelineConfig())
+            track(dets, PipelineConfig())
+
+    def test_malformed_list_reported_before_any_camera_runs(self, tmp_path):
+        # Camera 0's files are parsed in its unit of work; camera 1's list is
+        # converted before any unit runs, so its error comes first.
+        dets = constant_stream(3)
+        dets[1] = Detection(1, dets[1].box, 0.9, embedding=np.ones(4))
+        streams = {0: CameraFiles(tmp_path / "missing.csv"), 1: dets}
+        with pytest.raises(ValueError, match="all carry embeddings or none"):
+            run_cameras(streams, PipelineConfig())
+        with pytest.raises(FileNotFoundError):
+            run_cameras({0: streams[0], 1: constant_stream(3)}, PipelineConfig())
 
     def test_study1_preset_decimation(self):
-        run = process_camera(0, constant_stream(300), study1_preset())
+        run = track(constant_stream(300), study1_preset())
         assert run.frames_processed == 270
 
 
@@ -166,19 +185,41 @@ class TestRunPipeline:
         pc = PipelineConfig()
         seq = run_cameras(streams, pc, parallel=False, total_frames=50)
         par = run_cameras(streams, pc, parallel=True, total_frames=50)
-
-        def fingerprint(runs):
-            return [
-                (
-                    r.camera_id,
-                    r.frames_processed,
-                    [
-                        (t.track_id, t.frames.tolist(), t.boxes.tolist(),
-                         t.confidences.tolist(), t.embedding.tobytes())
-                        for t in r.tracklets
-                    ],
-                )
-                for r in runs
-            ]
-
         assert fingerprint(seq) == fingerprint(par)
+
+    def test_parallel_workers_get_columns_not_detections(self):
+        # Detections of a class defined here cannot be pickled, so a worker
+        # that received the Detection objects would fail.
+        class LocalDetection(Detection):
+            pass
+
+        cfg = ScenarioConfig(seed=74, cameras=3, identities=4, frames=40, embedding_dim=8,
+                             embedding_noise_sigma=0.05, false_positive_rate=0.5)
+        _, generated = generate(cfg)
+        streams = {
+            cam: [LocalDetection(d.frame, d.box, d.confidence, d.class_id, d.embedding)
+                  for d in dets]
+            for cam, dets in generated.items()
+        }
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(streams[0])
+        pc = study1_preset()
+        seq = run_cameras(streams, pc, parallel=False, total_frames=40)
+        par = run_cameras(streams, pc, parallel=True, total_frames=40)
+        assert fingerprint(seq) == fingerprint(par)
+        assert fingerprint(seq) == fingerprint(run_cameras(generated, pc, total_frames=40))
+
+
+def fingerprint(runs):
+    return [
+        (
+            r.camera_id,
+            r.frames_processed,
+            [
+                (t.track_id, t.frames.tolist(), t.boxes.tolist(),
+                 t.confidences.tolist(), t.embedding.tobytes())
+                for t in r.tracklets
+            ],
+        )
+        for r in runs
+    ]
