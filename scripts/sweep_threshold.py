@@ -44,7 +44,7 @@ def main() -> None:
     n_tracklets = sum(len(t) for t in per_camera.values())
     print(f"truth: {args.identities} identities, {n_tracklets} tracklets\n")
 
-    methods = ("euclidean", "voting", "euclidean_voting")
+    methods = ("euclidean", "euclidean_voting")
     print("tau     " + "".join(f"{m:>18s}" for m in methods))
     for tau in np.asarray(args.taus, dtype=float):
         row = [

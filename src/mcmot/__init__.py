@@ -12,7 +12,6 @@ from .association import (
     AssociationConfig,
     Cluster,
     associate_multicamera,
-    count_unique,
     euclidean_associate,
     voting_merge,
 )

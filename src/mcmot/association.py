@@ -1,5 +1,10 @@
 """Two-stage tracklet association across cameras: greedy L2 clustering of
-pooled appearance embeddings, with an optional majority-voting merge pass."""
+pooled appearance embeddings, with an optional majority-voting merge pass.
+
+Both passes work on one (n, D) matrix E holding each tracklet's pooled
+embedding as a row. Within a pass a cluster is the list of its members' rows
+of E, in member order, and its centroid is ``np.mean(E[rows], axis=0)``.
+"""
 
 from __future__ import annotations
 
@@ -12,17 +17,16 @@ import numpy as np
 from .errors import ConfigError
 from .tracker import Tracklet
 
-METHODS = ("euclidean", "voting", "euclidean_voting")
+METHODS = ("euclidean", "euclidean_voting")
 
 
 @dataclass(frozen=True)
 class AssociationConfig:
     """Tracklet association settings.
 
-    method: "euclidean" (greedy centroid clustering), "voting" (singleton
-    clusters merged by majority voting), or "euclidean_voting" (greedy
-    clustering followed by the voting merge pass). threshold is the L2
-    distance cutoff; intra_first merges fragmented tracklets within each
+    method: "euclidean" (greedy centroid clustering) or "euclidean_voting"
+    (greedy clustering followed by the voting merge pass). threshold is the
+    L2 distance cutoff; intra_first merges fragmented tracklets within each
     camera before the cross-camera pass.
     """
 
@@ -39,39 +43,36 @@ class AssociationConfig:
 
 @dataclass(eq=False)
 class Cluster:
-    """A set of tracklets judged to be one person across cameras.
-
-    member_embeddings holds one pooled (per-tracklet mean) embedding per
-    member; the centroid is their arithmetic mean.
-    """
+    """A set of tracklets judged to be one person across cameras, as the
+    (camera_id, track_id) of each member."""
 
     global_id: int
     members: list[tuple[int, int]] = field(default_factory=list)
-    member_embeddings: list[np.ndarray] = field(default_factory=list)
-    centroid: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def recompute_centroid(self) -> None:
-        self.centroid = np.mean(np.asarray(self.member_embeddings), axis=0)
-
-    def absorb(self, other: "Cluster") -> None:
-        self.members.extend(other.members)
-        self.member_embeddings.extend(other.member_embeddings)
-        self.recompute_centroid()
 
 
-def _singleton(t: Tracklet, global_id: int) -> Cluster:
-    if t.embedding is None:
-        raise ConfigError(
-            f"tracklet (camera {t.camera_id}, track {t.track_id}) has no embeddings; "
-            "association requires embedding input"
-        )
-    e = np.asarray(t.embedding, dtype=float)
-    return Cluster(
-        global_id=global_id,
-        members=[(t.camera_id, t.track_id)],
-        member_embeddings=[e],
-        centroid=e.copy(),
-    )
+def _pooled_matrix(tracklets: Sequence[Tracklet]) -> np.ndarray:
+    """The tracklets' pooled embeddings stacked as rows, in order.
+
+    Every tracklet needs an embedding (ConfigError), and every embedding the
+    width of the first one (ValueError).
+    """
+    rows = []
+    for t in tracklets:
+        if t.embedding is None:
+            raise ConfigError(
+                f"tracklet (camera {t.camera_id}, track {t.track_id}) has no embeddings; "
+                "association requires embedding input"
+            )
+        rows.append(np.asarray(t.embedding, dtype=float))
+    for t, e in zip(tracklets, rows):
+        if len(e) != len(rows[0]):
+            first = tracklets[0]
+            raise ValueError(
+                f"tracklet (camera {t.camera_id}, track {t.track_id}) has a {len(e)}-wide "
+                f"embedding, but tracklet (camera {first.camera_id}, track {first.track_id}) "
+                f"has a {len(rows[0])}-wide one"
+            )
+    return np.stack(rows) if rows else np.empty((0, 0))
 
 
 def _row_distances(X: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -86,80 +87,62 @@ def _row_distances(X: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
-def _greedy_pass(units: list[Cluster], threshold: float) -> list[Cluster]:
-    """Greedy agglomeration: each unit joins the nearest existing cluster by
-    centroid distance if within threshold, else opens a new cluster. Ties go
-    to the earliest cluster."""
-    clusters: list[Cluster] = []
-    if not units:
-        return clusters
-    # Row i is clusters[i].centroid; only the absorbing row changes.
-    centroids = np.empty((len(units), units[0].centroid.shape[0]))
+def _centroid(E: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """``np.mean(E[rows], axis=0)``, bit for bit: the same sum divided by the
+    same count, without np.mean's per-call overhead (a pass takes thousands).
+    A one-member centroid is that member's row (a view of E)."""
+    return E[rows[0]] if len(rows) == 1 else np.add.reduce(E[rows], axis=0) / len(rows)
+
+
+def _greedy_pass(units: Sequence[list[int]], E: np.ndarray, threshold: float) -> list[list[int]]:
+    """Greedy agglomeration of units (row lists of E): each unit joins the
+    nearest existing cluster by centroid distance if within threshold, else
+    opens a new cluster. Ties go to the earliest cluster. The units are not
+    mutated."""
+    clusters: list[list[int]] = []
+    # Row i is the centroid of clusters[i]; only the absorbing row changes.
+    centroids = np.empty((len(units), E.shape[1]))
     for unit in units:
+        centroid = _centroid(E, unit)
         if clusters:
-            dists = _row_distances(centroids[: len(clusters)], unit.centroid)
+            dists = _row_distances(centroids[: len(clusters)], centroid)
             best = int(np.argmin(dists))
             if dists[best] <= threshold:
-                clusters[best].absorb(unit)
-                centroids[best] = clusters[best].centroid
+                clusters[best].extend(unit)
+                centroids[best] = _centroid(E, clusters[best])
                 continue
-        centroids[len(clusters)] = unit.centroid
-        clusters.append(
-            Cluster(
-                global_id=len(clusters) + 1,
-                members=list(unit.members),
-                member_embeddings=list(unit.member_embeddings),
-                centroid=unit.centroid.copy(),
-            )
-        )
+        centroids[len(clusters)] = centroid
+        clusters.append(list(unit))
     return clusters
 
 
-def euclidean_associate(tracklets: Sequence[Tracklet], threshold: float) -> list[Cluster]:
-    """Greedy agglomerative clustering of tracklet mean embeddings.
+def voting_merge(clusters: Sequence[list[int]], E: np.ndarray, threshold: float) -> list[list[int]]:
+    """Majority-voting merge of clusters (row lists of E) to a deterministic
+    fixpoint.
 
-    Tracklets are visited in (camera_id, track_id) order; centroids are
-    recomputed after every assignment.
-    """
-    ordered = sorted(tracklets, key=lambda t: (t.camera_id, t.track_id))
-    return _greedy_pass([_singleton(t, i + 1) for i, t in enumerate(ordered)], threshold)
-
-
-def voting_merge(clusters: Sequence[Cluster], threshold: float) -> list[Cluster]:
-    """Majority-voting merge to a deterministic fixpoint.
-
-    A member embedding of A is inside B iff its L2 distance to B's centroid
-    is <= threshold. While any ordered pair (A, B) has strictly more than
-    half of A's member embeddings inside B, the first such pair in ascending
-    (global_id_A, global_id_B) order is merged (A into B). The inputs are
-    not mutated.
+    A member of A is inside B iff its row's L2 distance to B's centroid is
+    <= threshold. While any ordered pair (A, B) has strictly more than half
+    of A's members inside B, the first such pair in ascending (position of
+    A, position of B) order is merged: A's members are appended to B's and
+    A is dropped. The inputs are not mutated.
 
     inside[a, b] counts a's members inside b. A merge of a into b adds row a
     to row b and recomputes column b alone (only b's centroid moved), so
-    each merge costs O(M*D + k^2) for M member embeddings and k clusters.
+    each merge costs O(M*D + k^2) for M members and k clusters.
     """
-    live = [
-        Cluster(
-            global_id=c.global_id,
-            members=list(c.members),
-            member_embeddings=list(c.member_embeddings),
-            centroid=c.centroid.copy(),
-        )
-        for c in sorted(clusters, key=lambda c: c.global_id)
-    ]
+    live = [list(c) for c in clusters]
     k = len(live)
     if k < 2:
         return live
-    sizes = np.array([len(c.member_embeddings) for c in live])
+    sizes = np.array([len(c) for c in live])
     owner = np.repeat(np.arange(k), sizes)
-    embeddings = np.asarray([e for c in live for e in c.member_embeddings])
-    gids = np.array([c.global_id for c in live])
+    members = E[np.concatenate(live)]
+    # Pairs that may vote: distinct clusters, neither one merged away.
+    allowed = ~np.eye(k, dtype=bool)
     alive = np.ones(k, dtype=bool)
-    # Pairs that may vote: distinct global ids, neither cluster retired.
-    allowed = gids[:, None] != gids[None, :]
 
     def inside_column(b: int) -> np.ndarray:
-        near = _row_distances(embeddings, live[b].centroid) <= threshold
+        near = _row_distances(members, _centroid(E, live[b])) <= threshold
         return np.bincount(owner[near], minlength=k)
 
     inside = np.empty((k, k), dtype=np.int64)
@@ -171,7 +154,7 @@ def voting_merge(clusters: Sequence[Cluster], threshold: float) -> list[Cluster]
         a, b = divmod(first, k)
         if not majority[a, b]:
             return [c for c, keep in zip(live, alive) if keep]
-        live[b].absorb(live[a])
+        live[b].extend(live[a])
         sizes[b] += sizes[a]
         owner[owner == a] = b
         inside[b] += inside[a]
@@ -179,14 +162,13 @@ def voting_merge(clusters: Sequence[Cluster], threshold: float) -> list[Cluster]
         alive[a] = allowed[a] = allowed[:, a] = False
 
 
-def _run_method(units: list[Cluster], method: str, threshold: float) -> list[Cluster]:
-    if method == "euclidean":
-        return _greedy_pass(units, threshold)
-    if method == "voting":
-        return voting_merge(units, threshold)
-    if method == "euclidean_voting":
-        return voting_merge(_greedy_pass(units, threshold), threshold)
-    raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+def _cluster_rows(
+    units: Sequence[list[int]], E: np.ndarray, cfg: AssociationConfig
+) -> list[list[int]]:
+    clusters = _greedy_pass(units, E, cfg.threshold)
+    if cfg.method == "euclidean_voting":
+        clusters = voting_merge(clusters, E, cfg.threshold)
+    return clusters
 
 
 def associate_multicamera(
@@ -194,49 +176,33 @@ def associate_multicamera(
 ) -> list[Cluster]:
     """Cluster tracklets into global identities across cameras.
 
-    With intra_first, the configured method first merges fragmented tracklets
-    within each camera; the resulting per-camera clusters are then pooled and
-    clustered across cameras. Global ids are assigned in ascending discovery
-    order starting at 1. Every tracklet's embedding must have the width of
-    the first tracklet's (ValueError otherwise).
+    Tracklets are visited in camera order, then (camera_id, track_id)
+    order. With intra_first, the configured method first merges fragmented
+    tracklets within each camera; the resulting per-camera clusters are then
+    pooled and clustered across cameras. Global ids are assigned in
+    discovery order starting at 1. Every tracklet's embedding must have the
+    width of the first tracklet's (ValueError otherwise).
     """
-    by_camera: list[list[Cluster]] = []
-    for camera_id in sorted(per_camera):
-        tracklets = sorted(per_camera[camera_id], key=lambda t: (t.camera_id, t.track_id))
-        by_camera.append([_singleton(t, 0) for t in tracklets])
-    _check_widths([s for singles in by_camera for s in singles])
-    units: list[Cluster] = []
-    for singles in by_camera:
-        for i, s in enumerate(singles):
-            s.global_id = len(units) + i + 1
-        if cfg.intra_first:
-            intra = _run_method(singles, cfg.method, cfg.threshold)
-            for c in intra:
-                c.global_id = len(units) + 1
-                units.append(c)
-        else:
-            units.extend(singles)
-    clusters = _run_method(units, cfg.method, cfg.threshold)
-    clusters.sort(key=lambda c: c.global_id)
-    for i, c in enumerate(clusters):
-        c.global_id = i + 1
-    return clusters
+    tracklets = [
+        t for cam in sorted(per_camera)
+        for t in sorted(per_camera[cam], key=lambda t: (t.camera_id, t.track_id))
+    ]
+    E = _pooled_matrix(tracklets)
+    units: list[list[int]] = []
+    start = 0
+    for cam in sorted(per_camera):
+        singles = [[r] for r in range(start, start + len(per_camera[cam]))]
+        start += len(singles)
+        units.extend(_cluster_rows(singles, E, cfg) if cfg.intra_first else singles)
+    keys = [(t.camera_id, t.track_id) for t in tracklets]
+    return [
+        Cluster(global_id=i + 1, members=[keys[r] for r in rows])
+        for i, rows in enumerate(_cluster_rows(units, E, cfg))
+    ]
 
 
-def _check_widths(singles: Sequence[Cluster]) -> None:
-    if not singles:
-        return
-    first = singles[0]
-    for s in singles:
-        if len(s.centroid) != len(first.centroid):
-            (cam, track), (cam0, track0) = s.members[0], first.members[0]
-            raise ValueError(
-                f"tracklet (camera {cam}, track {track}) has a {len(s.centroid)}-wide "
-                f"embedding, but tracklet (camera {cam0}, track {track0}) has a "
-                f"{len(first.centroid)}-wide one"
-            )
-
-
-def count_unique(clusters: Sequence[Cluster]) -> int:
-    """Number of distinct identities: one per cluster."""
-    return len(clusters)
+def euclidean_associate(tracklets: Sequence[Tracklet], threshold: float) -> list[Cluster]:
+    """Greedy clustering of all tracklets in one pass, visited in
+    (camera_id, track_id) order."""
+    cfg = AssociationConfig(method="euclidean", threshold=threshold, intra_first=False)
+    return associate_multicamera({0: tracklets}, cfg)

@@ -25,7 +25,7 @@ from .config import PRESETS, load_config
 from .errors import ConfigError
 from .formats import FormatError
 from .geometry import CameraStream
-from .pipeline import CameraFiles, associate_methods, process_camera, run_pipeline
+from .pipeline import CameraFiles, associate_and_refine, process_camera, run_pipeline
 from .refine import (
     ConfusionCounts,
     CountReport,
@@ -36,9 +36,10 @@ from .refine import (
 from .sim import generate, scenario_from_dict, scenario_to_dict
 from .tracker import Tracklet
 
-# CLI method names: "voting" is the voting methodology (greedy clustering
-# followed by the majority-vote merge); "both" reports euclidean and voting
-# side by side with euclidean providing the primary clustering.
+# CLI method names: "voting" is euclidean_voting (greedy clustering followed
+# by the majority-vote merge); "both" reports euclidean and euclidean_voting
+# side by side with euclidean providing the primary clustering. Without
+# --method, the config's association.method runs.
 _CLI_METHODS = {
     "euclidean": ["euclidean"],
     "voting": ["euclidean_voting"],
@@ -182,12 +183,6 @@ def _override_config(cfg, threshold: Optional[float]):
     return cfg
 
 
-def _resolve_methods(args, cfg) -> list[str]:
-    if args.method is not None:
-        return _CLI_METHODS[args.method]
-    return [cfg.association.method]
-
-
 def _cmd_track(args) -> int:
     cfg = load_config(args.config)
     if args.frame_stride is not None:
@@ -228,7 +223,7 @@ def _cmd_associate(args) -> int:
         camera_tracklets.setdefault(camera_id, []).extend(tracklets)
 
     start = time.perf_counter()
-    clusters, counts = associate_methods(camera_tracklets, cfg, _resolve_methods(args, cfg))
+    clusters, counts = associate_and_refine(camera_tracklets, cfg, _CLI_METHODS.get(args.method))
     wall = time.perf_counter() - start
 
     frames_processed = sum(
@@ -258,13 +253,17 @@ def _cmd_count(args) -> int:
         cam = formats.int_key(det_path, "camera", det_path.stem.removeprefix("detections_cam"))
         emb_path = scenario / f"embeddings_cam{cam}.csv"
         streams[cam] = CameraFiles(det_path, emb_path if emb_path.exists() else None)
+    paired = {files.embeddings for files in streams.values()}
+    for emb_path in sorted(scenario.glob("embeddings_cam*.csv")):
+        if emb_path not in paired:
+            raise FormatError(f"{emb_path}: no detections_cam<K>.csv matches this file")
 
     result = run_pipeline(
         streams,
         cfg,
         parallel=args.parallel,
         total_frames=total_frames,
-        methods=_resolve_methods(args, cfg),
+        methods=_CLI_METHODS.get(args.method),
     )
     if args.output:
         doc = formats.results_doc(

@@ -19,12 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import formats
-from .association import (
-    AssociationConfig,
-    Cluster,
-    associate_multicamera,
-    count_unique,
-)
+from .association import Cluster, associate_multicamera
 from .config import PipelineConfig
 from .geometry import CameraStream, Detection, nms
 from .refine import refine
@@ -171,84 +166,43 @@ def run_cameras(
 class PipelineResult:
     camera_tracklets: dict[int, list[Tracklet]]
     clusters: list[Cluster]
-    unique_count: int
     method_counts: Optional[dict[str, int]]
     frames_processed: int
     wall_time_s: float
-    report: object = None
+
+    @property
+    def unique_count(self) -> int:
+        return len(self.clusters)
 
     @property
     def effective_fps(self) -> float:
         return self.frames_processed / self.wall_time_s if self.wall_time_s > 0 else float("inf")
 
 
-def _prune_clusters(clusters: list[Cluster], surviving: set[tuple[int, int]]) -> list[Cluster]:
-    """Drop refined-away members from clusters, then empty clusters; renumber."""
-    out: list[Cluster] = []
-    for c in clusters:
-        kept = [(i, m) for i, m in enumerate(c.members) if m in surviving]
-        if not kept:
-            continue
-        c.members = [m for _, m in kept]
-        if c.member_embeddings:
-            c.member_embeddings = [c.member_embeddings[i] for i, _ in kept]
-            c.recompute_centroid()
-        out.append(c)
-    for i, c in enumerate(out):
-        c.global_id = i + 1
-    return out
-
-
-def refined_keys(
-    camera_tracklets: Mapping[int, Sequence[Tracklet]], cfg: PipelineConfig
-) -> set[tuple[int, int]]:
-    """(camera_id, track_id) of every tracklet that survives refinement."""
-    all_tracklets = [t for cam in sorted(camera_tracklets) for t in camera_tracklets[cam]]
-    return {(t.camera_id, t.track_id) for t in refine(all_tracklets, cfg.refine)}
-
-
 def associate_and_refine(
     camera_tracklets: Mapping[int, Sequence[Tracklet]],
     cfg: PipelineConfig,
-    method: Optional[str] = None,
-    surviving: Optional[set[tuple[int, int]]] = None,
-) -> tuple[list[Cluster], int]:
-    """Cluster tracklets, apply output refinement, and count unique persons.
-
-    `surviving` is refined_keys(camera_tracklets, cfg), computed here when
-    not given; it does not depend on the method.
-    """
-    acfg = cfg.association
-    if method is not None:
-        acfg = AssociationConfig(
-            method=method, threshold=acfg.threshold, intra_first=acfg.intra_first
-        )
-    clusters = associate_multicamera(camera_tracklets, acfg)
-    if surviving is None:
-        surviving = refined_keys(camera_tracklets, cfg)
-    clusters = _prune_clusters(clusters, surviving)
-    return clusters, count_unique(clusters)
-
-
-def associate_methods(
-    camera_tracklets: Mapping[int, Sequence[Tracklet]],
-    cfg: PipelineConfig,
-    methods: Sequence[str],
+    methods: Optional[Sequence[str]] = None,
 ) -> tuple[list[Cluster], Optional[dict[str, int]]]:
-    """Associate once per method, refining once for all of them.
+    """Refine once, associate once per method (default: the configured
+    one), and drop refined-away members and then emptied clusters.
 
-    The first method provides the clustering. The per-method unique counts
-    are returned only when more than one method ran (side-by-side report);
-    otherwise the counts are None.
+    Returns the first method's clusters, renumbered from 1, and the number
+    of clusters per method when more than one method ran (None otherwise).
     """
-    surviving = refined_keys(camera_tracklets, cfg)
-    clusters: list[Cluster] = []
-    counts: dict[str, int] = {}
-    for i, m in enumerate(methods):
-        cl, counts[m] = associate_and_refine(camera_tracklets, cfg, method=m, surviving=surviving)
-        if i == 0:
-            clusters = cl
-    return clusters, counts if len(methods) > 1 else None
+    all_tracklets = [t for cam in sorted(camera_tracklets) for t in camera_tracklets[cam]]
+    surviving = {(t.camera_id, t.track_id) for t in refine(all_tracklets, cfg.refine)}
+    methods = methods or [cfg.association.method]
+    per_method: dict[str, list[Cluster]] = {}
+    for method in methods:
+        clusters = associate_multicamera(camera_tracklets, replace(cfg.association, method=method))
+        kept = [[m for m in c.members if m in surviving] for c in clusters]
+        per_method[method] = [
+            Cluster(global_id=i + 1, members=members)
+            for i, members in enumerate(m for m in kept if m)
+        ]
+    counts = {m: len(c) for m, c in per_method.items()}
+    return per_method[methods[0]], counts if len(methods) > 1 else None
 
 
 def run_pipeline(
@@ -268,15 +222,12 @@ def run_pipeline(
     runs = run_cameras(streams, cfg, parallel=parallel, total_frames=total_frames)
     camera_tracklets = {r.camera_id: r.tracklets for r in runs}
 
-    if methods is None:
-        methods = [cfg.association.method]
-    clusters, counts = associate_methods(camera_tracklets, cfg, methods)
+    clusters, counts = associate_and_refine(camera_tracklets, cfg, methods)
     wall = time.perf_counter() - start
 
     return PipelineResult(
         camera_tracklets=camera_tracklets,
         clusters=clusters,
-        unique_count=len(clusters),
         method_counts=counts,
         frames_processed=sum(r.frames_processed for r in runs),
         wall_time_s=wall,

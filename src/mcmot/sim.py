@@ -86,6 +86,12 @@ class ScenarioConfig:
             or self.box_height_range[1] >= self.image_size[1]
         ):
             raise ConfigError("object boxes must fit inside the image")
+        for name in ("box_width_range", "box_height_range", "fp_size_range"):
+            low, high = getattr(self, name)
+            if not 0 < low <= high:
+                raise ConfigError(
+                    f"{name} must be [low, high] with 0 < low <= high, got {[low, high]}"
+                )
 
 
 @dataclass(eq=False)

@@ -1,4 +1,3 @@
-import copy
 from unittest import mock
 
 import numpy as np
@@ -9,10 +8,8 @@ from hypothesis import strategies as st
 from mcmot import association
 from mcmot.association import (
     AssociationConfig,
-    Cluster,
     _row_distances,
     associate_multicamera,
-    count_unique,
     euclidean_associate,
     voting_merge,
 )
@@ -36,9 +33,12 @@ def make_tracklet(camera_id, track_id, embeddings):
     )
 
 
-def singleton_cluster(gid, embedding):
-    e = np.asarray(embedding, dtype=float)
-    return Cluster(global_id=gid, members=[(0, gid)], member_embeddings=[e], centroid=e.copy())
+def clusters_over(*groups):
+    """Each group's embeddings as consecutive rows of one matrix E, and each
+    group as the list of its rows: the form the association passes take."""
+    E = np.asarray([e for g in groups for e in g], dtype=float)
+    ends = np.cumsum([len(g) for g in groups]).tolist()
+    return [list(range(end - len(g), end)) for g, end in zip(groups, ends)], E
 
 
 def pooled_by_tracker(embeddings):
@@ -104,12 +104,17 @@ class TestEuclideanAssociate:
         assert [c.members for c in clusters] == [[(0, 1), (0, 3)], [(0, 2)]]
 
     def test_centroid_invariant(self):
+        # A centroid is the mean of the members' rows of E, in member order:
+        # bit-identical to the mean of the members' embeddings as a list,
+        # and a one-member centroid is that member's row.
         rng = np.random.default_rng(31)
-        ts = [make_tracklet(0, i, rng.normal(size=(3, 4))) for i in range(8)]
-        for c in euclidean_associate(ts, 1.0):
-            np.testing.assert_allclose(
-                c.centroid, np.mean(np.asarray(c.member_embeddings), axis=0), atol=1e-9
-            )
+        E = rng.normal(size=(60, 64))
+        for _ in range(200):
+            rows = rng.choice(60, size=int(rng.integers(1, 12)), replace=False).tolist()
+            listed = np.mean(np.asarray([E[r] for r in rows]), axis=0)
+            assert np.mean(E[rows], axis=0).tobytes() == listed.tobytes()
+        for r in range(60):
+            assert np.mean(E[[r]], axis=0).tobytes() == E[r].tobytes()
 
     def test_partition_property(self):
         rng = np.random.default_rng(32)
@@ -129,50 +134,32 @@ class TestEuclideanAssociate:
 
 class TestVotingMerge:
     def test_identical_singletons_merge(self):
-        a = singleton_cluster(1, [1.0, 0.0])
-        b = singleton_cluster(2, [1.0, 0.0])
-        assert len(voting_merge([a, b], 0.5)) == 1
+        clusters, E = clusters_over([[1.0, 0.0]], [[1.0, 0.0]])
+        assert len(voting_merge(clusters, E, 0.5)) == 1
 
     def test_minority_does_not_merge(self):
         # Exactly 1 of A's 3 members inside B: 1/3 <= 1/2, no merge.
-        a = Cluster(
-            global_id=1,
-            members=[(0, 1), (0, 2), (0, 3)],
-            member_embeddings=[np.array([0.0, 0.0]), np.array([10.0, 0.0]), np.array([0.0, 10.0])],
-        )
-        a.recompute_centroid()
-        b = singleton_cluster(2, [0.0, 0.0])
-        merged = voting_merge([a, b], 0.5)
-        assert len(merged) == 2
+        clusters, E = clusters_over([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], [[0.0, 0.0]])
+        assert voting_merge(clusters, E, 0.5) == [[0, 1, 2], [3]]
 
     def test_majority_merges(self):
-        # 2 of A's 3 members inside B: 2/3 > 1/2, merged.
-        a = Cluster(
-            global_id=1,
-            members=[(0, 1), (0, 2), (0, 3)],
-            member_embeddings=[np.array([0.0, 0.0]), np.array([0.1, 0.0]), np.array([0.0, 10.0])],
-        )
-        a.recompute_centroid()
-        b = singleton_cluster(2, [0.0, 0.0])
-        merged = voting_merge([a, b], 0.5)
-        assert len(merged) == 1
-        assert len(merged[0].members) == 4
+        # 2 of A's 3 members inside B: 2/3 > 1/2, merged into B.
+        clusters, E = clusters_over([[0.0, 0.0], [0.1, 0.0], [0.0, 10.0]], [[0.0, 0.0]])
+        assert voting_merge(clusters, E, 0.5) == [[3, 0, 1, 2]]
 
     def test_never_increases_count_and_idempotent(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
-            clusters = [singleton_cluster(i + 1, rng.normal(size=4)) for i in range(8)]
-            once = voting_merge(clusters, 1.5)
+            clusters, E = clusters_over(*([e] for e in rng.normal(size=(8, 4))))
+            once = voting_merge(clusters, E, 1.5)
             assert len(once) <= len(clusters)
-            twice = voting_merge(once, 1.5)
-            assert len(twice) == len(once)
-            assert [sorted(c.members) for c in twice] == [sorted(c.members) for c in once]
+            twice = voting_merge(once, E, 1.5)
+            assert twice == once
 
     def test_inputs_not_mutated(self):
-        a = singleton_cluster(1, [1.0, 0.0])
-        b = singleton_cluster(2, [1.0, 0.0])
-        voting_merge([a, b], 0.5)
-        assert len(a.members) == 1 and len(b.members) == 1
+        clusters, E = clusters_over([[1.0, 0.0]], [[1.0, 0.0]])
+        voting_merge(clusters, E, 0.5)
+        assert clusters == [[0], [1]]
 
 
 def run_scenario_tracklets(cfg):
@@ -189,14 +176,13 @@ class TestAssociateMulticamera:
     def test_single_camera_single_tracklet(self):
         per_camera = {0: [make_tracklet(0, 1, [[1.0, 0.0]])]}
         clusters = associate_multicamera(per_camera, AssociationConfig())
-        assert count_unique(clusters) == 1
-        assert clusters[0].global_id == 1
+        assert [(c.global_id, c.members) for c in clusters] == [(1, [(0, 1)])]
 
     def test_same_identity_across_three_cameras(self):
         cfg = ScenarioConfig(seed=41, cameras=3, identities=1, frames=60, embedding_dim=16)
         _, per_camera = run_scenario_tracklets(cfg)
         clusters = associate_multicamera(per_camera, AssociationConfig(threshold=0.5))
-        assert count_unique(clusters) == 1
+        assert len(clusters) == 1
         assert sorted(c for c, _ in clusters[0].members) == [0, 1, 2]
 
     def test_two_identities_across_three_cameras(self):
@@ -205,11 +191,11 @@ class TestAssociateMulticamera:
             identity_min_separation=1.0,
         )
         _, per_camera = run_scenario_tracklets(cfg)
-        for method in ("euclidean", "voting", "euclidean_voting"):
+        for method in association.METHODS:
             clusters = associate_multicamera(
                 per_camera, AssociationConfig(method=method, threshold=0.5)
             )
-            assert count_unique(clusters) == 2
+            assert len(clusters) == 2
 
     def test_global_ids_sequential(self):
         rng = np.random.default_rng(43)
@@ -250,7 +236,7 @@ class TestAssociateMulticamera:
             1: [make_tracklet(1, 1, [e - 0.01])],
         }
         clusters = associate_multicamera(per_camera, AssociationConfig(threshold=0.3))
-        assert count_unique(clusters) == 1
+        assert len(clusters) == 1
         assert len(clusters[0].members) == 3
 
 
@@ -282,70 +268,54 @@ class TestExactRecovery:
             want = {frozenset(range(3 * k + 1, 3 * k + 4)) for k in range(4)}
             assert got == want
 
-    def test_count_unique_basics(self):
-        assert count_unique([]) == 0
-        clusters = [singleton_cluster(i + 1, [float(i), 0.0]) for i in range(5)]
-        assert count_unique(clusters) == 5
-
 
 # ----------------------------------------------------------------------
 # Oracle: the loop implementations the array code replaced. They compute
-# one np.linalg.norm per (unit, cluster) or (member, cluster) pair and rescan
-# every pair after each merge; the array code must reproduce their clusters,
-# global ids and centroid bits exactly.
+# one np.linalg.norm per (unit, cluster) or (member, cluster) pair, take
+# every centroid afresh as the mean of its members' rows, and rescan every
+# pair after each merge; the array code must reproduce their clusters and
+# global ids exactly.
 
 
-def reference_greedy_pass(units, threshold):
+def centroid(E, rows):
+    return np.mean(E[rows], axis=0)
+
+
+def reference_greedy_pass(units, E, threshold):
     clusters = []
     for unit in units:
         if clusters:
-            dists = [float(np.linalg.norm(unit.centroid - c.centroid)) for c in clusters]
+            dists = [float(np.linalg.norm(centroid(E, unit) - centroid(E, c))) for c in clusters]
             best = int(np.argmin(dists))
             if dists[best] <= threshold:
-                clusters[best].absorb(unit)
+                clusters[best] = clusters[best] + list(unit)
                 continue
-        clusters.append(
-            Cluster(
-                global_id=len(clusters) + 1,
-                members=list(unit.members),
-                member_embeddings=list(unit.member_embeddings),
-                centroid=unit.centroid.copy(),
-            )
-        )
+        clusters.append(list(unit))
     return clusters
 
 
-def reference_voting_merge(clusters, threshold):
-    live = [copy.deepcopy(c) for c in clusters]
+def reference_voting_merge(clusters, E, threshold):
+    def inside(a, b):
+        return sum(float(np.linalg.norm(E[r] - centroid(E, b))) <= threshold for r in a)
+
+    live = [list(c) for c in clusters]
     while True:
-        live.sort(key=lambda c: c.global_id)
-        merged = False
-        for a in live:
-            for b in live:
-                if a.global_id == b.global_id:
-                    continue
-                inside = sum(
-                    1
-                    for e in a.member_embeddings
-                    if float(np.linalg.norm(e - b.centroid)) <= threshold
-                )
-                if 2 * inside > len(a.member_embeddings):
-                    b.absorb(a)
-                    live.remove(a)
-                    merged = True
-                    break
-            if merged:
-                break
-        if not merged:
+        pairs = (
+            (a, b)
+            for a in range(len(live))
+            for b in range(len(live))
+            if a != b and 2 * inside(live[a], live[b]) > len(live[a])
+        )
+        first = next(pairs, None)
+        if first is None:
             return live
+        a, b = first
+        live[b] = live[b] + live[a]
+        del live[a]
 
 
 def snapshot(clusters):
-    return [
-        (c.global_id, list(c.members), [e.tobytes() for e in c.member_embeddings],
-         c.centroid.tobytes())
-        for c in clusters
-    ]
+    return [(c.global_id, list(c.members)) for c in clusters]
 
 
 def reference_associate(per_camera, cfg):
@@ -401,30 +371,28 @@ class TestAssociationOracle:
         data=st.data(),
     )
     def test_passes_on_multi_member_clusters(self, sizes, dim, threshold, data):
-        """Each pass on its own, on clusters of several lattice members.
-        Global ids may repeat: clusters sharing one never vote for each other."""
+        """Each pass on its own, on clusters of several lattice members whose
+        rows of E are scattered (not consecutive, not ascending)."""
         points = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
-        clusters = []
-        for n, size in enumerate(sizes):
-            gid = data.draw(st.integers(1, len(sizes)))
-            embs = [np.asarray(data.draw(points), dtype=float) * 0.5 for _ in range(size)]
-            c = Cluster(gid, [(0, n * 10 + i) for i in range(size)], embs)
-            c.recompute_centroid()
-            clusters.append(c)
-        before = snapshot(clusters)
-        assert snapshot(voting_merge(clusters, threshold)) == snapshot(
-            reference_voting_merge(clusters, threshold)
-        )
-        assert snapshot(clusters) == before
-        assert snapshot(association._greedy_pass(copy.deepcopy(clusters), threshold)) == \
-            snapshot(reference_greedy_pass(copy.deepcopy(clusters), threshold))
+        E = np.asarray(
+            [data.draw(points) for _ in range(sum(sizes))], dtype=float
+        ).reshape(-1, dim) * 0.5
+        order = data.draw(st.permutations(range(len(E))))
+        ends = np.cumsum(sizes).tolist()
+        clusters = [order[end - size:end] for size, end in zip(sizes, ends)]
+        before = [list(c) for c in clusters]
+        assert voting_merge(clusters, E, threshold) == \
+            reference_voting_merge(clusters, E, threshold)
+        assert association._greedy_pass(clusters, E, threshold) == \
+            reference_greedy_pass(clusters, E, threshold)
+        assert clusters == before
 
     def test_merge_heavy_fixpoint(self):
         rng = np.random.default_rng(46)
-        clusters = [singleton_cluster(i + 1, rng.normal(size=8) * 0.3) for i in range(60)]
-        got = voting_merge(clusters, 0.9)
+        clusters, E = clusters_over(*([e] for e in rng.normal(size=(60, 8)) * 0.3))
+        got = voting_merge(clusters, E, 0.9)
         assert len(got) < 30
-        assert snapshot(got) == snapshot(reference_voting_merge(clusters, 0.9))
+        assert got == reference_voting_merge(clusters, E, 0.9)
 
     @pytest.mark.parametrize("dim", [1, 4, 7, 32, 33, 128, 512])
     def test_row_distances_bit_identical_to_norm(self, dim):

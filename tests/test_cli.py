@@ -74,6 +74,20 @@ class TestSimulateCli:
         assert err.startswith(f"error[config]: {field} must be >= ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("bounds", [[-5, -1], [0, 10], [40, 20]])
+    @pytest.mark.parametrize("field", ["box_width_range", "box_height_range", "fp_size_range"])
+    def test_bad_size_range_is_config_error(self, tmp_path, capsys, field, bounds):
+        # Such a range once wrote boxes that `count` rejected, or failed in
+        # numpy's sampler as error[input].
+        cfg = write_scenario_config(tmp_path, identities=1, **{field: bounds})
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error[config]: {field} must be [low, high] with 0 < low <= high, "
+            f"got {[float(b) for b in bounds]}\n"
+        )
+        assert not out.exists()
+
 
 class TestTrackCli:
     def test_empty_detections_empty_track_file(self, tmp_path):
@@ -894,6 +908,20 @@ class TestCountCli:
         )
         assert not out.exists()
 
+    def test_config_method_voting_is_config_error(self, tmp_path, capsys):
+        # "voting" names only the CLI's --method voting (euclidean_voting).
+        scn = simulate(tmp_path, cameras=1, identities=1, frames=5, embedding_dim=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"association": {"method": "voting"}}))
+        out = tmp_path / "r.json"
+        assert main(["count", "--scenario", str(scn), "--config", str(cfg),
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error[config]: invalid association config: method must be one of "
+            "('euclidean', 'euclidean_voting'), got 'voting'\n"
+        )
+        assert not out.exists()
+
     def test_repeated_scenario_config_key_is_format_error(self, tmp_path, capsys):
         cfg = write_scenario_config(tmp_path)
         cfg.write_text('{"frames": 5, "frames": 6}')
@@ -969,6 +997,24 @@ class TestCountErrorParity:
         assert seq == par == (
             "error[input]: camera 0: detection at frame 25 is outside the stream's "
             "frames [0, 20)\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("name", ["embeddings_cam1.csv", "embeddings_cam01.csv"])
+    def test_orphan_embeddings_file(self, tmp_path, capsys, name):
+        # An embeddings file that no detections file pairs with would never
+        # be read: camera 1's detections are gone, or the name spells
+        # camera 1 another way.
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=10, embedding_dim=4)
+        orphan = scn / name
+        if orphan.exists():
+            (scn / "detections_cam1.csv").unlink()
+        else:
+            orphan.write_bytes((scn / "embeddings_cam1.csv").read_bytes())
+        argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+        seq, par = self.errors(capsys, argv)
+        assert seq == par == (
+            f"error[format]: {orphan}: no detections_cam<K>.csv matches this file\n"
         )
         assert not (tmp_path / "r.json").exists()
 

@@ -5,9 +5,12 @@
 depend on numpy's random stream. `config.json` exports every confirmed
 track and sets refinement bounds under which one tracklet is removed.
 `expected/` holds what the engine wrote for them: `count --method both`
-results, camera 0's track CSV and sidecar, `associate --method both`
-results over both cameras' sidecars, and the `eval` report of the count
-results. Each test regenerates one file and compares bytes.
+and `count --method voting` results, camera 0's track CSV and sidecar,
+`associate --method both` results over both cameras' sidecars, and the
+`eval` report of the count results. Each test regenerates one file and
+compares bytes. `--method both` takes its clusters from `euclidean`, so
+`count_voting.json` is the one file that pins `euclidean_voting`'s
+clusters.
 
 Regenerate `expected/` only for a deliberate change of an output format,
 and say so where the change is recorded.
@@ -45,6 +48,15 @@ def test_count_results(tmp_path, parallel):
             "--method", "both", "--output", str(out)]
     assert main(argv + (["--parallel"] if parallel else [])) == 0
     assert out.read_bytes() == (EXPECTED / "count_both.json").read_bytes()
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+def test_count_voting_results(tmp_path, parallel):
+    out = tmp_path / "results.json"
+    argv = ["count", "--scenario", str(SCENARIO), "--config", str(CONFIG),
+            "--method", "voting", "--output", str(out)]
+    assert main(argv + (["--parallel"] if parallel else [])) == 0
+    assert out.read_bytes() == (EXPECTED / "count_voting.json").read_bytes()
 
 
 def test_track_csv_and_sidecar(tmp_path):

@@ -139,8 +139,9 @@ def make_tracklet(camera_id, track_id, embedding, length=10, w=80.0, h=120.0):
 
 class TestAssociateAndRefine:
     def test_refine_prunes_members_after_association(self):
-        # Association runs first; refinement then drops the short tracklet
-        # from its cluster, and empty clusters disappear from the count.
+        # Association clusters every tracklet; the short tracklet, which
+        # refinement removes, is then dropped from its cluster, and emptied
+        # clusters disappear from the count.
         e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         per_camera = {
             0: [make_tracklet(0, 1, e1), make_tracklet(0, 2, e2, length=2)],
@@ -149,9 +150,9 @@ class TestAssociateAndRefine:
             association=AssociationConfig(threshold=0.3),
             refine=RefineConfig(min_track_length=5),
         )
-        clusters, count = associate_and_refine(per_camera, cfg)
-        assert count == 1
-        assert clusters[0].members == [(0, 1)]
+        clusters, counts = associate_and_refine(per_camera, cfg)
+        assert counts is None
+        assert [c.members for c in clusters] == [[(0, 1)]]
         assert [c.global_id for c in clusters] == [1]
 
     def test_missing_embeddings_rejected(self):
@@ -160,10 +161,18 @@ class TestAssociateAndRefine:
             associate_and_refine({0: [t]}, PipelineConfig())
 
     def test_method_override(self):
-        e = np.array([1.0, 0.0])
-        per_camera = {0: [make_tracklet(0, 1, e)], 1: [make_tracklet(1, 1, e)]}
-        _, count = associate_and_refine(per_camera, PipelineConfig(), method="euclidean_voting")
-        assert count == 1
+        # The greedy pass gives {1, 2, 3} and {4}; two of the first
+        # cluster's three members lie within 0.5 of the second's centroid,
+        # so the voting pass merges the first into the second.
+        per_camera = {0: [make_tracklet(0, i + 1, [v]) for i, v in enumerate((0, 0.4, 0.5, 0.85))]}
+        clusters, counts = associate_and_refine(per_camera, PipelineConfig(), ["euclidean_voting"])
+        assert [c.members for c in clusters] == [[(0, 4), (0, 1), (0, 2), (0, 3)]]
+        assert counts is None
+        clusters, counts = associate_and_refine(
+            per_camera, PipelineConfig(), ["euclidean", "euclidean_voting"]
+        )
+        assert [c.members for c in clusters] == [[(0, 1), (0, 2), (0, 3)], [(0, 4)]]
+        assert counts == {"euclidean": 2, "euclidean_voting": 1}
 
 
 class TestRunPipeline:
