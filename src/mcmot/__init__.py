@@ -30,6 +30,6 @@ from .refine import (
     refine,
 )
 from .sim import GroundTruth, Occlusion, ScenarioConfig, generate
-from .tracker import Track, Tracker, TrackerConfig, Tracklet, TrackStatus, appearance_cost
+from .tracker import Tracker, TrackerConfig, Tracklet, appearance_cost
 
 __version__ = "0.1.0"

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -144,39 +143,36 @@ def gate(cost: np.ndarray, feasible: np.ndarray) -> np.ndarray:
 
 
 def matching_cascade(
-    tracks: Sequence,
-    detections: Sequence,
-    cost_fn: Callable[[Sequence, Sequence, list[int], list[int]], np.ndarray],
-    max_depth: int,
-    threshold: float,
+    cost: np.ndarray, ages: np.ndarray, max_depth: int, threshold: float
 ) -> Matching:
     """Age-prioritized assignment: recently updated tracks get first claim.
 
-    Iterates depth d = 1..max_depth; at depth d only tracks whose
-    time_since_update equals d compete for the detections still unmatched.
-    `cost_fn(tracks, detections, track_indices, det_indices)` returns the
-    cost sub-matrix; entries above `threshold` are infeasible.
+    `cost` is the (tracks, detections) cost matrix and `ages[i]` row i's
+    time since its last update. Iterates over the ages in ascending order;
+    at age d, 1 <= d <= max_depth, only the rows of that age compete for the
+    detections still unmatched, on `cost[np.ix_(rows, unmatched)]`. Entries
+    above `threshold` are infeasible.
     """
-    unmatched_dets = list(range(len(detections)))
+    cost = np.asarray(cost, dtype=float)
+    ages = np.asarray(ages)
+    if cost.ndim != 2 or ages.shape != cost.shape[:1]:
+        raise ValueError(f"shape mismatch: cost {cost.shape} vs ages {ages.shape}")
+    unmatched_dets = list(range(cost.shape[1]))
     pairs: list[tuple[int, int]] = []
-    by_depth: dict[int, list[int]] = {}
-    for i, t in enumerate(tracks):
-        by_depth.setdefault(t.time_since_update, []).append(i)
-    for depth in sorted(by_depth):
+    for depth in sorted(set(ages.tolist())):
         if not unmatched_dets:
             break
         if not 1 <= depth <= max_depth:
             continue
-        track_idx = by_depth[depth]
-        cost = np.asarray(cost_fn(tracks, detections, track_idx, unmatched_dets), dtype=float)
-        cost = np.where(cost > threshold, INFEASIBLE, cost)
-        m = solve_assignment(cost)
-        pairs.extend((track_idx[r], unmatched_dets[c]) for r, c in m.pairs)
+        level = np.flatnonzero(ages == depth)
+        sub = cost[np.ix_(level, unmatched_dets)]
+        m = solve_assignment(np.where(sub > threshold, INFEASIBLE, sub))
+        pairs.extend((int(level[r]), unmatched_dets[c]) for r, c in m.pairs)
         unmatched_dets = [unmatched_dets[c] for c in m.unmatched_cols]
     matched_rows = {r for r, _ in pairs}
     return Matching(
         tuple(sorted(pairs)),
-        tuple(i for i in range(len(tracks)) if i not in matched_rows),
+        tuple(i for i in range(len(ages)) if i not in matched_rows),
         tuple(unmatched_dets),
     )
 

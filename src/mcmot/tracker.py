@@ -12,14 +12,14 @@ Kalman predict over the whole table, one chi-square gating matrix of the
 confirmed tracks against all detections, appearance distances for the
 gated-in cells only (every cascade level slices the resulting cost matrix),
 and one Kalman update over the matched rows. Every detection a tracker is
-given becomes one row of its History, and a track's history is a list of
-those rows.
+given becomes one row of its History, whose `owner` column holds the id of
+the track the detection updated or started; a track's history is the rows
+its id owns.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,25 +57,18 @@ class TrackerConfig:
             raise ValueError(f"nms_threshold must be in [0, 1], got {self.nms_threshold}")
 
 
-class TrackStatus(enum.Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    DELETED = "deleted"
-
-
 # TrackTable.status codes; a deleted track leaves the table.
 _TENTATIVE, _CONFIRMED = 0, 1
-_STATUS_OF_CODE = (TrackStatus.TENTATIVE, TrackStatus.CONFIRMED)
 # The TrackTable arrays with one entry per row.
 _ROW_COLUMNS = (
-    "means", "covs", "status", "hits", "time_since_update", "n_embeddings", "slot"
+    "track_id", "means", "covs", "status", "hits", "time_since_update", "n_embeddings", "slot"
 )
 
 
 class TrackTable:
     """State of the live tracks as parallel arrays, one row per track in
-    creation order: Kalman `means` (n, 8) and `covs` (n, 8, 8), and the
-    `status`, `hits` and `time_since_update` counters.
+    creation order: the int64 `track_id`, Kalman `means` (n, 8) and `covs`
+    (n, 8, 8), and the `status`, `hits` and `time_since_update` counters.
 
     Appearance galleries share one tensor of shape (slots, cap, D). Each row
     owns the slot `slot[row]` (the lowest free one at its birth) holding its
@@ -91,6 +84,7 @@ class TrackTable:
         # keeps the ring arithmetic in int64 without changing any result.
         self.budget = min(budget, np.iinfo(np.int64).max)
         self.metric = metric
+        self.track_id = np.empty(0, dtype=np.int64)
         self.means = np.empty((0, 8))
         self.covs = np.empty((0, 8, 8))
         self.status = np.empty(0, dtype=np.int8)
@@ -109,14 +103,17 @@ class TrackTable:
         """Embeddings held per row."""
         return np.minimum(self.n_embeddings, self.budget)
 
-    def append(self, means: np.ndarray, covs: np.ndarray, status: int) -> None:
-        """Add len(means) rows with one hit and an empty gallery."""
-        k = len(means)
+    def append(
+        self, track_ids: np.ndarray, means: np.ndarray, covs: np.ndarray, status: int
+    ) -> None:
+        """Add len(track_ids) rows with one hit and an empty gallery."""
+        k = len(track_ids)
         taken = np.zeros(max(len(self) + k, int(self.slot.max(initial=-1)) + 1), dtype=bool)
         taken[self.slot] = True
         ones = np.ones(k, dtype=np.int64)
         new_rows = {
-            "means": means, "covs": covs, "status": np.full(k, status, dtype=np.int8),
+            "track_id": np.asarray(track_ids, dtype=np.int64), "means": means, "covs": covs,
+            "status": np.full(k, status, dtype=np.int8),
             "hits": ones, "time_since_update": ones - 1,
             "n_embeddings": ones - 1, "slot": np.flatnonzero(~taken)[:k],
         }
@@ -164,29 +161,28 @@ class TrackTable:
 
 
 def appearance_cost(
-    tracks: Sequence[Track], embeddings: Optional[np.ndarray], feasible: np.ndarray
+    table: TrackTable, rows: np.ndarray, embeddings: Optional[np.ndarray], feasible: np.ndarray
 ) -> np.ndarray:
-    """Appearance cost of live tracks (rows of one TrackTable) against
-    detections with the given (m, D) embeddings, computed only where
-    `feasible` (len(tracks), m) holds; INFEASIBLE elsewhere.
+    """Appearance cost of the given rows of `table` against detections with
+    the given (m, D) embeddings, computed only where `feasible`
+    (len(rows), m) holds; INFEASIBLE elsewhere.
 
-    A cell's cost is the minimum over the track's gallery of the embedding
+    A cell's cost is the minimum over the row's gallery of the embedding
     distance: plain L2 (euclidean) or 1 - cosine similarity, as the table's
     metric says.
     """
-    rows = [t.row for t in tracks]
-    if None in rows or (tracks and np.any(tracks[0].table.n_embeddings[rows] == 0)):
+    rows = np.asarray(rows, dtype=np.intp)
+    if np.any(table.n_embeddings[rows] == 0):
         raise ValueError("appearance_cost requires a non-empty gallery per track")
     if embeddings is None:
         raise ValueError("appearance_cost requires an embedding per detection")
-    cost = np.full((len(tracks), len(embeddings)), INFEASIBLE)
+    cost = np.full((len(rows), len(embeddings)), INFEASIBLE)
     if np.shape(feasible) != cost.shape:
         raise ValueError(f"shape mismatch: {cost.shape} cells vs mask {np.shape(feasible)}")
     r, c = np.nonzero(feasible)
     if r.size == 0:
         return cost
-    table = tracks[0].table
-    cell_rows = np.array(rows, dtype=np.intp)[r]
+    cell_rows = rows[r]
     fill = table.fill[cell_rows]
     width = int(fill.max())
     slots = table.slot[cell_rows]
@@ -213,28 +209,36 @@ def _row_norms(embs: np.ndarray, metric: str) -> np.ndarray:
 
 class History:
     """Every detection a tracker was given, one row each in step order:
-    frame, box (x, y, w, h), confidence and, for a stream with embeddings,
-    the embedding. The columns are arrays whose capacity doubles as they
-    fill."""
+    frame, box (x, y, w, h), confidence, the id of the track that owns it
+    and, for a stream with embeddings, the embedding. The columns are arrays
+    whose capacity doubles as they fill."""
 
     def __init__(self) -> None:
         self._n = 0
         self._frame = np.empty(0, dtype=np.int64)
         self._box = np.empty((0, 4))
         self._confidence = np.empty(0)
+        self._owner = np.empty(0, dtype=np.int64)
         self._embedding: Optional[np.ndarray] = None
+
+    @property
+    def owner(self) -> np.ndarray:
+        """(rows,) int64 id of the track each row updated or started."""
+        return self._owner[:self._n]
 
     def append(
         self, frame: int, boxes: np.ndarray, confidences: np.ndarray,
-        embeddings: Optional[np.ndarray],
-    ) -> int:
-        """Add one frame's detections as rows; return the first row's index."""
+        embeddings: Optional[np.ndarray], owners: np.ndarray,
+    ) -> None:
+        """Add one frame's detections as rows; owners[i] is the id of the
+        track detection i updated or started."""
         first = self._n
         self._n += len(boxes)
         if self._n > len(self._frame):
             cap = max(self._n, 2 * len(self._frame), 64)
-            self._frame, self._box, self._confidence = (
-                _grown(a, first, cap) for a in (self._frame, self._box, self._confidence)
+            self._frame, self._box, self._confidence, self._owner = (
+                _grown(a, first, cap)
+                for a in (self._frame, self._box, self._confidence, self._owner)
             )
             if self._embedding is not None:
                 self._embedding = _grown(self._embedding, first, cap)
@@ -243,9 +247,9 @@ class History:
         self._frame[first:self._n] = frame
         self._box[first:self._n] = boxes
         self._confidence[first:self._n] = confidences
+        self._owner[first:self._n] = owners
         if embeddings is not None:
             self._embedding[first:self._n] = embeddings
-        return first
 
     def take(
         self, rows: Sequence[int]
@@ -261,54 +265,6 @@ def _grown(a: np.ndarray, n: int, cap: int) -> np.ndarray:
     out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
     out[:n] = a[:n]
     return out
-
-
-@dataclass(eq=False)
-class Track:
-    """Identity and history of one tracked object.
-
-    `history_rows` lists, in frame order, the rows of the tracker's History
-    holding the detections the track was updated with. Motion, lifecycle and
-    gallery state live in row `row` of `table`; `row` is None once the track
-    is deleted.
-    """
-
-    track_id: int
-    table: TrackTable = field(repr=False)
-    row: Optional[int]
-    history_rows: list[int] = field(default_factory=list)
-
-    @property
-    def status(self) -> TrackStatus:
-        if self.row is None:
-            return TrackStatus.DELETED
-        return _STATUS_OF_CODE[self.table.status[self.row]]
-
-    @property
-    def is_confirmed(self) -> bool:
-        return self.status is TrackStatus.CONFIRMED
-
-    def _live(self, column: np.ndarray) -> int:
-        if self.row is None:
-            raise ValueError(f"track {self.track_id} is deleted")
-        return int(column[self.row])
-
-    @property
-    def hits(self) -> int:
-        return self._live(self.table.hits)
-
-    @property
-    def time_since_update(self) -> int:
-        return self._live(self.table.time_since_update)
-
-    @property
-    def gallery(self) -> np.ndarray:
-        """(k, D) view of the stored embeddings, k <= nn_budget, in ring
-        order: the track's j-th embedding sits at position j % nn_budget."""
-        held = min(self._live(self.table.n_embeddings), self.table.budget)
-        if self.table.gallery is None:
-            return np.empty((0, 0))
-        return self.table.gallery[self.table.slot[self.row], :held]
 
 
 @dataclass(eq=False)
@@ -355,10 +311,7 @@ class Tracklet:
 
 class Tracker:
     """Online tracker for one camera. Calls to step() must be serialized;
-    distinct Tracker instances share no state and may run in parallel.
-
-    `tracks[i]` is the live track in row i of `table`.
-    """
+    distinct Tracker instances share no state and may run in parallel."""
 
     def __init__(
         self,
@@ -370,28 +323,51 @@ class Tracker:
         self.camera_id = camera_id
         self.kf = KalmanFilter(noise_profile)
         self.table = TrackTable(self.config.nn_budget, self.config.appearance_metric)
-        self.tracks: list[Track] = []
         self.history = History()
-        self._finished: list[Track] = []
+        self._confirmed_ids: list[int] = []  # every track that reached Confirmed
         self._next_id = 1
         self._last_frame: int | None = None
         self._with_embeddings: bool | None = None  # set by the first non-empty frame
 
+    @property
+    def tracks(self) -> np.ndarray:
+        """Read-only int64 ids of the live tracks, in table row order."""
+        ids = self.table.track_id.view()
+        ids.flags.writeable = False
+        return ids
+
     def step(
         self, frame: int, boxes: np.ndarray, confidences: np.ndarray,
         embeddings: Optional[np.ndarray] = None,
-    ) -> list[Track]:
+    ) -> np.ndarray:
         """Advance one frame with its NMS/confidence-filtered detections:
-        `boxes` (n, 4) rows of (x, y, w, h), `confidences` (n,) and
-        `embeddings` (n, D) or None. Either every non-empty frame of a
-        tracker has embeddings or none has.
+        `boxes` (n, 4) rows of (x, y, w, h) with positive width and height,
+        `confidences` (n,) and `embeddings` (n, D) or None, all finite.
+        Either every non-empty frame of a tracker has embeddings or none has.
 
-        Returns the confirmed tracks updated at this frame. Frame indices must
-        be strictly increasing across calls; each call is one motion tick
-        regardless of gaps (decimation is re-indexed upstream).
+        Returns the int64 ids of the confirmed tracks updated at this frame,
+        in row order. Frame indices must be strictly increasing across calls;
+        each call is one motion tick regardless of gaps (decimation is
+        re-indexed upstream).
         """
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(f"frame indices must be strictly increasing: {frame} after {self._last_frame}")
+        tlwh = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        confidences = np.asarray(confidences, dtype=float)
+        n = len(tlwh)
+        if confidences.shape != (n,) or (embeddings is not None and len(embeddings) != n):
+            raise ValueError("step needs one box, confidence and embedding per detection")
+        embs = None if embeddings is None or not n else np.asarray(embeddings, dtype=float)
+        if not (np.isfinite(tlwh).all() and np.isfinite(confidences).all()
+                and (embs is None or np.isfinite(embs).all())):
+            raise ValueError("step needs finite boxes, confidences and embeddings")
+        if np.any(tlwh[:, 2:] <= 0):
+            raise ValueError(f"box width and height must be positive, got {tlwh[:, 2:].min()}")
+        if n:
+            if self._with_embeddings is None:
+                self._with_embeddings = embs is not None
+            if self._with_embeddings != (embs is not None):
+                raise ValueError("a stream's detections must all carry embeddings or none")
         self._last_frame = frame
 
         table = self.table
@@ -399,30 +375,19 @@ class Tracker:
             table.means, table.covs = self.kf.predict_batch(table.means, table.covs)
             table.time_since_update += 1
 
-        tlwh = np.asarray(boxes, dtype=float).reshape(-1, 4)
-        confidences = np.asarray(confidences, dtype=float)
-        n = len(tlwh)
-        if confidences.shape != (n,) or (embeddings is not None and len(embeddings) != n):
-            raise ValueError("step needs one box, confidence and embedding per detection")
-        if np.any(tlwh[:, 3] <= 0):
-            raise ValueError(f"box height must be positive, got {tlwh[:, 3].min()}")
-        embs = None
-        if n:
-            if self._with_embeddings is None:
-                self._with_embeddings = embeddings is not None
-            if self._with_embeddings != (embeddings is not None):
-                raise ValueError("a stream's detections must all carry embeddings or none")
-            if embeddings is not None:
-                embs = np.asarray(embeddings, dtype=float)
         x, y, w, h = tlwh.T
         xyah = np.column_stack((x + w / 2.0, y + h / 2.0, w / h, h))
         matches, unmatched_tracks, unmatched_dets = self._associate(tlwh, xyah, embs)
-        first = self.history.append(frame, tlwh, confidences, embs)
+        rows = np.array([r for r, _ in matches], dtype=np.intp)
+        cols = np.array([c for _, c in matches], dtype=np.intp)
+        new_ids = self._next_id + np.arange(len(unmatched_dets), dtype=np.int64)
+        owners = np.empty(n, dtype=np.int64)
+        owners[cols] = table.track_id[rows]
+        owners[unmatched_dets] = new_ids
+        self.history.append(frame, tlwh, confidences, embs, owners)
 
         cfg = self.config
         if matches:
-            rows = np.array([r for r, _ in matches], dtype=np.intp)
-            cols = np.array([c for _, c in matches], dtype=np.intp)
             table.means[rows], table.covs[rows] = self.kf.update_batch(
                 table.means[rows], table.covs[rows], xyah[cols]
             )
@@ -430,54 +395,52 @@ class Tracker:
             table.time_since_update[rows] = 0
             promoted = rows[(table.status[rows] == _TENTATIVE) & (table.hits[rows] >= cfg.n_init)]
             table.status[promoted] = _CONFIRMED
+            self._confirmed_ids += table.track_id[promoted].tolist()
             if embs is not None:
                 table.add_embeddings(rows, embs[cols])
-            for r, c in matches:
-                self.tracks[r].history_rows.append(first + c)
 
         missed = np.array(unmatched_tracks, dtype=np.intp)
-        dead = np.sort(missed[
+        dead = missed[
             (table.status[missed] == _TENTATIVE) | (table.time_since_update[missed] > cfg.max_age)
-        ])
+        ]
         if dead.size:
-            self._finished += [self.tracks[i] for i in dead if table.status[i] == _CONFIRMED]
-            for i in dead:
-                self.tracks[i].row = None
             table.remove(dead)
-            self.tracks = [t for t in self.tracks if t.row is not None]
-            for row, t in enumerate(self.tracks):
-                t.row = row
 
         if unmatched_dets:
-            self._start_tracks(first, unmatched_dets, xyah, embs)
+            self._start_tracks(new_ids, unmatched_dets, xyah, embs)
         updated = (table.status == _CONFIRMED) & (table.time_since_update == 0)
-        return [self.tracks[i] for i in np.flatnonzero(updated)]
+        return table.track_id[updated]
 
     def export_tracklets(self) -> list[Tracklet]:
         """One Tracklet per track that ever reached Confirmed, in id order."""
+        ids = np.sort(np.array(self._confirmed_ids, dtype=np.int64))
+        order = np.argsort(self.history.owner, kind="stable")  # frame order within a track
+        owner = self.history.owner[order]
+        bounds = zip(np.searchsorted(owner, ids).tolist(),
+                     np.searchsorted(owner, ids, side="right").tolist())
         out = []
-        for t in self._finished + [t for t in self.tracks if t.is_confirmed]:
-            frames, boxes, confidences, embeddings = self.history.take(t.history_rows)
+        for track_id, (lo, hi) in zip(ids.tolist(), bounds):
+            frames, boxes, confidences, embeddings = self.history.take(order[lo:hi])
             out.append(
                 Tracklet(
                     camera_id=self.camera_id,
-                    track_id=t.track_id,
+                    track_id=track_id,
                     frames=frames,
                     boxes=boxes,
                     confidences=confidences,
                     embedding=None if embeddings is None else np.mean(embeddings, axis=0),
                 )
             )
-        return sorted(out, key=lambda tl: tl.track_id)
+        return out
 
     # ------------------------------------------------------------------
 
     def _associate(
         self, tlwh: np.ndarray, xyah: np.ndarray, embs: Optional[np.ndarray]
     ) -> tuple[list, list, list]:
-        """Match tracks to the detections; embs, their embeddings, is None
-        for an empty frame or a stream without embeddings, and then the frame
-        is motion-only."""
+        """Match table rows to the detections; embs, their embeddings, is
+        None for an empty frame or a stream without embeddings, and then the
+        frame is motion-only."""
         cfg = self.config
         table = self.table
         use_appearance = embs is not None
@@ -487,17 +450,13 @@ class Tracker:
 
         matches: list[tuple[int, int]] = []
         if confirmed.size and use_appearance:
-            ctracks = [self.tracks[i] for i in confirmed]
-            cost = self._gated_cost(ctracks, embs, xyah)
+            cost = self._gated_cost(confirmed, embs, xyah)
             if cfg.single_shot_matching:
                 cost = np.where(cost > cfg.max_appearance_distance, INFEASIBLE, cost)
                 m = solve_assignment(cost)
             else:
                 m = matching_cascade(
-                    ctracks,
-                    embs,
-                    lambda _tracks, _dets, rows, cols: cost[np.ix_(rows, cols)],
-                    cfg.max_age,
+                    cost, table.time_since_update[confirmed], cfg.max_age,
                     cfg.max_appearance_distance,
                 )
             confirmed = confirmed.tolist()
@@ -529,32 +488,28 @@ class Tracker:
             unmatched_tracks = leftover + iou_candidates
         return matches, unmatched_tracks, unmatched_dets
 
-    def _gated_cost(
-        self, tracks: list[Track], embs: np.ndarray, xyah: np.ndarray
-    ) -> np.ndarray:
-        """Appearance cost of tracks against the detections, INFEASIBLE
-        outside the chi-square gate: one gating matrix, then the gated-in
-        cells only."""
-        rows = [t.row for t in tracks]
+    def _gated_cost(self, rows: np.ndarray, embs: np.ndarray, xyah: np.ndarray) -> np.ndarray:
+        """Appearance cost of the table rows against the detections,
+        INFEASIBLE outside the chi-square gate: one gating matrix, then the
+        gated-in cells only."""
         gating = self.kf.gating_matrix(self.table.means[rows], self.table.covs[rows], xyah)
-        return appearance_cost(tracks, embs, gating <= CHI2_GATE_95)
+        return appearance_cost(self.table, rows, embs, gating <= CHI2_GATE_95)
 
     def _start_tracks(
-        self, first: int, det_idx: list[int], xyah: np.ndarray, embs: Optional[np.ndarray]
+        self, ids: np.ndarray, det_idx: list[int], xyah: np.ndarray, embs: Optional[np.ndarray]
     ) -> None:
-        """One new track per detection det_idx[i], whose History row is
-        first + det_idx[i]."""
+        """One new track with id ids[i] per detection det_idx[i]."""
         states = [self.kf.initiate(xyah[c]) for c in det_idx]
         start = len(self.table)
+        born_confirmed = self.config.n_init <= 1
         self.table.append(
+            ids,
             np.array([s.mean for s in states]),
             np.array([s.covariance for s in states]),
-            _CONFIRMED if self.config.n_init <= 1 else _TENTATIVE,
+            _CONFIRMED if born_confirmed else _TENTATIVE,
         )
-        for row, c in enumerate(det_idx, start=start):
-            self.tracks.append(
-                Track(track_id=self._next_id, table=self.table, row=row, history_rows=[first + c])
-            )
-            self._next_id += 1
+        if born_confirmed:
+            self._confirmed_ids += ids.tolist()
+        self._next_id += len(ids)
         if embs is not None:
             self.table.add_embeddings(np.arange(start, len(self.table)), embs[det_idx])

@@ -1,9 +1,8 @@
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -235,33 +234,56 @@ class TestGate:
             gate(np.zeros((2, 2)), np.ones((2, 3), bool))
 
 
-@dataclass
-class FakeTrack:
-    time_since_update: int
+def cascade_reference(cost, ages, max_depth, threshold):
+    """The matching cascade as a plain loop: for each age 1..max_depth in
+    ascending order, one solve_assignment of the rows of that age against
+    the columns no earlier level matched."""
+    n_rows, n_cols = cost.shape
+    unmatched = list(range(n_cols))
+    pairs = []
+    for age in range(1, max_depth + 1):
+        rows = [i for i in range(n_rows) if ages[i] == age]
+        if not rows or not unmatched:
+            continue
+        sub = np.array([[cost[i, j] for j in unmatched] for i in rows])
+        m = solve_assignment(np.where(sub > threshold, INFEASIBLE, sub))
+        pairs += [(rows[r], unmatched[c]) for r, c in m.pairs]
+        taken = {c for _, c in m.pairs}
+        unmatched = [j for c, j in enumerate(unmatched) if c not in taken]
+    matched = {r for r, _ in pairs}
+    return Matching(
+        tuple(sorted(pairs)), tuple(r for r in range(n_rows) if r not in matched), tuple(unmatched)
+    )
+
+
+@st.composite
+def cascade_cases(draw):
+    """Ages 0 to max_depth + 2 (ties likely), lattice or continuous costs on
+    both sides of the threshold with INFEASIBLE cells, and zero-row or
+    zero-column shapes."""
+    max_depth = draw(st.integers(1, 4))
+    n_rows, n_cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    ages = draw(st.lists(st.integers(0, max_depth + 2), min_size=n_rows, max_size=n_rows))
+    value = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, INFEASIBLE]) | st.floats(0.0, 2.0)
+    cells = draw(st.lists(value, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    cost = np.array(cells, dtype=float).reshape(n_rows, n_cols)
+    return cost, np.array(ages, dtype=np.int64), max_depth, draw(st.sampled_from([0.5, 1.0]))
 
 
 class TestMatchingCascade:
     def test_recency_priority(self):
         # One detection equidistant to both tracks goes to the fresher track.
-        tracks = [FakeTrack(3), FakeTrack(1)]
-        dets = [0]
-
-        def cost_fn(tracks_, dets_, ti, di):
-            return np.full((len(ti), len(di)), 0.5)
-
-        m = matching_cascade(tracks, dets, cost_fn, max_depth=5, threshold=1.0)
+        m = matching_cascade(np.full((2, 1), 0.5), [3, 1], max_depth=5, threshold=1.0)
         assert m.pairs == ((1, 0),)
         assert m.unmatched_rows == (0,)
 
     def test_no_detections(self):
-        tracks = [FakeTrack(1), FakeTrack(2)]
-        m = matching_cascade(tracks, [], lambda *a: np.zeros((0, 0)), 5, 1.0)
+        m = matching_cascade(np.zeros((2, 0)), [1, 2], 5, 1.0)
         assert m.pairs == ()
         assert m.unmatched_rows == (0, 1)
 
     def test_threshold_gates(self):
-        tracks = [FakeTrack(1)]
-        m = matching_cascade(tracks, [0], lambda *a: np.array([[2.0]]), 5, threshold=1.0)
+        m = matching_cascade(np.array([[2.0]]), [1], 5, threshold=1.0)
         assert m.pairs == ()
 
     def test_single_depth_equals_plain_solve(self):
@@ -269,20 +291,28 @@ class TestMatchingCascade:
         for _ in range(50):
             n_tracks, n_dets = rng.integers(1, 6, 2)
             c = rng.uniform(0, 2, (n_tracks, n_dets))
-            tracks = [FakeTrack(1) for _ in range(n_tracks)]
-
-            def cost_fn(tracks_, dets_, ti, di):
-                return c[np.ix_(ti, di)]
-
             threshold = 1.0
-            got = matching_cascade(tracks, list(range(n_dets)), cost_fn, 5, threshold)
+            got = matching_cascade(c, np.ones(n_tracks, dtype=np.int64), 5, threshold)
             want = solve_assignment(np.where(c > threshold, INFEASIBLE, c))
             assert set(got.pairs) == set(want.pairs)
 
     def test_depth_beyond_max_never_matches(self):
-        tracks = [FakeTrack(9)]
-        m = matching_cascade(tracks, [0], lambda *a: np.zeros((1, 1)), max_depth=5, threshold=1.0)
+        m = matching_cascade(np.zeros((1, 1)), [9], max_depth=5, threshold=1.0)
         assert m.pairs == ()
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=cascade_cases())
+    @example(case=(np.zeros((3, 0)), np.array([1, 1, 2]), 2, 1.0))
+    @example(case=(np.full((3, 2), 0.5), np.array([2, 0, 2]), 2, 1.0))
+    def test_equals_loop_reference(self, case):
+        cost, ages, max_depth, threshold = case
+        got = matching_cascade(cost, ages, max_depth, threshold)
+        assert got == cascade_reference(cost, ages, max_depth, threshold)
+        check_matching_shape(got, *cost.shape)
+
+    def test_ages_must_match_rows(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            matching_cascade(np.zeros((2, 1)), [1], 5, 1.0)
 
 
 class TestIouMatching:

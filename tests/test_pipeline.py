@@ -121,6 +121,22 @@ class TestProcessCamera:
         with pytest.raises(FileNotFoundError):
             run_cameras({0: streams[0], 1: constant_stream(3)}, PipelineConfig())
 
+    @pytest.mark.parametrize("column, row, value, match", [
+        ("box", (1, 0), np.nan, "finite"),
+        ("confidence", 1, np.inf, "finite"),
+        ("embeddings", (1, 0), np.nan, "finite"),
+        ("box", (1, 2), -4.0, "positive"),
+    ], ids=["nan-box", "inf-confidence", "nan-embedding", "negative-width"])
+    def test_malformed_columns_rejected(self, column, row, value, match):
+        # Columns given through the Python API skip file ingest; the
+        # tracker rejects what ingest would.
+        cfg = ScenarioConfig(seed=74, cameras=1, identities=2, frames=5, embedding_dim=4)
+        _, streams = generate(cfg)
+        stream = CameraStream.from_detections(streams[0])
+        getattr(stream, column)[row] = value
+        with pytest.raises(ValueError, match=match):
+            run_cameras({0: stream}, PipelineConfig())
+
     def test_study1_preset_decimation(self):
         run = track(constant_stream(300), study1_preset())
         assert run.frames_processed == 270

@@ -8,7 +8,7 @@ from mcmot.geometry import BoundingBox, Detection
 from mcmot.kalman import CHI2_GATE_95
 from mcmot.refine import id_switches
 from mcmot.sim import ScenarioConfig, generate
-from mcmot.tracker import Track, Tracker, TrackerConfig, TrackStatus, TrackTable, appearance_cost
+from mcmot.tracker import _CONFIRMED, Tracker, TrackerConfig, TrackTable, appearance_cost
 
 
 def det(frame, x=50.0, y=50.0, w=20.0, h=40.0, conf=0.9, emb=None):
@@ -34,40 +34,52 @@ def unit(*values):
     return v / np.linalg.norm(v)
 
 
+def ring(table, row):
+    """(k, D) view of a row's stored embeddings, k <= budget, in ring order:
+    the row's j-th embedding sits at position j % budget."""
+    if table.gallery is None:
+        return np.empty((0, 0))
+    return table.gallery[table.slot[row], :table.fill[row]]
+
+
+def rows_of(tracker, track_id):
+    """The History rows a track owns, in frame order."""
+    return np.flatnonzero(tracker.history.owner == track_id)
+
+
 class TestLifecycle:
     def test_empty_stream_yields_no_tracks(self):
         tr = Tracker(TrackerConfig())
         for f in range(10):
-            assert step(tr, f, []) == []
+            assert step(tr, f, []).tolist() == []
         assert tr.export_tracklets() == []
 
     def test_confirmation_after_n_init_hits(self):
         tr = Tracker(TrackerConfig(n_init=3))
-        assert step(tr, 0, [det(0)]) == []
-        assert step(tr, 1, [det(1)]) == []
+        assert step(tr, 0, [det(0)]).tolist() == []
+        assert step(tr, 1, [det(1)]).tolist() == []
         out = step(tr, 2, [det(2)])
         assert len(out) == 1
-        assert out[0].status is TrackStatus.CONFIRMED
-        track_id = out[0].track_id
+        assert tr.table.status[tr.tracks == out[0]].tolist() == [_CONFIRMED]
+        track_id = out[0]
         out = step(tr, 3, [det(3)])
-        assert [t.track_id for t in out] == [track_id]
+        assert out.tolist() == [track_id]
 
     def test_deletion_after_max_age_and_fresh_id_on_reappearance(self):
         cfg = TrackerConfig(n_init=1, max_age=3)
         tr = Tracker(cfg)
-        (first,) = step(tr, 0, [det(0)])
-        first_id = first.track_id
+        (first_id,) = step(tr, 0, [det(0)])
         for f in range(1, cfg.max_age + 2):
             step(tr, f, [])
-        assert all(t.track_id != first_id for t in tr.tracks)
+        assert all(t != first_id for t in tr.tracks)
         (again,) = step(tr, cfg.max_age + 2, [det(cfg.max_age + 2)])
-        assert again.track_id != first_id
+        assert again != first_id
 
     def test_tentative_unmatched_is_dropped(self):
         tr = Tracker(TrackerConfig(n_init=3))
         step(tr, 0, [det(0)])
         step(tr, 1, [])  # one miss kills a tentative track
-        assert tr.tracks == []
+        assert len(tr.tracks) == 0
         assert tr.export_tracklets() == []
 
     def test_frames_must_increase(self):
@@ -80,12 +92,10 @@ class TestLifecycle:
 
     def test_ids_strictly_increasing(self):
         tr = Tracker(TrackerConfig(n_init=1))
-        ids = []
         for f in range(5):
-            out = step(tr, f, [det(f, x=100.0 * f + 10, y=10.0)])
-            ids.extend(t.track_id for t in out if t.hits == 1)
+            step(tr, f, [det(f, x=100.0 * f + 10, y=10.0)])
         # Far-apart boxes never match, so each frame births a fresh id.
-        new_ids = [t.track_id for t in tr._finished + tr.tracks]
+        new_ids = tr._confirmed_ids
         assert sorted(new_ids) == new_ids == list(range(1, 6))
 
 
@@ -118,23 +128,25 @@ def reference_cost(galleries, dets, metric="euclidean"):
     return np.minimum.reduceat(dist, offsets, axis=0)
 
 
-def tracks_of(streams, budget=100, metric="euclidean"):
-    """One Track per stream, all rows of one TrackTable; track i's embeddings
-    are pushed in order, so its ring holds the last `budget` of streams[i]."""
+def table_of(streams, budget=100, metric="euclidean"):
+    """One TrackTable with a row per stream; row i's embeddings are pushed
+    in order, so its ring holds the last `budget` of streams[i]."""
+    n = len(streams)
     table = TrackTable(budget, metric)
-    table.append(np.zeros((len(streams), 8)), np.zeros((len(streams), 8, 8)), 1)
+    table.append(np.arange(1, n + 1), np.zeros((n, 8)), np.zeros((n, 8, 8)), _CONFIRMED)
     for k in range(max((len(s) for s in streams), default=0)):
         rows = np.array([i for i, s in enumerate(streams) if k < len(s)], dtype=np.intp)
         if rows.size:
             table.add_embeddings(rows, np.array([streams[i][k] for i in rows], dtype=float))
-    return [Track(track_id=i + 1, table=table, row=i) for i in range(len(streams))]
+    return table
 
 
 def table_cost(galleries, dets, metric="euclidean"):
     """The tracker's cost for every cell, with a gate that passes all."""
-    tracks = tracks_of(galleries, metric=metric)
+    table = table_of(galleries, metric=metric)
     return appearance_cost(
-        tracks, embeddings_of(dets), np.ones((len(tracks), len(dets)), dtype=bool)
+        table, np.arange(len(table)), embeddings_of(dets),
+        np.ones((len(table), len(dets)), dtype=bool),
     )
 
 
@@ -195,11 +207,11 @@ def check_against_oracle(case):
     """Gate-first cost equals gate(reference_cost(...), gating <= CHI2_GATE_95);
     returns the number of cells that differ in any bit."""
     budget, streams, rows = case["budget"], case["streams"], case["rows"]
-    tracks = tracks_of(streams, budget, case["metric"])
-    assert [len(t.gallery) for t in tracks] == [min(len(s), budget) for s in streams]
+    table = table_of(streams, budget, case["metric"])
+    assert [len(ring(table, i)) for i in range(len(table))] == [min(len(s), budget) for s in streams]
     dets = [det(0, emb=np.array(e, dtype=float)) for e in case["dets"]]
     feasible = case["gating"] <= CHI2_GATE_95
-    got = appearance_cost([tracks[i] for i in rows], embeddings_of(dets), feasible)
+    got = appearance_cost(table, rows, embeddings_of(dets), feasible)
     galleries = [np.asarray(streams[i][-budget:], dtype=float) for i in rows]
     want = gate(reference_cost(galleries, dets, case["metric"]), feasible)
     assert np.array_equal(got == INFEASIBLE, want == INFEASIBLE)
@@ -321,16 +333,17 @@ class TestGalleryBudget:
                         )
                     )
             step(tr, f, dets)
-            assert all(len(t.gallery) <= cfg.nn_budget for t in tr.tracks)
+            assert all(len(ring(tr.table, row)) <= cfg.nn_budget for row in range(len(tr.tracks)))
             assert tr.table.gallery is None or tr.table.gallery.shape[1] <= cfg.nn_budget
-            for t in tr.tracks:
+            for row, track_id in enumerate(tr.tracks):
                 # The ring holds the track's last nn_budget embeddings, the
                 # j-th at position j % nn_budget.
-                embeddings = tr.history.take(t.history_rows)[3]
+                embeddings = tr.history.take(rows_of(tr, track_id))[3]
                 n = len(embeddings)
                 want = {j % cfg.nn_budget: embeddings[j] for j in range(max(0, n - cfg.nn_budget), n)}
-                assert len(t.gallery) == len(want)
-                assert all(np.array_equal(t.gallery[k], e) for k, e in want.items())
+                gallery = ring(tr.table, row)
+                assert len(gallery) == len(want)
+                assert all(np.array_equal(gallery[k], e) for k, e in want.items())
 
     def test_budget_beyond_int64_tracks_like_an_unreached_budget(self):
         rng = np.random.default_rng(5)
@@ -357,9 +370,38 @@ class TestGalleryBudget:
         for f in range(20):
             dets = [det(f, x=10), det(f, x=200)]
             step(tr, f, dets)
-            last = [tr.history.take(t.history_rows[-1:]) for t in tr.tracks]
+            last = [tr.history.take(rows_of(tr, track_id)[-1:]) for track_id in tr.tracks]
             boxes_this_frame = [tuple(box[0]) for frame, box, _, _ in last if frame[0] == f]
             assert len(boxes_this_frame) == len(set(boxes_this_frame))
+
+
+class TestInputValidation:
+    """Malformed detections are a ValueError before the tracker changes, as
+    file ingest rejects them."""
+
+    @pytest.mark.parametrize(
+        "box, conf, emb, match",
+        [
+            ((np.nan, 50.0, 20.0, 40.0), 0.9, None, "finite"),
+            ((50.0, 50.0, np.inf, 40.0), 0.9, None, "finite"),
+            ((50.0, 50.0, 20.0, 40.0), np.nan, None, "finite"),
+            ((50.0, 50.0, 20.0, 40.0), 0.9, (np.nan, 0.0), "finite"),
+            ((50.0, 50.0, 20.0, 40.0), 0.9, (0.0, -np.inf), "finite"),
+            ((50.0, 50.0, 0.0, 40.0), 0.9, None, "positive"),
+            ((50.0, 50.0, -5.0, 40.0), 0.9, None, "positive"),
+            ((50.0, 50.0, 20.0, 0.0), 0.9, None, "positive"),
+        ],
+        ids=["nan-x", "inf-w", "nan-conf", "nan-emb", "inf-emb", "zero-w", "negative-w", "zero-h"],
+    )
+    def test_rejected_before_any_state_changes(self, box, conf, emb, match):
+        tr = Tracker(TrackerConfig(n_init=1))
+        embs = None if emb is None else np.array([emb])
+        with pytest.raises(ValueError, match=match):
+            tr.step(0, np.array([box]), np.array([conf]), embs)
+        assert len(tr.tracks) == 0 and len(tr.history.owner) == 0
+        # The frame was not consumed: it can be stepped again with valid input.
+        valid = None if emb is None else np.array([unit(1, 0)])
+        assert tr.step(0, np.array([[50.0, 50.0, 20.0, 40.0]]), np.array([0.9]), valid).tolist() == [1]
 
 
 class TestMotionOnly:
@@ -388,7 +430,7 @@ class TestMotionOnly:
         step(tr, 2, [])
         out = step(tr, 3, [det(3)])
         assert len(out) == 1  # same track re-acquired by IoU in motion-only mode
-        assert out[0].track_id == 1
+        assert out[0] == 1
 
 
 class TestSingleShotMatching:
