@@ -100,7 +100,9 @@ def read_detections(path: str | Path) -> CameraStream:
 
 def _detection_checks(rows: np.ndarray) -> list[_Check]:
     box, conf, frame = rows["box"], rows["confidence"], rows["frame"]
-    w, h = box[:, 2], box[:, 3]
+    x, y, w, h = box.T
+    with np.errstate(over="ignore"):  # a sum past the float range is inf: no vanishing
+        vanishes = (x + w <= x) | (y + h <= y)
     return [
         (~(np.isfinite(box).all(axis=1) & np.isfinite(conf)),
          lambda i: "non-finite box or confidence"),
@@ -108,6 +110,9 @@ def _detection_checks(rows: np.ndarray) -> list[_Check]:
          lambda i: f"confidence {conf[i].item()} outside [0, 1]"),
         ((w <= 0) | (h <= 0),
          lambda i: f"non-positive box size {w[i].item()}x{h[i].item()}"),
+        (vanishes,
+         lambda i: f"box size {w[i].item()}x{h[i].item()} vanishes at "
+                   f"({x[i].item()}, {y[i].item()}): x + w == x or y + h == y"),
         (np.diff(frame, prepend=frame[:1]) < 0,
          lambda i: "frames must be sorted ascending"),
         _duplicate_check(rows),

@@ -2,9 +2,11 @@
 
 The 8-d state stacks the measured box (center-x, center-y, aspect w/h, height)
 with its per-frame velocities. Process and measurement noise scale with the
-box height through a NoiseProfile. All operations are value-in/value-out;
-batched variants over stacked state arrays back the per-state API and the
-tracker hot path.
+box height through a NoiseProfile. All operations are value-in/value-out.
+`initiate` and `gating_distance` take one state; the tracker works on stacked
+states through the batched forms. No matrix of the model couples the four
+measured axes, so the innovation covariance of every state the filter builds
+is diagonal and gating and update need no LAPACK call.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class KalmanFilter:
         self.profile = profile if profile is not None else NoiseProfile()
 
     # ------------------------------------------------------------------
-    # Single-state API (wraps the batched forms below).
+    # Single-state forms.
 
     def initiate(self, measurement: np.ndarray) -> KalmanState:
         """Create a track state from an unassociated (cx, cy, a, h) measurement.
@@ -80,17 +82,6 @@ class KalmanFilter:
             ]
         )
         return KalmanState(mean=mean, covariance=np.diag(std * std))
-
-    def predict(self, s: KalmanState) -> KalmanState:
-        means, covs = self.predict_batch(s.mean[None], s.covariance[None])
-        return KalmanState(mean=means[0], covariance=covs[0])
-
-    def update(self, s: KalmanState, measurement: np.ndarray) -> KalmanState:
-        z = np.asarray(measurement, dtype=float)
-        if z[3] <= 0:
-            raise ValueError(f"measurement height must be positive, got {z[3]}")
-        means, covs = self.update_batch(s.mean[None], s.covariance[None], z[None])
-        return KalmanState(mean=means[0], covariance=covs[0])
 
     def gating_distance(self, s: KalmanState, measurements: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance from the projected state to each row of
@@ -143,16 +134,13 @@ class KalmanFilter:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Kalman correction of each state i with measurement zs[i].
 
-        The innovation covariance is handled through its Cholesky factor; a
-        non-positive-definite S (degenerate NoiseProfile) surfaces as
-        numpy.linalg.LinAlgError.
+        The gain P H^T S^-1 comes from `_solve_innovation`, per axis for the
+        diagonal S the tracker builds; a non-positive-definite S (degenerate
+        NoiseProfile) surfaces as numpy.linalg.LinAlgError.
         """
         proj_mean, s = self.project_batch(means, covs)
-        chol = np.linalg.cholesky(s)
         b = covs[:, :, :_MDIM]  # P H^T
-        # K = P H^T S^-1 via two triangular solves of the Cholesky factor.
-        tmp = np.linalg.solve(chol, b.transpose(0, 2, 1))
-        gain = np.linalg.solve(chol.transpose(0, 2, 1), tmp).transpose(0, 2, 1)
+        gain = _solve_innovation(s, b.transpose(0, 2, 1), twice=True).transpose(0, 2, 1)
         innovation = zs - proj_mean
         new_means = means + (gain @ innovation[..., None])[..., 0]
         new_covs = covs - gain @ s @ gain.transpose(0, 2, 1)
@@ -161,11 +149,39 @@ class KalmanFilter:
     def gating_matrix(self, means: np.ndarray, covs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distances, shape (n_states, n_measurements)."""
         proj_mean, s = self.project_batch(means, covs)
-        chol = np.linalg.cholesky(s)
         diff = zs[None, :, :] - proj_mean[:, None, :]
-        # One triangular solve per state with all measurements as columns.
-        y = np.linalg.solve(chol, diff.transpose(0, 2, 1))
+        # One whitening per state with all measurements as columns.
+        y = _solve_innovation(s, diff.transpose(0, 2, 1), twice=False)
         return np.einsum("nim,nim->nm", y, y)
+
+
+_OFF_DIAGONAL = np.array([i for i in range(_MDIM * _MDIM) if i % (_MDIM + 1)])  # flat 4x4
+
+
+def _solve_innovation(s: np.ndarray, x: np.ndarray, twice: bool) -> np.ndarray:
+    """L^-1 x, or S^-1 x = L^-T L^-1 x when `twice`, for each state's
+    innovation covariance S = L L^T (n, 4, 4) and columns x (n, 4, k).
+    The result is C-contiguous either way.
+
+    The filter never couples the measured axes, so every S the tracker builds
+    is diagonal and L is sqrt(diag S): the solve scales x per axis, with no
+    LAPACK call and the bits of the triangular solves. Only an S with a
+    nonzero off-diagonal entry, which a caller built, is factored. Either way
+    a non-positive-definite S raises LinAlgError.
+    """
+    if not s.reshape(len(s), _MDIM * _MDIM)[:, _OFF_DIAGONAL].any():
+        d = s.diagonal(axis1=1, axis2=2)
+        if not (d > 0).all():
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        sd = np.sqrt(d)[:, :, None]
+        # LAPACK's solve (OpenBLAS) divides a single column by the diagonal
+        # and scales several by its reciprocal; so does this, bit for bit.
+        op, f = (np.divide, sd) if x.shape[2] == 1 else (np.multiply, 1.0 / sd)
+        y = op(x, f, order="C")
+        return op(y, f) if twice else y
+    chol = np.linalg.cholesky(s)
+    y = np.linalg.solve(chol, x)
+    return np.linalg.solve(chol.transpose(0, 2, 1), y) if twice else y
 
 
 def _symmetrize(covs: np.ndarray) -> np.ndarray:

@@ -341,8 +341,9 @@ class Tracker:
         embeddings: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Advance one frame with its NMS/confidence-filtered detections:
-        `boxes` (n, 4) rows of (x, y, w, h) with positive width and height,
-        `confidences` (n,) and `embeddings` (n, D) or None, all finite.
+        `boxes` (n, 4) rows of (x, y, w, h) with x + w > x and y + h > y
+        (a positive size that does not vanish in float64), `confidences` (n,)
+        and `embeddings` (n, D) or None, all finite.
         Either every non-empty frame of a tracker has embeddings or none has.
 
         Returns the int64 ids of the confirmed tracks updated at this frame,
@@ -361,8 +362,9 @@ class Tracker:
         if not (np.isfinite(tlwh).all() and np.isfinite(confidences).all()
                 and (embs is None or np.isfinite(embs).all())):
             raise ValueError("step needs finite boxes, confidences and embeddings")
-        if np.any(tlwh[:, 2:] <= 0):
-            raise ValueError(f"box width and height must be positive, got {tlwh[:, 2:].min()}")
+        x, y, w, h = tlwh.T
+        if np.any((x + w <= x) | (y + h <= y)):  # w <= 0, or too small for x
+            raise ValueError("box width and height must be positive, with x + w > x, y + h > y")
         if n:
             if self._with_embeddings is None:
                 self._with_embeddings = embs is not None
@@ -375,7 +377,6 @@ class Tracker:
             table.means, table.covs = self.kf.predict_batch(table.means, table.covs)
             table.time_since_update += 1
 
-        x, y, w, h = tlwh.T
         xyah = np.column_stack((x + w / 2.0, y + h / 2.0, w / h, h))
         matches, unmatched_tracks, unmatched_dets = self._associate(tlwh, xyah, embs)
         rows = np.array([r for r, _ in matches], dtype=np.intp)

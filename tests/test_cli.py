@@ -1018,6 +1018,20 @@ class TestCountErrorParity:
         )
         assert not (tmp_path / "r.json").exists()
 
+    def test_box_vanishing_in_float64(self, tmp_path, capsys):
+        # w and h are positive, but x + w == x: IoU would divide 0 by 0.
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=4)
+        det = scn / "detections_cam1.csv"
+        key = det.read_text().splitlines()[3].split(",")[:2]
+        replace_line(det, 3, ",".join(key + ["1000.0", "500.0", "1e-14", "1e-14", "0.9", "0"]))
+        argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+        seq, par = self.errors(capsys, argv)
+        assert seq == par == (
+            f"error[format]: {det}:4: box size 1e-14x1e-14 vanishes at (1000.0, 500.0): "
+            "x + w == x or y + h == y\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_embeddings_file_given_to_track(self, tmp_path, capsys):
         scn = simulate(tmp_path, cameras=1, identities=2, frames=20, embedding_dim=4)
         missing = tmp_path / "missing.csv"
@@ -1049,4 +1063,35 @@ class TestThresholdMustBeFinite:
         err = capsys.readouterr().err
         assert err.startswith("error[input]: threshold must be a finite number > 0"), err
         assert err.count("\n") == 1, err
+        assert not out.exists()
+
+
+def track_rows(tmp_path, capsys, row: str, frames: int = 7) -> tuple[int, str, Path]:
+    """`mcmot track` on `frames` frames holding one detection each, `row`
+    after its frame and det_id: (exit code, stderr, output path)."""
+    det = tmp_path / "dets.csv"
+    det.write_text(formats.DETECTION_HEADER + "\n"
+                   + "".join(f"{f},0,{row}\n" for f in range(frames)))
+    out = tmp_path / "t.csv"
+    capsys.readouterr()
+    code = main(["track", "--detections", str(det), "--output", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+class TestDegenerateBoxes:
+    def test_box_vanishing_in_float64_is_format_error(self, tmp_path, capsys):
+        # Once a RuntimeWarning from IoU's 0/0, exit 0 and no tracklet for a
+        # box seen in 7 frames.
+        code, err, out = track_rows(tmp_path, capsys, "1000.0,500.0,1e-14,1e-14,0.9,0")
+        assert code == 1
+        assert err == (f"error[format]: {tmp_path / 'dets.csv'}:2: box size 1e-14x1e-14 "
+                       "vanishes at (1000.0, 500.0): x + w == x or y + h == y\n")
+        assert not out.exists()
+
+    def test_innovation_covariance_underflow_is_numeric_error(self, tmp_path, capsys):
+        # The box keeps its extent (0 + w > 0), but its height squared
+        # underflows to 0, so the innovation covariance is singular.
+        code, err, out = track_rows(tmp_path, capsys, "0.0,0.0,1e-130,1e-170,0.9,0")
+        assert code == 1
+        assert err == "error[numeric]: Matrix is not positive definite\n"
         assert not out.exists()

@@ -303,6 +303,10 @@ def ref_read_detections(path) -> list[RefRecord]:
             raise FormatError(f"{path}:{n}: confidence {conf} outside [0, 1]")
         if w <= 0 or h <= 0:
             raise FormatError(f"{path}:{n}: non-positive box size {w}x{h}")
+        if x + w <= x or y + h <= y:
+            raise FormatError(
+                f"{path}:{n}: box size {w}x{h} vanishes at ({x}, {y}): x + w == x or y + h == y"
+            )
         if last_frame is not None and frame < last_frame:
             raise FormatError(f"{path}:{n}: frames must be sorted ascending")
         if (frame, det_id) in seen:
@@ -403,6 +407,9 @@ def camera_files(draw):
                 draw(st.floats(min_value=5e-324, max_value=1e300)),
                 draw(st.floats(min_value=5e-324, max_value=1e300)),
             ]
+            for pos in (0, 1):  # keep x + w > x and y + h > y as parsed
+                if float(text(box[pos])) + float(text(box[pos + 2])) <= float(text(box[pos])):
+                    box[pos] = 0.0
             det_rows.append(
                 [str(frame), str(det_id), *map(text, box),
                  text(draw(st.floats(0.0, 1.0))), str(draw(st.integers(0, 3)))]
@@ -446,7 +453,7 @@ def error_location(exc: FormatError) -> str:
     return match.group(1) if match else str(exc)
 
 
-MUTATIONS = ["fields", "int_key", "duplicate", "unsorted", "confidence", "size",
+MUTATIONS = ["fields", "int_key", "duplicate", "unsorted", "confidence", "size", "vanish",
              "emb_fields", "emb_int_key", "emb_duplicate", "missing", "extra"]
 
 
@@ -481,6 +488,9 @@ class TestIngestOracle:
             rows[k][6] = draw(st.sampled_from(["1.5", "-0.25", "1.0000001"]))
         elif mutation == "size":
             rows[k][draw(st.integers(4, 5))] = draw(st.sampled_from(["0", "-3.5", "-0.0"]))
+        elif mutation == "vanish":
+            rows[k][2:6] = draw(st.sampled_from([["1000.0", "0", "1e-14", "5"],
+                                                 ["0", "-1e300", "7", "1e-290"]]))
         elif mutation == "missing":
             del emb_rows[draw(st.integers(0, len(emb_rows) - 1))]
         elif mutation == "extra":

@@ -1,8 +1,28 @@
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from mcmot import kalman
+from mcmot.cli import main
 from mcmot.kalman import CHI2_GATE_95, KalmanFilter, KalmanState, NoiseProfile
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+# One state through the batch forms the tracker uses.
+def predict(kf, s):
+    means, covs = kf.predict_batch(s.mean[None], s.covariance[None])
+    return KalmanState(mean=means[0], covariance=covs[0])
+
+
+def update(kf, s, z):
+    means, covs = kf.update_batch(s.mean[None], s.covariance[None], np.asarray(z, dtype=float)[None])
+    return KalmanState(mean=means[0], covariance=covs[0])
 
 
 def random_state(rng, dim_scale=50.0):
@@ -62,30 +82,30 @@ class TestPredict:
     def test_zero_velocity_keeps_position(self):
         kf = KalmanFilter()
         s = kf.initiate(np.array([5.0, 5.0, 1.0, 10.0]))
-        np.testing.assert_allclose(kf.predict(s).mean[:4], [5, 5, 1, 10])
+        np.testing.assert_allclose(predict(kf, s).mean[:4], [5, 5, 1, 10])
 
     def test_velocity_advances_position(self):
         kf = KalmanFilter()
         s = KalmanState(
             mean=np.array([5.0, 5.0, 1.0, 10.0, 2.0, -1.0, 0.0, 0.0]), covariance=np.eye(8)
         )
-        np.testing.assert_allclose(kf.predict(s).mean[:4], [7, 4, 1, 10])
+        np.testing.assert_allclose(predict(kf, s).mean[:4], [7, 4, 1, 10])
 
     def test_trace_strictly_increases(self):
         kf = KalmanFilter()
         rng = np.random.default_rng(1)
         for _ in range(20):
             s = random_state(rng)
-            assert np.trace(kf.predict(s).covariance) > np.trace(s.covariance)
+            assert np.trace(predict(kf, s).covariance) > np.trace(s.covariance)
 
 
 class TestUpdate:
     def test_zero_innovation_keeps_position(self):
         kf = KalmanFilter()
         s = kf.initiate(np.array([5.0, 5.0, 1.0, 10.0]))
-        s = kf.predict(s)
+        s = predict(kf, s)
         z = s.mean[:4].copy()
-        np.testing.assert_allclose(kf.update(s, z).mean[:4], z, atol=1e-9)
+        np.testing.assert_allclose(update(kf, s, z).mean[:4], z, atol=1e-9)
 
     def test_repeated_update_converges_to_measurement(self):
         # Scalar oracle: without predict, a diagonal covariance stays diagonal
@@ -105,7 +125,7 @@ class TestUpdate:
             gain = p / (p + r)
             x = x + gain * (z0 - x)
             p = p * r / (p + r)
-            s = kf.update(s, z0)
+            s = update(kf, s, z0)
         np.testing.assert_allclose(s.mean[:4], x, rtol=1e-9, atol=1e-12)
         assert np.all(np.abs(s.mean[:4] - z0) < 1e-6)
 
@@ -117,14 +137,8 @@ class TestUpdate:
             z = s.mean[:4] + rng.normal(0, 1, 4)
             z[3] = abs(z[3]) + 1.0
             before = np.trace(s.covariance[:4, :4])
-            after = np.trace(kf.update(s, z).covariance[:4, :4])
+            after = np.trace(update(kf, s, z).covariance[:4, :4])
             assert after <= before + 1e-12
-
-    def test_rejects_non_positive_height(self):
-        kf = KalmanFilter()
-        s = kf.initiate(np.array([5.0, 5.0, 1.0, 10.0]))
-        with pytest.raises(ValueError):
-            kf.update(s, np.array([5.0, 5.0, 1.0, -1.0]))
 
 
 class TestGatingDistance:
@@ -185,11 +199,11 @@ def run_interleaving(kf, rng, steps=100):
     s = kf.initiate(z0)
     for _ in range(steps):
         if rng.random() < 0.5:
-            s = kf.predict(s)
+            s = predict(kf, s)
         else:
             z = s.mean[:4] + rng.normal(0, 3, 4)
             z[3] = max(z[3], 1.0)
-            s = kf.update(s, z)
+            s = update(kf, s, z)
         assert np.allclose(s.covariance, s.covariance.T, atol=1e-9)
         assert np.linalg.eigvalsh(s.covariance).min() >= -1e-9
     return s
@@ -213,8 +227,8 @@ class TestNoiselessTracking:
         s = kf.initiate(pos0)
         for t in range(1, 31):
             truth = pos0 + vel * t
-            s = kf.predict(s)
-            s = kf.update(s, truth)
+            s = predict(kf, s)
+            s = update(kf, s, truth)
         err = np.abs(s.mean[:2] - (pos0 + vel * 30)[:2]).max()
         assert err < 1e-3 * h
 
@@ -225,3 +239,117 @@ class TestNoiseProfile:
             NoiseProfile(std_weight_position=0.0)
         with pytest.raises(ValueError):
             NoiseProfile(std_weight_velocity=-1.0)
+
+
+# ----------------------------------------------------------------------
+# Per-axis branch: the filter never couples its four measured axes, so the
+# tracker's innovation covariances are diagonal and `update_batch` and
+# `gating_matrix` skip LAPACK. The reference below is the Cholesky form the
+# per-axis branch replaced, kept here as its byte oracle.
+
+_cholesky, _solve = np.linalg.cholesky, np.linalg.solve
+
+
+def cholesky_update_batch(kf, means, covs, zs):
+    proj_mean, s = kf.project_batch(means, covs)
+    chol = _cholesky(s)
+    b = covs[:, :, :4]
+    tmp = _solve(chol, b.transpose(0, 2, 1))
+    gain = _solve(chol.transpose(0, 2, 1), tmp).transpose(0, 2, 1)
+    innovation = zs - proj_mean
+    new_means = means + (gain @ innovation[..., None])[..., 0]
+    new_covs = covs - gain @ s @ gain.transpose(0, 2, 1)
+    return new_means, (new_covs + new_covs.transpose(0, 2, 1)) / 2.0
+
+
+def cholesky_gating_matrix(kf, means, covs, zs):
+    proj_mean, s = kf.project_batch(means, covs)
+    chol = _cholesky(s)
+    diff = zs[None, :, :] - proj_mean[:, None, :]
+    y = _solve(chol, diff.transpose(0, 2, 1))
+    return np.einsum("nim,nim->nm", y, y)
+
+
+def lapack_forbidden():
+    """Patch np.linalg.cholesky and solve, as mcmot.kalman calls them, to raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK call on the per-axis path")
+    return mock.patch.multiple(kalman.np.linalg, cholesky=forbidden, solve=forbidden)
+
+
+_AXIS = np.arange(8) % 4
+CROSS_AXIS = _AXIS[:, None] != _AXIS[None, :]
+
+
+def measurements(n):
+    """n boxes (cx, cy, a, h) over a wide range of positions and sizes."""
+    box = st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4), st.floats(0.05, 20.0),
+                    st.floats(0.5, 2e3))
+    return st.lists(box, min_size=n, max_size=n).map(lambda rows: np.array(rows).reshape(n, 4))
+
+
+@st.composite
+def filter_runs(draw):
+    """Initial measurements for n tracks, then a sequence of steps: predict
+    a subset, update a subset with its measurements, or gate every track
+    against m detections (m = 1 takes LAPACK's single-column path)."""
+    n = draw(st.integers(1, 6))
+    steps = []
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["predict", "update", "gate"]))
+        rows = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        zs = draw(measurements(draw(st.integers(0, 4)) if kind == "gate" else int(rows.sum())))
+        steps.append((kind, rows, zs))
+    return draw(measurements(n)), steps
+
+
+class TestPerAxisBranch:
+    @settings(max_examples=200, deadline=None)
+    @given(filter_runs())
+    def test_bytes_equal_the_cholesky_form(self, run):
+        kf = KalmanFilter()
+        z0, steps = run
+        states = [kf.initiate(z) for z in z0]
+        means = np.array([s.mean for s in states])
+        covs = np.array([s.covariance for s in states])
+        for kind, rows, zs in steps:
+            if kind == "predict":
+                means[rows], covs[rows] = kf.predict_batch(means[rows], covs[rows])
+            elif kind == "update":
+                want = cholesky_update_batch(kf, means[rows], covs[rows], zs)
+                with lapack_forbidden():
+                    got = kf.update_batch(means[rows], covs[rows], zs)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                means[rows], covs[rows] = got
+            else:
+                want = cholesky_gating_matrix(kf, means, covs, zs)
+                with lapack_forbidden():
+                    got = kf.gating_matrix(means, covs, zs)
+                assert got.tobytes() == want.tobytes()
+            assert np.all(covs[:, CROSS_AXIS] == 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    def test_non_positive_innovation_variance_raises(self, bad):
+        # h = 10 gives a measurement variance of 0.25 on the cx axis; the
+        # state's own variance brings S[0, 0] to `bad`.
+        kf = KalmanFilter()
+        means = np.array([[5.0, 5.0, 1.0, 10.0, 0.0, 0.0, 0.0, 0.0]])
+        covs = np.eye(8)[None].copy()
+        covs[0, 0, 0] = bad - 0.25
+        zs = np.array([[5.0, 5.0, 1.0, 10.0]])
+        with lapack_forbidden():
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                kf.update_batch(means, covs, zs)
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                kf.gating_matrix(means, covs, zs)
+
+    def test_golden_count_takes_no_lapack_call(self, tmp_path):
+        # A cross-axis term anywhere in the model would send the tracker back
+        # to the Cholesky branch; this run would then fail.
+        out = tmp_path / "results.json"
+        with lapack_forbidden():
+            assert main(["count", "--scenario", str(GOLDEN / "scenario"),
+                         "--config", str(GOLDEN / "config.json"),
+                         "--method", "both", "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "expected" / "count_both.json").read_bytes()

@@ -390,8 +390,11 @@ class TestInputValidation:
             ((50.0, 50.0, 0.0, 40.0), 0.9, None, "positive"),
             ((50.0, 50.0, -5.0, 40.0), 0.9, None, "positive"),
             ((50.0, 50.0, 20.0, 0.0), 0.9, None, "positive"),
+            ((1000.0, 500.0, 1e-14, 1e-14), 0.9, None, r"x \+ w > x"),
+            ((0.0, -1e300, 7.0, 1e-290), 0.9, None, r"y \+ h > y"),
         ],
-        ids=["nan-x", "inf-w", "nan-conf", "nan-emb", "inf-emb", "zero-w", "negative-w", "zero-h"],
+        ids=["nan-x", "inf-w", "nan-conf", "nan-emb", "inf-emb", "zero-w", "negative-w", "zero-h",
+             "vanishing-w", "vanishing-h"],
     )
     def test_rejected_before_any_state_changes(self, box, conf, emb, match):
         tr = Tracker(TrackerConfig(n_init=1))
