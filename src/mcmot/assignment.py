@@ -10,21 +10,17 @@ import numpy as np
 from .geometry import iou_matrix
 
 # Sentinel cost marking an infeasible track/detection pair. A pair at this
-# cost is never reported as matched; the row and column count as unmatched.
+# cost is never reported as matched.
 INFEASIBLE = 1e18
 
 
 @dataclass(frozen=True)
 class Matching:
-    """Result of a bipartite assignment: matched pairs plus leftovers.
-
-    Pairs are injective in both coordinates; together with the unmatched
-    lists they cover every row and column exactly once.
-    """
+    """Result of a bipartite assignment: the matched (row, col) pairs,
+    injective in both coordinates and sorted by row. A row or column in no
+    pair is unmatched."""
 
     pairs: tuple[tuple[int, int], ...]
-    unmatched_rows: tuple[int, ...]
-    unmatched_cols: tuple[int, ...]
 
 
 def solve_assignment(cost: np.ndarray) -> Matching:
@@ -36,12 +32,11 @@ def solve_assignment(cost: np.ndarray) -> Matching:
     on the surrogate matrix below, ties included.
     """
     c = np.atleast_2d(np.asarray(cost, dtype=float))
-    n_rows, n_cols = c.shape
     feasible = c < INFEASIBLE
     rows, cols = np.nonzero(feasible)
     rows, cols = rows.tolist(), cols.tolist()
     if not rows:
-        return Matching((), tuple(range(n_rows)), tuple(range(n_cols)))
+        return Matching(())
     # A surrogate cost exceeding the sum of all feasible entries makes the
     # solver minimize the number of infeasible pairs first, then the cost.
     big = np.abs(c[feasible]).sum() + 1.0
@@ -52,13 +47,7 @@ def solve_assignment(cost: np.ndarray) -> Matching:
     else:
         rows, cols = _linear_sum_assignment(np.where(feasible, c, big))
         pairs = tuple((r, col) for r, col in zip(rows, cols) if feasible[r, col])
-    matched_rows = {r for r, _ in pairs}
-    matched_cols = {col for _, col in pairs}
-    return Matching(
-        pairs,
-        tuple(r for r in range(n_rows) if r not in matched_rows),
-        tuple(col for col in range(n_cols) if col not in matched_cols),
-    )
+    return Matching(pairs)
 
 
 def _linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
@@ -157,24 +146,20 @@ def matching_cascade(
     ages = np.asarray(ages)
     if cost.ndim != 2 or ages.shape != cost.shape[:1]:
         raise ValueError(f"shape mismatch: cost {cost.shape} vs ages {ages.shape}")
-    unmatched_dets = list(range(cost.shape[1]))
+    free = list(range(cost.shape[1]))  # the detections no level has matched
     pairs: list[tuple[int, int]] = []
     for depth in sorted(set(ages.tolist())):
-        if not unmatched_dets:
+        if not free:
             break
         if not 1 <= depth <= max_depth:
             continue
         level = np.flatnonzero(ages == depth)
-        sub = cost[np.ix_(level, unmatched_dets)]
+        sub = cost[np.ix_(level, free)]
         m = solve_assignment(np.where(sub > threshold, INFEASIBLE, sub))
-        pairs.extend((int(level[r]), unmatched_dets[c]) for r, c in m.pairs)
-        unmatched_dets = [unmatched_dets[c] for c in m.unmatched_cols]
-    matched_rows = {r for r, _ in pairs}
-    return Matching(
-        tuple(sorted(pairs)),
-        tuple(i for i in range(len(ages)) if i not in matched_rows),
-        tuple(unmatched_dets),
-    )
+        pairs.extend((int(level[r]), free[c]) for r, c in m.pairs)
+        taken = {c for _, c in m.pairs}
+        free = [j for c, j in enumerate(free) if c not in taken]
+    return Matching(tuple(sorted(pairs)))
 
 
 def iou_matching(
@@ -188,6 +173,6 @@ def iou_matching(
     tb = np.asarray(track_boxes, dtype=float).reshape(-1, 4)
     db = np.asarray(detection_boxes, dtype=float).reshape(-1, 4)
     if tb.shape[0] == 0 or db.shape[0] == 0:
-        return Matching((), tuple(range(tb.shape[0])), tuple(range(db.shape[0])))
+        return Matching(())
     cost = 1.0 - iou_matrix(tb, db)
     return solve_assignment(np.where(cost > max_iou_distance, INFEASIBLE, cost))

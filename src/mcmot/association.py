@@ -199,10 +199,3 @@ def associate_multicamera(
         Cluster(global_id=i + 1, members=[keys[r] for r in rows])
         for i, rows in enumerate(_cluster_rows(units, E, cfg))
     ]
-
-
-def euclidean_associate(tracklets: Sequence[Tracklet], threshold: float) -> list[Cluster]:
-    """Greedy clustering of all tracklets in one pass, visited in
-    (camera_id, track_id) order."""
-    cfg = AssociationConfig(method="euclidean", threshold=threshold, intra_first=False)
-    return associate_multicamera({0: tracklets}, cfg)

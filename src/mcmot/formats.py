@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .association import Cluster
-from .geometry import BoundingBox, CameraStream
+from .geometry import BOX_RANGE, BoundingBox, CameraStream, out_of_range
 from .refine import CountReport
 from .sim import GroundTruth
 from .tracker import Tracklet
@@ -113,6 +113,9 @@ def _detection_checks(rows: np.ndarray) -> list[_Check]:
         (vanishes,
          lambda i: f"box size {w[i].item()}x{h[i].item()} vanishes at "
                    f"({x[i].item()}, {y[i].item()}): x + w == x or y + h == y"),
+        (out_of_range(box),
+         lambda i: f"box ({x[i].item()}, {y[i].item()}, {w[i].item()}, {h[i].item()}) "
+                   f"out of range: {BOX_RANGE}"),
         (np.diff(frame, prepend=frame[:1]) < 0,
          lambda i: "frames must be sorted ascending"),
         _duplicate_check(rows),

@@ -1,5 +1,5 @@
-"""Bounding-box geometry: coordinate conversions, detections and a camera's
-detection columns, IoU, non-maximum suppression."""
+"""Bounding-box geometry: the range of a valid box, detections and a
+camera's detection columns, IoU, non-maximum suppression."""
 
 from __future__ import annotations
 
@@ -7,6 +7,25 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+
+# The bound on a box's |x|, |y|, w, h and on its aspect w / h and h / w.
+# The tracker squares and multiplies these values (Kalman covariances,
+# gating distances, IoU areas) and divides them (the aspect). Within the
+# bound each such result stays within about 1e300, so none overflows
+# float64 (1.8e308) or turns the aspect to 0.
+BOX_LIMIT = 1e150
+BOX_RANGE = "|x|, |y|, w, h, w/h and h/w must be at most 1e+150"
+
+
+def out_of_range(box: np.ndarray) -> np.ndarray:
+    """Mask of the (x, y, w, h) rows of box that break BOX_RANGE."""
+    w, h = box[:, 2], box[:, 3]
+    # An aspect past the float range is inf, out of range; a non-positive
+    # or non-finite size, which may give 0/0, fails an earlier check.
+    with np.errstate(all="ignore"):
+        skewed = (w / h > BOX_LIMIT) | (h / w > BOX_LIMIT)
+    return (np.abs(box).max(axis=1) > BOX_LIMIT) | skewed
 
 
 @dataclass(frozen=True)
@@ -17,21 +36,6 @@ class BoundingBox:
     y: float
     w: float
     h: float
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    def to_xyah(self) -> tuple[float, float, float, float]:
-        """(center-x, center-y, aspect w/h, height). Requires h > 0."""
-        if self.h <= 0:
-            raise ValueError(f"box height must be positive, got {self.h}")
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0, self.w / self.h, self.h)
-
-    @classmethod
-    def from_xyah(cls, cx: float, cy: float, a: float, h: float) -> "BoundingBox":
-        w = a * h
-        return cls(cx - w / 2.0, cy - h / 2.0, w, h)
 
     def to_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.w, self.h], dtype=float)

@@ -73,10 +73,12 @@ def process_camera(
 ) -> CameraRun:
     """Track one camera's detection stream under the given config.
 
-    Every kept frame index in [0, total_frames) is stepped, including empty
-    ones, so track aging matches the stream clock. total_frames defaults to
-    one past the last detection's frame. A detection outside that range is
-    an error (ValueError), never silently dropped.
+    Every kept frame index in [0, total_frames) is a tick of the stream
+    clock, including empty ones, so track aging matches it. An empty frame
+    is stepped only while a track is live: without one, stepping it would
+    change nothing. total_frames defaults to one past the last detection's
+    frame. A detection outside that range is an error (ValueError), never
+    silently dropped.
 
     The confidence filter, the decimation, NMS and the split into frames
     each run once over the whole stream.
@@ -109,6 +111,8 @@ def process_camera(
 
     tracker = Tracker(tcfg, camera_id=camera_id)
     for f, (lo, hi) in zip(frames, bounds):
+        if lo == hi and not len(tracker.table):
+            continue  # an empty frame changes no state of a tracker without tracks
         embeddings = None if stream.embeddings is None else stream.embeddings[rows[lo:hi]]
         tracker.step(f, boxes[lo:hi], confidences[lo:hi], embeddings)
 

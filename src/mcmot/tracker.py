@@ -11,10 +11,11 @@ The live tracks' state is one struct-of-arrays TrackTable. A frame runs one
 Kalman predict over the whole table, one chi-square gating matrix of the
 confirmed tracks against all detections, appearance distances for the
 gated-in cells only (every cascade level slices the resulting cost matrix),
-and one Kalman update over the matched rows. Every detection a tracker is
-given becomes one row of its History, whose `owner` column holds the id of
-the track the detection updated or started; a track's history is the rows
-its id owns.
+and one Kalman update over the matched rows. The frame's association is one
+vector, the table row matched to each detection or -1. Every detection a
+tracker is given becomes one row of its History, whose `owner` column holds
+the id of the track the detection updated or started; a track's history is
+the rows its id owns.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assignment import INFEASIBLE, iou_matching, matching_cascade, solve_assignment
+from .geometry import BOX_RANGE, out_of_range
 from .kalman import CHI2_GATE_95, KalmanFilter, NoiseProfile
 
 
@@ -342,8 +344,9 @@ class Tracker:
     ) -> np.ndarray:
         """Advance one frame with its NMS/confidence-filtered detections:
         `boxes` (n, 4) rows of (x, y, w, h) with x + w > x and y + h > y
-        (a positive size that does not vanish in float64), `confidences` (n,)
-        and `embeddings` (n, D) or None, all finite.
+        (a positive size that does not vanish in float64) and values in
+        geometry.BOX_RANGE, `confidences` (n,) and `embeddings` (n, D) or
+        None, all finite.
         Either every non-empty frame of a tracker has embeddings or none has.
 
         Returns the int64 ids of the confirmed tracks updated at this frame,
@@ -365,6 +368,8 @@ class Tracker:
         x, y, w, h = tlwh.T
         if np.any((x + w <= x) | (y + h <= y)):  # w <= 0, or too small for x
             raise ValueError("box width and height must be positive, with x + w > x, y + h > y")
+        if out_of_range(tlwh).any():
+            raise ValueError(f"box out of range: {BOX_RANGE}")
         if n:
             if self._with_embeddings is None:
                 self._with_embeddings = embs is not None
@@ -378,17 +383,18 @@ class Tracker:
             table.time_since_update += 1
 
         xyah = np.column_stack((x + w / 2.0, y + h / 2.0, w / h, h))
-        matches, unmatched_tracks, unmatched_dets = self._associate(tlwh, xyah, embs)
-        rows = np.array([r for r, _ in matches], dtype=np.intp)
-        cols = np.array([c for _, c in matches], dtype=np.intp)
-        new_ids = self._next_id + np.arange(len(unmatched_dets), dtype=np.int64)
+        det_row = self._associate(tlwh, xyah, embs)
+        cols = np.flatnonzero(det_row >= 0)
+        rows = det_row[cols]
+        new = np.flatnonzero(det_row < 0)
+        new_ids = self._next_id + np.arange(len(new), dtype=np.int64)
         owners = np.empty(n, dtype=np.int64)
         owners[cols] = table.track_id[rows]
-        owners[unmatched_dets] = new_ids
+        owners[new] = new_ids
         self.history.append(frame, tlwh, confidences, embs, owners)
 
         cfg = self.config
-        if matches:
+        if rows.size:
             table.means[rows], table.covs[rows] = self.kf.update_batch(
                 table.means[rows], table.covs[rows], xyah[cols]
             )
@@ -400,15 +406,14 @@ class Tracker:
             if embs is not None:
                 table.add_embeddings(rows, embs[cols])
 
-        missed = np.array(unmatched_tracks, dtype=np.intp)
-        dead = missed[
-            (table.status[missed] == _TENTATIVE) | (table.time_since_update[missed] > cfg.max_age)
-        ]
+        # Predict raised every row's time_since_update and an update reset it: > 0 is a miss.
+        tsu = table.time_since_update
+        dead = np.flatnonzero((tsu > 0) & ((table.status == _TENTATIVE) | (tsu > cfg.max_age)))
         if dead.size:
             table.remove(dead)
 
-        if unmatched_dets:
-            self._start_tracks(new_ids, unmatched_dets, xyah, embs)
+        if new.size:
+            self._start_tracks(new_ids, new, xyah, embs)
         updated = (table.status == _CONFIRMED) & (table.time_since_update == 0)
         return table.track_id[updated]
 
@@ -438,56 +443,44 @@ class Tracker:
 
     def _associate(
         self, tlwh: np.ndarray, xyah: np.ndarray, embs: Optional[np.ndarray]
-    ) -> tuple[list, list, list]:
-        """Match table rows to the detections; embs, their embeddings, is
-        None for an empty frame or a stream without embeddings, and then the
-        frame is motion-only."""
+    ) -> np.ndarray:
+        """The table row matched to each detection, or -1. embs, the
+        detections' embeddings, is None for an empty frame or a stream
+        without embeddings, and then the frame is motion-only.
+
+        The appearance cascade (or the single-shot solve) matches confirmed
+        rows first. The detections left then compete by IoU for the
+        unconfirmed rows followed by the unmatched confirmed rows; in
+        appearance mode only those missed for exactly one frame qualify,
+        older misses wait for the cascade.
+        """
         cfg = self.config
         table = self.table
-        use_appearance = embs is not None
-        in_cascade = table.status == _CONFIRMED
-        confirmed = np.flatnonzero(in_cascade)
-        unconfirmed = np.flatnonzero(~in_cascade).tolist()
-
-        matches: list[tuple[int, int]] = []
-        if confirmed.size and use_appearance:
-            cost = self._gated_cost(confirmed, embs, xyah)
+        det_row = np.full(len(tlwh), -1, dtype=np.intp)
+        confirmed = table.status == _CONFIRMED
+        if embs is not None and confirmed.any():
+            rows = np.flatnonzero(confirmed)
+            cost = self._gated_cost(rows, embs, xyah)
             if cfg.single_shot_matching:
-                cost = np.where(cost > cfg.max_appearance_distance, INFEASIBLE, cost)
-                m = solve_assignment(cost)
+                m = solve_assignment(np.where(cost > cfg.max_appearance_distance, INFEASIBLE, cost))
             else:
                 m = matching_cascade(
-                    cost, table.time_since_update[confirmed], cfg.max_age,
-                    cfg.max_appearance_distance,
+                    cost, table.time_since_update[rows], cfg.max_age, cfg.max_appearance_distance
                 )
-            confirmed = confirmed.tolist()
-            matches = [(confirmed[r], c) for r, c in m.pairs]
-            unmatched_confirmed = [confirmed[r] for r in m.unmatched_rows]
-            unmatched_dets = list(m.unmatched_cols)
-        else:
-            unmatched_confirmed = confirmed.tolist()
-            unmatched_dets = list(range(len(tlwh)))
+            pairs = np.array(m.pairs, dtype=np.intp).reshape(-1, 2)
+            det_row[pairs[:, 1]] = rows[pairs[:, 0]]
 
-        if use_appearance:
-            # Appearance mode: only tracks missed for exactly one frame fall
-            # back to IoU; older misses wait for the cascade.
-            tsu = table.time_since_update
-            iou_candidates = unconfirmed + [i for i in unmatched_confirmed if tsu[i] == 1]
-            leftover = [i for i in unmatched_confirmed if tsu[i] != 1]
-        else:
-            iou_candidates = unconfirmed + unmatched_confirmed
-            leftover = []
-
-        if iou_candidates and unmatched_dets:
-            m = iou_matching(
-                table.predicted_tlwh(iou_candidates), tlwh[unmatched_dets], cfg.max_iou_distance
-            )
-            matches += [(iou_candidates[r], unmatched_dets[c]) for r, c in m.pairs]
-            unmatched_tracks = leftover + [iou_candidates[r] for r in m.unmatched_rows]
-            unmatched_dets = [unmatched_dets[c] for c in m.unmatched_cols]
-        else:
-            unmatched_tracks = leftover + iou_candidates
-        return matches, unmatched_tracks, unmatched_dets
+        late = confirmed.copy()  # the confirmed rows the first stage left
+        late[det_row[det_row >= 0]] = False
+        if embs is not None:
+            late &= table.time_since_update == 1
+        candidates = np.concatenate((np.flatnonzero(~confirmed), np.flatnonzero(late)))
+        free = np.flatnonzero(det_row < 0)
+        if candidates.size and free.size:
+            m = iou_matching(table.predicted_tlwh(candidates), tlwh[free], cfg.max_iou_distance)
+            pairs = np.array(m.pairs, dtype=np.intp).reshape(-1, 2)
+            det_row[free[pairs[:, 1]]] = candidates[pairs[:, 0]]
+        return det_row
 
     def _gated_cost(self, rows: np.ndarray, embs: np.ndarray, xyah: np.ndarray) -> np.ndarray:
         """Appearance cost of the table rows against the detections,
@@ -497,7 +490,7 @@ class Tracker:
         return appearance_cost(self.table, rows, embs, gating <= CHI2_GATE_95)
 
     def _start_tracks(
-        self, ids: np.ndarray, det_idx: list[int], xyah: np.ndarray, embs: Optional[np.ndarray]
+        self, ids: np.ndarray, det_idx: np.ndarray, xyah: np.ndarray, embs: Optional[np.ndarray]
     ) -> None:
         """One new track with id ids[i] per detection det_idx[i]."""
         states = [self.kf.initiate(xyah[c]) for c in det_idx]

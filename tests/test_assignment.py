@@ -48,17 +48,27 @@ def total_cost(cost, matching):
 
 
 def check_matching_shape(m, n_rows, n_cols):
-    rows = [r for r, _ in m.pairs] + list(m.unmatched_rows)
-    cols = [c for _, c in m.pairs] + list(m.unmatched_cols)
-    assert sorted(rows) == list(range(n_rows))
-    assert sorted(cols) == list(range(n_cols))
+    """The pairs are injective, in range and sorted by row."""
+    rows = [r for r, _ in m.pairs]
+    cols = [c for _, c in m.pairs]
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    assert all(0 <= r < n_rows for r in rows) and all(0 <= c < n_cols for c in cols)
+    assert rows == sorted(rows)
+
+
+def rows_used(m):
+    return {r for r, _ in m.pairs}
+
+
+def cols_used(m):
+    return {c for _, c in m.pairs}
 
 
 class TestSolveAssignment:
     def test_single_cell(self):
         m = solve_assignment(np.array([[0.0]]))
         assert m.pairs == ((0, 0),)
-        assert m.unmatched_rows == () and m.unmatched_cols == ()
+        assert rows_used(m) == {0} and cols_used(m) == {0}
 
     def test_two_by_two_diagonal(self):
         # Brute force: identity permutation costs 2, the swap costs 4.
@@ -74,14 +84,14 @@ class TestSolveAssignment:
     def test_all_infeasible(self):
         m = solve_assignment(np.full((2, 3), INFEASIBLE))
         assert m.pairs == ()
-        assert m.unmatched_rows == (0, 1)
-        assert m.unmatched_cols == (0, 1, 2)
+        assert not rows_used(m) & {0, 1}
+        assert not cols_used(m) & {0, 1, 2}
 
     def test_empty_dimensions(self):
         m = solve_assignment(np.zeros((0, 3)))
-        assert m.pairs == () and m.unmatched_cols == (0, 1, 2)
+        assert m.pairs == () and not cols_used(m) & {0, 1, 2}
         m = solve_assignment(np.zeros((3, 0)))
-        assert m.pairs == () and m.unmatched_rows == (0, 1, 2)
+        assert m.pairs == () and not rows_used(m) & {0, 1, 2}
 
     def test_matches_brute_force_on_random_finite(self):
         rng = np.random.default_rng(11)
@@ -123,19 +133,12 @@ def scipy_matching(cost):
     """The reference: scipy's solver on the surrogate matrix that
     solve_assignment builds, with infeasible pairs dropped."""
     c = np.asarray(cost, dtype=float)
-    n_rows, n_cols = c.shape
     feasible = c < INFEASIBLE
     if not feasible.any():
-        return Matching((), tuple(range(n_rows)), tuple(range(n_cols)))
+        return Matching(())
     big = np.abs(c[feasible]).sum() + 1.0
     rows, cols = linear_sum_assignment(np.where(feasible, c, big))
-    pairs = tuple((int(r), int(col)) for r, col in zip(rows, cols) if feasible[r, col])
-    matched_rows, matched_cols = {r for r, _ in pairs}, {col for _, col in pairs}
-    return Matching(
-        pairs,
-        tuple(r for r in range(n_rows) if r not in matched_rows),
-        tuple(col for col in range(n_cols) if col not in matched_cols),
-    )
+    return Matching(tuple((int(r), int(col)) for r, col in zip(rows, cols) if feasible[r, col]))
 
 
 @st.composite
@@ -198,7 +201,8 @@ class TestScipyOracle:
         c = np.full((4, 5), INFEASIBLE)
         c[0, 3], c[2, 0], c[3, 4] = 0.5, -2.0, 0.5
         m = solve_assignment(c)
-        assert m == Matching(((0, 3), (2, 0), (3, 4)), (1,), (1, 2))
+        assert m == Matching(((0, 3), (2, 0), (3, 4)))
+        assert 1 not in rows_used(m) and not cols_used(m) & {1, 2}
         assert m == scipy_matching(c)
 
     @pytest.mark.parametrize("shared_row", [False, True], ids=["forced", "solved"])
@@ -250,10 +254,7 @@ def cascade_reference(cost, ages, max_depth, threshold):
         pairs += [(rows[r], unmatched[c]) for r, c in m.pairs]
         taken = {c for _, c in m.pairs}
         unmatched = [j for c, j in enumerate(unmatched) if c not in taken]
-    matched = {r for r, _ in pairs}
-    return Matching(
-        tuple(sorted(pairs)), tuple(r for r in range(n_rows) if r not in matched), tuple(unmatched)
-    )
+    return Matching(tuple(sorted(pairs)))
 
 
 @st.composite
@@ -275,12 +276,12 @@ class TestMatchingCascade:
         # One detection equidistant to both tracks goes to the fresher track.
         m = matching_cascade(np.full((2, 1), 0.5), [3, 1], max_depth=5, threshold=1.0)
         assert m.pairs == ((1, 0),)
-        assert m.unmatched_rows == (0,)
+        assert 0 not in rows_used(m)
 
     def test_no_detections(self):
         m = matching_cascade(np.zeros((2, 0)), [1, 2], 5, 1.0)
         assert m.pairs == ()
-        assert m.unmatched_rows == (0, 1)
+        assert not rows_used(m) & {0, 1}
 
     def test_threshold_gates(self):
         m = matching_cascade(np.array([[2.0]]), [1], 5, threshold=1.0)
@@ -343,4 +344,4 @@ class TestIouMatching:
 
     def test_empty_inputs(self):
         m = iou_matching(np.zeros((0, 4)), np.array([[0.0, 0.0, 5.0, 5.0]]), 0.7)
-        assert m.unmatched_cols == (0,)
+        assert m.pairs == () and 0 not in cols_used(m)

@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmot import association
-from mcmot.association import (
-    AssociationConfig,
-    _row_distances,
-    associate_multicamera,
-    euclidean_associate,
-    voting_merge,
-)
+from mcmot.association import AssociationConfig, _row_distances, associate_multicamera, voting_merge
 from mcmot.config import PipelineConfig
 from mcmot.geometry import CameraStream
 from mcmot.pipeline import process_camera
 from mcmot.sim import ScenarioConfig, generate
 from mcmot.tracker import Tracker, TrackerConfig, Tracklet
+
+
+def one_pass(tracklets, threshold):
+    """Greedy clustering of all tracklets in one pass, visited in
+    (camera_id, track_id) order."""
+    cfg = AssociationConfig(threshold=threshold, intra_first=False)
+    return associate_multicamera({0: tracklets}, cfg)
 
 
 def make_tracklet(camera_id, track_id, embeddings):
@@ -70,19 +71,19 @@ class TestMeanEmbedding:
             embedding=None,
         )
         with pytest.raises(ValueError, match="no embeddings"):
-            euclidean_associate([t], 0.5)
+            one_pass([t], 0.5)
 
 
 class TestEuclideanAssociate:
     def test_single_tracklet(self):
-        clusters = euclidean_associate([make_tracklet(0, 1, [[1.0, 0.0]])], 0.5)
+        clusters = one_pass([make_tracklet(0, 1, [[1.0, 0.0]])], 0.5)
         assert len(clusters) == 1
         assert clusters[0].global_id == 1
         assert clusters[0].members == [(0, 1)]
 
     def test_identical_means_merge(self):
         ts = [make_tracklet(0, 1, [[1.0, 0.0]]), make_tracklet(1, 1, [[1.0, 0.0]])]
-        assert len(euclidean_associate(ts, 1e-6)) == 1
+        assert len(one_pass(ts, 1e-6)) == 1
 
     def test_threshold_splits_chain(self):
         # Pairwise mean distances {0.1, 0.1, 0.15}: one cluster at tau 0.5,
@@ -94,13 +95,13 @@ class TestEuclideanAssociate:
         assert np.linalg.norm(a - c) == pytest.approx(0.1)
         assert np.linalg.norm(b - c) == pytest.approx(0.1)
         ts = [make_tracklet(0, i + 1, [v]) for i, v in enumerate((a, b, c * 1.5))]
-        assert len(euclidean_associate(ts, 0.5)) == 1
-        assert len(euclidean_associate(ts, 0.05)) == 3
+        assert len(one_pass(ts, 0.5)) == 1
+        assert len(one_pass(ts, 0.05)) == 3
 
     def test_exact_tie_goes_to_earliest_cluster(self):
         # Tracklet 3 lies exactly 0.5 from both clusters' centroids.
         ts = [make_tracklet(0, i + 1, [[v]]) for i, v in enumerate((-0.5, 0.5, 0.0))]
-        clusters = euclidean_associate(ts, 0.5)
+        clusters = one_pass(ts, 0.5)
         assert [c.members for c in clusters] == [[(0, 1), (0, 3)], [(0, 2)]]
 
     def test_centroid_invariant(self):
@@ -120,7 +121,7 @@ class TestEuclideanAssociate:
         rng = np.random.default_rng(32)
         ts = [make_tracklet(cam, tid, rng.normal(size=(2, 4))) for cam in range(3) for tid in range(4)]
         for tau in (0.1, 1.0, 10.0):
-            clusters = euclidean_associate(ts, tau)
+            clusters = one_pass(ts, tau)
             members = [m for c in clusters for m in c.members]
             assert sorted(members) == sorted((t.camera_id, t.track_id) for t in ts)
 
@@ -128,7 +129,7 @@ class TestEuclideanAssociate:
         rng = np.random.default_rng(33)
         ts = [make_tracklet(0, i, rng.normal(size=(2, 8))) for i in range(12)]
         taus = np.linspace(0.01, 8.0, 25)
-        counts = [len(euclidean_associate(ts, float(t))) for t in taus]
+        counts = [len(one_pass(ts, float(t))) for t in taus]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -262,7 +263,7 @@ class TestExactRecovery:
             )
             d_in = 0.4
             assert d_in <= 1.0 < d_out - d_in
-            clusters = euclidean_associate(tracklets, 1.0)
+            clusters = one_pass(tracklets, 1.0)
             assert len(clusters) == 4
             got = {frozenset(m[1] for m in c.members) for c in clusters}
             want = {frozenset(range(3 * k + 1, 3 * k + 4)) for k in range(4)}

@@ -1032,6 +1032,19 @@ class TestCountErrorParity:
         )
         assert not (tmp_path / "r.json").exists()
 
+    def test_box_out_of_range(self, tmp_path, capsys):
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=4)
+        det = scn / "detections_cam1.csv"
+        key = det.read_text().splitlines()[3].split(",")[:2]
+        replace_line(det, 3, ",".join(key + ["0.0", "0.0", "1e200", "1e200", "0.9", "0"]))
+        argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+        seq, par = self.errors(capsys, argv)
+        assert seq == par == (
+            f"error[format]: {det}:4: box (0.0, 0.0, 1e+200, 1e+200) out of range: "
+            "|x|, |y|, w, h, w/h and h/w must be at most 1e+150\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_embeddings_file_given_to_track(self, tmp_path, capsys):
         scn = simulate(tmp_path, cameras=1, identities=2, frames=20, embedding_dim=4)
         missing = tmp_path / "missing.csv"
@@ -1087,6 +1100,29 @@ class TestDegenerateBoxes:
         assert err == (f"error[format]: {tmp_path / 'dets.csv'}:2: box size 1e-14x1e-14 "
                        "vanishes at (1000.0, 500.0): x + w == x or y + h == y\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["0.0,0.0,1e200,1e200,0.9,0", "0.0,0.0,1e155,1e155,0.9,0",
+                                     "0.0,0.0,1.0,1e160,0.9,0", "0.0,0.0,1e150,1e-300,0.9,0",
+                                     "-2e150,0.0,1e140,1.0,0.9,0"],
+                             ids=["size", "just-past", "height", "aspect", "x"])
+    def test_box_out_of_range_is_format_error(self, tmp_path, capsys, row):
+        # Once numpy overflow and invalid-value RuntimeWarnings, exit 0 and
+        # no tracklet for a box seen in 7 frames.
+        code, err, out = track_rows(tmp_path, capsys, row)
+        box = ", ".join(repr(float(v)) for v in row.split(",")[:4])
+        assert code == 1
+        assert err == (f"error[format]: {tmp_path / 'dets.csv'}:2: box ({box}) out of range: "
+                       "|x|, |y|, w, h, w/h and h/w must be at most 1e+150\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("row", ["1e150,-1e150,1e150,1e150,0.9,0", "0.0,0.0,1e150,1.0,0.9,0",
+                                     "-1e150,0.0,1e135,1e-15,0.9,0"],
+                             ids=["corner", "aspect", "thin"])
+    def test_box_at_the_bound_tracks_without_warning(self, tmp_path, capsys, row):
+        code, err, out = track_rows(tmp_path, capsys, row)
+        assert code == 0, err
+        assert len(out.read_text().splitlines()) > 1
 
     def test_innovation_covariance_underflow_is_numeric_error(self, tmp_path, capsys):
         # The box keeps its extent (0 + w > 0), but its height squared

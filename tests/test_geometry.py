@@ -56,38 +56,6 @@ class TestIou:
                 assert mat[i, j] == pytest.approx(iou(bs[i], bs[5 + j]), abs=1e-12)
 
 
-class TestConversions:
-    def test_square_box(self):
-        assert BoundingBox(0, 0, 10, 10).to_xyah() == (5, 5, 1, 10)
-
-    def test_direct_arithmetic(self):
-        assert BoundingBox(10, 20, 4, 8).to_xyah() == (12, 24, 0.5, 8)
-
-    def test_round_trip_example(self):
-        b = BoundingBox(3, 7, 5, 2)
-        got = BoundingBox.from_xyah(*b.to_xyah())
-        assert (got.x, got.y, got.w, got.h) == pytest.approx((3, 7, 5, 2), abs=1e-9)
-
-    def test_xyah_requires_positive_height(self):
-        with pytest.raises(ValueError):
-            BoundingBox(0, 0, 10, 0).to_xyah()
-
-    def test_round_trips_10k_random_boxes(self):
-        rng = np.random.default_rng(0)
-        n = 10_000
-        x = rng.uniform(-1e4, 1e4, n)
-        y = rng.uniform(-1e4, 1e4, n)
-        w = rng.uniform(0.1, 1e4, n)
-        h = rng.uniform(0.1, 1e4, n)
-        for i in range(n):
-            b = BoundingBox(x[i], y[i], w[i], h[i])
-            got = BoundingBox.from_xyah(*b.to_xyah())
-            assert abs(got.x - b.x) < 1e-9
-            assert abs(got.y - b.y) < 1e-9
-            assert abs(got.w - b.w) < 1e-9
-            assert abs(got.h - b.h) < 1e-9
-
-
 def det(x, y, w, h, conf, class_id=0, frame=0):
     return Detection(frame=frame, box=BoundingBox(x, y, w, h), confidence=conf, class_id=class_id)
 

@@ -5,7 +5,8 @@
 depend on numpy's random stream. `config.json` exports every confirmed
 track and sets refinement bounds under which one tracklet is removed.
 `expected/` holds what the engine wrote for them: `count --method both`
-and `count --method voting` results, camera 0's track CSV and sidecar,
+and `count --method voting` results, camera 0's track CSV and sidecar with
+and without its embeddings (`cam0_motion.*`, the motion-only IoU path),
 `associate --method both` results over both cameras' sidecars, and the
 `eval` report of the count results. Each test regenerates one file and
 compares bytes. `--method both` takes its clusters from `euclidean`, so
@@ -64,6 +65,17 @@ def test_track_csv_and_sidecar(tmp_path):
     assert out.read_bytes() == (EXPECTED / "cam0.csv").read_bytes()
     sidecar = formats.tracklet_sidecar_path(out)
     assert sidecar.read_bytes() == (EXPECTED / "cam0.tracklets.json").read_bytes()
+
+
+def test_motion_only_track_csv_and_sidecar(tmp_path):
+    out = tmp_path / "cam0_motion.csv"
+    assert main([
+        "track", "--detections", str(SCENARIO / "detections_cam0.csv"),
+        "--camera-id", "0", "--config", str(CONFIG), "--output", str(out),
+    ]) == 0
+    assert out.read_bytes() == (EXPECTED / "cam0_motion.csv").read_bytes()
+    sidecar = formats.tracklet_sidecar_path(out)
+    assert sidecar.read_bytes() == (EXPECTED / "cam0_motion.tracklets.json").read_bytes()
 
 
 def test_associate_results(tmp_path):

@@ -140,6 +140,16 @@ class TestDetectionFile:
         with pytest.raises(FormatError, match="size"):
             formats.read_detections(path)
 
+    @pytest.mark.parametrize("box", ["1e151,2,1e140,4", "1,-2e150,3,1e140", "1,2,1e200,1e200",
+                                     "0,0,1e150,1e-1", "0,0,1e-160,1"])
+    def test_box_out_of_range_rejected(self, tmp_path, box):
+        path = tmp_path / "bad.csv"
+        path.write_text(formats.DETECTION_HEADER + f"\n0,0,1,2,3,4,0.5,0\n0,1,{box},0.5,0\n")
+        with pytest.raises(FormatError, match=r":3: box \(.*\) out of range: .* at most 1e\+150"):
+            formats.read_detections(path)
+        path.write_text(formats.DETECTION_HEADER + "\n0,0,1e150,-1e150,1e150,1e150,0.5,0\n")
+        assert formats.read_detections(path).box.tolist() == [[1e150, -1e150, 1e150, 1e150]]
+
     @pytest.mark.parametrize("field, value", [(2, "nan"), (5, "inf"), (6, "nan"), (4, "-inf")])
     def test_non_finite_rejected(self, tmp_path, field, value):
         row = "0,0,1,2,3,4,0.5,0".split(",")
@@ -307,6 +317,11 @@ def ref_read_detections(path) -> list[RefRecord]:
             raise FormatError(
                 f"{path}:{n}: box size {w}x{h} vanishes at ({x}, {y}): x + w == x or y + h == y"
             )
+        if max(abs(x), abs(y), w, h, w / h, h / w) > 1e150:
+            raise FormatError(
+                f"{path}:{n}: box ({x}, {y}, {w}, {h}) out of range: "
+                "|x|, |y|, w, h, w/h and h/w must be at most 1e+150"
+            )
         if last_frame is not None and frame < last_frame:
             raise FormatError(f"{path}:{n}: frames must be sorted ascending")
         if (frame, det_id) in seen:
@@ -389,12 +404,19 @@ def detection_fields(d: Detection) -> tuple:
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 FLOAT_TEXT = st.sampled_from([repr, formats.fmt9])
+# (coordinate, size) draws for a file's boxes: within the bound on |x|, |y|,
+# w, h and the aspect (1e150), or any finite coordinate and positive size,
+# which reach past it.
+BOX_DRAWS = [(st.floats(-1e150, 1e150), st.floats(1e-70, 1e70)),
+             (FINITE, st.floats(min_value=5e-324, max_value=1e300))]
 
 
 @st.composite
 def camera_files(draw):
-    """A canonical detections file and its embeddings file, as lists of field
-    lists: frames ascending, keys unique, embedding rows shuffled."""
+    """A detections file and its embeddings file, as lists of field lists:
+    frames ascending, keys unique, embedding rows shuffled. Every box keeps
+    its extent; half of the files draw boxes that may break the bound."""
+    coordinate, size = draw(st.sampled_from(BOX_DRAWS))
     dim = draw(st.integers(1, 4))
     frames = sorted(draw(st.lists(st.integers(-3, 40), max_size=12)))
     det_rows, emb_rows = [], []
@@ -402,11 +424,7 @@ def camera_files(draw):
         k = frames.count(frame)
         for det_id in draw(st.lists(st.integers(0, 50), min_size=k, max_size=k, unique=True)):
             text = draw(FLOAT_TEXT)
-            box = [
-                draw(FINITE), draw(FINITE),
-                draw(st.floats(min_value=5e-324, max_value=1e300)),
-                draw(st.floats(min_value=5e-324, max_value=1e300)),
-            ]
+            box = [draw(coordinate), draw(coordinate), draw(size), draw(size)]
             for pos in (0, 1):  # keep x + w > x and y + h > y as parsed
                 if float(text(box[pos])) + float(text(box[pos + 2])) <= float(text(box[pos])):
                     box[pos] = 0.0
@@ -454,7 +472,7 @@ def error_location(exc: FormatError) -> str:
 
 
 MUTATIONS = ["fields", "int_key", "duplicate", "unsorted", "confidence", "size", "vanish",
-             "emb_fields", "emb_int_key", "emb_duplicate", "missing", "extra"]
+             "range", "emb_fields", "emb_int_key", "emb_duplicate", "missing", "extra"]
 
 
 class TestIngestOracle:
@@ -462,8 +480,10 @@ class TestIngestOracle:
     @given(st.data(), camera_files())
     def test_canonical_files_parse_bit_identically(self, data, files):
         new, ref = read_both(data.draw, *files)
-        assert not isinstance(ref, FormatError), ref
-        assert new == ref
+        if isinstance(ref, FormatError):  # a box past the bound, at the same line
+            assert "out of range" in str(ref) and str(new) == str(ref), (new, ref)
+        else:
+            assert new == ref
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), camera_files(), st.sampled_from(MUTATIONS))
@@ -491,6 +511,10 @@ class TestIngestOracle:
         elif mutation == "vanish":
             rows[k][2:6] = draw(st.sampled_from([["1000.0", "0", "1e-14", "5"],
                                                  ["0", "-1e300", "7", "1e-290"]]))
+        elif mutation == "range":
+            rows[k][2:6] = draw(st.sampled_from([["0", "0", "1e200", "1e200"],
+                                                 ["-2e150", "0", "1e140", "1"],
+                                                 ["0", "0", "1e150", "1e-300"]]))
         elif mutation == "missing":
             del emb_rows[draw(st.integers(0, len(emb_rows) - 1))]
         elif mutation == "extra":

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mcmot.pipeline import (
 )
 from mcmot.refine import RefineConfig
 from mcmot.sim import ConfigError, ScenarioConfig, generate
-from mcmot.tracker import TrackerConfig, Tracklet
+from mcmot.tracker import Tracker, TrackerConfig, Tracklet
 
 
 class TestKeepFrame:
@@ -140,6 +141,47 @@ class TestProcessCamera:
     def test_study1_preset_decimation(self):
         run = track(constant_stream(300), study1_preset())
         assert run.frames_processed == 270
+
+    def test_empty_frames_without_tracks_are_not_stepped(self, monkeypatch):
+        dets = [Detection(0, BoundingBox(100.0, 50.0, 30.0, 60.0), 0.9),
+                Detection(10**6, BoundingBox(400.0, 50.0, 30.0, 60.0), 0.9)]
+        cfg = PipelineConfig(tracker=TrackerConfig(n_init=1))
+        stepped = []
+        step = Tracker.step
+
+        def counted(tracker, frame, *args):
+            stepped.append(frame)
+            return step(tracker, frame, *args)
+
+        monkeypatch.setattr(Tracker, "step", counted)
+        run = track(dets, cfg)
+        assert run.frames_processed == 10**6 + 1
+        assert [(t.track_id, t.frames.tolist(), t.boxes.tolist()) for t in run.tracklets] == [
+            (1, [0], [[100.0, 50.0, 30.0, 60.0]]), (2, [10**6], [[400.0, 50.0, 30.0, 60.0]])]
+        # Track 1 is missed from frame 1 and deleted at frame max_age + 1.
+        assert stepped == list(range(cfg.tracker.max_age + 2)) + [10**6]
+
+    def test_skipped_empty_frames_change_no_tracklet(self):
+        # A scene with a 300-frame gap, tracked by process_camera and by
+        # stepping every frame: the same tracklets, bit for bit.
+        scene = ScenarioConfig(seed=75, cameras=1, identities=3, frames=40, embedding_dim=8,
+                               miss_prob=0.2)
+        _, streams = generate(scene)
+        stream = CameraStream.from_detections(
+            [replace(d, frame=d.frame + 300) if d.frame >= 20 else d for d in streams[0]])
+        cfg = PipelineConfig(tracker=TrackerConfig(n_init=2, max_age=5))
+        tracker = Tracker(cfg.tracker)
+        for f in range(int(stream.frame.max()) + 1):
+            at = stream.frame == f
+            tracker.step(f, stream.box[at], stream.confidence[at], stream.embeddings[at])
+
+        def fields(tracklets):
+            return [(t.track_id, t.frames.tobytes(), t.boxes.tobytes(), t.embedding.tobytes())
+                    for t in tracklets]
+
+        want = fields(tracker.export_tracklets())
+        assert len(want) >= 3
+        assert fields(process_camera(0, stream, cfg).tracklets) == want
 
 
 def make_tracklet(camera_id, track_id, embedding, length=10, w=80.0, h=120.0):

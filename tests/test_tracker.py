@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmot.assignment import INFEASIBLE, gate
+from mcmot.assignment import INFEASIBLE, gate, iou_matching, matching_cascade, solve_assignment
 from mcmot.geometry import BoundingBox, Detection
 from mcmot.kalman import CHI2_GATE_95
 from mcmot.refine import id_switches
@@ -392,9 +392,12 @@ class TestInputValidation:
             ((50.0, 50.0, 20.0, 0.0), 0.9, None, "positive"),
             ((1000.0, 500.0, 1e-14, 1e-14), 0.9, None, r"x \+ w > x"),
             ((0.0, -1e300, 7.0, 1e-290), 0.9, None, r"y \+ h > y"),
+            ((0.0, 0.0, 1e200, 1e200), 0.9, None, "out of range"),
+            ((-2e150, 0.0, 1e140, 1.0), 0.9, None, "out of range"),
+            ((0.0, 0.0, 1e150, 1e-300), 0.9, None, "out of range"),
         ],
         ids=["nan-x", "inf-w", "nan-conf", "nan-emb", "inf-emb", "zero-w", "negative-w", "zero-h",
-             "vanishing-w", "vanishing-h"],
+             "vanishing-w", "vanishing-h", "huge-size", "huge-x", "huge-aspect"],
     )
     def test_rejected_before_any_state_changes(self, box, conf, emb, match):
         tr = Tracker(TrackerConfig(n_init=1))
@@ -476,3 +479,145 @@ class TestZeroNoiseScenario:
         tls = tr.export_tracklets()
         assert len(tls) == cfg.identities
         assert id_switches(tls, truth.frames_of(0)) == 0
+
+
+# ----------------------------------------------------------------------
+# Association oracle: the list-based association that the detection->row
+# vector replaced, kept as the reference. Matching holds only its pairs, so
+# the reference derives the unmatched rows and columns from them.
+
+
+def unmatched(pairs, n, axis):
+    """The indices in range(n) that no pair uses at position `axis`, ascending."""
+    used = {p[axis] for p in pairs}
+    return [i for i in range(n) if i not in used]
+
+
+def reference_associate(tracker, tlwh, xyah, embs):
+    """(matches, unmatched_tracks, unmatched_dets): (table row, detection)
+    pairs, then the rows and the detections left unmatched."""
+    cfg = tracker.config
+    table = tracker.table
+    use_appearance = embs is not None
+    in_cascade = table.status == _CONFIRMED
+    confirmed = np.flatnonzero(in_cascade)
+    unconfirmed = np.flatnonzero(~in_cascade).tolist()
+
+    matches = []
+    if confirmed.size and use_appearance:
+        cost = tracker._gated_cost(confirmed, embs, xyah)
+        if cfg.single_shot_matching:
+            cost = np.where(cost > cfg.max_appearance_distance, INFEASIBLE, cost)
+            m = solve_assignment(cost)
+        else:
+            m = matching_cascade(
+                cost, table.time_since_update[confirmed], cfg.max_age,
+                cfg.max_appearance_distance,
+            )
+        confirmed = confirmed.tolist()
+        matches = [(confirmed[r], c) for r, c in m.pairs]
+        unmatched_confirmed = [confirmed[r] for r in unmatched(m.pairs, len(confirmed), 0)]
+        unmatched_dets = unmatched(m.pairs, len(tlwh), 1)
+    else:
+        unmatched_confirmed = confirmed.tolist()
+        unmatched_dets = list(range(len(tlwh)))
+
+    if use_appearance:
+        tsu = table.time_since_update
+        iou_candidates = unconfirmed + [i for i in unmatched_confirmed if tsu[i] == 1]
+        leftover = [i for i in unmatched_confirmed if tsu[i] != 1]
+    else:
+        iou_candidates = unconfirmed + unmatched_confirmed
+        leftover = []
+
+    if iou_candidates and unmatched_dets:
+        m = iou_matching(
+            table.predicted_tlwh(iou_candidates), tlwh[unmatched_dets], cfg.max_iou_distance
+        )
+        matches += [(iou_candidates[r], unmatched_dets[c]) for r, c in m.pairs]
+        unmatched_tracks = leftover + [
+            iou_candidates[r] for r in unmatched(m.pairs, len(iou_candidates), 0)
+        ]
+        unmatched_dets = [unmatched_dets[c] for c in unmatched(m.pairs, len(unmatched_dets), 1)]
+    else:
+        unmatched_tracks = leftover + iou_candidates
+    return matches, unmatched_tracks, unmatched_dets
+
+
+# Boxes on a small grid: equal entries give IoU ties, near ones compete, and
+# the last is far from the rest. Embeddings: two orthogonal ones and a third
+# 0.0998 (euclidean) from the first, inside the default 0.2 threshold.
+ORACLE_BOXES = [(0.0, 0.0, 20.0, 40.0), (0.0, 0.0, 20.0, 40.0), (4.0, 0.0, 20.0, 40.0),
+                (0.0, 6.0, 20.0, 40.0), (14.0, 0.0, 20.0, 40.0), (300.0, 200.0, 30.0, 60.0)]
+ORACLE_EMBS = [unit(1, 0, 0), unit(0, 1, 0), unit(1, 0.1, 0)]
+
+
+def run_against_reference(cfg, frames, with_embeddings):
+    """Step a tracker through `frames` (lists of (box, embedding) indices),
+    checking every association against the reference. Returns the number
+    of (matched, unmatched track) rows seen."""
+    tr = Tracker(cfg)
+    associate = tr._associate
+    seen = [0, 0]
+
+    def checked(tlwh, xyah, embs):
+        matches, unmatched_tracks, unmatched_dets = reference_associate(tr, tlwh, xyah, embs)
+        det_row = associate(tlwh, xyah, embs)
+        want = np.full(len(tlwh), -1)
+        for r, c in matches:
+            want[c] = r
+        assert det_row.dtype == np.intp and det_row.tolist() == want.tolist()
+        absent = sorted(set(range(len(tr.table))) - set(det_row.tolist()))
+        assert absent == sorted(unmatched_tracks)
+        assert np.flatnonzero(det_row < 0).tolist() == unmatched_dets
+        seen[0] += len(matches)
+        seen[1] += len(unmatched_tracks)
+        return det_row
+
+    tr._associate = checked
+    for f, dets in enumerate(frames):
+        boxes = np.array([ORACLE_BOXES[b] for b, _ in dets]).reshape(-1, 4)
+        embs = np.array([ORACLE_EMBS[e] for _, e in dets]) if with_embeddings and dets else None
+        tr.step(f, boxes, np.full(len(dets), 0.9), embs)
+    return seen
+
+
+@st.composite
+def association_streams(draw):
+    cfg = TrackerConfig(
+        n_init=draw(st.integers(1, 3)), max_age=draw(st.integers(1, 4)),
+        single_shot_matching=draw(st.booleans()),
+        appearance_metric=draw(st.sampled_from(["euclidean", "cosine"])),
+    )
+    detection = st.tuples(st.integers(0, len(ORACLE_BOXES) - 1),
+                          st.integers(0, len(ORACLE_EMBS) - 1))
+    frames = draw(st.lists(st.lists(detection, max_size=6), min_size=1, max_size=16))
+    return cfg, frames, draw(st.booleans())
+
+
+class TestAssociationOracle:
+    """Tracker._associate's detection->row vector holds exactly the matches
+    of the list-based reference, and the rows absent from it are the
+    reference's unmatched tracks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=association_streams())
+    def test_same_association_as_reference(self, case):
+        run_against_reference(*case)
+
+    @pytest.mark.parametrize("single_shot", [False, True])
+    @pytest.mark.parametrize("with_embeddings", [False, True])
+    def test_random_streams_exercise_matches_and_misses(self, with_embeddings, single_shot):
+        rng = np.random.default_rng(23)
+        seen = [0, 0]
+        for _ in range(20):
+            cfg = TrackerConfig(n_init=int(rng.integers(1, 4)), max_age=int(rng.integers(1, 5)),
+                                single_shot_matching=single_shot)
+            frames = [
+                [(int(rng.integers(len(ORACLE_BOXES))), int(rng.integers(len(ORACLE_EMBS))))
+                 for _ in range(int(rng.integers(0, 6)))]
+                for _ in range(15)
+            ]
+            got = run_against_reference(cfg, frames, with_embeddings)
+            seen = [a + b for a, b in zip(seen, got)]
+        assert seen[0] > 0 and seen[1] > 0
