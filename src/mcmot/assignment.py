@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,21 +34,30 @@ def solve_assignment(cost: np.ndarray) -> Matching:
     """
     c = np.atleast_2d(np.asarray(cost, dtype=float))
     feasible = c < INFEASIBLE
-    rows, cols = np.nonzero(feasible)
-    rows, cols = rows.tolist(), cols.tolist()
-    if not rows:
-        return Matching(())
+    cells = _lone_cells(feasible)
     # A surrogate cost exceeding the sum of all feasible entries makes the
     # solver minimize the number of infeasible pairs first, then the cost.
     big = np.abs(c[feasible]).sum() + 1.0
-    if len(set(rows)) == len(rows) and len(set(cols)) == len(cols) and np.isfinite(big):
-        # Every feasible cell is alone in its row and column, so together
-        # they are the only maximum-cardinality matching.
-        pairs = tuple(zip(rows, cols))
-    else:
-        rows, cols = _linear_sum_assignment(np.where(feasible, c, big))
-        pairs = tuple((r, col) for r, col in zip(rows, cols) if feasible[r, col])
-    return Matching(pairs)
+    if cells is not None and np.isfinite(big):
+        return Matching(cells)
+    rows, cols = _linear_sum_assignment(np.where(feasible, c, big))
+    return Matching(tuple((r, col) for r, col in zip(rows, cols) if feasible[r, col]))
+
+
+def _lone_cells(feasible: np.ndarray) -> Optional[tuple[tuple[int, int], ...]]:
+    """The (row, col) pairs of the true cells, sorted by row, when each is
+    alone in its row and its column; None otherwise.
+
+    Such cells together are the only maximum-cardinality matching, so no
+    solve is needed, as long as their summed cost is finite (the solver's
+    condition for its surrogate cost). Python sets over the few cells beat
+    numpy's per-axis reductions on these small matrices.
+    """
+    rows, cols = np.nonzero(feasible)
+    rows, cols = rows.tolist(), cols.tolist()
+    if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
+        return None
+    return tuple(zip(rows, cols))
 
 
 def _linear_sum_assignment(cost: np.ndarray) -> tuple[list[int], list[int]]:
@@ -141,11 +151,24 @@ def matching_cascade(
     at age d, 1 <= d <= max_depth, only the rows of that age compete for the
     detections still unmatched, on `cost[np.ix_(rows, unmatched)]`. Entries
     above `threshold` are infeasible.
+
+    When every feasible cell of the whole matrix (a row of an age in
+    [1, max_depth], a cost neither above `threshold` nor INFEASIBLE) is alone
+    in its row and column, and their summed cost is finite, each level's
+    solve could only take its own such cells, so those cells are the result
+    and no level is solved.
     """
     cost = np.asarray(cost, dtype=float)
     ages = np.asarray(ages)
     if cost.ndim != 2 or ages.shape != cost.shape[:1]:
         raise ValueError(f"shape mismatch: cost {cost.shape} vs ages {ages.shape}")
+    # `~(cost > threshold)`, not `cost <= threshold`: a NaN threshold gates
+    # nothing out, as in the levels below.
+    feasible = (~(cost > threshold) & (cost < INFEASIBLE)
+                & ((ages >= 1) & (ages <= max_depth))[:, None])
+    cells = _lone_cells(feasible)
+    if cells is not None and np.isfinite(np.abs(cost[feasible]).sum()):
+        return Matching(cells)
     free = list(range(cost.shape[1]))  # the detections no level has matched
     pairs: list[tuple[int, int]] = []
     for depth in sorted(set(ages.tolist())):

@@ -101,8 +101,9 @@ def read_detections(path: str | Path) -> CameraStream:
 def _detection_checks(rows: np.ndarray) -> list[_Check]:
     box, conf, frame = rows["box"], rows["confidence"], rows["frame"]
     x, y, w, h = box.T
-    with np.errstate(over="ignore"):  # a sum past the float range is inf: no vanishing
+    with np.errstate(over="ignore"):  # a result past the float range is inf: not 0, no vanishing
         vanishes = (x + w <= x) | (y + h <= y)
+        no_area = w * h == 0
     return [
         (~(np.isfinite(box).all(axis=1) & np.isfinite(conf)),
          lambda i: "non-finite box or confidence"),
@@ -113,6 +114,8 @@ def _detection_checks(rows: np.ndarray) -> list[_Check]:
         (vanishes,
          lambda i: f"box size {w[i].item()}x{h[i].item()} vanishes at "
                    f"({x[i].item()}, {y[i].item()}): x + w == x or y + h == y"),
+        (no_area,
+         lambda i: f"box size {w[i].item()}x{h[i].item()} has zero area in float64: w * h == 0"),
         (out_of_range(box),
          lambda i: f"box ({x[i].item()}, {y[i].item()}, {w[i].item()}, {h[i].item()}) "
                    f"out of range: {BOX_RANGE}"),

@@ -37,6 +37,48 @@ def keep_frame(frame, frame_keep: Optional[tuple[int, int]], stride: int):
     return kept
 
 
+def kept_count(total_frames: int, frame_keep: Optional[tuple[int, int]], stride: int) -> int:
+    """Number of kept frames in [0, total_frames), without visiting them.
+
+    The stride rule leaves the K multiples x = k * stride. Of those, the
+    block rule keeps x iff x mod block < keep, and for 0 < keep <= block
+    that indicator is floor(x / block) - floor((x + block - keep) / block) + 1,
+    so the count is K plus two floor sums over k < K."""
+    multiples = -(-max(total_frames, 0) // stride)
+    if frame_keep is None:
+        return multiples
+    keep, block = frame_keep
+    return (multiples + _floor_sum(multiples, block, stride, 0)
+            - _floor_sum(multiples, block, stride, block - keep))
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a * i + b) / m) for i in range(n)) for a, b >= 0 and
+    m >= 1, in O(log m) steps of exact integer arithmetic."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b, m, a = top // m, top % m, a, m
+
+
+def _next_kept(start: int, limit: int, frame_keep: Optional[tuple[int, int]], stride: int) -> int:
+    """The first kept frame in [start, limit), or limit when there is none."""
+    f = -(-start // stride) * stride
+    if frame_keep is not None:
+        keep, block = frame_keep
+        while f < limit and f % block >= keep:
+            f = -(-(f // block + 1) * block // stride) * stride  # the next block's first candidate
+    return min(f, limit)
+
+
 @dataclass(frozen=True)
 class CameraFiles:
     """A camera's detections CSV and optional embeddings CSV, parsed by
@@ -76,7 +118,9 @@ def process_camera(
     Every kept frame index in [0, total_frames) is a tick of the stream
     clock, including empty ones, so track aging matches it. An empty frame
     is stepped only while a track is live: without one, stepping it would
-    change nothing. total_frames defaults to one past the last detection's
+    change nothing, so the run jumps to the next frame holding detections.
+    Its cost follows the detections and the tracks' lifetimes, not the
+    stream's length. total_frames defaults to one past the last detection's
     frame. A detection outside that range is an error (ValueError), never
     silently dropped.
 
@@ -94,7 +138,6 @@ def process_camera(
             f"stream's frames [0, {total_frames})"
         )
 
-    frames = [f for f in range(total_frames) if keep_frame(f, cfg.frame_keep, tcfg.frame_stride)]
     rows = np.flatnonzero(
         (stream.confidence >= cfg.detection_threshold)
         & (stream.confidence >= tcfg.min_confidence)
@@ -104,22 +147,34 @@ def process_camera(
     if rows.size and tcfg.nms_threshold < 1.0:
         rows = rows[nms(stream.box[rows], stream.confidence[rows], tcfg.nms_threshold,
                         stream.class_id[rows], frame[rows])]
-    row_frame = frame[rows]
-    bounds = zip(np.searchsorted(row_frame, frames).tolist(),
-                 np.searchsorted(row_frame, frames, side="right").tolist())
+    det_frames, starts = np.unique(frame[rows], return_index=True)
+    det_frames, bounds = det_frames.tolist(), [*starts.tolist(), len(rows)]
     boxes, confidences = stream.box[rows], stream.confidence[rows]
 
     tracker = Tracker(tcfg, camera_id=camera_id)
-    for f, (lo, hi) in zip(frames, bounds):
-        if lo == hi and not len(tracker.table):
-            continue  # an empty frame changes no state of a tracker without tracks
+    f, i = -1, 0  # the last frame stepped; det_frames[i] is the next holding detections
+    while i < len(det_frames) or len(tracker.table):
+        next_det = det_frames[i] if i < len(det_frames) else total_frames
+        # A live track ticks on every kept frame. Without one, an empty frame
+        # would change nothing, so the run jumps to the next detections.
+        if len(tracker.table):
+            f = _next_kept(f + 1, next_det, cfg.frame_keep, tcfg.frame_stride)
+        else:
+            f = next_det
+        if f == total_frames:
+            break
+        lo = hi = 0
+        if f == next_det:
+            lo, hi = bounds[i], bounds[i + 1]
+            i += 1
         embeddings = None if stream.embeddings is None else stream.embeddings[rows[lo:hi]]
         tracker.step(f, boxes[lo:hi], confidences[lo:hi], embeddings)
 
     tracklets = [
         t for t in tracker.export_tracklets() if t.mean_confidence >= cfg.export_confidence
     ]
-    return CameraRun(camera_id=camera_id, tracklets=tracklets, frames_processed=len(frames))
+    frames_processed = kept_count(total_frames, cfg.frame_keep, tcfg.frame_stride)
+    return CameraRun(camera_id=camera_id, tracklets=tracklets, frames_processed=frames_processed)
 
 
 def _run_camera(

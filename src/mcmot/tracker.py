@@ -343,9 +343,9 @@ class Tracker:
         embeddings: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Advance one frame with its NMS/confidence-filtered detections:
-        `boxes` (n, 4) rows of (x, y, w, h) with x + w > x and y + h > y
-        (a positive size that does not vanish in float64) and values in
-        geometry.BOX_RANGE, `confidences` (n,) and `embeddings` (n, D) or
+        `boxes` (n, 4) rows of (x, y, w, h) with x + w > x, y + h > y and
+        w * h > 0 (a positive size and area that do not vanish in float64)
+        and values in geometry.BOX_RANGE, `confidences` (n,) and `embeddings` (n, D) or
         None, all finite.
         Either every non-empty frame of a tracker has embeddings or none has.
 
@@ -366,8 +366,12 @@ class Tracker:
                 and (embs is None or np.isfinite(embs).all())):
             raise ValueError("step needs finite boxes, confidences and embeddings")
         x, y, w, h = tlwh.T
-        if np.any((x + w <= x) | (y + h <= y)):  # w <= 0, or too small for x
-            raise ValueError("box width and height must be positive, with x + w > x, y + h > y")
+        with np.errstate(over="ignore"):  # past the float range is inf, out of range below
+            degenerate = (x + w <= x) | (y + h <= y) | (w * h == 0)
+        if np.any(degenerate):  # w <= 0, too small for x, or an area that underflows
+            raise ValueError(
+                "box width and height must be positive, with x + w > x, y + h > y and w * h > 0"
+            )
         if out_of_range(tlwh).any():
             raise ValueError(f"box out of range: {BOX_RANGE}")
         if n:

@@ -6,8 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from mcmot import assignment
+from mcmot import assignment, tracker
 from mcmot.assignment import INFEASIBLE, Matching, gate, iou_matching, matching_cascade, solve_assignment
+from mcmot.config import study1_preset
+from mcmot.geometry import CameraStream
+from mcmot.pipeline import process_camera
+from mcmot.sim import ScenarioConfig, generate
 
 
 def perm_brute_force_cost(cost):
@@ -257,18 +261,39 @@ def cascade_reference(cost, ages, max_depth, threshold):
     return Matching(tuple(sorted(pairs)))
 
 
+# Costs outside the ordinary range: NaN, -0.0, infinities, cells at and past
+# INFEASIBLE, and +-1e308, whose summed magnitude overflows.
+ODD_COSTS = [np.nan, -0.0, np.inf, -np.inf, INFEASIBLE, 2 * INFEASIBLE, 1e308, -1e308]
+
+
 @st.composite
 def cascade_cases(draw):
     """Ages 0 to max_depth + 2 (ties likely), lattice or continuous costs on
     both sides of the threshold with INFEASIBLE cells, and zero-row or
-    zero-column shapes."""
+    zero-column shapes. A sparse regime fills most cells with INFEASIBLE, so
+    most of its matrices are uncontested; odd costs and thresholds (NaN,
+    infinities, at or past INFEASIBLE) are drawn too."""
     max_depth = draw(st.integers(1, 4))
     n_rows, n_cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     ages = draw(st.lists(st.integers(0, max_depth + 2), min_size=n_rows, max_size=n_rows))
     value = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, INFEASIBLE]) | st.floats(0.0, 2.0)
+    if draw(st.booleans()):
+        value = value | st.sampled_from(ODD_COSTS) | st.floats(-2.0, 2.0)
+    if draw(st.booleans()):  # sparse
+        value = st.just(INFEASIBLE) | st.just(INFEASIBLE) | st.just(INFEASIBLE) | value
     cells = draw(st.lists(value, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
     cost = np.array(cells, dtype=float).reshape(n_rows, n_cols)
-    return cost, np.array(ages, dtype=np.int64), max_depth, draw(st.sampled_from([0.5, 1.0]))
+    threshold = draw(st.sampled_from([0.5, 1.0])
+                     | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, INFEASIBLE, 2 * INFEASIBLE]))
+    return cost, np.array(ages, dtype=np.int64), max_depth, threshold
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestMatchingCascade:
@@ -301,19 +326,98 @@ class TestMatchingCascade:
         m = matching_cascade(np.zeros((1, 1)), [9], max_depth=5, threshold=1.0)
         assert m.pairs == ()
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(case=cascade_cases())
     @example(case=(np.zeros((3, 0)), np.array([1, 1, 2]), 2, 1.0))
     @example(case=(np.full((3, 2), 0.5), np.array([2, 0, 2]), 2, 1.0))
+    # A NaN threshold gates nothing out: the uncontested cell (1, 1) matches.
+    @example(case=(np.array([[INFEASIBLE, INFEASIBLE], [INFEASIBLE, 0.8]]),
+                   np.array([1, 1]), 2, np.nan))
+    # Two uncontested cells whose summed magnitude overflows: the solve
+    # raises, so no pair may be taken without it.
+    @example(case=(np.array([[-1e308, INFEASIBLE, INFEASIBLE],
+                             [INFEASIBLE, INFEASIBLE, INFEASIBLE],
+                             [INFEASIBLE, -1e308, INFEASIBLE]]), np.ones(3, np.int64), 1, np.inf))
+    @example(case=(np.array([[-0.0, INFEASIBLE], [INFEASIBLE, np.nan]]), np.array([1, 1]), 1, 0.0))
     def test_equals_loop_reference(self, case):
         cost, ages, max_depth, threshold = case
-        got = matching_cascade(cost, ages, max_depth, threshold)
-        assert got == cascade_reference(cost, ages, max_depth, threshold)
-        check_matching_shape(got, *cost.shape)
+        with np.errstate(over="ignore"):  # +-1e308 cells overflow the surrogate cost
+            got = outcome(matching_cascade, cost, ages, max_depth, threshold)
+            assert got == outcome(cascade_reference, cost, ages, max_depth, threshold)
+        if isinstance(got, Matching):
+            check_matching_shape(got, *cost.shape)
+
+    def test_uncontested_matrix_solves_no_level(self, monkeypatch):
+        def fail(cost):
+            raise AssertionError("solve_assignment called")
+
+        monkeypatch.setattr(assignment, "solve_assignment", fail)
+        cost = np.full((4, 5), INFEASIBLE)
+        cost[0, 3], cost[1, 0], cost[2, 2], cost[3, 4] = 0.1, 0.3, 5.0, 0.2
+        # Row 2's cell is above the threshold and row 3 is past max_depth, so
+        # neither contests anything.
+        m = matching_cascade(cost, np.array([2, 1, 1, 9]), 5, 1.0)
+        assert m.pairs == ((0, 3), (1, 0))
+
+    def test_contested_matrix_solves_its_levels(self, monkeypatch):
+        calls = []
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return solve_assignment(cost)
+
+        monkeypatch.setattr(assignment, "solve_assignment", counted)
+        cost = np.full((3, 3), INFEASIBLE)
+        cost[0, 0], cost[1, 0], cost[2, 1] = 0.5, 0.2, 0.4  # rows 0 and 1 share column 0
+        m = matching_cascade(cost, np.array([1, 2, 2]), 5, 1.0)
+        assert m.pairs == ((0, 0), (2, 1))  # the fresher row 0 claims column 0
+        assert calls == [(1, 3), (2, 2)]
 
     def test_ages_must_match_rows(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             matching_cascade(np.zeros((2, 1)), [1], 5, 1.0)
+
+
+class TestContestedCascadeEndToEnd:
+    """A dense scene whose cascades are sometimes contested tracks exactly
+    as with the plain per-level loop."""
+
+    # Close, noisy identities in a small image: several detections fall in
+    # one track's gate and appearance threshold.
+    SCENE = ScenarioConfig(seed=1, cameras=1, identities=20, frames=30, image_size=(800, 600),
+                           embedding_dim=16, embedding_noise_sigma=0.2, miss_prob=0.1,
+                           false_positive_rate=1.0, box_jitter_sigma=2.0)
+
+    def test_dense_scene_tracks_as_the_loop(self, monkeypatch):
+        _, streams = generate(self.SCENE)
+        stream = CameraStream.from_detections(streams[0])
+
+        def fields(run):
+            return [(t.track_id, t.frames.tobytes(), t.boxes.tobytes(), t.confidences.tobytes(),
+                     t.embedding.tobytes()) for t in run.tracklets]
+
+        solves, contested = [], []
+        solve = assignment.solve_assignment
+
+        def counted_solve(cost):
+            solves.append(cost.shape)
+            return solve(cost)
+
+        def cascade(cost, ages, max_depth, threshold):
+            before = len(solves)
+            m = matching_cascade(cost, ages, max_depth, threshold)
+            contested.append(len(solves) > before)
+            return m
+
+        with monkeypatch.context() as patch:
+            patch.setattr(assignment, "solve_assignment", counted_solve)
+            patch.setattr(tracker, "matching_cascade", cascade)
+            got = fields(process_camera(0, stream, study1_preset()))
+        assert sum(contested) >= 3 and not all(contested), contested
+        monkeypatch.setattr(tracker, "matching_cascade", cascade_reference)
+        want = fields(process_camera(0, stream, study1_preset()))
+        assert len(want) >= 15
+        assert got == want
 
 
 class TestIouMatching:

@@ -1045,6 +1045,19 @@ class TestCountErrorParity:
         )
         assert not (tmp_path / "r.json").exists()
 
+    def test_box_area_underflow(self, tmp_path, capsys):
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=4)
+        det = scn / "detections_cam1.csv"
+        key = det.read_text().splitlines()[3].split(",")[:2]
+        replace_line(det, 3, ",".join(key + ["0.0", "0.0", "1e-200", "1e-200", "0.9", "0"]))
+        argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+        seq, par = self.errors(capsys, argv)
+        assert seq == par == (
+            f"error[format]: {det}:4: box size 1e-200x1e-200 has zero area in float64: "
+            "w * h == 0\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_embeddings_file_given_to_track(self, tmp_path, capsys):
         scn = simulate(tmp_path, cameras=1, identities=2, frames=20, embedding_dim=4)
         missing = tmp_path / "missing.csv"
@@ -1123,6 +1136,18 @@ class TestDegenerateBoxes:
         code, err, out = track_rows(tmp_path, capsys, row)
         assert code == 0, err
         assert len(out.read_text().splitlines()) > 1
+
+    @pytest.mark.parametrize("row", ["0.0,0.0,1e-200,1e-200,0.9,0", "0.0,0.0,5e-324,0.5,0.9,0"],
+                             ids=["both", "denormal"])
+    def test_box_area_underflow_is_format_error(self, tmp_path, capsys, row):
+        # Once a RuntimeWarning from IoU's 0/0, exit 0 and no tracklet for a
+        # box seen in 7 frames.
+        code, err, out = track_rows(tmp_path, capsys, row)
+        w, h = (repr(float(v)) for v in row.split(",")[2:4])
+        assert code == 1
+        assert err == (f"error[format]: {tmp_path / 'dets.csv'}:2: box size {w}x{h} has zero "
+                       "area in float64: w * h == 0\n")
+        assert not out.exists()
 
     def test_innovation_covariance_underflow_is_numeric_error(self, tmp_path, capsys):
         # The box keeps its extent (0 + w > 0), but its height squared

@@ -140,6 +140,17 @@ class TestDetectionFile:
         with pytest.raises(FormatError, match="size"):
             formats.read_detections(path)
 
+    def test_box_area_underflow_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(formats.DETECTION_HEADER
+                        + "\n0,0,1,2,3,4,0.5,0\n0,1,0.0,0.0,1e-200,1e-200,0.5,0\n")
+        with pytest.raises(FormatError, match=r":3: box size 1e-200x1e-200 has zero area in "
+                                              r"float64: w \* h == 0$"):
+            formats.read_detections(path)
+        # An area of 1e-300 is representable: ingest accepts it.
+        path.write_text(formats.DETECTION_HEADER + "\n0,0,0.0,0.0,1e-130,1e-170,0.5,0\n")
+        assert formats.read_detections(path).box.tolist() == [[0.0, 0.0, 1e-130, 1e-170]]
+
     @pytest.mark.parametrize("box", ["1e151,2,1e140,4", "1,-2e150,3,1e140", "1,2,1e200,1e200",
                                      "0,0,1e150,1e-1", "0,0,1e-160,1"])
     def test_box_out_of_range_rejected(self, tmp_path, box):
@@ -317,6 +328,8 @@ def ref_read_detections(path) -> list[RefRecord]:
             raise FormatError(
                 f"{path}:{n}: box size {w}x{h} vanishes at ({x}, {y}): x + w == x or y + h == y"
             )
+        if w * h == 0:
+            raise FormatError(f"{path}:{n}: box size {w}x{h} has zero area in float64: w * h == 0")
         if max(abs(x), abs(y), w, h, w / h, h / w) > 1e150:
             raise FormatError(
                 f"{path}:{n}: box ({x}, {y}, {w}, {h}) out of range: "
@@ -415,7 +428,8 @@ BOX_DRAWS = [(st.floats(-1e150, 1e150), st.floats(1e-70, 1e70)),
 def camera_files(draw):
     """A detections file and its embeddings file, as lists of field lists:
     frames ascending, keys unique, embedding rows shuffled. Every box keeps
-    its extent; half of the files draw boxes that may break the bound."""
+    its extent and a nonzero area; half of the files draw boxes that may
+    break the bound."""
     coordinate, size = draw(st.sampled_from(BOX_DRAWS))
     dim = draw(st.integers(1, 4))
     frames = sorted(draw(st.lists(st.integers(-3, 40), max_size=12)))
@@ -428,6 +442,8 @@ def camera_files(draw):
             for pos in (0, 1):  # keep x + w > x and y + h > y as parsed
                 if float(text(box[pos])) + float(text(box[pos + 2])) <= float(text(box[pos])):
                     box[pos] = 0.0
+            if float(text(box[2])) * float(text(box[3])) == 0:  # and w * h > 0
+                box[3] = 1.0
             det_rows.append(
                 [str(frame), str(det_id), *map(text, box),
                  text(draw(st.floats(0.0, 1.0))), str(draw(st.integers(0, 3)))]
@@ -472,7 +488,7 @@ def error_location(exc: FormatError) -> str:
 
 
 MUTATIONS = ["fields", "int_key", "duplicate", "unsorted", "confidence", "size", "vanish",
-             "range", "emb_fields", "emb_int_key", "emb_duplicate", "missing", "extra"]
+             "area", "range", "emb_fields", "emb_int_key", "emb_duplicate", "missing", "extra"]
 
 
 class TestIngestOracle:
@@ -511,6 +527,9 @@ class TestIngestOracle:
         elif mutation == "vanish":
             rows[k][2:6] = draw(st.sampled_from([["1000.0", "0", "1e-14", "5"],
                                                  ["0", "-1e300", "7", "1e-290"]]))
+        elif mutation == "area":  # the second is also past the aspect bound
+            rows[k][2:6] = draw(st.sampled_from([["0.0", "0.0", "1e-200", "1e-200"],
+                                                 ["0", "5e-324", "1e-300", "1e-30"]]))
         elif mutation == "range":
             rows[k][2:6] = draw(st.sampled_from([["0", "0", "1e200", "1e200"],
                                                  ["-2e150", "0", "1e140", "1"],

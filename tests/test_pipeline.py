@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmot.association import AssociationConfig
 from mcmot.config import PipelineConfig, study1_preset
@@ -12,6 +14,7 @@ from mcmot.pipeline import (
     CameraFiles,
     associate_and_refine,
     keep_frame,
+    kept_count,
     process_camera,
     run_cameras,
     run_pipeline,
@@ -36,6 +39,18 @@ class TestKeepFrame:
     def test_block_and_stride_compose(self):
         kept = [f for f in range(300) if keep_frame(f, (270, 300), 2)]
         assert kept == [f for f in range(0, 270, 2)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(total=st.integers(0, 400), stride=st.integers(1, 12),
+           frame_keep=st.none() | st.integers(1, 30).flatmap(
+               lambda block: st.tuples(st.integers(1, block), st.just(block))))
+    def test_kept_count_counts_kept_frames(self, total, stride, frame_keep):
+        want = len([f for f in range(total) if keep_frame(f, frame_keep, stride)])
+        assert kept_count(total, frame_keep, stride) == want
+
+    def test_kept_count_of_a_long_stream(self):
+        assert kept_count(300 * 10**15 + 100, (270, 300), 2) == 135 * 10**15 + 50
+        assert kept_count(10**18 + 7, None, 4) == 25 * 10**16 + 2
 
 
 def track(dets, cfg, total_frames=None):
@@ -160,6 +175,59 @@ class TestProcessCamera:
             (1, [0], [[100.0, 50.0, 30.0, 60.0]]), (2, [10**6], [[400.0, 50.0, 30.0, 60.0]])]
         # Track 1 is missed from frame 1 and deleted at frame max_age + 1.
         assert stepped == list(range(cfg.tracker.max_age + 2)) + [10**6]
+
+    def test_long_sparse_stream_steps_only_near_detections(self, monkeypatch):
+        # Two detections in a stream of 10**12 frames: the run never walks
+        # the frames between them.
+        dets = [Detection(0, BoundingBox(100.0, 50.0, 30.0, 60.0), 0.9),
+                Detection(10**6, BoundingBox(400.0, 50.0, 30.0, 60.0), 0.9)]
+        cfg = PipelineConfig(tracker=TrackerConfig(n_init=1, max_age=3))
+        stepped = []
+        step = Tracker.step
+
+        def counted(tracker, frame, *args):
+            stepped.append(frame)
+            return step(tracker, frame, *args)
+
+        monkeypatch.setattr(Tracker, "step", counted)
+        run = track(dets, cfg, total_frames=10**12)
+        assert run.frames_processed == 10**12
+        assert [(t.track_id, t.frames.tolist(), t.boxes.tolist()) for t in run.tracklets] == [
+            (1, [0], [[100.0, 50.0, 30.0, 60.0]]), (2, [10**6], [[400.0, 50.0, 30.0, 60.0]])]
+        assert stepped == [0, 1, 2, 3, 4, 10**6, 10**6 + 1, 10**6 + 2, 10**6 + 3, 10**6 + 4]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), stride=st.integers(1, 4),
+           frame_keep=st.none() | st.integers(2, 12).flatmap(
+               lambda block: st.tuples(st.integers(1, block), st.just(block))))
+    def test_sparse_stream_tracks_as_every_kept_frame(self, data, stride, frame_keep):
+        # process_camera steps only frames holding detections and the kept
+        # frames while a track lives; a tracker stepped on every kept frame
+        # writes the same tracklets.
+        total = data.draw(st.integers(1, 120))
+        # Two slow identities seen at scattered frames: a track lives across
+        # a gap only when the gap holds few kept frames.
+        dets = sorted((Detection(f, BoundingBox(x0 + f, 50.0, 30.0, 60.0), 0.9)
+                       for x0 in (100.0, 400.0)
+                       for f in data.draw(st.sets(st.integers(0, total - 1), max_size=15))),
+                      key=lambda d: (d.frame, d.box.x))
+        cfg = PipelineConfig(frame_keep=frame_keep, tracker=TrackerConfig(
+            n_init=data.draw(st.integers(1, 2)), max_age=data.draw(st.integers(1, 4)),
+            frame_stride=stride))
+        stream = CameraStream.from_detections(dets)
+        tracker = Tracker(cfg.tracker)
+        for f in range(total):
+            if keep_frame(f, frame_keep, stride):
+                at = stream.frame == f
+                tracker.step(f, stream.box[at], stream.confidence[at])
+
+        def fields(tracklets):
+            return [(t.track_id, t.frames.tolist(), t.boxes.tolist()) for t in tracklets]
+
+        run = process_camera(0, stream, cfg, total)
+        assert fields(run.tracklets) == fields(tracker.export_tracklets())
+        assert run.frames_processed == len([f for f in range(total)
+                                            if keep_frame(f, frame_keep, stride)])
 
     def test_skipped_empty_frames_change_no_tracklet(self):
         # A scene with a 300-frame gap, tracked by process_camera and by

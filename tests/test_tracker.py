@@ -392,13 +392,15 @@ class TestInputValidation:
             ((50.0, 50.0, 20.0, 0.0), 0.9, None, "positive"),
             ((1000.0, 500.0, 1e-14, 1e-14), 0.9, None, r"x \+ w > x"),
             ((0.0, -1e300, 7.0, 1e-290), 0.9, None, r"y \+ h > y"),
+            ((0.0, 0.0, 1e-200, 1e-200), 0.9, None, r"w \* h > 0"),
             ((0.0, 0.0, 1e200, 1e200), 0.9, None, "out of range"),
             ((-2e150, 0.0, 1e140, 1.0), 0.9, None, "out of range"),
             ((0.0, 0.0, 1e150, 1e-300), 0.9, None, "out of range"),
         ],
         ids=["nan-x", "inf-w", "nan-conf", "nan-emb", "inf-emb", "zero-w", "negative-w", "zero-h",
-             "vanishing-w", "vanishing-h", "huge-size", "huge-x", "huge-aspect"],
+             "vanishing-w", "vanishing-h", "zero-area", "huge-size", "huge-x", "huge-aspect"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejected_before_any_state_changes(self, box, conf, emb, match):
         tr = Tracker(TrackerConfig(n_init=1))
         embs = None if emb is None else np.array([emb])
