@@ -3,8 +3,6 @@ JSON config-file parsing with explicit overrides."""
 
 from __future__ import annotations
 
-import dataclasses
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -13,8 +11,8 @@ from .association import AssociationConfig
 from .refine import RefineConfig
 from .errors import ConfigError
 from .formats import read_json
-from .sim import typed_value
-from .tracker import TrackerConfig
+from .sim import from_json, to_json
+from .tracker import INT64_MAX, TrackerConfig
 
 
 @dataclass(frozen=True)
@@ -37,8 +35,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.frame_keep is not None:
             keep, block = self.frame_keep
-            if not (1 <= keep <= block):
-                raise ConfigError(f"frame_keep must satisfy 1 <= keep <= block, got {self.frame_keep}")
+            if not 1 <= keep <= block <= INT64_MAX:
+                raise ConfigError("frame_keep must satisfy 1 <= keep <= block <= 2**63 - 1, "
+                                  f"got {self.frame_keep}")
 
 
 def study1_preset() -> PipelineConfig:
@@ -102,71 +101,19 @@ PRESETS = {
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    doc = {
-        "tracker": dataclasses.asdict(cfg.tracker),
-        "refine": dataclasses.asdict(cfg.refine),
-        "association": dataclasses.asdict(cfg.association),
-        "detection_threshold": cfg.detection_threshold,
-        "export_confidence": cfg.export_confidence,
-        "frame_keep": None if cfg.frame_keep is None else list(cfg.frame_keep),
-    }
-    return doc
+    return to_json(cfg)
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
-    """Build a config from a dict, optionally starting from a named preset.
-
-    Unknown keys anywhere are rejected.
-    """
+    """Build a config from a dict, starting from the named preset ("default"
+    when omitted), by the strict rules of sim.from_json."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     doc = dict(doc)
     preset = doc.pop("preset", "default")
     if not isinstance(preset, str) or preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-    base = PRESETS[preset]()
-
-    sections = {
-        "tracker": (TrackerConfig, base.tracker),
-        "refine": (RefineConfig, base.refine),
-        "association": (AssociationConfig, base.association),
-    }
-    kwargs: dict = {}
-    for name, (cls, current) in sections.items():
-        overrides = doc.pop(name, None)
-        if overrides is None:
-            kwargs[name] = current
-            continue
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"config section {name!r} must be an object")
-        types = typing.get_type_hints(cls)
-        unknown = sorted(set(overrides) - set(types))
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in config section {name!r}")
-        checked = {
-            key: typed_value(f"{name}.{key}", value, types[key])
-            for key, value in overrides.items()
-        }
-        try:
-            kwargs[name] = dataclasses.replace(current, **checked)
-        except ValueError as exc:
-            raise ConfigError(f"invalid {name} config: {exc}") from exc
-
-    for scalar in ("detection_threshold", "export_confidence"):
-        kwargs[scalar] = typed_value(scalar, doc.pop(scalar, getattr(base, scalar)), float)
-    if "frame_keep" in doc:
-        fk = doc.pop("frame_keep")
-        if fk is not None and not (isinstance(fk, list) and len(fk) == 2):
-            raise ConfigError(f"frame_keep must be null or a list [keep, block], got {fk!r}")
-        kwargs["frame_keep"] = (
-            None if fk is None else tuple(typed_value("frame_keep", v, int) for v in fk)
-        )
-    else:
-        kwargs["frame_keep"] = base.frame_keep
-
-    if doc:
-        raise ConfigError(f"unknown config key {sorted(doc)[0]!r}")
-    return PipelineConfig(**kwargs)
+    return from_json(PipelineConfig, doc, PRESETS[preset]())
 
 
 def load_config(source: str | Path | None) -> PipelineConfig:

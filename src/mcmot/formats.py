@@ -57,8 +57,10 @@ _Check = tuple[np.ndarray, Callable[[int], str]]
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingColumns:
-    """One embeddings file: row i of the C-contiguous (n, D) `vectors` matrix
-    is the embedding keyed by (frame[i], det_id[i])."""
+    """One embeddings file: row i of the (n, D) `vectors` matrix is the
+    embedding keyed by (frame[i], det_id[i]). All three are views into one
+    parse buffer of (frame, det_id, e0..e{D-1}) records, so `vectors` is
+    strided, not C-contiguous; no copy of the matrix is made."""
 
     frame: np.ndarray  # (n,) int64
     det_id: np.ndarray  # (n,) int64
@@ -147,9 +149,7 @@ def read_embeddings(path: str | Path) -> EmbeddingColumns:
         raise FormatError(f"{path}:1: embedding columns must be e0..e{{D-1}}")
     dtype = np.dtype([("frame", np.int64), ("det_id", np.int64), ("e", np.float64, (len(cols),))])
     rows = _read_rows(path, dtype, _embedding_checks)
-    return EmbeddingColumns(
-        frame=rows["frame"], det_id=rows["det_id"], vectors=np.ascontiguousarray(rows["e"])
-    )
+    return EmbeddingColumns(frame=rows["frame"], det_id=rows["det_id"], vectors=rows["e"])
 
 
 def _embedding_checks(rows: np.ndarray) -> list[_Check]:

@@ -186,6 +186,18 @@ def _frame_correspondence(
     return [(hyp[r][0], truth[c][0]) for r, c in m.pairs]
 
 
+def _boxes_by_frame(
+    tracklets: Sequence[Tracklet], ids: Sequence[int]
+) -> dict[int, list[tuple[int, np.ndarray]]]:
+    """Each frame's (ids[i], box) pairs of tracklet i, in tracklet order: the
+    hypotheses _frame_correspondence takes."""
+    by_frame: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for hyp_id, t in zip(ids, tracklets):
+        for f, b in zip(t.frames.tolist(), t.boxes):
+            by_frame.setdefault(f, []).append((hyp_id, b))
+    return by_frame
+
+
 def match_tracklets_to_identities(
     tracklets: Sequence[Tracklet], truth_frames: FrameTruth
 ) -> dict[tuple[int, int], tuple[Optional[int], int]]:
@@ -195,12 +207,8 @@ def match_tracklets_to_identities(
     Correspondence is per-frame box overlap (IoU >= 0.5, one-to-one); the
     tracklet's identity is the majority correspondent.
     """
-    by_frame: dict[int, list[tuple[int, np.ndarray]]] = {}
-    keys: dict[int, tuple[int, int]] = {}
-    for i, t in enumerate(tracklets):
-        keys[i] = (t.camera_id, t.track_id)
-        for f, b in zip(t.frames.tolist(), t.boxes):
-            by_frame.setdefault(f, []).append((i, b))
+    by_frame = _boxes_by_frame(tracklets, range(len(tracklets)))
+    keys = {i: (t.camera_id, t.track_id) for i, t in enumerate(tracklets)}
 
     votes: dict[int, dict[int, int]] = {i: {} for i in keys}
     for f, hyps in sorted(by_frame.items()):
@@ -244,11 +252,7 @@ def cluster_identity_claims(
 def id_switches(tracklets: Sequence[Tracklet], truth_frames: FrameTruth) -> int:
     """Count frames where a truth identity's corresponding hypothesis id
     differs from its previous corresponding id (IoU >= 0.5 per-frame match)."""
-    by_frame: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for t in tracklets:
-        for f, b in zip(t.frames.tolist(), t.boxes):
-            by_frame.setdefault(f, []).append((t.track_id, b))
-
+    by_frame = _boxes_by_frame(tracklets, [t.track_id for t in tracklets])
     last_hyp: dict[int, int] = {}
     switches = 0
     for f in sorted(truth_frames):

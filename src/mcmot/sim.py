@@ -6,6 +6,10 @@ All randomness comes from numpy's Philox bit generator (a named 64-bit
 counter-based PRNG), so a fixed seed reproduces streams bit-for-bit across
 runs and platforms. Draw order is fixed: ground embeddings first, then per
 camera (sorted) per frame per identity, then false positives.
+
+The module also holds the JSON codec of the config documents, this
+scenario config and the pipeline config: from_json reads one strictly, and
+to_json writes one.
 """
 
 from __future__ import annotations
@@ -233,36 +237,45 @@ def generate(cfg: ScenarioConfig) -> tuple[GroundTruth, dict[int, list[Detection
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    doc["image_size"] = list(cfg.image_size)
-    doc["box_width_range"] = list(cfg.box_width_range)
-    doc["box_height_range"] = list(cfg.box_height_range)
-    doc["fp_size_range"] = list(cfg.fp_size_range)
-    doc["occlusions"] = [
-        {
-            "camera": o.camera,
-            "frame_start": o.frame_start,
-            "frame_end": o.frame_end,
-            "region": list(o.region),
-        }
-        for o in cfg.occlusions
-    ]
-    return doc
+    return to_json(cfg)
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
-    """Strict parse of a scenario config document: unknown keys are rejected
-    and every field must have its ScenarioConfig type (see typed_value);
-    tuples are JSON lists and occlusions are objects."""
-    return _from_json("", doc, ScenarioConfig)
+    """Strict parse of a scenario config document (see from_json)."""
+    return from_json(ScenarioConfig, doc, root="scenario config")
 
 
-def _from_json(name: str, value, kind):
-    """`value` parsed as a field of type `kind`: a dataclass from an object
-    keyed by its field names (omitted fields take their defaults), a tuple
-    from a list, anything else by typed_value."""
+def to_json(value):
+    """A config dataclass as a JSON document: a dataclass becomes an object
+    keyed by its field names, a tuple a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    return value
+
+
+def from_json(kind, value, base=None, name: str = "", root: str = "config"):
+    """`value`, parsed from JSON, as a field of type `kind`, strictly: an
+    Optional field takes null, a dataclass is an object keyed by its field
+    names (unknown keys are rejected), a tuple is a list of its length, and
+    anything else is checked by typed_value. `name` is the field's dotted
+    path, and `root` names the whole document in messages.
+
+    With a `base` instance, omitted fields keep the base's values, nested
+    sections start from the base's section, and a null section is the base's
+    section. Without one, omitted fields take their defaults and required
+    fields must be present. A ValueError from a section's __post_init__
+    becomes ConfigError("invalid <section> config: ...").
+    """
+    if typing.get_origin(kind) is typing.Union:
+        if value is None:
+            return None
+        kind = next(t for t in typing.get_args(kind) if t is not type(None))
     if dataclasses.is_dataclass(kind):
-        where = name or "scenario config"
+        if value is None and base is not None:
+            return base
+        where = name or root
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be a JSON object")
         types = typing.get_type_hints(kind)
@@ -270,14 +283,21 @@ def _from_json(name: str, value, kind):
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
         fields = {
-            key: _from_json(f"{name}.{key}" if name else key, v, types[key])
+            key: from_json(types[key], v, getattr(base, key, None),
+                           f"{name}.{key}" if name else key)
             for key, v in value.items()
         }
-        for f in dataclasses.fields(kind):
-            required = f.default is f.default_factory is dataclasses.MISSING
-            if required and f.name not in fields:
-                raise ConfigError(f"{where} is missing {f.name!r}")
-        return kind(**fields)
+        if base is None:
+            for f in dataclasses.fields(kind):
+                required = f.default is f.default_factory is dataclasses.MISSING
+                if required and f.name not in fields:
+                    raise ConfigError(f"{where} is missing {f.name!r}")
+        try:
+            return kind(**fields) if base is None else dataclasses.replace(base, **fields)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"invalid {where} config: {exc}") from exc
     if typing.get_origin(kind) is tuple:
         args = typing.get_args(kind)
         if not isinstance(value, list) or (args[-1] is not Ellipsis and len(value) != len(args)):
@@ -285,7 +305,7 @@ def _from_json(name: str, value, kind):
             raise ConfigError(f"{name} must be {size}, got {value!r}")
         items = [args[0]] * len(value) if args[-1] is Ellipsis else args
         return tuple(
-            _from_json(f"{name}[{i}]", v, t) for i, (v, t) in enumerate(zip(value, items))
+            from_json(t, v, name=f"{name}[{i}]") for i, (v, t) in enumerate(zip(value, items))
         )
     return typed_value(name, value, kind)
 

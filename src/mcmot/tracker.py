@@ -29,6 +29,10 @@ from .assignment import INFEASIBLE, iou_matching, matching_cascade, solve_assign
 from .geometry import BOX_RANGE, out_of_range
 from .kalman import CHI2_GATE_95, KalmanFilter, NoiseProfile
 
+# Frame indices are int64 columns, so a frame stride or a frame_keep block
+# beyond this bound cannot be applied to them.
+INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -53,6 +57,8 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         if self.max_age < 1 or self.n_init < 1 or self.nn_budget < 1 or self.frame_stride < 1:
             raise ValueError("max_age, n_init, nn_budget and frame_stride must be >= 1")
+        if self.frame_stride > INT64_MAX:
+            raise ValueError("frame_stride must be at most 2**63 - 1")
         if self.appearance_metric not in ("euclidean", "cosine"):
             raise ValueError(f"unknown appearance metric: {self.appearance_metric!r}")
         if not 0.0 <= self.nms_threshold <= 1.0:
@@ -84,7 +90,7 @@ class TrackTable:
     def __init__(self, budget: int, metric: str):
         # No int64 embedding count reaches a larger budget, so clamping it
         # keeps the ring arithmetic in int64 without changing any result.
-        self.budget = min(budget, np.iinfo(np.int64).max)
+        self.budget = min(budget, INT64_MAX)
         self.metric = metric
         self.track_id = np.empty(0, dtype=np.int64)
         self.means = np.empty((0, 8))

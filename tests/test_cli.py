@@ -930,6 +930,44 @@ class TestCountCli:
         assert err.startswith(f"error[format]: {cfg}: duplicate key ") and err.count("\n") == 1
 
 
+class TestFrameRulesBeyondInt64:
+    """A frame stride or frame_keep block past int64 cannot be applied to the
+    int64 frame column; it once ended in an OverflowError traceback."""
+
+    @pytest.mark.parametrize("value", [2**63, 10**400], ids=["2**63", "10**400"])
+    @pytest.mark.parametrize("key", ["frame_stride", "frame_keep"])
+    @pytest.mark.parametrize("command", ["track", "count", "count --parallel"])
+    def test_config_value_is_config_error(self, tmp_path, capsys, command, key, value):
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=10, embedding_dim=4)
+        if key == "frame_stride":
+            doc = {"tracker": {"frame_stride": value}}
+            want = "error[config]: invalid tracker config: frame_stride must be at most 2**63 - 1\n"
+        else:
+            doc = {"frame_keep": [1, value]}
+            want = (f"error[config]: frame_keep must satisfy 1 <= keep <= block <= 2**63 - 1, "
+                    f"got (1, {value})\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        if command == "track":
+            argv = ["track", "--detections", str(scn / "detections_cam0.csv"),
+                    "--output", str(tmp_path / "t.csv")]
+        else:
+            argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+            argv += command.split()[1:]
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == want
+
+    def test_frame_stride_option(self, tmp_path, capsys):
+        scn = simulate(tmp_path, cameras=1, identities=2, frames=10, embedding_dim=4)
+        argv = ["track", "--detections", str(scn / "detections_cam0.csv"),
+                "--output", str(tmp_path / "t.csv"), "--frame-stride"]
+        assert main(argv + [str(2**63)]) == 1
+        assert capsys.readouterr().err == "error[input]: frame_stride must be at most 2**63 - 1\n"
+        assert not (tmp_path / "t.csv").exists()
+        assert main(argv + [str(2**63 - 1)]) == 0
+        assert "1 frames" in capsys.readouterr().out
+
+
 class TestColumnarStreams:
     @pytest.mark.parametrize("command", ["count", "track"])
     def test_no_per_row_objects_between_ingest_and_export(self, tmp_path, monkeypatch, command):

@@ -21,8 +21,8 @@ from mcmot.config import (
 )
 from mcmot.formats import EmbeddingColumns, FormatError
 from mcmot.geometry import BoundingBox, CameraStream, Detection
-from mcmot.sim import ConfigError, ScenarioConfig, generate
-from mcmot.tracker import Tracklet
+from mcmot.sim import ConfigError, ScenarioConfig, generate, to_json
+from mcmot.tracker import Tracklet, TrackerConfig
 
 
 def columns(rows, embeddings=None) -> CameraStream:
@@ -212,11 +212,30 @@ class TestEmbeddingFile:
         got = formats.read_embeddings(path)
         keys = list(zip(got.frame.tolist(), got.det_id.tolist()))
         assert set(keys) == {(f, d) for f, d, _ in keyed}
-        assert got.vectors.flags["C_CONTIGUOUS"] and got.vectors.shape == (10, 8)
+        assert got.vectors.shape == (10, 8)
         text = path.read_text()
         merged = replace(stream, embeddings=formats.merge_embeddings(stream, got))
         formats.write_embeddings(path, merged, dim=8)
         assert path.read_text() == text
+
+    def test_vectors_view_the_parse_buffer(self, tmp_path, monkeypatch):
+        # The matrix is not copied out of the parsed records: the file is
+        # held in memory once.
+        buffers = []
+
+        def loadtxt(*args, _loadtxt=formats._loadtxt, **kwargs):
+            buffers.append(_loadtxt(*args, **kwargs))
+            return buffers[-1]
+
+        monkeypatch.setattr(formats, "_loadtxt", loadtxt)
+        keyed = [(f, 0, np.full(6, f + 0.5)) for f in range(4)]
+        path = tmp_path / "embs.csv"
+        formats.write_embeddings(path, keyed_stream(keyed, dim=6), dim=6)
+        got = formats.read_embeddings(path)
+        assert len(buffers) == 1
+        for column in (got.frame, got.det_id, got.vectors):
+            assert np.shares_memory(column, buffers[0])
+        assert got.vectors.tolist() == [[f + 0.5] * 6 for f in range(4)]
 
     def test_header_declares_dimension(self, tmp_path):
         path = tmp_path / "embs.csv"
@@ -650,6 +669,36 @@ class TestResultsFile:
             formats.read_results_json(path)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(0.0, 1e300) | st.integers(0, 10**6)
+POSITIVE_INT = st.integers(1, 10**6) | st.integers(1, 2**63 - 1)
+# Valid values of every PipelineConfig field, by section.
+SECTION_FIELDS = {
+    "tracker": {
+        "min_confidence": FINITE, "nms_threshold": st.floats(0.0, 1.0),
+        "max_age": POSITIVE_INT, "n_init": POSITIVE_INT,
+        "nn_budget": POSITIVE_INT | st.integers(2**63, 10**30),
+        "max_appearance_distance": FINITE, "max_iou_distance": FINITE,
+        "appearance_metric": st.sampled_from(["euclidean", "cosine"]),
+        "frame_stride": POSITIVE_INT, "single_shot_matching": st.booleans(),
+    },
+    "refine": {
+        "min_width": NON_NEGATIVE, "min_height": NON_NEGATIVE,
+        "min_track_length": st.integers(0, 10**6), "min_mean_confidence": NON_NEGATIVE,
+    },
+    "association": {
+        "method": st.sampled_from(["euclidean", "euclidean_voting"]),
+        "threshold": st.floats(1e-300, 1e300), "intra_first": st.booleans(),
+    },
+}
+TOP_FIELDS = {
+    "detection_threshold": FINITE,
+    "export_confidence": FINITE,
+    "frame_keep": st.none() | POSITIVE_INT.flatmap(
+        lambda block: st.tuples(st.integers(1, block), st.just(block))),
+}
+
+
 class TestPresets:
     def test_study1_values(self):
         cfg = study1_preset()
@@ -714,12 +763,79 @@ class TestPresets:
             {"detection_threshold": "0.3"},
             {"frame_keep": [270, 300.0]},
             {"frame_keep": {"keep": 1}},
+            {"frame_keep": [1, True]},
+            {"frame_keep": [1, "300"]},
+            {"frame_keep": [1, 2, 3]},
+            {"frame_keep": [270]},
+            {"tracker": [1, 2]},
+            {"refine": 5},
+            {"association": "euclidean"},
             {"preset": ["study1"]},
         ],
     )
     def test_field_types_checked(self, doc):
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"frame_keep": [1, True]}, "frame_keep[1] must be an integer, got True"),
+            ({"frame_keep": [1, 2, 3]}, "frame_keep must be a list of 2 items, got [1, 2, 3]"),
+            ({"tracker": [1, 2]}, "tracker must be a JSON object"),
+            ({"zz_bogus": 1}, "unknown key 'zz_bogus' in config"),
+            ({"refine": {"min_hight": 1}}, "unknown key 'min_hight' in refine"),
+        ],
+    )
+    def test_field_errors_name_the_field(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == message
+
+    def test_null_section_keeps_the_preset_section(self):
+        cfg = config_from_dict({"preset": "study2", "tracker": None, "refine": {}})
+        assert cfg == study2_preset()
+
+    def test_frame_rules_bounded_by_int64(self):
+        # Frames are int64; nn_budget is only compared with counts.
+        cfg = config_from_dict({"tracker": {"frame_stride": 2**63 - 1, "nn_budget": 10**400},
+                                "frame_keep": [2**63 - 1, 2**63 - 1]})
+        assert cfg.tracker.frame_stride == cfg.frame_keep[1] == 2**63 - 1
+        with pytest.raises(ValueError, match=re.escape("frame_stride must be at most 2**63 - 1")):
+            TrackerConfig(frame_stride=2**63)
+        with pytest.raises(ConfigError, match=re.escape(f"block <= 2**63 - 1, got (1, {2**63})")):
+            PipelineConfig(frame_keep=(1, 2**63))
+
+    @settings(max_examples=150, deadline=None)
+    @given(preset=st.sampled_from(sorted(PRESETS)), data=st.data())
+    def test_json_round_trip(self, tmp_path_factory, preset, data):
+        # Every field overridden or not, at values its checks accept: the
+        # written document reads back equal, alone and as preset overrides.
+        base = PRESETS[preset]()
+        sections = {
+            name: replace(getattr(base, name), **data.draw(st.fixed_dictionaries({}, optional=f)))
+            for name, f in SECTION_FIELDS.items()
+        }
+        cfg = replace(base, **sections,
+                      **data.draw(st.fixed_dictionaries({}, optional=TOP_FIELDS)))
+        doc = to_json(cfg)
+        assert json.loads(json.dumps(doc)) == doc  # plain JSON values: lists, not tuples
+        path = tmp_path_factory.mktemp("config") / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert config_from_dict(formats.read_json(path)) == cfg
+        sparse = {key: value for key, value in to_json(cfg).items()
+                  if data.draw(st.booleans(), label=f"write {key}")}
+        for key in list(sparse):
+            if isinstance(sparse[key], dict):
+                sparse[key] = {k: v for k, v in sparse[key].items()
+                               if data.draw(st.booleans(), label=f"write {key}.{k}")}
+        path.write_text(json.dumps(dict(sparse, preset=preset)))
+        read = config_from_dict(formats.read_json(path))
+        assert read == replace(base, **{
+            key: replace(getattr(base, key), **value) if isinstance(value, dict)
+            else (tuple(value) if isinstance(value, list) else value)
+            for key, value in sparse.items()
+        })
 
     def test_integer_accepted_for_float_field(self):
         cfg = config_from_dict({"association": {"threshold": 1}, "detection_threshold": 0})

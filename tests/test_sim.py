@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcmot import formats
 from mcmot.sim import (
     ConfigError,
     Occlusion,
@@ -8,6 +13,7 @@ from mcmot.sim import (
     generate,
     scenario_from_dict,
     scenario_to_dict,
+    to_json,
 )
 
 
@@ -192,3 +198,77 @@ class TestScenarioSerialization:
     def test_validation_propagates(self):
         with pytest.raises(ConfigError):
             scenario_from_dict({"identities": 0})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"frames": True},
+            {"seed": 1.0},
+            {"miss_prob": "0.1"},
+            {"image_size": [1920, 1080.0]},
+            {"image_size": [1920, True]},
+            {"image_size": [1920]},
+            {"box_width_range": [70.0, 110.0, 150.0]},
+            {"box_width_range": {"low": 70.0, "high": 110.0}},
+            {"occlusions": {"camera": 0}},
+            {"occlusions": [[0, 1, 5, [0.0, 0.0, 10.0, 10.0]]]},
+            {"occlusions": [None]},
+            {"occlusions": [{"camera": 0, "frame_start": 1, "frame_end": 5,
+                             "region": [0.0, 0.0, 10.0]}]},
+            {"occlusions": [{"camera": 0, "frame_start": 1, "frame_end": 5}]},
+            {"occlusions": [{"camera": 0, "frame_start": 1, "frame_end": 5,
+                             "region": [0.0, 0.0, 10.0, 10.0], "bogus": 1}]},
+            [],
+        ],
+    )
+    def test_field_types_checked(self, doc):
+        with pytest.raises(ConfigError):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"image_size": [1920]}, "image_size must be a list of 2 items, got [1920]"),
+            ({"occlusions": [{"camera": 0}]}, "occlusions[0] is missing 'frame_start'"),
+            ({"occlusions": [None]}, "occlusions[0] must be a JSON object"),
+            ({"occlusions": [{"camera": 0.0, "frame_start": 1, "frame_end": 5,
+                              "region": [0, 0, 1, 1]}]},
+             "occlusions[0].camera must be an integer, got 0.0"),
+            ({"camera_count": 3}, "unknown key 'camera_count' in scenario config"),
+            ([], "scenario config must be a JSON object"),
+        ],
+    )
+    def test_field_errors_name_the_field(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == message
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip(self, tmp_path_factory, data):
+        # The written document reads back equal; every integer field takes
+        # values past int64 and past the float range too.
+        big = st.integers(-(10**400), 10**400)
+        small = st.floats(1e-300, 1.0)
+        # Box ranges stay below the default image's 1080 pixels.
+        rng = st.floats(1e-3, 1e3).flatmap(lambda low: st.tuples(st.just(low), st.floats(low, 1e3)))
+        occlusion = st.builds(
+            Occlusion, camera=big, frame_start=big, frame_end=big,
+            region=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+        )
+        fields = dict(
+            seed=big, cameras=st.integers(1, 10**30), identities=st.integers(1, 10**30),
+            frames=st.integers(1, 10**30), embedding_dim=st.integers(1, 10**30),
+            image_size=st.tuples(st.integers(1001, 10**30), st.integers(1001, 10**30)),
+            embedding_noise_sigma=small, identity_min_separation=small,
+            miss_prob=st.floats(0.0, 1.0), false_positive_rate=small,
+            occlusions=st.lists(occlusion, max_size=3).map(tuple),
+            box_jitter_sigma=small, camera_motion_sigma=small, speed_max=small,
+            box_width_range=rng, box_height_range=rng, fp_size_range=rng,
+        )
+        cfg = ScenarioConfig(**data.draw(st.fixed_dictionaries({}, optional=fields)))
+        doc = to_json(cfg)
+        assert json.loads(json.dumps(doc)) == doc  # plain JSON values: lists, not tuples
+        path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert scenario_from_dict(formats.read_json(path)) == cfg
