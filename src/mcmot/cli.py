@@ -190,7 +190,7 @@ def _cmd_track(args) -> int:
             cfg, tracker=dataclasses.replace(cfg.tracker, frame_stride=args.frame_stride)
         )
     files = CameraFiles(Path(args.detections), Path(args.embeddings) if args.embeddings else None)
-    run = process_camera(args.camera_id, files.load(), cfg, total_frames=args.frames)
+    run = process_camera(args.camera_id, files, cfg, total_frames=args.frames)
     formats.write_tracks_csv(args.output, run.tracklets)
     formats.write_tracklets_json(
         formats.tracklet_sidecar_path(args.output), args.camera_id, run.tracklets

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -109,11 +110,12 @@ class CameraRun:
 
 def process_camera(
     camera_id: int,
-    stream: CameraStream,
+    source: Union[CameraStream, CameraFiles],
     cfg: PipelineConfig,
     total_frames: Optional[int] = None,
 ) -> CameraRun:
-    """Track one camera's detection stream under the given config.
+    """Track one camera's detection stream, given as columns or as files
+    (parsed here), under the given config.
 
     Every kept frame index in [0, total_frames) is a tick of the stream
     clock, including empty ones, so track aging matches it. An empty frame
@@ -125,8 +127,10 @@ def process_camera(
     silently dropped.
 
     The confidence filter, the decimation, NMS and the split into frames
-    each run once over the whole stream.
+    each run once over the whole stream. The tracked rows' embeddings are
+    then gathered once, and the tracker reads only those.
     """
+    stream = source.load() if isinstance(source, CameraFiles) else source
     tcfg = cfg.tracker
     frame = stream.frame
     if total_frames is None:
@@ -150,6 +154,11 @@ def process_camera(
     det_frames, starts = np.unique(frame[rows], return_index=True)
     det_frames, bounds = det_frames.tolist(), [*starts.tolist(), len(rows)]
     boxes, confidences = stream.box[rows], stream.confidence[rows]
+    embeddings = None if stream.embeddings is None else stream.embeddings[rows]
+    # The tracker reads only the gathered rows. Dropping the stream frees a
+    # parsed file's whole embedding matrix before tracking starts, since
+    # nothing else holds it; for most configs the tracked rows are a fraction.
+    del source, stream, frame
 
     tracker = Tracker(tcfg, camera_id=camera_id)
     f, i = -1, 0  # the last frame stepped; det_frames[i] is the next holding detections
@@ -167,24 +176,14 @@ def process_camera(
         if f == next_det:
             lo, hi = bounds[i], bounds[i + 1]
             i += 1
-        embeddings = None if stream.embeddings is None else stream.embeddings[rows[lo:hi]]
-        tracker.step(f, boxes[lo:hi], confidences[lo:hi], embeddings)
+        tracker.step(f, boxes[lo:hi], confidences[lo:hi],
+                     None if embeddings is None else embeddings[lo:hi])
 
     tracklets = [
         t for t in tracker.export_tracklets() if t.mean_confidence >= cfg.export_confidence
     ]
     frames_processed = kept_count(total_frames, cfg.frame_keep, tcfg.frame_stride)
     return CameraRun(camera_id=camera_id, tracklets=tracklets, frames_processed=frames_processed)
-
-
-def _run_camera(
-    job: tuple[int, Union[CameraStream, CameraFiles], PipelineConfig, Optional[int]]
-) -> CameraRun:
-    """One camera's unit of work: parse its files if given, then track it."""
-    camera_id, source, cfg, total_frames = job
-    if isinstance(source, CameraFiles):
-        source = source.load()
-    return process_camera(camera_id, source, cfg, total_frames)
 
 
 def _columns(source: CameraSource) -> Union[CameraStream, CameraFiles]:
@@ -210,15 +209,16 @@ def run_cameras(
     way the error raised is that of the first camera, in camera order, that
     fails.
     """
-    jobs = [(cam, _columns(streams[cam]), cfg, total_frames) for cam in sorted(streams)]
-    if parallel and len(jobs) > 1:
+    cams = sorted(streams)
+    sources = [_columns(streams[cam]) for cam in cams]
+    if parallel and len(cams) > 1:
         # Imported here: the pool's modules cost every other command start-up time.
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(len(jobs), os.cpu_count() or 1)
+        workers = min(len(cams), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_camera, jobs))
-    return [_run_camera(job) for job in jobs]
+            return list(pool.map(process_camera, cams, sources, repeat(cfg), repeat(total_frames)))
+    return [process_camera(cam, source, cfg, total_frames) for cam, source in zip(cams, sources)]
 
 
 @dataclass(eq=False)

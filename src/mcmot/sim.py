@@ -82,7 +82,7 @@ class ScenarioConfig:
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         for name in ("embedding_noise_sigma", "false_positive_rate", "box_jitter_sigma",
-                     "camera_motion_sigma"):
+                     "camera_motion_sigma", "speed_max"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if (
@@ -96,6 +96,8 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{name} must be [low, high] with 0 < low <= high, got {[low, high]}"
                 )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)

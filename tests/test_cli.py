@@ -64,7 +64,7 @@ class TestSimulateCli:
         "field, value",
         [("false_positive_rate", -1.0), ("camera_motion_sigma", -1.0),
          ("embedding_noise_sigma", -0.1), ("box_jitter_sigma", -1.0),
-         ("embedding_dim", -1), ("embedding_dim", 0)],
+         ("embedding_dim", -1), ("embedding_dim", 0), ("seed", -1), ("speed_max", -3.0)],
     )
     def test_out_of_range_value_is_config_error(self, tmp_path, capsys, field, value):
         cfg = write_scenario_config(tmp_path, identities=1, **{field: value})
@@ -73,6 +73,19 @@ class TestSimulateCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error[config]: {field} must be >= ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_negative_seed_option_is_config_error(self, tmp_path, capsys):
+        # Checked before numpy sees it: its Philox error named neither the
+        # field nor the category.
+        out = tmp_path / "x"
+        assert main(["simulate", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error[config]: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_zero_speed_max_is_accepted(self, tmp_path):
+        still = simulate(tmp_path, cameras=1, identities=2, frames=5, embedding_dim=4,
+                         speed_max=0.0)
+        assert formats.read_detections(still / "detections_cam0.csv").frame.size
 
     @pytest.mark.parametrize("bounds", [[-5, -1], [0, 10], [40, 20]])
     @pytest.mark.parametrize("field", ["box_width_range", "box_height_range", "fp_size_range"])
@@ -1036,6 +1049,23 @@ class TestCountErrorParity:
             "error[input]: camera 0: detection at frame 25 is outside the stream's "
             "frames [0, 20)\n"
         )
+        assert not (tmp_path / "r.json").exists()
+
+    def test_embeddings_error_before_frame_range(self, tmp_path, capsys):
+        # Camera 0 has a detection beyond the scenario's 20 frames and an
+        # unparsable embeddings row: the file's error comes first, as the
+        # camera's files are read before its rows are checked.
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=4)
+        with open(scn / "detections_cam0.csv", "a") as fh:
+            fh.write("25,0,10,10,20,40,0.9,0\n")
+        emb = scn / "embeddings_cam0.csv"
+        with open(emb, "a") as fh:
+            fh.write("25,0,0.5,0.5,0.5,0.5\n")
+        replace_line(emb, 3, "0,1,not,a,number,row")
+        argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+        seq, par = self.errors(capsys, argv)
+        assert seq == par
+        assert seq.startswith(f"error[format]: {emb}:4: ") and seq.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("name", ["embeddings_cam1.csv", "embeddings_cam01.csv"])

@@ -1,4 +1,5 @@
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcmot import formats
 from mcmot.association import AssociationConfig
-from mcmot.config import PipelineConfig, study1_preset
+from mcmot.cli import main
+from mcmot.config import PipelineConfig, study1_preset, study2_preset
 from mcmot.geometry import BoundingBox, Detection
 from mcmot.geometry import CameraStream
 from mcmot.pipeline import (
@@ -252,6 +255,80 @@ class TestProcessCamera:
         assert fields(process_camera(0, stream, cfg).tracklets) == want
 
 
+def write_camera(tmp_path, scene, shuffled=False):
+    """Camera 0 of `scene` as a detections CSV and an embeddings CSV, the
+    latter's rows in detection order or shuffled."""
+    _, streams = generate(scene)
+    stream = CameraStream.from_detections(streams[0])
+    det = tmp_path / "detections.csv"
+    emb = tmp_path / ("embeddings_shuffled.csv" if shuffled else "embeddings.csv")
+    formats.write_detections(det, stream)
+    if shuffled:
+        order = np.random.default_rng(0).permutation(len(stream))
+        stream = replace(stream, frame=stream.frame[order], det_id=stream.det_id[order],
+                         embeddings=stream.embeddings[order])
+    formats.write_embeddings(emb, stream, scene.embedding_dim)
+    return det, emb
+
+
+class TestCameraFiles:
+    """process_camera parses a CameraFiles itself, then tracks from the
+    tracked rows' embeddings alone."""
+
+    SCENE = ScenarioConfig(seed=76, cameras=1, identities=4, frames=60, embedding_dim=8,
+                           embedding_noise_sigma=0.02, false_positive_rate=0.5, miss_prob=0.05)
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["in-order", "shuffled"])
+    @pytest.mark.parametrize("preset", [study1_preset, study2_preset], ids=["nms", "stride"])
+    def test_files_track_as_columns(self, tmp_path, preset, shuffled):
+        _, in_order = write_camera(tmp_path, self.SCENE)
+        det, emb = write_camera(tmp_path, self.SCENE, shuffled)
+        stream = CameraFiles(det, in_order).load()
+        got = fingerprint([process_camera(0, CameraFiles(det, emb), preset(), 60)])
+        assert got == fingerprint([process_camera(0, stream, preset(), 60)])
+        assert len(got[0][2]) >= 3
+
+    def test_motion_only_files_track_as_columns(self, tmp_path):
+        det, _ = write_camera(tmp_path, self.SCENE)
+        got = fingerprint([process_camera(0, CameraFiles(det), study2_preset(), 60)])
+        assert got == fingerprint([process_camera(0, formats.read_detections(det),
+                                                  study2_preset(), 60)])
+        assert len(got[0][2]) >= 3 and got[0][2][0][4] is None
+
+    @pytest.mark.parametrize("route", ["process_camera", "run_cameras", "track"])
+    def test_parse_buffer_freed_before_tracking(self, tmp_path, monkeypatch, route):
+        # study2 tracks a fraction of the rows; the file's whole matrix, a
+        # view of the parse buffer, must be gone by the first step.
+        det, emb = write_camera(tmp_path, self.SCENE)
+        buffers = []
+        read = formats.read_embeddings
+
+        def reading(path):
+            columns = read(path)
+            buffers.append(weakref.ref(columns.vectors.base))
+            return columns
+
+        alive_at_step = []
+        step = Tracker.step
+
+        def stepping(tracker, *args):
+            if not alive_at_step:
+                alive_at_step.append(buffers[0]() is not None)
+            return step(tracker, *args)
+
+        monkeypatch.setattr(formats, "read_embeddings", reading)
+        monkeypatch.setattr(Tracker, "step", stepping)
+        files = CameraFiles(det, emb)
+        if route == "process_camera":
+            process_camera(0, files, study2_preset(), 60)
+        elif route == "run_cameras":
+            run_cameras({0: files}, study2_preset(), total_frames=60)
+        else:
+            assert main(["track", "--detections", str(det), "--embeddings", str(emb),
+                         "--config", "study2", "--output", str(tmp_path / "t.csv")]) == 0
+        assert alive_at_step == [False]
+
+
 def make_tracklet(camera_id, track_id, embedding, length=10, w=80.0, h=120.0):
     return Tracklet(
         camera_id=camera_id,
@@ -352,7 +429,7 @@ def fingerprint(runs):
             r.frames_processed,
             [
                 (t.track_id, t.frames.tolist(), t.boxes.tolist(),
-                 t.confidences.tolist(), t.embedding.tobytes())
+                 t.confidences.tolist(), None if t.embedding is None else t.embedding.tobytes())
                 for t in r.tracklets
             ],
         )

@@ -236,6 +236,8 @@ class TestScenarioSerialization:
              "occlusions[0].camera must be an integer, got 0.0"),
             ({"camera_count": 3}, "unknown key 'camera_count' in scenario config"),
             ([], "scenario config must be a JSON object"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"speed_max": -3.0}, "speed_max must be >= 0, got -3.0"),
         ],
     )
     def test_field_errors_name_the_field(self, doc, message):
@@ -257,7 +259,8 @@ class TestScenarioSerialization:
             region=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
         )
         fields = dict(
-            seed=big, cameras=st.integers(1, 10**30), identities=st.integers(1, 10**30),
+            seed=st.integers(0, 10**400), cameras=st.integers(1, 10**30),
+            identities=st.integers(1, 10**30),
             frames=st.integers(1, 10**30), embedding_dim=st.integers(1, 10**30),
             image_size=st.tuples(st.integers(1001, 10**30), st.integers(1001, 10**30)),
             embedding_noise_sigma=small, identity_min_separation=small,
