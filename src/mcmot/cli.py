@@ -159,9 +159,9 @@ def _cmd_simulate(args) -> int:
         doc["seed"] = args.seed
     cfg = scenario_from_dict(doc)
 
+    truth, streams = generate(cfg)  # before the directory: a failure leaves none behind
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    truth, streams = generate(cfg)
 
     (out / "scenario.json").write_text(
         json.dumps(scenario_to_dict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -220,6 +220,7 @@ def _cmd_associate(args) -> int:
                     f"{source[key]}"
                 )
             source[key] = f
+        formats.check_tracklet_boxes(f, tracklets)
         camera_tracklets.setdefault(camera_id, []).extend(tracklets)
 
     start = time.perf_counter()

@@ -21,7 +21,9 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .association import Cluster
-from .geometry import BOX_RANGE, BoundingBox, CameraStream, out_of_range
+from .geometry import (
+    BoundingBox, CameraStream, Fault, detection_faults, embedding_fault, first_problem
+)
 from .refine import CountReport
 from .sim import GroundTruth
 from .tracker import Tracklet
@@ -49,10 +51,6 @@ _DETECTION_DTYPE = np.dtype([
     ("confidence", np.float64),
     ("class_id", np.int64),
 ])
-
-# A row check: a mask flagging the rows that fail it, and the error message
-# for a flagged row index.
-_Check = tuple[np.ndarray, Callable[[int], str]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,29 +98,11 @@ def read_detections(path: str | Path) -> CameraStream:
     )
 
 
-def _detection_checks(rows: np.ndarray) -> list[_Check]:
-    box, conf, frame = rows["box"], rows["confidence"], rows["frame"]
-    x, y, w, h = box.T
-    with np.errstate(over="ignore"):  # a result past the float range is inf: not 0, no vanishing
-        vanishes = (x + w <= x) | (y + h <= y)
-        no_area = w * h == 0
+def _detection_checks(rows: np.ndarray) -> list[Fault]:
+    frame = rows["frame"]
     return [
-        (~(np.isfinite(box).all(axis=1) & np.isfinite(conf)),
-         lambda i: "non-finite box or confidence"),
-        (~((conf >= 0.0) & (conf <= 1.0)),
-         lambda i: f"confidence {conf[i].item()} outside [0, 1]"),
-        ((w <= 0) | (h <= 0),
-         lambda i: f"non-positive box size {w[i].item()}x{h[i].item()}"),
-        (vanishes,
-         lambda i: f"box size {w[i].item()}x{h[i].item()} vanishes at "
-                   f"({x[i].item()}, {y[i].item()}): x + w == x or y + h == y"),
-        (no_area,
-         lambda i: f"box size {w[i].item()}x{h[i].item()} has zero area in float64: w * h == 0"),
-        (out_of_range(box),
-         lambda i: f"box ({x[i].item()}, {y[i].item()}, {w[i].item()}, {h[i].item()}) "
-                   f"out of range: {BOX_RANGE}"),
-        (np.diff(frame, prepend=frame[:1]) < 0,
-         lambda i: "frames must be sorted ascending"),
+        *detection_faults(rows["box"], rows["confidence"]),
+        (np.diff(frame, prepend=frame[:1]) < 0, lambda i: "frames must be sorted ascending"),
         _duplicate_check(rows),
     ]
 
@@ -152,11 +132,8 @@ def read_embeddings(path: str | Path) -> EmbeddingColumns:
     return EmbeddingColumns(frame=rows["frame"], det_id=rows["det_id"], vectors=rows["e"])
 
 
-def _embedding_checks(rows: np.ndarray) -> list[_Check]:
-    return [
-        (~np.isfinite(rows["e"]).all(axis=1), lambda i: "non-finite embedding value"),
-        _duplicate_check(rows),
-    ]
+def _embedding_checks(rows: np.ndarray) -> list[Fault]:
+    return [embedding_fault(rows["e"]), _duplicate_check(rows)]
 
 
 def merge_embeddings(
@@ -237,7 +214,7 @@ def _loadtxt(source, dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
 
 
 def _read_rows(
-    path: str | Path, dtype: np.dtype, checks: Callable[[np.ndarray], list[_Check]]
+    path: str | Path, dtype: np.dtype, checks: Callable[[np.ndarray], list[Fault]]
 ) -> np.ndarray:
     """Parse and check the data rows below a CSV header.
 
@@ -249,7 +226,7 @@ def _read_rows(
     except ValueError as exc:
         error = exc
     else:
-        found = _first_problem(checks(rows))
+        found = first_problem(checks(rows))
         if found is None:
             return rows
         row, message = found
@@ -260,7 +237,7 @@ def _read_rows(
     bad = _first_unparsable(texts, dtype)
     if bad is None:  # the lines parse one by one: report what numpy saw
         raise FormatError(f"{path}: {error}") from error
-    found = _first_problem(checks(_loadtxt(texts[:bad], dtype)))
+    found = first_problem(checks(_loadtxt(texts[:bad], dtype)))
     row, message = found if found is not None else (bad, _parse_problem(texts[bad], dtype))
     raise FormatError(f"{path}:{lines[row][0]}: {message}") from error
 
@@ -310,7 +287,7 @@ def _parse_problem(text: str, dtype: np.dtype) -> str:
     return f"cannot parse {text!r}"
 
 
-def _duplicate_check(rows: np.ndarray) -> _Check:
+def _duplicate_check(rows: np.ndarray) -> Fault:
     """Check flagging each row whose (frame, det_id) key is on an earlier row."""
     frame, det_id = rows["frame"], rows["det_id"]
     order = np.lexsort((det_id, frame))  # stable: equal keys keep file order
@@ -318,20 +295,6 @@ def _duplicate_check(rows: np.ndarray) -> _Check:
     dup = np.zeros(len(rows), dtype=bool)
     dup[order[1:][same]] = True
     return dup, lambda i: f"duplicate key (frame={frame[i]}, det_id={det_id[i]})"
-
-
-def _first_problem(checks: list[_Check]) -> Optional[tuple[int, str]]:
-    """(row, message) of the first row any check flags, or None. On a tie the
-    check listed first wins, so list checks in the order a row is checked."""
-    found = None
-    for mask, message in checks:
-        hits = np.flatnonzero(mask)
-        if hits.size and (found is None or hits[0] < found[0]):
-            found = (int(hits[0]), message)
-    if found is None:
-        return None
-    row, message = found
-    return row, message(row)
 
 
 # ----------------------------------------------------------------------
@@ -376,6 +339,9 @@ def write_tracklets_json(path: str | Path, camera_id: int, tracklets: Sequence[T
 
 
 def read_tracklets_json(path: str | Path) -> tuple[int, list[Tracklet]]:
+    """A sidecar's camera and tracklets. Their boxes and confidences are
+    left to check_tracklet_boxes, which `associate` calls after its check
+    that no tracklet is in two sidecars."""
     doc = read_json(path)
     camera_id = _field(path, doc, "camera_id", int)
     return camera_id, _tracklets_from_doc(path, camera_id, _field(path, doc, "tracklets", list))
@@ -389,6 +355,34 @@ def _tracklet_doc(t: Tracklet) -> dict:
         "boxes": t.boxes,
         "confidences": t.confidences,
     }
+
+
+def check_tracklet_boxes(path: str | Path, tracklets: Sequence[Tracklet]) -> None:
+    """The detection rules over every box and confidence of a document's
+    tracklets, in one pass; FormatError names the first bad box."""
+    if tracklets:
+        _check_boxes(
+            path,
+            np.concatenate([t.boxes for t in tracklets]),
+            np.concatenate([t.confidences for t in tracklets]),
+            [len(t) for t in tracklets],
+            lambda k: f"camera {tracklets[k].camera_id}, track {tracklets[k].track_id}",
+        )
+
+
+def _check_boxes(
+    path: str | Path, box: np.ndarray, confidence: np.ndarray, sizes: list[int],
+    place: Callable[[int], str],
+) -> None:
+    """geometry.detection_faults over a document's rows, which come in
+    groups of the given sizes: a failure names the place of the group
+    (place(k) for group k) and the box's index within it."""
+    found = first_problem(detection_faults(box, confidence))
+    if found is not None:
+        row, message = found
+        ends = np.cumsum(sizes)
+        k = int(np.searchsorted(ends, row, side="right"))
+        raise FormatError(f"{path}: {place(k)}: box {row - ends[k] + sizes[k]}: {message}")
 
 
 def _tracklets_from_doc(path: str | Path, camera_id: int, entries: list) -> list[Tracklet]:
@@ -494,6 +488,12 @@ def read_truth_json(path: str | Path) -> TruthFile:
         if len({len(row) for row in rows}) > 1:
             raise FormatError(f"{path}: embeddings rows differ in length")
         embeddings = np.array(rows, dtype=float)
+    groups = [(cam, f, entries) for cam, frames in cameras.items()
+              for f, entries in frames.items() if entries]
+    box = np.array([(b.x, b.y, b.w, b.h) for _, _, entries in groups for _, b in entries])
+    # A truth box has no confidence: a valid one stands in.
+    _check_boxes(path, box.reshape(-1, 4), np.ones(len(box)), [len(g[2]) for g in groups],
+                 lambda k: f"camera {groups[k][0]}, frame {groups[k][1]}")
     return TruthFile(identity_count=identity_count, embeddings=embeddings, cameras=cameras)
 
 
@@ -600,6 +600,7 @@ def read_results_json(path: str | Path) -> ResultsFile:
     unique_count = _field(path, doc, "unique_count", int)
     if unique_count != len(clusters):
         raise FormatError(f"{path}: unique_count {unique_count} != {len(clusters)} clusters")
+    check_tracklet_boxes(path, [t for tls in camera_tracklets.values() for t in tls])
     return ResultsFile(
         camera_tracklets=camera_tracklets,
         clusters=clusters,

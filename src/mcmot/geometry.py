@@ -1,10 +1,10 @@
-"""Bounding-box geometry: the range of a valid box, detections and a
+"""Bounding-box geometry: the rules of a valid detection, detections and a
 camera's detection columns, IoU, non-maximum suppression."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -18,14 +18,51 @@ BOX_LIMIT = 1e150
 BOX_RANGE = "|x|, |y|, w, h, w/h and h/w must be at most 1e+150"
 
 
-def out_of_range(box: np.ndarray) -> np.ndarray:
-    """Mask of the (x, y, w, h) rows of box that break BOX_RANGE."""
-    w, h = box[:, 2], box[:, 3]
-    # An aspect past the float range is inf, out of range; a non-positive
-    # or non-finite size, which may give 0/0, fails an earlier check.
+# A row rule: the mask of the rows that break it, and a flagged row's message.
+Fault = tuple[np.ndarray, Callable[[int], str]]
+
+
+def detection_faults(box: np.ndarray, confidence: np.ndarray) -> list[Fault]:
+    """The rules of a valid detection, (n, 4) rows `box` of (x, y, w, h) and
+    (n,) `confidence`, in the order a row is checked: all finite, confidence
+    in [0, 1], w and h > 0, x + w > x and y + h > y, w * h > 0, BOX_RANGE."""
+    x, y, w, h = box.T
+    # Overflow gives inf, which only the range rule flags; 0/0 needs a size flagged earlier.
     with np.errstate(all="ignore"):
-        skewed = (w / h > BOX_LIMIT) | (h / w > BOX_LIMIT)
-    return (np.abs(box).max(axis=1) > BOX_LIMIT) | skewed
+        return [
+            (~(np.isfinite(x) & np.isfinite(y) & np.isfinite(w) & np.isfinite(h)
+               & np.isfinite(confidence)),
+             lambda i: "non-finite box or confidence"),
+            (~((confidence >= 0.0) & (confidence <= 1.0)),
+             lambda i: f"confidence {confidence[i].item()} outside [0, 1]"),
+            ((w <= 0) | (h <= 0),
+             lambda i: f"non-positive box size {w[i].item()}x{h[i].item()}"),
+            ((x + w <= x) | (y + h <= y),
+             lambda i: f"box size {w[i].item()}x{h[i].item()} vanishes at "
+                       f"({x[i].item()}, {y[i].item()}): x + w == x or y + h == y"),
+            (w * h == 0,
+             lambda i: f"box size {w[i].item()}x{h[i].item()} has zero area in float64: "
+                       "w * h == 0"),
+            ((np.maximum(np.maximum(abs(x), abs(y)), np.maximum(abs(w), abs(h))) > BOX_LIMIT)
+             | (w / h > BOX_LIMIT) | (h / w > BOX_LIMIT),
+             lambda i: f"box ({x[i].item()}, {y[i].item()}, {w[i].item()}, {h[i].item()}) "
+                       f"out of range: {BOX_RANGE}"),
+        ]
+
+
+def embedding_fault(vectors: np.ndarray) -> Fault:
+    """The rule of a valid (n, D) embedding matrix: finite values."""
+    return ~np.isfinite(vectors).all(axis=1), lambda i: "non-finite embedding value"
+
+
+def first_problem(faults: Sequence[Fault]) -> Optional[tuple[int, str]]:
+    """(row, message) of the first row any rule flags, or None. On a tie the
+    rule listed first wins, so list rules in the order a row is checked."""
+    hits = [(int(mask.argmax()), k) for k, (mask, _) in enumerate(faults) if mask.any()]
+    if not hits:
+        return None
+    row, k = min(hits)
+    return row, faults[k][1](row)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ import numpy as np
 from . import formats
 from .association import Cluster, associate_multicamera
 from .config import PipelineConfig
-from .geometry import CameraStream, Detection, nms
+from .geometry import (
+    CameraStream, Detection, detection_faults, embedding_fault, first_problem, nms
+)
 from .refine import refine
 from .tracker import Tracker, Tracklet
 
@@ -141,6 +143,8 @@ def process_camera(
             f"camera {camera_id}: detection at frame {frame[outside[0]]} is outside the "
             f"stream's frames [0, {total_frames})"
         )
+    if isinstance(source, CameraStream):  # ingest has checked a camera's files
+        _check_columns(camera_id, stream)
 
     rows = np.flatnonzero(
         (stream.confidence >= cfg.detection_threshold)
@@ -184,6 +188,31 @@ def process_camera(
     ]
     frames_processed = kept_count(total_frames, cfg.frame_keep, tcfg.frame_stride)
     return CameraRun(camera_id=camera_id, tracklets=tracklets, frames_processed=frames_processed)
+
+
+def _check_columns(camera_id: int, stream: CameraStream) -> None:
+    """The rules file ingest applies, over every row of columns given
+    through the Python API: one length, the detection rules, then finite
+    embeddings. ValueError names the first bad row."""
+    n = len(stream.frame)
+    columns = (stream.frame, stream.det_id, stream.box, stream.confidence, stream.class_id)
+    shapes = [np.shape(c) for c in columns]
+    embeddings = stream.embeddings
+    e_shape = None if embeddings is None else np.shape(embeddings)
+    if shapes != [(n,), (n,), (n, 4), (n,), (n,)] or (
+        e_shape is not None and (len(e_shape) != 2 or e_shape[0] != n)
+    ):
+        raise ValueError(
+            f"camera {camera_id}: frame, det_id, box (n, 4), confidence, class_id and "
+            f"embeddings (n, D) or None must be columns of one length n, got shapes "
+            f"{', '.join(map(str, shapes))} and {e_shape}"
+        )
+    found = first_problem(detection_faults(stream.box, stream.confidence))
+    if found is None and embeddings is not None:
+        found = first_problem([embedding_fault(embeddings)])
+    if found is not None:
+        row, message = found
+        raise ValueError(f"camera {camera_id}: detection {row}: {message}")
 
 
 def _columns(source: CameraSource) -> Union[CameraStream, CameraFiles]:

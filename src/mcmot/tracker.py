@@ -26,12 +26,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assignment import INFEASIBLE, iou_matching, matching_cascade, solve_assignment
-from .geometry import BOX_RANGE, out_of_range
+from .geometry import BOX_RANGE, detection_faults, embedding_fault
 from .kalman import CHI2_GATE_95, KalmanFilter, NoiseProfile
 
 # Frame indices are int64 columns, so a frame stride or a frame_keep block
 # beyond this bound cannot be applied to them.
 INT64_MAX = 2**63 - 1
+
+# Tracker.step's error per geometry.detection_faults rule; None: the rule's own.
+_DEGENERATE = "box width and height must be positive, with x + w > x, y + h > y and w * h > 0"
+_STEP_ERRORS = ("step needs finite boxes, confidences and embeddings", None,
+                _DEGENERATE, _DEGENERATE, _DEGENERATE, f"box out of range: {BOX_RANGE}")
 
 
 @dataclass(frozen=True)
@@ -349,10 +354,9 @@ class Tracker:
         embeddings: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Advance one frame with its NMS/confidence-filtered detections:
-        `boxes` (n, 4) rows of (x, y, w, h) with x + w > x, y + h > y and
-        w * h > 0 (a positive size and area that do not vanish in float64)
-        and values in geometry.BOX_RANGE, `confidences` (n,) and `embeddings` (n, D) or
-        None, all finite.
+        `boxes` (n, 4) rows of (x, y, w, h), `confidences` (n,) and
+        `embeddings` (n, D) or None, all finite, the boxes and confidences
+        within the rules of file ingest (geometry.detection_faults).
         Either every non-empty frame of a tracker has embeddings or none has.
 
         Returns the int64 ids of the confirmed tracks updated at this frame,
@@ -368,18 +372,13 @@ class Tracker:
         if confidences.shape != (n,) or (embeddings is not None and len(embeddings) != n):
             raise ValueError("step needs one box, confidence and embedding per detection")
         embs = None if embeddings is None or not n else np.asarray(embeddings, dtype=float)
-        if not (np.isfinite(tlwh).all() and np.isfinite(confidences).all()
-                and (embs is None or np.isfinite(embs).all())):
-            raise ValueError("step needs finite boxes, confidences and embeddings")
-        x, y, w, h = tlwh.T
-        with np.errstate(over="ignore"):  # past the float range is inf, out of range below
-            degenerate = (x + w <= x) | (y + h <= y) | (w * h == 0)
-        if np.any(degenerate):  # w <= 0, too small for x, or an area that underflows
-            raise ValueError(
-                "box width and height must be positive, with x + w > x, y + h > y and w * h > 0"
-            )
-        if out_of_range(tlwh).any():
-            raise ValueError(f"box out of range: {BOX_RANGE}")
+        faults = detection_faults(tlwh, confidences)
+        if embs is not None:  # a non-finite embedding breaks the finiteness rule
+            mask, message = faults[0]
+            faults[0] = mask | embedding_fault(embs)[0], message
+        for (mask, message), error in zip(faults, _STEP_ERRORS, strict=True):
+            if mask.any():
+                raise ValueError(error or message(int(mask.argmax())))
         if n:
             if self._with_embeddings is None:
                 self._with_embeddings = embs is not None
@@ -387,6 +386,7 @@ class Tracker:
                 raise ValueError("a stream's detections must all carry embeddings or none")
         self._last_frame = frame
 
+        x, y, w, h = tlwh.T
         table = self.table
         if len(table):
             table.means, table.covs = self.kf.predict_batch(table.means, table.covs)

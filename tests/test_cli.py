@@ -102,6 +102,16 @@ class TestSimulateCli:
         assert not out.exists()
 
 
+    def test_unplaceable_identities_leave_no_directory(self, tmp_path, capsys):
+        cfg = write_scenario_config(tmp_path, identities=50, embedding_dim=2,
+                                    identity_min_separation=1.9)
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: cannot place 50 identities") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestTrackCli:
     def test_empty_detections_empty_track_file(self, tmp_path):
         det = tmp_path / "dets.csv"
@@ -810,6 +820,68 @@ class TestTrackletJsonRules:
             doc["cameras"][0]["tracklets"][0]["boxes"] = [box]
             argv = self.eval(tmp_path, doc)
         assert "box must be a list of 4 numbers" in format_error(capsys, argv)
+
+
+    @pytest.mark.parametrize("box, confidence, message", [
+        ([0, 0, -5, 0], 0.9, "non-positive box size -5.0x0.0"),
+        ([1000.0, 0, 1e-14, 5], 0.9,
+         "box size 1e-14x5.0 vanishes at (1000.0, 0.0): x + w == x or y + h == y"),
+        ([0, 0, 1e-200, 1e-200], 0.9,
+         "box size 1e-200x1e-200 has zero area in float64: w * h == 0"),
+        ([0, 0, 1e300, 1e300], 0.9,
+         f"box (0.0, 0.0, 1e+300, 1e+300) out of range: {geometry.BOX_RANGE}"),
+        ([0, 0, 5, 5], 7.0, "confidence 7.0 outside [0, 1]"),
+        ([0, 0, 5, 5], -2.0, "confidence -2.0 outside [0, 1]"),
+    ], ids=["negative-w", "vanishing", "zero-area", "out-of-range", "confidence-7",
+            "confidence-negative"])
+    @pytest.mark.parametrize("which", ["sidecar", "results"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tracklet_boxes_keep_the_detection_rules(self, tmp_path, capsys, which, box,
+                                                     confidence, message):
+        # Once accepted: associate wrote them out, and eval overflowed in IoU.
+        entries = [sidecar_entry(1), sidecar_entry(2, frames=(0, 1, 2))]
+        entries[1]["boxes"][2], entries[1]["confidences"][2] = box, confidence
+        if which == "sidecar":
+            argv = self.associate(tmp_path, {"cam0": {"camera_id": 0, "tracklets": entries}})
+            path = tmp_path / "tracks" / "cam0.tracklets.json"
+        else:
+            doc = valid_results_doc()
+            doc["cameras"][0]["tracklets"] = entries
+            argv = self.eval(tmp_path, doc)
+            path = tmp_path / "results.json"
+        assert format_error(capsys, argv) == (
+            f"error[format]: {path}: camera 0, track 2: box 2: {message}\n")
+
+    @pytest.mark.parametrize("box, message", [
+        ([0, 0, 0, 0], "non-positive box size 0.0x0.0"),
+        ([0, 0, -3, 5], "non-positive box size -3.0x5.0"),
+        ([0, 0, 5, 1e200], f"box (0.0, 0.0, 5.0, 1e+200) out of range: {geometry.BOX_RANGE}"),
+    ], ids=["zero-size", "negative-w", "out-of-range"])
+    def test_truth_boxes_keep_the_box_rules(self, tmp_path, capsys, box, message):
+        truth = valid_truth_doc()
+        truth["cameras"]["0"]["3"] = [[0, 0.0, 0.0, 5.0, 5.0], [0, *box]]
+        assert format_error(capsys, self.eval(tmp_path, valid_results_doc(), truth)) == (
+            f"error[format]: {tmp_path / 'truth.json'}: camera 0, frame 3: box 1: {message}\n")
+
+    @pytest.mark.parametrize("fault", ["repeated-track", "track-in-two-sidecars",
+                                       "unlisted-member"])
+    def test_box_rules_come_after_the_other_checks(self, tmp_path, capsys, fault):
+        bad = dict(sidecar_entry(1), boxes=[[0, 0, -5, 0]] * 2)
+        if fault == "repeated-track":
+            argv = self.associate(tmp_path, {"cam0": {"camera_id": 0, "tracklets": [bad, bad]}})
+            expected = "camera 0: track 1 is listed twice"
+        elif fault == "track-in-two-sidecars":
+            docs = {"a": {"camera_id": 0, "tracklets": [sidecar_entry(1)]},
+                    "b": {"camera_id": 0, "tracklets": [bad]}}
+            argv = self.associate(tmp_path, docs)
+            expected = "tracklet (camera 0, track 1) is also in "
+        else:
+            doc = valid_results_doc()
+            doc["cameras"][0]["tracklets"][0]["boxes"] = [[0, 0, -5, 0]]
+            doc["clusters"][0]["members"] = [[0, 9]]
+            argv = self.eval(tmp_path, doc)
+            expected = "member (camera 0, track 9) is not a listed tracklet"
+        assert expected in format_error(capsys, argv)
 
 
 class TestCountCli:

@@ -170,6 +170,15 @@ class TestDetectionFile:
         with pytest.raises(FormatError, match=r"bad\.csv:4: non-finite"):
             formats.read_detections(path)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opposite_infinities_rejected_without_a_warning(self, tmp_path):
+        # x + w and w * h are NaN here; numpy once warned about them before
+        # the error line.
+        path = tmp_path / "bad.csv"
+        path.write_text(formats.DETECTION_HEADER + "\n0,0,inf,0,-inf,0,0.5,0\n")
+        with pytest.raises(FormatError, match=r"bad\.csv:2: non-finite box or confidence$"):
+            formats.read_detections(path)
+
     @pytest.mark.parametrize("key", ["0.0", "1_0", "1e3", " ", "#1"])
     def test_keys_must_be_integer_literals(self, tmp_path, key):
         path = tmp_path / "bad.csv"

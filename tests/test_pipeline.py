@@ -1,16 +1,21 @@
+import math
 import pickle
+import re
+import tempfile
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmot import formats
+from mcmot import formats, geometry
 from mcmot.association import AssociationConfig
 from mcmot.cli import main
 from mcmot.config import PipelineConfig, study1_preset, study2_preset
+from mcmot.formats import FormatError
 from mcmot.geometry import BoundingBox, Detection
 from mcmot.geometry import CameraStream
 from mcmot.pipeline import (
@@ -147,14 +152,60 @@ class TestProcessCamera:
         ("box", (1, 2), -4.0, "positive"),
     ], ids=["nan-box", "inf-confidence", "nan-embedding", "negative-width"])
     def test_malformed_columns_rejected(self, column, row, value, match):
-        # Columns given through the Python API skip file ingest; the
-        # tracker rejects what ingest would.
+        # Columns given through the Python API skip file ingest;
+        # process_camera rejects what ingest would.
         cfg = ScenarioConfig(seed=74, cameras=1, identities=2, frames=5, embedding_dim=4)
         _, streams = generate(cfg)
         stream = CameraStream.from_detections(streams[0])
         getattr(stream, column)[row] = value
         with pytest.raises(ValueError, match=match):
             run_cameras({0: stream}, PipelineConfig())
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    @pytest.mark.parametrize("edits, message", [
+        # Row 2 falls below study1's detection threshold of 0.3: once
+        # dropped by the filter without a word.
+        ([("box", (2, 0), np.nan), ("confidence", 2, 0.1)],
+         "camera 1: detection 2: non-finite box or confidence"),
+        ([("confidence", 2, np.nan)], "camera 1: detection 2: non-finite box or confidence"),
+        # Once tracked and exported with a mean_confidence of 7.0.
+        ([("confidence", 2, 7.0)], "camera 1: detection 2: confidence 7.0 outside [0, 1]"),
+        ([("box", (3, 3), 1e151)],
+         "camera 1: detection 3: box (100.0, 50.0, 30.0, 1e+151) out of range: "
+         + geometry.BOX_RANGE),
+        ([("box", (2, 0), 1e3), ("box", (2, 2), 1e-14)],
+         "camera 1: detection 2: box size 1e-14x60.0 vanishes at (1000.0, 50.0): "
+         "x + w == x or y + h == y"),
+    ], ids=["nan-box-below-threshold", "nan-confidence", "confidence-7", "out-of-range",
+            "vanishing"])
+    def test_columns_keep_the_ingest_rules(self, edits, message, parallel):
+        # Camera 2 fails too; camera 1's error comes first, in both modes.
+        streams = {cam: CameraStream.from_detections(constant_stream(5)) for cam in range(3)}
+        for column, index, value in edits:
+            getattr(streams[1], column)[index] = value
+        streams[2].confidence[0] = -1.0
+        with pytest.raises(ValueError) as exc:
+            run_cameras(streams, study1_preset(), parallel=parallel)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    @pytest.mark.parametrize("column, shape", [
+        ("box", "(4, 4)"), ("confidence", "(4,)"), ("class_id", "(4,)"), ("det_id", "(4,)"),
+    ])
+    def test_columns_of_unequal_length_rejected(self, column, shape, parallel):
+        # Once an IndexError from deep inside the run.
+        stream = CameraStream.from_detections(constant_stream(5))
+        streams = {0: stream, 1: replace(stream, **{column: getattr(stream, column)[:4]})}
+        with pytest.raises(ValueError) as exc:
+            run_cameras(streams, PipelineConfig(), parallel=parallel)
+        assert str(exc.value).startswith("camera 1: frame, det_id, box (n, 4), confidence, ")
+        assert shape in str(exc.value)
+
+    def test_embedding_matrix_must_match_the_rows(self):
+        stream = CameraStream.from_detections(constant_stream(5))
+        for embeddings in (np.zeros((4, 2)), np.zeros(5)):
+            with pytest.raises(ValueError, match="columns of one length"):
+                process_camera(0, replace(stream, embeddings=embeddings), PipelineConfig())
 
     def test_study1_preset_decimation(self):
         run = track(constant_stream(300), study1_preset())
@@ -253,6 +304,90 @@ class TestProcessCamera:
         want = fields(tracker.export_tracklets())
         assert len(want) >= 3
         assert fields(process_camera(0, stream, cfg).tracklets) == want
+
+
+SIZE = st.floats(1e-2, 1e4)
+COORDINATE = st.floats(-1e4, 1e4)
+ROW_KINDS = ["valid", "non-finite", "confidence", "non-positive", "vanishing", "zero-area",
+             "at-bound", "past-bound"]
+
+
+@st.composite
+def detection_row(draw):
+    """(x, y, w, h, confidence) of a valid row, or of one that breaks a
+    detection rule; a row at the 1e150 bound is valid."""
+    x, y, w, h, conf = (draw(COORDINATE), draw(COORDINATE), draw(SIZE), draw(SIZE),
+                        draw(st.floats(0.0, 1.0)))
+    kind = draw(st.sampled_from(ROW_KINDS))
+    if kind == "non-finite":
+        row = [x, y, w, h, conf]
+        row[draw(st.integers(0, 4))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        return tuple(row)
+    if kind == "confidence":
+        conf = draw(st.floats(1.0, 1e300, exclude_min=True)
+                    | st.floats(-1e300, 0.0, exclude_max=True))
+    elif kind == "non-positive":
+        size = draw(st.sampled_from([0.0, -0.0]) | st.floats(-1e4, 0.0))
+        w, h = (size, h) if draw(st.booleans()) else (w, size)
+    elif kind == "vanishing":  # an extent below half an ulp of the coordinate
+        x, w = draw(st.floats(1e3, 1e4)), draw(st.floats(1e-20, 1e-14))
+    elif kind == "zero-area":  # at the origin, so the extent does not vanish first
+        x, y, w, h = 0.0, 0.0, draw(st.floats(1e-200, 1e-170)), draw(st.floats(1e-200, 1e-170))
+    elif kind == "at-bound":  # a size at the bound keeps x + w > x and the aspect in range
+        x, w, h = draw(st.sampled_from([x, 1e150, -1e150])), 1e150, draw(st.floats(1.0, 1e150))
+        if draw(st.booleans()):
+            x, y, w, h = y, x, h, w
+    elif kind == "past-bound":
+        which = draw(st.integers(0, 3))
+        past = draw(st.floats(1e150, 1e300, exclude_min=True))
+        if which == 0:
+            x = draw(st.sampled_from([past, -past]))
+        elif which == 1:
+            w = past
+        elif which == 2:
+            h = past
+        else:  # the aspect w / h
+            w, h = 1e150, draw(st.floats(1e-4, 1.0, exclude_max=True))
+    return x, y, w, h, conf
+
+
+class TestDetectionRuleParity:
+    """geometry.detection_faults is the one list of detection rules: the CSV
+    reader and process_camera name the same first bad row with the same
+    message, and Tracker.step rejects a frame exactly when a row is bad."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(detection_row(), min_size=1, max_size=8))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reader_columns_and_tracker_agree(self, rows):
+        n = len(rows)
+        box = np.array([row[:4] for row in rows])
+        conf = np.array([row[4] for row in rows])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "dets.csv"
+            path.write_text(formats.DETECTION_HEADER + "\n" + "".join(
+                f"0,{i},{','.join(map(repr, row))},0\n" for i, row in enumerate(rows)))
+            try:
+                formats.read_detections(path)
+                ingest = None
+            except FormatError as exc:
+                line, message = re.fullmatch(rf"{re.escape(str(path))}:(\d+): (.*)",
+                                             str(exc)).groups()
+                ingest = f"detection {int(line) - 2}: {message}"
+        stream = CameraStream(frame=np.zeros(n, dtype=np.int64), det_id=np.arange(n),
+                              box=box, confidence=conf, class_id=np.zeros(n, dtype=np.int64))
+        try:
+            process_camera(0, stream, PipelineConfig())
+            columns = None
+        except ValueError as exc:
+            columns = str(exc)
+        assert columns == (None if ingest is None else f"camera 0: {ingest}")
+        try:
+            Tracker(TrackerConfig()).step(0, box, conf)
+            stepped = True
+        except ValueError:
+            stepped = False
+        assert stepped == (ingest is None)
 
 
 def write_camera(tmp_path, scene, shuffled=False):

@@ -385,6 +385,8 @@ class TestInputValidation:
             ((np.nan, 50.0, 20.0, 40.0), 0.9, None, "finite"),
             ((50.0, 50.0, np.inf, 40.0), 0.9, None, "finite"),
             ((50.0, 50.0, 20.0, 40.0), np.nan, None, "finite"),
+            ((50.0, 50.0, 20.0, 40.0), 1.5, None, r"^confidence 1.5 outside \[0, 1\]$"),
+            ((50.0, 50.0, 20.0, 40.0), -0.25, None, r"^confidence -0.25 outside \[0, 1\]$"),
             ((50.0, 50.0, 20.0, 40.0), 0.9, (np.nan, 0.0), "finite"),
             ((50.0, 50.0, 20.0, 40.0), 0.9, (0.0, -np.inf), "finite"),
             ((50.0, 50.0, 0.0, 40.0), 0.9, None, "positive"),
@@ -397,7 +399,8 @@ class TestInputValidation:
             ((-2e150, 0.0, 1e140, 1.0), 0.9, None, "out of range"),
             ((0.0, 0.0, 1e150, 1e-300), 0.9, None, "out of range"),
         ],
-        ids=["nan-x", "inf-w", "nan-conf", "nan-emb", "inf-emb", "zero-w", "negative-w", "zero-h",
+        ids=["nan-x", "inf-w", "nan-conf", "conf-above", "conf-below", "nan-emb", "inf-emb",
+             "zero-w", "negative-w", "zero-h",
              "vanishing-w", "vanishing-h", "zero-area", "huge-size", "huge-x", "huge-aspect"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
