@@ -13,10 +13,11 @@ import json
 import math
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string_text
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +44,9 @@ def round9(v: float) -> float:
 
 DETECTION_HEADER = "frame,det_id,x,y,w,h,confidence,class_id"
 TRACK_HEADER = "frame,track_id,x,y,w,h,confidence"
+# A data row of each file; '%.9g' writes a float as fmt9 does.
+_DETECTION_ROW = "%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%d\n"
+_TRACK_ROW = "%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g\n"
 
 _DETECTION_DTYPE = np.dtype([
     ("frame", np.int64),
@@ -69,18 +73,12 @@ class EmbeddingColumns:
 
 
 def write_detections(path: str | Path, stream: CameraStream) -> None:
-    lines = [DETECTION_HEADER]
-    for frame, det_id, (x, y, w, h), conf, class_id in zip(
-        stream.frame.tolist(),
-        stream.det_id.tolist(),
-        stream.box.tolist(),
-        stream.confidence.tolist(),
-        stream.class_id.tolist(),
-    ):
-        lines.append(
-            f"{frame},{det_id},{fmt9(x)},{fmt9(y)},{fmt9(w)},{fmt9(h)},{fmt9(conf)},{class_id}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_rows(
+        path, DETECTION_HEADER,
+        (stream.frame, stream.det_id, stream.box, stream.confidence, stream.class_id),
+        lambda frame, det_id, box, conf, class_id:
+            _DETECTION_ROW % (frame, det_id, *box, conf, class_id),
+    )
 
 
 def read_detections(path: str | Path) -> CameraStream:
@@ -114,10 +112,12 @@ def write_embeddings(path: str | Path, stream: CameraStream, dim: int) -> None:
     shape = None if vectors is None else vectors.shape
     if shape != (len(stream), dim):
         raise FormatError(f"expected a ({len(stream)}, {dim}) embedding matrix, got {shape}")
-    lines = ["frame,det_id," + ",".join(f"e{i}" for i in range(dim))]
-    for frame, det_id, vec in zip(stream.frame.tolist(), stream.det_id.tolist(), vectors.tolist()):
-        lines.append(f"{frame},{det_id}," + ",".join(map(fmt9, vec)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    row = "%d,%d," + ",".join(["%.9g"] * dim) + "\n"
+    _write_rows(
+        path, "frame,det_id," + ",".join(f"e{i}" for i in range(dim)),
+        (stream.frame, stream.det_id, vectors),
+        lambda frame, det_id, vec: row % (frame, det_id, *vec),
+    )
 
 
 def read_embeddings(path: str | Path) -> EmbeddingColumns:
@@ -197,19 +197,42 @@ def _read_header(path: str | Path) -> str:
         return fh.readline().rstrip("\n")
 
 
-def _loadtxt(source, dtype: np.dtype, skiprows: int = 0) -> np.ndarray:
+def _line_bound(path: str | Path) -> int:
+    """At least the number of lines in a file, whichever of '\n', '\r' and
+    '\r\n' ends them: one more than its bytes up to 13 ('\r'), counted a
+    block at a time.
+
+    Given this as max_rows, np.loadtxt allocates its array once and trims it
+    at the end. Without it the array grows block by block, and an outgrown
+    block freed inside glibc's heap could stay resident through the parse,
+    so the parse's peak RSS followed the heap's layout.
+    """
+    block = bytearray(1 << 16)
+    lines = 1  # a last line without a line break
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(block):
+            lines += int(np.count_nonzero(np.frombuffer(block, np.uint8, n) <= 13))
+    return lines
+
+
+def _loadtxt(
+    source, dtype: np.dtype, skiprows: int = 0, max_rows: Optional[int] = None
+) -> np.ndarray:
     """Parse CSV rows (a path or a list of lines) into a 1-d structured array.
 
     Empty lines are skipped; '#' is data, not a comment. Integer fields must
     be integer literals: numpy < 2 parses "1.0" as an integer with a
-    DeprecationWarning, raised here as an error as numpy >= 2 does.
+    DeprecationWarning, raised here as an error as numpy >= 2 does. At most
+    max_rows rows are read.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        # Blank lines are skipped, and max_rows is a bound, not a count.
+        warnings.filterwarnings("ignore", message="Input line .* contained no data")
         return np.loadtxt(
             source, delimiter=",", skiprows=skiprows, comments=None, ndmin=1, dtype=dtype,
-            encoding="utf-8",
+            encoding="utf-8", max_rows=max_rows,
         )
 
 
@@ -222,7 +245,7 @@ def _read_rows(
     would: a row that fails to parse, or else the first row any check flags.
     """
     try:
-        rows = _loadtxt(path, dtype, skiprows=1)
+        rows = _loadtxt(path, dtype, skiprows=1, max_rows=_line_bound(path))
     except ValueError as exc:
         error = exc
     else:
@@ -303,19 +326,19 @@ def _duplicate_check(rows: np.ndarray) -> Fault:
 
 def write_tracks_csv(path: str | Path, tracklets: Sequence[Tracklet]) -> None:
     """Per-frame rows of confirmed tracks, sorted by (frame, track_id)."""
-    lines = [TRACK_HEADER]
+    columns = ()
     if tracklets:
         frames = np.concatenate([t.frames for t in tracklets])
         track_ids = np.repeat([t.track_id for t in tracklets], [len(t) for t in tracklets])
         order = np.lexsort((track_ids, frames))  # stable, as one sort by (frame, track_id)
-        boxes = np.concatenate([t.boxes for t in tracklets])[order]
-        confidences = np.concatenate([t.confidences for t in tracklets])[order]
-        for f, tid, (x, y, w, h), c in zip(
-            frames[order].tolist(), track_ids[order].tolist(), boxes.tolist(),
-            confidences.tolist(),
-        ):
-            lines.append(f"{f},{tid},{x:.9g},{y:.9g},{w:.9g},{h:.9g},{c:.9g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        columns = (
+            frames[order], track_ids[order], np.concatenate([t.boxes for t in tracklets])[order],
+            np.concatenate([t.confidences for t in tracklets])[order],
+        )
+    _write_rows(
+        path, TRACK_HEADER, columns,
+        lambda frame, track_id, box, conf: _TRACK_ROW % (frame, track_id, *box, conf),
+    )
 
 
 def tracklet_sidecar_path(track_csv_path: str | Path) -> Path:
@@ -344,7 +367,15 @@ def read_tracklets_json(path: str | Path) -> tuple[int, list[Tracklet]]:
     that no tracklet is in two sidecars."""
     doc = read_json(path)
     camera_id = _field(path, doc, "camera_id", int)
-    return camera_id, _tracklets_from_doc(path, camera_id, _field(path, doc, "tracklets", list))
+    tracklets = _tracklets_from_doc(path, camera_id, _field(path, doc, "tracklets", list))
+    pooled = [t for t in tracklets if t.embedding is not None]
+    if pooled:  # geometry.embedding_fault over every value, one value a row
+        values = np.concatenate([t.embedding for t in pooled])[:, None]
+        _check_groups(
+            path, [embedding_fault(values)], [len(t.embedding) for t in pooled],
+            lambda k: f"camera {camera_id}, track {pooled[k].track_id}", "mean_embedding entry",
+        )
+    return camera_id, tracklets
 
 
 def _tracklet_doc(t: Tracklet) -> dict:
@@ -361,28 +392,27 @@ def check_tracklet_boxes(path: str | Path, tracklets: Sequence[Tracklet]) -> Non
     """The detection rules over every box and confidence of a document's
     tracklets, in one pass; FormatError names the first bad box."""
     if tracklets:
-        _check_boxes(
-            path,
-            np.concatenate([t.boxes for t in tracklets]),
-            np.concatenate([t.confidences for t in tracklets]),
+        box = np.concatenate([t.boxes for t in tracklets])
+        _check_groups(
+            path, detection_faults(box, np.concatenate([t.confidences for t in tracklets])),
             [len(t) for t in tracklets],
-            lambda k: f"camera {tracklets[k].camera_id}, track {tracklets[k].track_id}",
+            lambda k: f"camera {tracklets[k].camera_id}, track {tracklets[k].track_id}", "box",
         )
 
 
-def _check_boxes(
-    path: str | Path, box: np.ndarray, confidence: np.ndarray, sizes: list[int],
-    place: Callable[[int], str],
+def _check_groups(
+    path: str | Path, faults: list[Fault], sizes: list[int], place: Callable[[int], str],
+    item: str,
 ) -> None:
-    """geometry.detection_faults over a document's rows, which come in
-    groups of the given sizes: a failure names the place of the group
-    (place(k) for group k) and the box's index within it."""
-    found = first_problem(detection_faults(box, confidence))
+    """Rules over a document's rows, which come in groups of the given
+    sizes: a failure names the place of the group (place(k) for group k) and
+    the row's index within it."""
+    found = first_problem(faults)
     if found is not None:
         row, message = found
         ends = np.cumsum(sizes)
         k = int(np.searchsorted(ends, row, side="right"))
-        raise FormatError(f"{path}: {place(k)}: box {row - ends[k] + sizes[k]}: {message}")
+        raise FormatError(f"{path}: {place(k)}: {item} {row - ends[k] + sizes[k]}: {message}")
 
 
 def _tracklets_from_doc(path: str | Path, camera_id: int, entries: list) -> list[Tracklet]:
@@ -492,8 +522,9 @@ def read_truth_json(path: str | Path) -> TruthFile:
               for f, entries in frames.items() if entries]
     box = np.array([(b.x, b.y, b.w, b.h) for _, _, entries in groups for _, b in entries])
     # A truth box has no confidence: a valid one stands in.
-    _check_boxes(path, box.reshape(-1, 4), np.ones(len(box)), [len(g[2]) for g in groups],
-                 lambda k: f"camera {groups[k][0]}, frame {groups[k][1]}")
+    _check_groups(path, detection_faults(box.reshape(-1, 4), np.ones(len(box))),
+                  [len(g[2]) for g in groups],
+                  lambda k: f"camera {groups[k][0]}, frame {groups[k][1]}", "box")
     return TruthFile(identity_count=identity_count, embeddings=embeddings, cameras=cameras)
 
 
@@ -609,8 +640,64 @@ def read_results_json(path: str | Path) -> ResultsFile:
     )
 
 
+# ----------------------------------------------------------------------
+# Writing files. Every writer sends its text to one _Sink, which writes it
+# to the open file in blocks, so what a write holds does not grow with the
+# file: a CSV writer formats a block of rows at a time, and the JSON encoder
+# an array's rows a block at a time.
+
+_BLOCK = 1 << 14  # characters a _Sink holds before it writes them out
+_BLOCK_VALUES = 1 << 12  # numbers formatted at a time
+
+
+class _Sink:
+    """Text bound for an open file. `append` takes a string, as a list's
+    does; once _BLOCK characters are held, they are written out."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+        self._parts: list[str] = []
+        self._size = 0
+
+    def append(self, text: str) -> None:
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= _BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        self._fh.write("".join(self._parts))
+        self._parts.clear()
+        self._size = 0
+
+
+@contextmanager
+def _sink(path: str | Path) -> Iterator[_Sink]:
+    """A sink writing `path` as UTF-8 with LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        sink = _Sink(fh)
+        yield sink
+        sink.flush()
+
+
+def _write_rows(
+    path: str | Path, header: str, columns: Sequence[np.ndarray], line: Callable[..., str]
+) -> None:
+    """A CSV file: the header line, then line(*values) for each row of the
+    row-aligned columns, given the row's values as Python objects. Rows are
+    converted and formatted about _BLOCK_VALUES numbers at a time."""
+    n = len(columns[0]) if columns else 0
+    step = max(1, _BLOCK_VALUES * n // max(sum(c.size for c in columns), 1))
+    with _sink(path) as out:
+        out.append(header + "\n")
+        for start in range(0, n, step):
+            out.append("".join(map(line, *(c[start:start + step].tolist() for c in columns))))
+
+
 def _write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json_text(doc) + "\n", encoding="utf-8", newline="\n")
+    with _sink(path) as out:
+        _encode(doc, "\n", out)
+        out.append("\n")
 
 
 def json_text(doc) -> str:
@@ -627,19 +714,18 @@ def json_text(doc) -> str:
     return "".join(parts)
 
 
-def _encode(value, newline: str, parts: list[str]) -> None:
-    """Append value's JSON text; `newline` is a line break plus the
-    indentation of the line value starts on."""
+def _encode(value, newline: str, parts: list[str] | _Sink) -> None:
+    """Append value's JSON text to `parts`; `newline` is a line break plus
+    the indentation of the line value starts on."""
     if isinstance(value, dict):
         if not value:
             parts.append("{}")
             return
         inner = newline + "  "
-        parts.append("{")
         for i, key in enumerate(sorted(value)):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(("," if i else "") + inner + _string_text(key) + ": ")
+            parts.append(("," if i else "{") + inner + _string_text(key) + ": ")
             _encode(value[key], inner, parts)
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -647,43 +733,53 @@ def _encode(value, newline: str, parts: list[str]) -> None:
             parts.append("[]")
             return
         inner = newline + "  "
-        parts.append("[")
         for i, item in enumerate(value):
-            parts.append("," + inner if i else inner)
+            parts.append(("," if i else "[") + inner)
             _encode(item, inner, parts)
         parts.append(newline + "]")
     elif isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.dtype.kind in "fiu":
-        parts.append(_array_text(value, newline))
+        _encode_array(value, newline, parts)
     elif isinstance(value, np.ndarray):
         _encode(value.tolist(), newline, parts)
     else:
         parts.append(_scalar_text(value))
 
 
-def _array_text(a: np.ndarray, newline: str) -> str:
-    """A 1-d or 2-d int or float array as nested JSON lists."""
+def _encode_array(a: np.ndarray, newline: str, parts: list[str] | _Sink) -> None:
+    """Append a 1-d or 2-d int or float array as nested JSON lists, a block
+    of about _BLOCK_VALUES numbers at a time."""
     if not len(a):
-        return "[]"
+        parts.append("[]")
+        return
+    inner = newline + "  "
+    step = max(1, _BLOCK_VALUES * len(a) // max(a.size, 1))
+    for start in range(0, len(a), step):
+        parts.append(("," if start else "[") + inner + _items_text(a[start:start + step], inner))
+    parts.append(newline + "]")
+
+
+def _items_text(a: np.ndarray, inner: str) -> str:
+    """The JSON texts of a non-empty array's items, each starting on its
+    own line (`inner` is the line break and the items' indentation)."""
     values = a.ravel().tolist()
     if a.dtype.kind == "f":
-        text = _array_layout(a.shape, newline, "%.9g") % tuple(values)
+        text = _items_layout(a.shape, inner, "%.9g") % tuple(values)
         # With a '.' in every number (a '.9g' text has at most one; NaN and
         # inf have none) and no exponent, each is already its float's repr.
         if text.count(".") == len(values) and "e" not in text:
             return text
         values = _float_texts(values)
-    return _array_layout(a.shape, newline, "%s") % tuple(values)
+    return _items_layout(a.shape, inner, "%s") % tuple(values)
 
 
-def _array_layout(shape: tuple[int, ...], newline: str, slot: str) -> str:
-    """The JSON text of a 1-d or 2-d array with a %-format slot per element."""
-    inner = newline + "  "
+def _items_layout(shape: tuple[int, ...], inner: str, slot: str) -> str:
+    """_items_text with a %-format slot per number."""
     item = slot
     if len(shape) == 2:
         item = "[" + inner + "  " + ("," + inner + "  ").join([slot] * shape[1]) + inner + "]"
         if not shape[1]:
             item = "[]"
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + newline + "]"
+    return ("," + inner).join([item] * shape[0])
 
 
 def _float_texts(values: list[float]) -> list[str]:

@@ -17,6 +17,14 @@ import numpy as np
 BOX_LIMIT = 1e150
 BOX_RANGE = "|x|, |y|, w, h, w/h and h/w must be at most 1e+150"
 
+# The bound on an embedding value. The tracker and the association take
+# squared distances |a - b|^2 = |a|^2 + |b|^2 - 2 a.b between D-wide
+# embeddings; within the bound |a|^2 + |b|^2 + 2 |a.b| is at most
+# 4 * D * 1e200, which stays below float64's 1.8e308 for any D an array can
+# have (D < 2**63, about 9.2e18, gives at most 3.7e219).
+EMBEDDING_LIMIT = 1e100
+EMBEDDING_RANGE = "every embedding value must be within [-1e+100, 1e+100]"
+
 
 # A row rule: the mask of the rows that break it, and a flagged row's message.
 Fault = tuple[np.ndarray, Callable[[int], str]]
@@ -51,8 +59,26 @@ def detection_faults(box: np.ndarray, confidence: np.ndarray) -> list[Fault]:
 
 
 def embedding_fault(vectors: np.ndarray) -> Fault:
-    """The rule of a valid (n, D) embedding matrix: finite values."""
-    return ~np.isfinite(vectors).all(axis=1), lambda i: "non-finite embedding value"
+    """The rule of a valid (n, D) embedding matrix: finite values within
+    EMBEDDING_LIMIT.
+
+    Two row reductions and no temporary the size of the matrix: a row
+    passes iff its max <= EMBEDDING_LIMIT and its min >= -EMBEDDING_LIMIT,
+    which NaN fails. The initial 0.0 changes neither test and lets a D = 0
+    row pass. Only a flagged row's message tells non-finite from too large.
+    """
+    limit = EMBEDDING_LIMIT
+    bad = ~((np.maximum.reduce(vectors, axis=1, initial=0.0) <= limit)
+            & (np.minimum.reduce(vectors, axis=1, initial=0.0) >= -limit))
+
+    def message(i: int) -> str:
+        row = vectors[i]
+        if not np.isfinite(row).all():
+            return "non-finite embedding value"
+        value = row[abs(row) > limit][0].item()
+        return f"embedding value {value} out of range: {EMBEDDING_RANGE}"
+
+    return bad, message
 
 
 def first_problem(faults: Sequence[Fault]) -> Optional[tuple[int, str]]:

@@ -33,10 +33,11 @@ from .kalman import CHI2_GATE_95, KalmanFilter, NoiseProfile
 # beyond this bound cannot be applied to them.
 INT64_MAX = 2**63 - 1
 
-# Tracker.step's error per geometry.detection_faults rule; None: the rule's own.
+# Tracker.step's error per geometry.detection_faults rule, then for the
+# embedding rule when the frame has embeddings; None: the rule's own.
 _DEGENERATE = "box width and height must be positive, with x + w > x, y + h > y and w * h > 0"
 _STEP_ERRORS = ("step needs finite boxes, confidences and embeddings", None,
-                _DEGENERATE, _DEGENERATE, _DEGENERATE, f"box out of range: {BOX_RANGE}")
+                _DEGENERATE, _DEGENERATE, _DEGENERATE, f"box out of range: {BOX_RANGE}", None)
 
 
 @dataclass(frozen=True)
@@ -373,10 +374,14 @@ class Tracker:
             raise ValueError("step needs one box, confidence and embedding per detection")
         embs = None if embeddings is None or not n else np.asarray(embeddings, dtype=float)
         faults = detection_faults(tlwh, confidences)
-        if embs is not None:  # a non-finite embedding breaks the finiteness rule
-            mask, message = faults[0]
-            faults[0] = mask | embedding_fault(embs)[0], message
-        for (mask, message), error in zip(faults, _STEP_ERRORS, strict=True):
+        if embs is not None:
+            bad, message = embedding_fault(embs)
+            if bad.any():  # a non-finite embedding breaks the finiteness rule
+                nonfinite = np.zeros_like(bad)
+                nonfinite[bad] = ~np.isfinite(embs[bad]).all(axis=1)
+                faults[0] = faults[0][0] | nonfinite, faults[0][1]
+            faults.append((bad, message))
+        for (mask, message), error in zip(faults, _STEP_ERRORS):
             if mask.any():
                 raise ValueError(error or message(int(mask.argmax())))
         if n:

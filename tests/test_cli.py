@@ -1198,6 +1198,19 @@ class TestCountErrorParity:
         )
         assert not (tmp_path / "r.json").exists()
 
+    def test_embedding_out_of_range(self, tmp_path, capsys):
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=4)
+        emb = scn / "embeddings_cam1.csv"
+        key = emb.read_text().splitlines()[3].split(",")[:2]
+        replace_line(emb, 3, ",".join(key + ["0.5", "-1e300", "0.0", "0.5"]))
+        argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+        seq, par = self.errors(capsys, argv)
+        assert seq == par == (
+            f"error[format]: {emb}:4: embedding value -1e+300 out of range: "
+            "every embedding value must be within [-1e+100, 1e+100]\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_embeddings_file_given_to_track(self, tmp_path, capsys):
         scn = simulate(tmp_path, cameras=1, identities=2, frames=20, embedding_dim=4)
         missing = tmp_path / "missing.csv"
@@ -1296,3 +1309,83 @@ class TestDegenerateBoxes:
         assert code == 1
         assert err == "error[numeric]: Matrix is not positive definite\n"
         assert not out.exists()
+
+
+def alternating_embeddings(tmp_path, value: str, frames: int = 5) -> tuple[Path, Path]:
+    """One box in each of `frames` frames, its embedding (value, 0) and
+    (-value, 0) in turn: (detections, embeddings) paths."""
+    det, emb = tmp_path / "dets.csv", tmp_path / "embs.csv"
+    det.write_text(formats.DETECTION_HEADER + "\n"
+                   + "".join(f"{f},0,100.0,50.0,30.0,60.0,0.9,0\n" for f in range(frames)))
+    emb.write_text("frame,det_id,e0,e1\n"
+                   + "".join(f"{f},0,{'-' * (f % 2)}{value},0\n" for f in range(frames)))
+    return det, emb
+
+
+class TestEmbeddingBound:
+    """An embedding value past geometry.EMBEDDING_LIMIT (1e100) is one
+    error[format] line; once the appearance cost and the association
+    overflowed with RuntimeWarnings and the run exited 0."""
+
+    RANGE = "every embedding value must be within [-1e+100, 1e+100]"
+
+    def test_track(self, tmp_path, capsys):
+        det, emb = alternating_embeddings(tmp_path, "1e300")
+        out = tmp_path / "t.csv"
+        argv = ["track", "--detections", str(det), "--embeddings", str(emb), "--output", str(out)]
+        assert format_error(capsys, argv) == (
+            f"error[format]: {emb}:2: embedding value 1e+300 out of range: {self.RANGE}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+    def test_count(self, tmp_path, capsys, parallel):
+        scn = tmp_path / "scn"
+        scn.mkdir()
+        det, emb = alternating_embeddings(scn, "1e300")
+        det.rename(scn / "detections_cam0.csv")
+        emb.rename(scn / "embeddings_cam0.csv")
+        out = tmp_path / "r.json"
+        argv = ["count", "--scenario", str(scn), "--output", str(out)]
+        assert format_error(capsys, argv + (["--parallel"] if parallel else [])) == (
+            f"error[format]: {scn / 'embeddings_cam0.csv'}:2: embedding value 1e+300 out of "
+            f"range: {self.RANGE}\n"
+        )
+        assert not out.exists()
+
+    def test_associate(self, tmp_path, capsys):
+        tracks = tmp_path / "tracks"
+        tracks.mkdir()
+        entries = [{**sidecar_entry(track_id), "mean_embedding": [sign * 1e300, 0]}
+                   for track_id, sign in ((1, 1), (2, -1))]
+        sidecar = tracks / "cam0.tracklets.json"
+        sidecar.write_text(json.dumps({"camera_id": 0, "tracklets": entries}))
+        out = tmp_path / "r.json"
+        argv = ["associate", "--tracks", str(tracks), "--method", "both", "--output", str(out)]
+        assert format_error(capsys, argv) == (
+            f"error[format]: {sidecar}: camera 0, track 1: mean_embedding entry 0: "
+            f"embedding value 1e+300 out of range: {self.RANGE}\n"
+        )
+        assert not out.exists()
+
+    def test_sidecar_names_the_entry(self, tmp_path, capsys):
+        tracks = tmp_path / "tracks"
+        path = write_sidecar(tracks, 3, "[0.5, 1.0, -2e100]")
+        argv = ["associate", "--tracks", str(tracks), "--output", str(tmp_path / "r.json")]
+        assert format_error(capsys, argv) == (
+            f"error[format]: {path}: camera 3, track 1: mean_embedding entry 2: "
+            f"embedding value -2e+100 out of range: {self.RANGE}\n"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_values_at_the_bound_track_and_associate_without_warning(self, tmp_path, capsys):
+        det, emb = alternating_embeddings(tmp_path, "1e100")
+        tracks = tmp_path / "tracks"
+        tracks.mkdir()
+        out = tracks / "cam0.csv"
+        assert main(["track", "--detections", str(det), "--embeddings", str(emb),
+                     "--output", str(out), "--config", "study1"]) == 0
+        assert len(out.read_text().splitlines()) > 1
+        write_sidecar(tracks, 1, "[-1e100, 1e100]")
+        assert main(["associate", "--tracks", str(tracks), "--method", "both",
+                     "--output", str(tmp_path / "r.json")]) == 0

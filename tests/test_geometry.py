@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmot.geometry import BoundingBox, Detection, iou, iou_matrix, nms
+from mcmot.geometry import (
+    EMBEDDING_LIMIT, EMBEDDING_RANGE, BoundingBox, Detection, embedding_fault, first_problem,
+    iou, iou_matrix, nms,
+)
 
 
 def boxes(min_size=0.1, max_size=10_000.0):
@@ -325,3 +330,51 @@ class TestDetection:
             det(0, 0, 1, 1, 1.5)
         with pytest.raises(ValueError):
             det(0, 0, 1, 1, -0.1)
+
+
+class TestEmbeddingFault:
+    """A valid embedding value is finite and within EMBEDDING_LIMIT."""
+
+    def test_bound_is_inclusive(self):
+        limit = EMBEDDING_LIMIT
+        past = np.nextafter(limit, np.inf)
+        vectors = np.array([[limit, -limit], [0.0, past], [-past, 0.0], [1.0, 2.0]])
+        assert embedding_fault(vectors)[0].tolist() == [False, True, True, False]
+
+    def test_squared_distances_at_the_bound_stay_finite(self):
+        a = np.full(512, EMBEDDING_LIMIT)
+        with np.errstate(all="raise"):
+            assert np.isfinite(a @ a + a @ a + 2.0 * (a @ -a))
+            assert np.isfinite((a - -a) @ (a - -a))
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "non-finite embedding value"),
+        (np.inf, "non-finite embedding value"),
+        (-np.inf, "non-finite embedding value"),
+        (1e300, f"embedding value 1e+300 out of range: {EMBEDDING_RANGE}"),
+        (-1.5e100, f"embedding value -1.5e+100 out of range: {EMBEDDING_RANGE}"),
+    ])
+    def test_message_names_the_fault(self, value, message):
+        vectors = np.zeros((3, 4))
+        vectors[1, 2] = value
+        if not np.isfinite(value):  # a non-finite value is named over a huge one
+            vectors[1, 0] = 1e200
+        assert first_problem([embedding_fault(vectors)]) == (1, message)
+
+    def test_no_rows_and_no_columns(self):
+        assert embedding_fault(np.empty((0, 4)))[0].shape == (0,)
+        assert not embedding_fault(np.empty((3, 0)))[0].any()
+
+    def test_strided_matrix_is_checked_without_a_full_size_temporary(self):
+        # The matrix an embeddings file parses to: a strided field of records.
+        rows = np.zeros(20_000, dtype=[("key", np.int64, (2,)), ("e", np.float64, (64,))])
+        vectors = rows["e"]
+        vectors[7, 3] = np.nan
+        tracemalloc.start()
+        try:
+            bad, _ = embedding_fault(vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.flatnonzero(bad).tolist() == [7]
+        assert peak < vectors.nbytes / 32  # a bool temporary would be 1/8

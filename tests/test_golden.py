@@ -9,7 +9,8 @@ and `count --method voting` results, camera 0's track CSV and sidecar with
 and without its embeddings (`cam0_motion.*`, the motion-only IoU path),
 `associate --method both` results over both cameras' sidecars, and the
 `eval` report of the count results. Each test regenerates one file and
-compares bytes. `--method both` takes its clusters from `euclidean`, so
+compares bytes; `simulate` of the committed `scenario.json` regenerates the
+whole scenario directory. `--method both` takes its clusters from `euclidean`, so
 `count_voting.json` is the one file that pins `euclidean_voting`'s
 clusters.
 
@@ -40,6 +41,14 @@ def track(out_dir: Path, camera: int) -> Path:
         "--camera-id", str(camera), "--config", str(CONFIG), "--output", str(out),
     ]) == 0
     return out
+
+
+def test_simulate_rewrites_the_scenario(tmp_path):
+    out = tmp_path / "scenario"
+    assert main(["simulate", "--config", str(SCENARIO / "scenario.json"), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in SCENARIO.iterdir())
+    for path in sorted(SCENARIO.iterdir()):
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 @pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])

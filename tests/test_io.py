@@ -211,6 +211,22 @@ class TestDetectionFile:
         assert formats.read_detections(path).frame.tolist() == [0]
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_every_row_read_whatever_ends_the_lines(self, tmp_path, newline, monkeypatch):
+        # np.loadtxt is given a bound on the rows, so the bound must count
+        # every line ending that np.loadtxt reads as one.
+        rows = [f"{f},0,1.5,2,3,4,0.5,0" for f in range(40)] + ["", "40,1,1,2,3,4,0.5,0"]
+        path = tmp_path / "dets.csv"
+        path.write_bytes(newline.join([formats.DETECTION_HEADER, *rows]).encode())
+        bounds = []
+        line_bound = formats._line_bound
+        monkeypatch.setattr(formats, "_line_bound",
+                            lambda p: bounds.append(line_bound(p)) or bounds[-1])
+        assert formats.read_detections(path).frame.tolist() == list(range(41))
+        assert bounds and bounds[0] >= 43
+
+
 class TestEmbeddingFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(62)
@@ -311,7 +327,9 @@ class TestEmbeddingFile:
 # ----------------------------------------------------------------------
 # Ingest oracle: the line-by-line readers the columnar ones replaced, kept as
 # the reference. One rule is tightened to match the documented format: keys
-# must be integer literals (int() alone also takes "1_0" and " ٣").
+# must be integer literals (int() alone also takes "1_0" and " ٣"). The
+# embedding rules (finite values within 1e100) are checked per row, as the
+# box rules are.
 
 
 @dataclass(frozen=True)
@@ -393,6 +411,13 @@ def ref_read_embeddings(path) -> dict[tuple[int, int], np.ndarray]:
             vec = np.array(parts[2:], dtype=float)
         except ValueError as exc:
             raise FormatError(f"{path}:{n}: {exc}") from exc
+        if not np.isfinite(vec).all():
+            raise FormatError(f"{path}:{n}: non-finite embedding value")
+        if np.any(np.abs(vec) > 1e100):
+            raise FormatError(
+                f"{path}:{n}: embedding value {vec[np.abs(vec) > 1e100][0]} out of range: "
+                "every embedding value must be within [-1e+100, 1e+100]"
+            )
         if key in out:
             raise FormatError(f"{path}:{n}: duplicate key (frame={key[0]}, det_id={key[1]})")
         out[key] = vec
@@ -450,6 +475,8 @@ FLOAT_TEXT = st.sampled_from([repr, formats.fmt9])
 # which reach past it.
 BOX_DRAWS = [(st.floats(-1e150, 1e150), st.floats(1e-70, 1e70)),
              (FINITE, st.floats(min_value=5e-324, max_value=1e300))]
+# An embeddings file's values: within the bound (1e100), or any finite value.
+EMBEDDING_DRAWS = [st.floats(-1e100, 1e100), FINITE]
 
 
 @st.composite
@@ -457,8 +484,9 @@ def camera_files(draw):
     """A detections file and its embeddings file, as lists of field lists:
     frames ascending, keys unique, embedding rows shuffled. Every box keeps
     its extent and a nonzero area; half of the files draw boxes that may
-    break the bound."""
+    break the bound, and half, independently, embeddings that may."""
     coordinate, size = draw(st.sampled_from(BOX_DRAWS))
+    value = draw(st.sampled_from(EMBEDDING_DRAWS))
     dim = draw(st.integers(1, 4))
     frames = sorted(draw(st.lists(st.integers(-3, 40), max_size=12)))
     det_rows, emb_rows = [], []
@@ -476,7 +504,7 @@ def camera_files(draw):
                 [str(frame), str(det_id), *map(text, box),
                  text(draw(st.floats(0.0, 1.0))), str(draw(st.integers(0, 3)))]
             )
-            vec = draw(st.lists(FINITE, min_size=dim, max_size=dim))
+            vec = draw(st.lists(value, min_size=dim, max_size=dim))
             emb_rows.append([str(frame), str(det_id), *map(text, vec)])
     emb_rows = draw(st.permutations(emb_rows))
     return dim, det_rows, emb_rows
@@ -516,7 +544,8 @@ def error_location(exc: FormatError) -> str:
 
 
 MUTATIONS = ["fields", "int_key", "duplicate", "unsorted", "confidence", "size", "vanish",
-             "area", "range", "emb_fields", "emb_int_key", "emb_duplicate", "missing", "extra"]
+             "area", "range", "emb_fields", "emb_int_key", "emb_duplicate", "emb_range",
+             "missing", "extra"]
 
 
 class TestIngestOracle:
@@ -562,6 +591,9 @@ class TestIngestOracle:
             rows[k][2:6] = draw(st.sampled_from([["0", "0", "1e200", "1e200"],
                                                  ["-2e150", "0", "1e140", "1"],
                                                  ["0", "0", "1e150", "1e-300"]]))
+        elif mutation == "emb_range":
+            rows[k][2 + draw(st.integers(0, dim - 1))] = draw(st.sampled_from(
+                ["1.0000000000000002e+100", "-1e300", "nan", "-inf"]))
         elif mutation == "missing":
             del emb_rows[draw(st.integers(0, len(emb_rows) - 1))]
         elif mutation == "extra":

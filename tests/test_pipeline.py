@@ -1,6 +1,7 @@
 import math
 import pickle
 import re
+import sys
 import tempfile
 import weakref
 from dataclasses import replace
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcmot import formats, geometry
+from mcmot import formats, geometry, pipeline
 from mcmot.association import AssociationConfig
 from mcmot.cli import main
 from mcmot.config import PipelineConfig, study1_preset, study2_preset
@@ -71,6 +72,27 @@ def constant_stream(frames, x=100.0, conf=0.9):
         Detection(frame=f, box=BoundingBox(x, 50.0, 30.0, 60.0), confidence=conf)
         for f in range(frames)
     ]
+
+
+class TestHeapTrim:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc_trim")
+    def test_heap_trimmed_after_each_camera(self, monkeypatch):
+        # A camera's freed tracker arrays must not stay resident through the
+        # next camera's parse.
+        calls = []
+
+        class Libc:
+            def malloc_trim(self, pad):
+                calls.append(("trim", pad))
+
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda name: Libc())
+        process = pipeline.process_camera
+        monkeypatch.setattr(pipeline, "process_camera",
+                            lambda cam, *args: calls.append(("camera", cam)) or process(cam, *args))
+        runs = run_cameras({cam: constant_stream(3) for cam in (2, 0, 1)}, PipelineConfig())
+        assert [r.camera_id for r in runs] == [0, 1, 2]
+        assert calls == [("camera", 0), ("trim", 0), ("camera", 1), ("trim", 0),
+                         ("camera", 2), ("trim", 0)]
 
 
 class TestProcessCamera:
@@ -150,7 +172,8 @@ class TestProcessCamera:
         ("confidence", 1, np.inf, "finite"),
         ("embeddings", (1, 0), np.nan, "finite"),
         ("box", (1, 2), -4.0, "positive"),
-    ], ids=["nan-box", "inf-confidence", "nan-embedding", "negative-width"])
+        ("embeddings", (1, 3), -1e101, "detection 1: embedding value -1e\\+101 out of range"),
+    ], ids=["nan-box", "inf-confidence", "nan-embedding", "negative-width", "huge-embedding"])
     def test_malformed_columns_rejected(self, column, row, value, match):
         # Columns given through the Python API skip file ingest;
         # process_camera rejects what ingest would.

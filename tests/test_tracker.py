@@ -398,10 +398,17 @@ class TestInputValidation:
             ((0.0, 0.0, 1e200, 1e200), 0.9, None, "out of range"),
             ((-2e150, 0.0, 1e140, 1.0), 0.9, None, "out of range"),
             ((0.0, 0.0, 1e150, 1e-300), 0.9, None, "out of range"),
+            ((50.0, 50.0, 20.0, 40.0), 0.9, (0.0, -1e101),
+             r"^embedding value -1e\+101 out of range: every embedding value must be within "),
+            # The rules are checked in order over the whole frame: a
+            # non-finite embedding breaks the first, a huge one the last.
+            ((50.0, 50.0, 0.0, 40.0), 0.9, (np.nan, 1e300), "finite"),
+            ((0.0, 0.0, 1e200, 1e200), 0.9, (1e300, 0.0), "^box out of range"),
         ],
         ids=["nan-x", "inf-w", "nan-conf", "conf-above", "conf-below", "nan-emb", "inf-emb",
              "zero-w", "negative-w", "zero-h",
-             "vanishing-w", "vanishing-h", "zero-area", "huge-size", "huge-x", "huge-aspect"],
+             "vanishing-w", "vanishing-h", "zero-area", "huge-size", "huge-x", "huge-aspect",
+             "huge-emb", "nan-emb-before-box-size", "box-range-before-huge-emb"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejected_before_any_state_changes(self, box, conf, emb, match):
