@@ -13,11 +13,10 @@ import json
 import math
 import re
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string_text
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -255,13 +254,18 @@ def _read_rows(
         row, message = found
         raise FormatError(f"{path}:{_data_lines(path)[row][0]}: {message}")
 
+    # One pass: each line parses alone, up to the first one numpy rejects.
     lines = _data_lines(path)
-    texts = [text for _, text in lines]
-    bad = _first_unparsable(texts, dtype)
-    if bad is None:  # the lines parse one by one: report what numpy saw
+    rows = np.empty(len(lines), dtype)
+    for bad, (_, text) in enumerate(lines):
+        try:
+            rows[bad:bad + 1] = _loadtxt([text], dtype)
+        except ValueError:
+            break
+    else:  # the lines parse one by one: report what numpy saw
         raise FormatError(f"{path}: {error}") from error
-    found = first_problem(checks(_loadtxt(texts[:bad], dtype)))
-    row, message = found if found is not None else (bad, _parse_problem(texts[bad], dtype))
+    found = first_problem(checks(rows[:bad]))
+    row, message = found if found is not None else (bad, _parse_problem(lines[bad][1], dtype))
     raise FormatError(f"{path}:{lines[row][0]}: {message}") from error
 
 
@@ -270,29 +274,6 @@ def _data_lines(path: str | Path) -> list[tuple[int, str]]:
     header, as np.loadtxt numbers its rows."""
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     return [(n, text) for n, text in enumerate(lines[1:], start=2) if text]
-
-
-def _first_unparsable(texts: list[str], dtype: np.dtype) -> Optional[int]:
-    """Index of the first line np.loadtxt rejects, or None. Lines parse
-    independently, so a prefix parses iff it ends before that line."""
-    if _parses(texts, dtype):
-        return None
-    good, bad = 0, len(texts)  # texts[:good] parses, texts[:bad] does not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if _parses(texts[:mid], dtype):
-            good = mid
-        else:
-            bad = mid
-    return good
-
-
-def _parses(texts: list[str], dtype: np.dtype) -> bool:
-    try:
-        _loadtxt(texts, dtype)
-    except ValueError:
-        return False
-    return True
 
 
 def _parse_problem(text: str, dtype: np.dtype) -> str:
@@ -304,9 +285,14 @@ def _parse_problem(text: str, dtype: np.dtype) -> str:
     if len(fields) != len(kinds):
         return f"expected {len(kinds)} fields, got {len(fields)}"
     for field, kind in zip(fields, kinds):
-        if not (field.strip() and _parses([field], kind)):
-            what = "an integer" if kind.kind == "i" else "a number"
-            return f"cannot parse {field!r} as {what}"
+        try:
+            if field.strip():
+                _loadtxt([field], kind)
+                continue
+        except ValueError:
+            pass
+        what = "an integer" if kind.kind == "i" else "a number"
+        return f"cannot parse {field!r} as {what}"
     return f"cannot parse {text!r}"
 
 
@@ -429,9 +415,10 @@ def _tracklets_from_doc(path: str | Path, camera_id: int, entries: list) -> list
 def _tracklet_from_doc(path: str | Path, camera_id: int, entry) -> Tracklet:
     """One tracklet entry of a sidecar or results file.
 
-    track_id and frames are JSON integers, at least one frame; boxes (4
-    numbers each) and confidences come one per frame. A sidecar's mean_embedding is null or a
-    non-empty list of numbers; mean_confidence is derived, so it is not read.
+    track_id and frames are JSON integers, at least one frame, strictly
+    increasing; boxes (4 numbers each) and confidences come one per frame. A
+    sidecar's mean_embedding is null or a non-empty list of numbers;
+    mean_confidence is derived, so it is not read.
     """
     where = f"{path}: camera {camera_id}"
     _typed(f"{where}: a tracklet entry", entry, dict)
@@ -457,6 +444,12 @@ def _tracklet_from_doc(path: str | Path, camera_id: int, entry) -> Tracklet:
     except OverflowError:
         f = next(f for f in frames if not _INT64_MIN <= f <= _INT64_MAX)
         raise FormatError(f"{where}: frame {f} is outside the 64-bit integer range") from None
+    steps = np.flatnonzero(frames[1:] <= frames[:-1])
+    if steps.size:
+        i = steps[0]
+        raise FormatError(
+            f"{where}: frames must be strictly increasing, got {frames[i + 1]} after {frames[i]}"
+        )
     return Tracklet(
         camera_id=camera_id,
         track_id=track_id,
@@ -501,6 +494,8 @@ def read_truth_json(path: str | Path) -> TruthFile:
     JSON integers."""
     doc = read_json(path)
     identity_count = _field(path, doc, "identity_count", int)
+    if identity_count < 0:
+        raise FormatError(f"{path}: identity_count must be >= 0, got {identity_count}")
     cameras: dict[int, dict[int, list[tuple[int, BoundingBox]]]] = {}
     for cam_key, frames in _field(path, doc, "cameras", dict).items():
         cam = int_key(path, "camera", cam_key)
@@ -641,43 +636,12 @@ def read_results_json(path: str | Path) -> ResultsFile:
 
 
 # ----------------------------------------------------------------------
-# Writing files. Every writer sends its text to one _Sink, which writes it
-# to the open file in blocks, so what a write holds does not grow with the
-# file: a CSV writer formats a block of rows at a time, and the JSON encoder
-# an array's rows a block at a time.
+# Writing files. Every writer hands its text to the open file in parts, and
+# the file's own buffer bounds what a write holds: a CSV writer formats a
+# block of rows at a time, and the JSON encoder an array's rows a block at a
+# time.
 
-_BLOCK = 1 << 14  # characters a _Sink holds before it writes them out
 _BLOCK_VALUES = 1 << 12  # numbers formatted at a time
-
-
-class _Sink:
-    """Text bound for an open file. `append` takes a string, as a list's
-    does; once _BLOCK characters are held, they are written out."""
-
-    def __init__(self, fh) -> None:
-        self._fh = fh
-        self._parts: list[str] = []
-        self._size = 0
-
-    def append(self, text: str) -> None:
-        self._parts.append(text)
-        self._size += len(text)
-        if self._size >= _BLOCK:
-            self.flush()
-
-    def flush(self) -> None:
-        self._fh.write("".join(self._parts))
-        self._parts.clear()
-        self._size = 0
-
-
-@contextmanager
-def _sink(path: str | Path) -> Iterator[_Sink]:
-    """A sink writing `path` as UTF-8 with LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        sink = _Sink(fh)
-        yield sink
-        sink.flush()
 
 
 def _write_rows(
@@ -688,16 +652,16 @@ def _write_rows(
     converted and formatted about _BLOCK_VALUES numbers at a time."""
     n = len(columns[0]) if columns else 0
     step = max(1, _BLOCK_VALUES * n // max(sum(c.size for c in columns), 1))
-    with _sink(path) as out:
-        out.append(header + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
         for start in range(0, n, step):
-            out.append("".join(map(line, *(c[start:start + step].tolist() for c in columns))))
+            fh.write("".join(map(line, *(c[start:start + step].tolist() for c in columns))))
 
 
 def _write_json(path: str | Path, doc: dict) -> None:
-    with _sink(path) as out:
-        _encode(doc, "\n", out)
-        out.append("\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _encode(doc, "\n", fh.write)
+        fh.write("\n")
 
 
 def json_text(doc) -> str:
@@ -710,52 +674,52 @@ def json_text(doc) -> str:
     tuples, numpy arrays, str, int, float, bool or None.
     """
     parts: list[str] = []
-    _encode(doc, "\n", parts)
+    _encode(doc, "\n", parts.append)
     return "".join(parts)
 
 
-def _encode(value, newline: str, parts: list[str] | _Sink) -> None:
-    """Append value's JSON text to `parts`; `newline` is a line break plus
-    the indentation of the line value starts on."""
+def _encode(value, newline: str, write: Callable[[str], object]) -> None:
+    """Hand value's JSON text to `write` in parts; `newline` is a line break
+    plus the indentation of the line value starts on."""
     if isinstance(value, dict):
         if not value:
-            parts.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         for i, key in enumerate(sorted(value)):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(("," if i else "{") + inner + _string_text(key) + ": ")
-            _encode(value[key], inner, parts)
-        parts.append(newline + "}")
+            write(("," if i else "{") + inner + _string_text(key) + ": ")
+            _encode(value[key], inner, write)
+        write(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            parts.append("[]")
+            write("[]")
             return
         inner = newline + "  "
         for i, item in enumerate(value):
-            parts.append(("," if i else "[") + inner)
-            _encode(item, inner, parts)
-        parts.append(newline + "]")
+            write(("," if i else "[") + inner)
+            _encode(item, inner, write)
+        write(newline + "]")
     elif isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.dtype.kind in "fiu":
-        _encode_array(value, newline, parts)
+        _encode_array(value, newline, write)
     elif isinstance(value, np.ndarray):
-        _encode(value.tolist(), newline, parts)
+        _encode(value.tolist(), newline, write)
     else:
-        parts.append(_scalar_text(value))
+        write(_scalar_text(value))
 
 
-def _encode_array(a: np.ndarray, newline: str, parts: list[str] | _Sink) -> None:
-    """Append a 1-d or 2-d int or float array as nested JSON lists, a block
-    of about _BLOCK_VALUES numbers at a time."""
+def _encode_array(a: np.ndarray, newline: str, write: Callable[[str], object]) -> None:
+    """Hand a 1-d or 2-d int or float array to `write` as nested JSON lists,
+    a block of about _BLOCK_VALUES numbers at a time."""
     if not len(a):
-        parts.append("[]")
+        write("[]")
         return
     inner = newline + "  "
     step = max(1, _BLOCK_VALUES * len(a) // max(a.size, 1))
     for start in range(0, len(a), step):
-        parts.append(("," if start else "[") + inner + _items_text(a[start:start + step], inner))
-    parts.append(newline + "]")
+        write(("," if start else "[") + inner + _items_text(a[start:start + step], inner))
+    write(newline + "]")
 
 
 def _items_text(a: np.ndarray, inner: str) -> str:

@@ -777,6 +777,41 @@ class TestTrackletJsonRules:
             (t,) = formats.read_results_json(path).camera_tracklets[0]
             assert t.frames.tolist() == [frame]
 
+    @pytest.mark.parametrize("which, frames, message", [
+        ("sidecar", [5, 2, 2], "got 2 after 5"),
+        ("results", [3, 3, 1], "got 3 after 3"),
+    ])
+    def test_frames_must_be_strictly_increasing(self, tmp_path, capsys, which, frames,
+                                                message):
+        # Once accepted with exit 0, though the tracker writes one box per
+        # tracklet per frame and refine and eval match frame by frame.
+        if which == "sidecar":
+            entry = sidecar_entry(frames=frames)
+            argv = self.associate(tmp_path, {"cam0": {"camera_id": 0, "tracklets": [entry]}})
+            path = tmp_path / "tracks" / "cam0.tracklets.json"
+        else:
+            doc = valid_results_doc()
+            doc["cameras"][0]["tracklets"][0].update(
+                frames=frames, boxes=[[0.0, 0.0, 5.0, 5.0]] * 3, confidences=[0.9] * 3)
+            argv = self.eval(tmp_path, doc)
+            path = tmp_path / "results.json"
+        assert format_error(capsys, argv) == (
+            f"error[format]: {path}: camera 0, track 1: frames must be strictly increasing, "
+            f"{message}\n")
+
+    def test_negative_identity_count(self, tmp_path, capsys):
+        # Once accepted with exit 0: per_set_truth [-2] and an l2_error of 3.0.
+        truth = {"identity_count": -2, "cameras": {"0": {}}}
+        report = tmp_path / "report.json"
+        argv = self.eval(tmp_path, valid_results_doc(), truth) + ["--output", str(report)]
+        assert format_error(capsys, argv) == (
+            f"error[format]: {tmp_path / 'truth.json'}: identity_count must be >= 0, got -2\n")
+        assert not report.exists()
+
+    def test_zero_identity_count_is_valid(self, tmp_path):
+        truth = {"identity_count": 0, "cameras": {"0": {}}}
+        assert main(self.eval(tmp_path, valid_results_doc(), truth)) == 0
+
     def test_empty_tracklet_entry(self, tmp_path, capsys):
         entry = dict(sidecar_entry(), frames=[], boxes=[], confidences=[])
         doc = {"camera_id": 0, "tracklets": [entry]}

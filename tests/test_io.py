@@ -122,6 +122,42 @@ class TestDetectionFile:
         with pytest.raises(FormatError, match=":3:"):
             formats.read_detections(path)
 
+    @pytest.mark.parametrize("n", [64, 500])
+    def test_error_path_parses_each_line_once(self, tmp_path, monkeypatch, n):
+        # After the whole file fails to parse, its lines are parsed one at a
+        # time up to the bad one, then the bad line's fields one at a time:
+        # at most n + 8 lines in all, where a search over prefixes of the
+        # lines would hand over about n * log2(n).
+        rows = [f"{f},0,1,2,3,4,0.5,0" for f in range(n - 1)] + [f"{n - 1},x,1,2,3,4,0.5,0"]
+        path = tmp_path / "bad.csv"
+        path.write_text(formats.DETECTION_HEADER + "\n" + "\n".join(rows) + "\n")
+        handed = []
+
+        def loadtxt(source, *args, _loadtxt=formats._loadtxt, **kwargs):
+            handed.append(source)
+            return _loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(formats, "_loadtxt", loadtxt)
+        with pytest.raises(FormatError, match=f":{n + 1}: cannot parse 'x' as an integer$"):
+            formats.read_detections(path)
+        whole, *pieces = handed
+        assert whole == path
+        assert all(len(piece) == 1 for piece in pieces)
+        assert [piece[0] for piece in pieces[:n]] == rows
+        assert len(pieces) <= n + 8  # the bad line's 8 fields
+
+    @pytest.mark.parametrize("read, header, bad", [
+        (formats.read_detections, formats.DETECTION_HEADER, "0,x,1,2,3,4,0.5,0"),
+        (formats.read_embeddings, "frame,det_id,e0,e1", "0,0,0.5"),
+    ], ids=["detections", "embeddings"])
+    def test_bad_first_row_after_a_blank_line(self, tmp_path, read, header, bad):
+        # No row above the bad one: the checks run on an empty prefix.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n\n{bad}\n")
+        expected = "cannot parse 'x' as an integer" if "x" in bad else "expected 4 fields, got 3"
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: {expected}$"):
+            read(path)
+
     def test_confidence_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(formats.DETECTION_HEADER + "\n0,0,1,2,3,4,1.5,0\n")

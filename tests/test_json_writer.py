@@ -254,12 +254,11 @@ class TestFileWriters:
 # ----------------------------------------------------------------------
 # Streamed writes. Small block sizes make short documents span many blocks.
 
-block_sizes = st.tuples(st.integers(1, 300), st.integers(1, 12))
+block_sizes = st.integers(1, 12)
 
 
-def small_blocks(sizes):
-    block, values = sizes
-    return mock.patch.multiple(formats, _BLOCK=block, _BLOCK_VALUES=values)
+def small_blocks(values):
+    return mock.patch.object(formats, "_BLOCK_VALUES", values)
 
 
 def joined_detections(stream: CameraStream) -> str:
@@ -334,13 +333,12 @@ class TestStreamedWrites:
         assert got == (formats.json_text(doc) + "\n").encode()
 
     def test_json_file_of_many_blocks(self, tmp_path):
-        # Real block sizes: an array of 12 blocks of numbers and a text of
-        # about 9 blocks of characters.
+        # The real block size: an array of 12 blocks of numbers.
         rng = np.random.default_rng(5)
         doc = {"a": rng.normal(size=(3000, 16)),
                "b": [{"k": i, "v": [i / 7] * 3} for i in range(500)]}
         text = formats.json_text(doc) + "\n"
-        assert len(text) > 8 * formats._BLOCK and doc["a"].size > 8 * formats._BLOCK_VALUES
+        assert doc["a"].size > 8 * formats._BLOCK_VALUES
         formats._write_json(tmp_path / "doc.json", doc)
         assert (tmp_path / "doc.json").read_bytes() == text.encode()
         assert text == json.dumps(plain(doc), indent=2, sort_keys=True) + "\n"

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmot.assignment import INFEASIBLE, gate, iou_matching, matching_cascade, solve_assignment
-from mcmot.geometry import BoundingBox, Detection
+from mcmot.geometry import BoundingBox, Detection, detection_faults
 from mcmot.kalman import CHI2_GATE_95
 from mcmot.refine import id_switches
 from mcmot.sim import ScenarioConfig, generate
-from mcmot.tracker import _CONFIRMED, Tracker, TrackerConfig, TrackTable, appearance_cost
+from mcmot.tracker import (
+    _CONFIRMED, _STEP_ERRORS, Tracker, TrackerConfig, TrackTable, appearance_cost,
+)
 
 
 def det(frame, x=50.0, y=50.0, w=20.0, h=40.0, conf=0.9, emb=None):
@@ -420,6 +422,15 @@ class TestInputValidation:
         # The frame was not consumed: it can be stepped again with valid input.
         valid = None if emb is None else np.array([unit(1, 0)])
         assert tr.step(0, np.array([[50.0, 50.0, 20.0, 40.0]]), np.array([0.9]), valid).tolist() == [1]
+
+    def test_every_rule_has_a_step_error(self):
+        # step pairs the rules with _STEP_ERRORS through a plain zip, so one
+        # more detection rule would silently drop the embedding rule.
+        rules = len(detection_faults(np.empty((0, 4)), np.empty(0)))
+        assert len(_STEP_ERRORS) == rules + 1, (
+            f"_STEP_ERRORS must map each rule: {rules} detection rules and the embedding rule, "
+            f"got {len(_STEP_ERRORS)} entries"
+        )
 
 
 class TestMotionOnly:
