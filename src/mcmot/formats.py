@@ -191,6 +191,10 @@ def _embedding_rows(detections: CameraStream, embeddings: EmbeddingColumns) -> n
 # checks; a file's lines are split out only to put a line number on an error.
 
 
+# Lines parsed at a time on a bad file's error path.
+_ERROR_BLOCK = 1024
+
+
 def _read_header(path: str | Path) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.readline().rstrip("\n")
@@ -254,19 +258,35 @@ def _read_rows(
         row, message = found
         raise FormatError(f"{path}:{_data_lines(path)[row][0]}: {message}")
 
-    # One pass: each line parses alone, up to the first one numpy rejects.
     lines = _data_lines(path)
     rows = np.empty(len(lines), dtype)
-    for bad, (_, text) in enumerate(lines):
-        try:
-            rows[bad:bad + 1] = _loadtxt([text], dtype)
-        except ValueError:
-            break
-    else:  # the lines parse one by one: report what numpy saw
+    bad = _first_unparsable([text for _, text in lines], dtype, rows)
+    if bad is None:  # the lines parse one by one: report what numpy saw
         raise FormatError(f"{path}: {error}") from error
     found = first_problem(checks(rows[:bad]))
     row, message = found if found is not None else (bad, _parse_problem(lines[bad][1], dtype))
     raise FormatError(f"{path}:{lines[row][0]}: {message}") from error
+
+
+def _first_unparsable(texts: list[str], dtype: np.dtype, rows: np.ndarray) -> Optional[int]:
+    """Index of the first of the lines that numpy rejects alone, or None;
+    rows[:index] receives the lines above it.
+
+    The lines parse in blocks of _ERROR_BLOCK, and only a block that fails
+    parses line by line: one np.loadtxt call per block, plus one per line
+    of the failing block up to the bad line.
+    """
+    for start in range(0, len(texts), _ERROR_BLOCK):
+        stop = min(start + _ERROR_BLOCK, len(texts))
+        try:
+            rows[start:stop] = _loadtxt(texts[start:stop], dtype)
+        except ValueError:
+            for bad in range(start, stop):
+                try:
+                    rows[bad:bad + 1] = _loadtxt([texts[bad]], dtype)
+                except ValueError:
+                    return bad
+    return None
 
 
 def _data_lines(path: str | Path) -> list[tuple[int, str]]:

@@ -100,9 +100,6 @@ class BoundingBox:
     w: float
     h: float
 
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.w, self.h], dtype=float)
-
 
 @dataclass(frozen=True, eq=False)
 class Detection:

@@ -3,10 +3,18 @@
 The 8-d state stacks the measured box (center-x, center-y, aspect w/h, height)
 with its per-frame velocities. Process and measurement noise scale with the
 box height through a NoiseProfile. All operations are value-in/value-out.
-`initiate` and `gating_distance` take one state; the tracker works on stacked
-states through the batched forms. No matrix of the model couples the four
-measured axes, so the innovation covariance of every state the filter builds
-is diagonal and gating and update need no LAPACK call.
+
+No matrix of the model couples the four measured axes, so every covariance
+the filter builds is zero outside each axis's 2x2 position/velocity block,
+and the innovation covariance is diagonal. The tracker keeps only those
+blocks: a covariance of shape (n, 4, 3) holds each axis's `pp`, `pv` and
+`vv` (position variance, position-velocity covariance, velocity variance),
+and the per-axis forms (`initiate_axes`, `predict_axes`, `update_axes`,
+`gating_axes`) are elementwise over (n, 4) arrays, with no LAPACK call and
+no matrix product. They give the bits of the 8x8 forms (`initiate`,
+`predict_batch`, `update_batch`, `gating_matrix`), which, with the
+single-state `gating_distance`, take a full (8, 8) covariance per state and
+stay for callers that build coupled ones.
 """
 
 from __future__ import annotations
@@ -154,6 +162,87 @@ class KalmanFilter:
         y = _solve_innovation(s, diff.transpose(0, 2, 1), twice=False)
         return np.einsum("nim,nim->nm", y, y)
 
+    # ------------------------------------------------------------------
+    # Per-axis forms over n stacked states: means (n, 8) and covariances
+    # (n, 4, 3), one row (pp, pv, vv) per measured axis. Each gives the bits
+    # of its 8x8 form on the blocks of an uncoupled covariance.
+
+    def initiate_axes(self, measurements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`initiate` of each row of `measurements` (k, 4)."""
+        z = np.asarray(measurements, dtype=float)
+        h = z[:, 3]
+        bad = h <= 0
+        if bad.any():
+            raise ValueError(f"measurement height must be positive, got {h[bad.argmax()]}")
+        wp, wv = self.profile.std_weight_position, self.profile.std_weight_velocity
+        means = np.zeros((len(z), _DIM))
+        means[:, :_MDIM] = z
+        covs = np.zeros((len(z), _MDIM, 3))
+        covs[..., 0] = _variances(h, 2 * wp, 1e-2)
+        covs[..., 2] = _variances(h, 10 * wv, 1e-5)
+        return means, covs
+
+    def predict_axes(self, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`predict_batch`: F P F^T + Q per axis, summed in its order."""
+        wp, wv = self.profile.std_weight_position, self.profile.std_weight_velocity
+        h = means[:, 3]
+        new_means = means.copy()
+        new_means[:, :_MDIM] += means[:, _MDIM:]
+        pp, pv, vv = covs[..., 0], covs[..., 1], covs[..., 2]
+        new_covs = np.empty_like(covs)
+        new_covs[..., 0] = pp + pv + pv + vv + _variances(h, wp, 1e-2)
+        new_covs[..., 1] = pv + vv
+        new_covs[..., 2] = vv + _variances(h, wv, 1e-5)
+        return new_means, new_covs
+
+    def update_axes(
+        self, means: np.ndarray, covs: np.ndarray, zs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`update_batch`: the gain of each axis is its (pp, pv) column
+        scaled twice by 1 / sqrt(S), and the new pv averages the two cross
+        terms as the 8x8 form's symmetrize does."""
+        pp, pv, vv = covs[..., 0], covs[..., 1], covs[..., 2]
+        s = pp + self._measurement_variances(means)
+        r = 1.0 / _innovation_sd(s)
+        g_p, g_v = pp * r * r, pv * r * r
+        innovation = zs - means[:, :_MDIM]
+        new_means = means + np.concatenate((g_p * innovation, g_v * innovation), axis=1)
+        gs_p, gs_v = g_p * s, g_v * s
+        new_covs = np.empty_like(covs)
+        new_covs[..., 0] = pp - gs_p * g_p
+        new_covs[..., 1] = ((pv - gs_p * g_v) + (pv - gs_v * g_p)) / 2.0
+        new_covs[..., 2] = vv - gs_v * g_v
+        return new_means, new_covs
+
+    def gating_axes(self, means: np.ndarray, covs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """`gating_matrix`: squared Mahalanobis distances (n_states, m)."""
+        sd = _innovation_sd(covs[..., 0] + self._measurement_variances(means))[:, :, None]
+        diff = (zs[None, :, :] - means[:, None, :_MDIM]).transpose(0, 2, 1)
+        # Divide or multiply by the reciprocal as _solve_innovation does.
+        op, f = (np.divide, sd) if diff.shape[2] == 1 else (np.multiply, 1.0 / sd)
+        y = op(diff, f, order="C")
+        return np.einsum("nim,nim->nm", y, y)
+
+    def _measurement_variances(self, means: np.ndarray) -> np.ndarray:
+        """The measurement noise R of each state, as `project_batch` adds it (n, 4)."""
+        return _variances(means[:, 3], self.profile.std_weight_position, 1e-1)
+
+
+def _variances(h: np.ndarray, weight: float, aspect: float) -> np.ndarray:
+    """Squared standard deviations (n, 4): weight * h on the cx, cy and h
+    axes and `aspect` on the aspect axis."""
+    std = np.multiply.outer(h, (weight, weight, 0.0, weight))
+    std[:, 2] = aspect
+    return std * std
+
+
+def _innovation_sd(d: np.ndarray) -> np.ndarray:
+    """sqrt of a diagonal innovation covariance's entries d (n, 4); a
+    non-positive or NaN entry is not positive definite."""
+    if not (d > 0).all():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return np.sqrt(d)
+
 
 _OFF_DIAGONAL = np.array([i for i in range(_MDIM * _MDIM) if i % (_MDIM + 1)])  # flat 4x4
 
@@ -170,10 +259,7 @@ def _solve_innovation(s: np.ndarray, x: np.ndarray, twice: bool) -> np.ndarray:
     a non-positive-definite S raises LinAlgError.
     """
     if not s.reshape(len(s), _MDIM * _MDIM)[:, _OFF_DIAGONAL].any():
-        d = s.diagonal(axis1=1, axis2=2)
-        if not (d > 0).all():
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-        sd = np.sqrt(d)[:, :, None]
+        sd = _innovation_sd(s.diagonal(axis1=1, axis2=2))[:, :, None]
         # LAPACK's solve (OpenBLAS) divides a single column by the diagonal
         # and scales several by its reciprocal; so does this, bit for bit.
         op, f = (np.divide, sd) if x.shape[2] == 1 else (np.multiply, 1.0 / sd)

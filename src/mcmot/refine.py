@@ -179,7 +179,7 @@ def _frame_correspondence(
     if not hyp or not truth:
         return []
     hb = np.array([b for _, b in hyp])
-    tb = np.array([b.to_array() for _, b in truth])
+    tb = np.array([(b.x, b.y, b.w, b.h) for _, b in truth], dtype=float)
     overlap = iou_matrix(hb, tb)
     cost = np.where(overlap >= 0.5, 1.0 - overlap, INFEASIBLE)
     m = solve_assignment(cost)

@@ -11,7 +11,8 @@ The live tracks' state is one struct-of-arrays TrackTable. A frame runs one
 Kalman predict over the whole table, one chi-square gating matrix of the
 confirmed tracks against all detections, appearance distances for the
 gated-in cells only (every cascade level slices the resulting cost matrix),
-and one Kalman update over the matched rows. The frame's association is one
+and one Kalman update over the matched rows, all in the filter's per-axis
+forms, so no 8x8 covariance is built. The frame's association is one
 vector, the table row matched to each detection or -1. Every detection a
 tracker is given becomes one row of its History, whose `owner` column holds
 the id of the track the detection updated or started; a track's history is
@@ -81,8 +82,9 @@ _ROW_COLUMNS = (
 
 class TrackTable:
     """State of the live tracks as parallel arrays, one row per track in
-    creation order: the int64 `track_id`, Kalman `means` (n, 8) and `covs`
-    (n, 8, 8), and the `status`, `hits` and `time_since_update` counters.
+    creation order: the int64 `track_id`, Kalman `means` (n, 8) and per-axis
+    `covs` (n, 4, 3) (see kalman), and the `status`, `hits` and
+    `time_since_update` counters.
 
     Appearance galleries share one tensor of shape (slots, cap, D). Each row
     owns the slot `slot[row]` (the lowest free one at its birth) holding its
@@ -100,7 +102,7 @@ class TrackTable:
         self.metric = metric
         self.track_id = np.empty(0, dtype=np.int64)
         self.means = np.empty((0, 8))
-        self.covs = np.empty((0, 8, 8))
+        self.covs = np.empty((0, 4, 3))
         self.status = np.empty(0, dtype=np.int8)
         self.hits = np.empty(0, dtype=np.int64)
         self.time_since_update = np.empty(0, dtype=np.int64)
@@ -394,7 +396,7 @@ class Tracker:
         x, y, w, h = tlwh.T
         table = self.table
         if len(table):
-            table.means, table.covs = self.kf.predict_batch(table.means, table.covs)
+            table.means, table.covs = self.kf.predict_axes(table.means, table.covs)
             table.time_since_update += 1
 
         xyah = np.column_stack((x + w / 2.0, y + h / 2.0, w / h, h))
@@ -410,7 +412,7 @@ class Tracker:
 
         cfg = self.config
         if rows.size:
-            table.means[rows], table.covs[rows] = self.kf.update_batch(
+            table.means[rows], table.covs[rows] = self.kf.update_axes(
                 table.means[rows], table.covs[rows], xyah[cols]
             )
             table.hits[rows] += 1
@@ -501,22 +503,17 @@ class Tracker:
         """Appearance cost of the table rows against the detections,
         INFEASIBLE outside the chi-square gate: one gating matrix, then the
         gated-in cells only."""
-        gating = self.kf.gating_matrix(self.table.means[rows], self.table.covs[rows], xyah)
+        gating = self.kf.gating_axes(self.table.means[rows], self.table.covs[rows], xyah)
         return appearance_cost(self.table, rows, embs, gating <= CHI2_GATE_95)
 
     def _start_tracks(
         self, ids: np.ndarray, det_idx: np.ndarray, xyah: np.ndarray, embs: Optional[np.ndarray]
     ) -> None:
         """One new track with id ids[i] per detection det_idx[i]."""
-        states = [self.kf.initiate(xyah[c]) for c in det_idx]
+        means, covs = self.kf.initiate_axes(xyah[det_idx])
         start = len(self.table)
         born_confirmed = self.config.n_init <= 1
-        self.table.append(
-            ids,
-            np.array([s.mean for s in states]),
-            np.array([s.covariance for s in states]),
-            _CONFIRMED if born_confirmed else _TENTATIVE,
-        )
+        self.table.append(ids, means, covs, _CONFIRMED if born_confirmed else _TENTATIVE)
         if born_confirmed:
             self._confirmed_ids += ids.tolist()
         self._next_id += len(ids)

@@ -53,9 +53,8 @@ class TestIou:
             BoundingBox(rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(1, 50), rng.uniform(1, 50))
             for _ in range(8)
         ]
-        mat = iou_matrix(
-            np.array([b.to_array() for b in bs[:5]]), np.array([b.to_array() for b in bs[5:]])
-        )
+        xywh = np.array([(b.x, b.y, b.w, b.h) for b in bs])
+        mat = iou_matrix(xywh[:5], xywh[5:])
         for i in range(5):
             for j in range(3):
                 assert mat[i, j] == pytest.approx(iou(bs[i], bs[5 + j]), abs=1e-12)

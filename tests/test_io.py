@@ -122,12 +122,12 @@ class TestDetectionFile:
         with pytest.raises(FormatError, match=":3:"):
             formats.read_detections(path)
 
-    @pytest.mark.parametrize("n", [64, 500])
-    def test_error_path_parses_each_line_once(self, tmp_path, monkeypatch, n):
-        # After the whole file fails to parse, its lines are parsed one at a
-        # time up to the bad one, then the bad line's fields one at a time:
-        # at most n + 8 lines in all, where a search over prefixes of the
-        # lines would hand over about n * log2(n).
+    @pytest.mark.parametrize("n", [64, 500, 3000])
+    def test_error_path_parses_in_blocks(self, tmp_path, monkeypatch, n):
+        # After the whole file fails to parse, its lines are parsed in blocks,
+        # then the failing block's lines one at a time up to the bad one, then
+        # the bad line's fields one at a time: at most blocks + block size + 8
+        # hand-offs, where one per line would be n.
         rows = [f"{f},0,1,2,3,4,0.5,0" for f in range(n - 1)] + [f"{n - 1},x,1,2,3,4,0.5,0"]
         path = tmp_path / "bad.csv"
         path.write_text(formats.DETECTION_HEADER + "\n" + "\n".join(rows) + "\n")
@@ -142,9 +142,12 @@ class TestDetectionFile:
             formats.read_detections(path)
         whole, *pieces = handed
         assert whole == path
-        assert all(len(piece) == 1 for piece in pieces)
-        assert [piece[0] for piece in pieces[:n]] == rows
-        assert len(pieces) <= n + 8  # the bad line's 8 fields
+        block = formats._ERROR_BLOCK
+        blocks = -(-n // block)
+        assert [line for piece in pieces[:blocks] for line in piece] == rows
+        last = (blocks - 1) * block  # the failing block's first line
+        assert pieces[blocks:blocks + n - last] == [[line] for line in rows[last:]]
+        assert len(pieces) <= blocks + block + 8  # the bad line's 8 fields
 
     @pytest.mark.parametrize("read, header, bad", [
         (formats.read_detections, formats.DETECTION_HEADER, "0,x,1,2,3,4,0.5,0"),

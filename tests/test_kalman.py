@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -243,7 +244,7 @@ class TestNoiseProfile:
 
 # ----------------------------------------------------------------------
 # Per-axis branch: the filter never couples its four measured axes, so the
-# tracker's innovation covariances are diagonal and `update_batch` and
+# innovation covariances it builds are diagonal and `update_batch` and
 # `gating_matrix` skip LAPACK. The reference below is the Cholesky form the
 # per-axis branch replaced, kept here as its byte oracle.
 
@@ -345,10 +346,96 @@ class TestPerAxisBranch:
                 kf.gating_matrix(means, covs, zs)
 
     def test_golden_count_takes_no_lapack_call(self, tmp_path):
-        # A cross-axis term anywhere in the model would send the tracker back
-        # to the Cholesky branch; this run would then fail.
+        # The tracker's per-axis forms factor no matrix.
         out = tmp_path / "results.json"
         with lapack_forbidden():
+            assert main(["count", "--scenario", str(GOLDEN / "scenario"),
+                         "--config", str(GOLDEN / "config.json"),
+                         "--method", "both", "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "expected" / "count_both.json").read_bytes()
+
+
+# ----------------------------------------------------------------------
+# Per-axis forms: the tracker keeps each axis's (pp, pv, vv) in a (n, 4, 3)
+# covariance. The 8x8 batch forms are their byte oracle.
+
+def blocks(covs):
+    """The (n, 8, 8) covariances whose per-axis blocks are covs (n, 4, 3)."""
+    full = np.zeros((len(covs), 8, 8))
+    axis = np.arange(4)
+    full[:, axis, axis] = covs[..., 0]
+    full[:, axis, axis + 4] = full[:, axis + 4, axis] = covs[..., 1]
+    full[:, axis + 4, axis + 4] = covs[..., 2]
+    return full
+
+
+MATRIX_FORMS = ("initiate", "gating_distance", "predict_batch", "project_batch",
+                "update_batch", "gating_matrix")
+
+
+def matrix_forms_forbidden():
+    """Patch KalmanFilter's 8x8 forms to raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("8x8 Kalman form called")
+    return mock.patch.multiple(KalmanFilter, **dict.fromkeys(MATRIX_FORMS, forbidden))
+
+
+class TestPerAxisForms:
+    @settings(max_examples=200, deadline=None)
+    @given(filter_runs())
+    def test_bytes_equal_the_matrix_forms(self, run):
+        kf = KalmanFilter()
+        z0, steps = run
+        states = [kf.initiate(z) for z in z0]
+        means = np.array([s.mean for s in states])
+        covs = np.array([s.covariance for s in states])
+        with lapack_forbidden():
+            axis_means, axis_covs = kf.initiate_axes(z0)
+        assert axis_means.tobytes() == means.tobytes()
+        assert blocks(axis_covs).tobytes() == covs.tobytes()
+        for kind, rows, zs in steps:
+            if kind == "gate":
+                want = kf.gating_matrix(means, covs, zs)
+                with lapack_forbidden():
+                    got = kf.gating_axes(axis_means, axis_covs, zs)
+                assert got.shape == (len(means), len(zs))
+                assert got.tobytes() == want.tobytes()
+                continue
+            if kind == "predict":
+                means[rows], covs[rows] = kf.predict_batch(means[rows], covs[rows])
+                with lapack_forbidden():
+                    got = kf.predict_axes(axis_means[rows], axis_covs[rows])
+            else:
+                means[rows], covs[rows] = kf.update_batch(means[rows], covs[rows], zs)
+                with lapack_forbidden():
+                    got = kf.update_axes(axis_means[rows], axis_covs[rows], zs)
+            axis_means[rows], axis_covs[rows] = got
+            assert axis_means.tobytes() == means.tobytes()
+            assert blocks(axis_covs).tobytes() == covs.tobytes()
+
+    def test_initiate_rejects_the_first_non_positive_height(self):
+        zs = np.array([[5.0, 5.0, 1.0, 10.0], [5.0, 5.0, 1.0, -2.0], [5.0, 5.0, 1.0, 0.0]])
+        with pytest.raises(ValueError) as single:
+            KalmanFilter().initiate(zs[1])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+            KalmanFilter().initiate_axes(zs)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    def test_non_positive_innovation_variance_raises(self, bad):
+        # As the 8x8 test above: S[0, 0] of the one state is `bad`.
+        kf = KalmanFilter()
+        means = np.array([[5.0, 5.0, 1.0, 10.0, 0.0, 0.0, 0.0, 0.0]])
+        covs = np.tile([1.0, 0.0, 1.0], (1, 4, 1))
+        covs[0, 0, 0] = bad - 0.25
+        for zs in (np.empty((0, 4)), np.array([[5.0, 5.0, 1.0, 10.0]])):
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                kf.gating_axes(means, covs, zs)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            kf.update_axes(means, covs, np.array([[5.0, 5.0, 1.0, 10.0]]))
+
+    def test_golden_count_calls_no_matrix_form(self, tmp_path):
+        out = tmp_path / "results.json"
+        with matrix_forms_forbidden():
             assert main(["count", "--scenario", str(GOLDEN / "scenario"),
                          "--config", str(GOLDEN / "config.json"),
                          "--method", "both", "--output", str(out)]) == 0

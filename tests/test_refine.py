@@ -235,7 +235,7 @@ class TestCountConfusion:
 
 def rows(boxes):
     """A tracklet's (n, 4) box column from BoundingBox objects."""
-    return np.array([b.to_array() for b in boxes]).reshape(-1, 4)
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def truth_frames(entries):

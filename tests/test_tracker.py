@@ -135,7 +135,7 @@ def table_of(streams, budget=100, metric="euclidean"):
     in order, so its ring holds the last `budget` of streams[i]."""
     n = len(streams)
     table = TrackTable(budget, metric)
-    table.append(np.arange(1, n + 1), np.zeros((n, 8)), np.zeros((n, 8, 8)), _CONFIRMED)
+    table.append(np.arange(1, n + 1), np.zeros((n, 8)), np.zeros((n, 4, 3)), _CONFIRMED)
     for k in range(max((len(s) for s in streams), default=0)):
         rows = np.array([i for i, s in enumerate(streams) if k < len(s)], dtype=np.intp)
         if rows.size:
