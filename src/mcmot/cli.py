@@ -245,10 +245,10 @@ def _cmd_count(args) -> int:
     det_files = sorted(scenario.glob("detections_cam*.csv"))
     if not det_files:
         raise FormatError(f"no detections_cam*.csv files found in {scenario}")
-    total_frames = None
+    scenario_cfg = None
     scenario_json = scenario / "scenario.json"
     if scenario_json.exists():
-        total_frames = scenario_from_dict(formats.read_json(scenario_json)).frames
+        scenario_cfg = scenario_from_dict(formats.read_json(scenario_json))
     streams = {}
     for det_path in det_files:
         cam = formats.int_key(det_path, "camera", det_path.stem.removeprefix("detections_cam"))
@@ -258,12 +258,20 @@ def _cmd_count(args) -> int:
     for emb_path in sorted(scenario.glob("embeddings_cam*.csv")):
         if emb_path not in paired:
             raise FormatError(f"{emb_path}: no detections_cam<K>.csv matches this file")
+    if scenario_cfg is not None:
+        # A camera the scenario lacks, such as one a simulate with more
+        # cameras left in the directory.
+        n = scenario_cfg.cameras
+        for cam in sorted(streams):
+            if not 0 <= cam < n:
+                raise FormatError(f"{streams[cam].detections}: camera {cam} is not one of the "
+                                  f"{n} cameras (0 to {n - 1}) of {scenario_json}")
 
     result = run_pipeline(
         streams,
         cfg,
         parallel=args.parallel,
-        total_frames=total_frames,
+        total_frames=None if scenario_cfg is None else scenario_cfg.frames,
         methods=_CLI_METHODS.get(args.method),
     )
     if args.output:

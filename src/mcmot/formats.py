@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string_text
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -192,7 +192,7 @@ def _embedding_rows(detections: CameraStream, embeddings: EmbeddingColumns) -> n
 
 
 # Lines parsed at a time on a bad file's error path.
-_ERROR_BLOCK = 1024
+_ERROR_BLOCK = 128
 
 
 def _read_header(path: str | Path) -> str:
@@ -246,6 +246,8 @@ def _read_rows(
 
     A bad file is reported at its first bad row, as a line-by-line reader
     would: a row that fails to parse, or else the first row any check flags.
+    The error path reads the file's lines a block at a time, so it holds the
+    rows above the bad one and one block of text, never the whole text.
     """
     try:
         rows = _loadtxt(path, dtype, skiprows=1, max_rows=_line_bound(path))
@@ -256,44 +258,77 @@ def _read_rows(
         if found is None:
             return rows
         row, message = found
-        raise FormatError(f"{path}:{_data_lines(path)[row][0]}: {message}")
+        for numbers, texts in _data_line_blocks(path):
+            if row < len(texts):
+                raise FormatError(f"{path}:{numbers[row]}: {message}")
+            row -= len(texts)
 
-    lines = _data_lines(path)
-    rows = np.empty(len(lines), dtype)
-    bad = _first_unparsable([text for _, text in lines], dtype, rows)
-    if bad is None:  # the lines parse one by one: report what numpy saw
-        raise FormatError(f"{path}: {error}") from error
-    found = first_problem(checks(rows[:bad]))
-    row, message = found if found is not None else (bad, _parse_problem(lines[bad][1], dtype))
-    raise FormatError(f"{path}:{lines[row][0]}: {message}") from error
+    _check_utf8(path)
+    bound = _line_bound(path)  # pages of the two arrays are touched only as rows arrive
+    rows, numbers = np.empty(bound, dtype), np.empty(bound, dtype=np.int64)
+    n = 0
+    for block_numbers, texts in _data_line_blocks(path):
+        numbers[n:n + len(texts)] = block_numbers
+        bad = _first_unparsable(texts, dtype, rows[n:])
+        if bad is not None:
+            found = first_problem(checks(rows[:n + bad]))
+            row, message = found if found is not None else (
+                n + bad, _parse_problem(texts[bad], dtype))
+            raise FormatError(f"{path}:{numbers[row]}: {message}") from error
+        n += len(texts)
+    # The lines parse one by one: report what numpy saw.
+    raise FormatError(f"{path}: {error}") from error
 
 
 def _first_unparsable(texts: list[str], dtype: np.dtype, rows: np.ndarray) -> Optional[int]:
-    """Index of the first of the lines that numpy rejects alone, or None;
-    rows[:index] receives the lines above it.
+    """Index of the first of one block's lines that numpy rejects alone, or
+    None; rows[:index] receives the lines above it (all of them for None).
 
-    The lines parse in blocks of _ERROR_BLOCK, and only a block that fails
-    parses line by line: one np.loadtxt call per block, plus one per line
-    of the failing block up to the bad line.
+    The block parses in one np.loadtxt call, and only when that fails line
+    by line, up to the bad line.
     """
-    for start in range(0, len(texts), _ERROR_BLOCK):
-        stop = min(start + _ERROR_BLOCK, len(texts))
-        try:
-            rows[start:stop] = _loadtxt(texts[start:stop], dtype)
-        except ValueError:
-            for bad in range(start, stop):
-                try:
-                    rows[bad:bad + 1] = _loadtxt([texts[bad]], dtype)
-                except ValueError:
-                    return bad
+    try:
+        rows[:len(texts)] = _loadtxt(texts, dtype)
+    except ValueError:
+        for bad, text in enumerate(texts):
+            try:
+                rows[bad:bad + 1] = _loadtxt([text], dtype)
+            except ValueError:
+                return bad
     return None
 
 
-def _data_lines(path: str | Path) -> list[tuple[int, str]]:
-    """(line number, text) of each data row: every non-empty line after the
-    header, as np.loadtxt numbers its rows."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    return [(n, text) for n, text in enumerate(lines[1:], start=2) if text]
+def _data_line_blocks(path: str | Path) -> Iterator[tuple[list[int], list[str]]]:
+    """(line numbers, texts) of the data rows, _ERROR_BLOCK rows at a time:
+    every non-empty line after the header, as np.loadtxt numbers its rows.
+    The lines are those of the file's text split at '\n'; the text is read
+    as Path.read_text reads it, so '\r\n' and a lone '\r' end a line too."""
+    numbers: list[int] = []
+    texts: list[str] = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            text = line.removesuffix("\n")
+            if text and number > 1:
+                numbers.append(number)
+                texts.append(text)
+                if len(texts) == _ERROR_BLOCK:
+                    yield numbers, texts
+                    numbers, texts = [], []
+    if texts:
+        yield numbers, texts
+
+
+def _check_utf8(path: str | Path) -> None:
+    """Raise, for a file that is not UTF-8, the UnicodeDecodeError that
+    reading its whole text raises (whose position counts from the file's
+    start), before any of its rows is reported; decoded a block at a time."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while fh.read(1 << 20):
+                pass
+    except UnicodeDecodeError:
+        Path(path).read_text(encoding="utf-8")
+        raise
 
 
 def _parse_problem(text: str, dtype: np.dtype) -> str:

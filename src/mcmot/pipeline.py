@@ -133,6 +133,12 @@ def process_camera(
     The confidence filter, the decimation, NMS and the split into frames
     each run once over the whole stream. The tracked rows' embeddings are
     then gathered once, and the tracker reads only those.
+
+    The detection and embedding rules also run once, over the whole stream:
+    file ingest checks a camera's files, and _check_columns checks columns.
+    The tracked rows are a subset of those rows, so Tracker.step skips its
+    own pass of the rules unless a column is not float64: step converts to
+    float64, and a converted value need not keep the rules.
     """
     stream = source.load() if isinstance(source, CameraFiles) else source
     tcfg = cfg.tracker
@@ -167,6 +173,9 @@ def process_camera(
     del source, stream, frame
 
     tracker = Tracker(tcfg, camera_id=camera_id)
+    tracker._checked_stream = all(
+        c is None or c.dtype == np.float64 for c in (boxes, confidences, embeddings)
+    )
     f, i = -1, 0  # the last frame stepped; det_frames[i] is the next holding detections
     while i < len(det_frames) or len(tracker.table):
         next_det = det_frames[i] if i < len(det_frames) else total_frames

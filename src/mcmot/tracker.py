@@ -344,6 +344,10 @@ class Tracker:
         self._next_id = 1
         self._last_frame: int | None = None
         self._with_embeddings: bool | None = None  # set by the first non-empty frame
+        # Set by pipeline.process_camera, whose rows have passed the detection
+        # and embedding rules as float64 before the first step: step then
+        # skips its own pass of those rules.
+        self._checked_stream = False
 
     @property
     def tracks(self) -> np.ndarray:
@@ -366,6 +370,12 @@ class Tracker:
         in row order. Frame indices must be strictly increasing across calls;
         each call is one motion tick regardless of gaps (decimation is
         re-indexed upstream).
+
+        Every call checks the frame order, the one box, confidence and
+        embedding per detection, and the embeddings all or none. The
+        detection and embedding rules (_check_rules) run on every call too,
+        except in a tracker that process_camera feeds: it has checked its
+        whole stream once, before the first step.
         """
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(f"frame indices must be strictly increasing: {frame} after {self._last_frame}")
@@ -375,17 +385,8 @@ class Tracker:
         if confidences.shape != (n,) or (embeddings is not None and len(embeddings) != n):
             raise ValueError("step needs one box, confidence and embedding per detection")
         embs = None if embeddings is None or not n else np.asarray(embeddings, dtype=float)
-        faults = detection_faults(tlwh, confidences)
-        if embs is not None:
-            bad, message = embedding_fault(embs)
-            if bad.any():  # a non-finite embedding breaks the finiteness rule
-                nonfinite = np.zeros_like(bad)
-                nonfinite[bad] = ~np.isfinite(embs[bad]).all(axis=1)
-                faults[0] = faults[0][0] | nonfinite, faults[0][1]
-            faults.append((bad, message))
-        for (mask, message), error in zip(faults, _STEP_ERRORS):
-            if mask.any():
-                raise ValueError(error or message(int(mask.argmax())))
+        if not self._checked_stream:
+            self._check_rules(tlwh, confidences, embs)
         if n:
             if self._with_embeddings is None:
                 self._with_embeddings = embs is not None
@@ -457,6 +458,26 @@ class Tracker:
         return out
 
     # ------------------------------------------------------------------
+
+    @staticmethod
+    def _check_rules(
+        tlwh: np.ndarray, confidences: np.ndarray, embs: Optional[np.ndarray]
+    ) -> None:
+        """ValueError for the first rule a detection breaks: those of
+        geometry.detection_faults, then, for a frame with embeddings, the
+        embedding rule (a non-finite embedding breaks the finiteness rule).
+        _STEP_ERRORS gives each rule's message."""
+        faults = detection_faults(tlwh, confidences)
+        if embs is not None:
+            bad, message = embedding_fault(embs)
+            if bad.any():
+                nonfinite = np.zeros_like(bad)
+                nonfinite[bad] = ~np.isfinite(embs[bad]).all(axis=1)
+                faults[0] = faults[0][0] | nonfinite, faults[0][1]
+            faults.append((bad, message))
+        for (mask, message), error in zip(faults, _STEP_ERRORS):
+            if mask.any():
+                raise ValueError(error or message(int(mask.argmax())))
 
     def _associate(
         self, tlwh: np.ndarray, xyah: np.ndarray, embs: Optional[np.ndarray]

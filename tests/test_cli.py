@@ -1193,6 +1193,26 @@ class TestCountErrorParity:
         )
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("stale", [2, 10, -1])
+    def test_camera_the_scenario_lacks(self, tmp_path, capsys, stale):
+        # A 3-camera scenario simulated over by a 2-camera one leaves camera
+        # 2's files beside a scenario.json of 2 cameras; count once tracked them.
+        simulate(tmp_path, cameras=3, identities=2, frames=10, embedding_dim=4)
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=10, embedding_dim=4)
+        if stale != 2:
+            for kind in ("detections", "embeddings"):
+                (scn / f"{kind}_cam2.csv").rename(scn / f"{kind}_cam{stale}.csv")
+        argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+        seq, par = self.errors(capsys, argv)
+        assert seq == par == (
+            f"error[format]: {scn / f'detections_cam{stale}.csv'}: camera {stale} is not one "
+            f"of the 2 cameras (0 to 1) of {scn / 'scenario.json'}\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+        (scn / f"detections_cam{stale}.csv").unlink()
+        (scn / f"embeddings_cam{stale}.csv").unlink()
+        assert main(argv) == 0
+
     def test_box_vanishing_in_float64(self, tmp_path, capsys):
         # w and h are positive, but x + w == x: IoU would divide 0 by 0.
         scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=4)

@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -160,6 +161,69 @@ class TestDetectionFile:
         expected = "cannot parse 'x' as an integer" if "x" in bad else "expected 4 fields, got 3"
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: {expected}$"):
             read(path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bad, expected", [
+        ("{f},x,1,2,3,4,0.5,0", "cannot parse 'x' as an integer"),
+        ("{f},0,1,2,3,4,1.5,0", "confidence 1.5 outside [0, 1]"),
+    ], ids=["unparsable", "checked"])
+    def test_line_numbers_in_later_blocks(self, tmp_path, end, bad, expected):
+        # Lines end as the file's text splits at '\n' once read: '\r\n' and
+        # a lone '\r' end a line too. Blank lines count, rows do not.
+        n = 3 * formats._ERROR_BLOCK + 7
+        rows = [f"{f},0,1,2,3,4,0.5,0" for f in range(n)]
+        rows[2 * formats._ERROR_BLOCK + 3] = bad.format(f=2 * formats._ERROR_BLOCK + 3)
+        lines = [formats.DETECTION_HEADER, "", *rows[:10], "", "", *rows[10:]]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        line = lines.index(rows[2 * formats._ERROR_BLOCK + 3]) + 1
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{line}: "
+                                              f"{re.escape(expected)}$"):
+            formats.read_detections(path)
+
+    def test_undecodable_bytes_below_a_bad_row(self, tmp_path):
+        # The file is not UTF-8: the error is reading its text's, with the
+        # byte's position in the file, whatever row is bad above it.
+        path = tmp_path / "bad.csv"
+        rows = [f"{f},0,1,2,3,4,0.5,0" for f in range(500)]
+        rows[3] = "3,x,1,2,3,4,0.5,0"
+        path.write_bytes(("\n".join([formats.DETECTION_HEADER, *rows]) + "\n").encode()
+                         + b"500,0,1,2,3,\xff,0.5,0\n")
+        with pytest.raises(UnicodeDecodeError) as expected:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(UnicodeDecodeError) as got:
+            formats.read_detections(path)
+        assert str(got.value) == str(expected.value)
+
+    def test_failing_read_holds_a_block_not_the_file(self, tmp_path):
+        # A 6 MB embeddings file whose last row is short. The error path
+        # reads the lines a block at a time: it holds the rows above the bad
+        # one, as the valid file's parse does, and one block of text, where
+        # it held the file's whole text and a list of its lines.
+        n, dim = 2000, 256
+        rng = np.random.default_rng(5)
+        stream = columns([(f, 0, (1.0, 2.0, 3.0, 4.0), 0.5, 0) for f in range(n)],
+                         rng.normal(size=(n, dim)))
+        valid, bad = tmp_path / "valid.csv", tmp_path / "bad.csv"
+        formats.write_embeddings(valid, stream, dim)
+        text = valid.read_bytes()
+        bad.write_bytes(text[:text.rindex(b",")] + b"\n")
+        size = len(text)
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                try:
+                    formats.read_embeddings(path)
+                except FormatError as exc:
+                    assert str(exc) == f"{path}:{n + 1}: expected {dim + 2} fields, got {dim + 1}"
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        valid_peak = peak(valid)
+        assert size >= 4 << 20
+        assert peak(bad) < valid_peak + size / 4, (valid_peak, size)
 
     def test_confidence_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

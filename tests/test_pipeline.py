@@ -374,6 +374,33 @@ def detection_row(draw):
     return x, y, w, h, conf
 
 
+class TestOneRulePass:
+    """process_camera checks a stream's rows against the detection rules
+    once, before the first step; its tracker skips Tracker.step's pass."""
+
+    GOLDEN = Path(__file__).parent / "data" / "golden"
+
+    def test_golden_count_makes_no_second_rule_pass(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("Tracker.step ran its rule pass")
+
+        monkeypatch.setattr(Tracker, "_check_rules", forbidden)
+        out = tmp_path / "results.json"
+        assert main(["count", "--scenario", str(self.GOLDEN / "scenario"),
+                     "--config", str(self.GOLDEN / "config.json"),
+                     "--method", "both", "--output", str(out)]) == 0
+        assert out.read_bytes() == (self.GOLDEN / "expected" / "count_both.json").read_bytes()
+
+    def test_columns_not_in_float64_keep_the_step_rule_pass(self):
+        # The int64 box passes the rules, 2**60 + 1 > 2**60, but the step's
+        # float64 copy has x + w == x: the step checks what it converted.
+        stream = CameraStream(frame=np.zeros(1, dtype=np.int64), det_id=np.zeros(1, dtype=np.int64),
+                              box=np.array([[2**60, 0, 1, 1]]), confidence=np.array([0.9]),
+                              class_id=np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match="^box width and height must be positive"):
+            process_camera(0, stream, PipelineConfig())
+
+
 class TestDetectionRuleParity:
     """geometry.detection_faults is the one list of detection rules: the CSV
     reader and process_camera name the same first bad row with the same
