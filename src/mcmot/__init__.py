@@ -8,7 +8,9 @@ built-in synthetic scenario generator.
 """
 
 from .assignment import INFEASIBLE, Matching, gate, iou_matching, matching_cascade, solve_assignment
-from .association import AssociationConfig, Cluster, associate_multicamera, voting_merge
+from .association import (
+    AssociationConfig, Cluster, associate_methods, associate_multicamera, voting_merge
+)
 from .config import PipelineConfig, load_config, study1_preset, study2_preset
 from .errors import ConfigError
 from .geometry import BoundingBox, CameraStream, Detection, iou, iou_matrix, nms

@@ -9,7 +9,7 @@ of E, in member order, and its centroid is ``np.mean(E[rows], axis=0)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -162,13 +162,51 @@ def voting_merge(clusters: Sequence[list[int]], E: np.ndarray, threshold: float)
         alive[a] = allowed[a] = allowed[:, a] = False
 
 
-def _cluster_rows(
-    units: Sequence[list[int]], E: np.ndarray, cfg: AssociationConfig
-) -> list[list[int]]:
-    clusters = _greedy_pass(units, E, cfg.threshold)
-    if cfg.method == "euclidean_voting":
-        clusters = voting_merge(clusters, E, cfg.threshold)
-    return clusters
+def associate_methods(
+    per_camera: Mapping[int, Sequence[Tracklet]], cfg: AssociationConfig, methods: Sequence[str]
+) -> list[list[Cluster]]:
+    """associate_multicamera's clusters under each of the given methods, in
+    order; cfg.method is not read.
+
+    The pooled matrix E is built once, and each distinct greedy pass runs
+    once: _greedy_pass is a pure function of its units, E and the threshold,
+    so its result is kept for the call, keyed on the units' rows. Both
+    methods share each camera's pass over its singletons; when no camera's
+    vote merges, they share the cross-camera pass too. A kept result is
+    never mutated: the passes copy their units, and the clusters built here
+    read the rows alone.
+    """
+    for method in methods:
+        replace(cfg, method=method)  # AssociationConfig rejects an unknown method
+    tracklets = [
+        t for cam in sorted(per_camera)
+        for t in sorted(per_camera[cam], key=lambda t: (t.camera_id, t.track_id))
+    ]
+    E = _pooled_matrix(tracklets)
+    keys = [(t.camera_id, t.track_id) for t in tracklets]
+    passes: dict[tuple[tuple[int, ...], ...], list[list[int]]] = {}
+
+    def cluster_rows(units: Sequence[list[int]], method: str) -> list[list[int]]:
+        key = tuple(map(tuple, units))
+        if key not in passes:
+            passes[key] = _greedy_pass(units, E, cfg.threshold)
+        if method == "euclidean_voting":
+            return voting_merge(passes[key], E, cfg.threshold)
+        return passes[key]
+
+    results = []
+    for method in methods:
+        units: list[list[int]] = []
+        start = 0
+        for cam in sorted(per_camera):
+            singles = [[r] for r in range(start, start + len(per_camera[cam]))]
+            start += len(singles)
+            units.extend(cluster_rows(singles, method) if cfg.intra_first else singles)
+        results.append([
+            Cluster(global_id=i + 1, members=[keys[r] for r in rows])
+            for i, rows in enumerate(cluster_rows(units, method))
+        ])
+    return results
 
 
 def associate_multicamera(
@@ -183,19 +221,4 @@ def associate_multicamera(
     discovery order starting at 1. Every tracklet's embedding must have the
     width of the first tracklet's (ValueError otherwise).
     """
-    tracklets = [
-        t for cam in sorted(per_camera)
-        for t in sorted(per_camera[cam], key=lambda t: (t.camera_id, t.track_id))
-    ]
-    E = _pooled_matrix(tracklets)
-    units: list[list[int]] = []
-    start = 0
-    for cam in sorted(per_camera):
-        singles = [[r] for r in range(start, start + len(per_camera[cam]))]
-        start += len(singles)
-        units.extend(_cluster_rows(singles, E, cfg) if cfg.intra_first else singles)
-    keys = [(t.camera_id, t.track_id) for t in tracklets]
-    return [
-        Cluster(global_id=i + 1, members=[keys[r] for r in rows])
-        for i, rows in enumerate(_cluster_rows(units, E, cfg))
-    ]
+    return associate_methods(per_camera, cfg, [cfg.method])[0]

@@ -196,8 +196,12 @@ _ERROR_BLOCK = 128
 
 
 def _read_header(path: str | Path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.readline().rstrip("\n")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readline().rstrip("\n")
+    except UnicodeDecodeError:
+        _check_utf8(path)
+        raise
 
 
 def _line_bound(path: str | Path) -> int:
@@ -319,15 +323,19 @@ def _data_line_blocks(path: str | Path) -> Iterator[tuple[list[int], list[str]]]
 
 
 def _check_utf8(path: str | Path) -> None:
-    """Raise, for a file that is not UTF-8, the UnicodeDecodeError that
-    reading its whole text raises (whose position counts from the file's
-    start), before any of its rows is reported; decoded a block at a time."""
+    """FormatError, for a file that is not UTF-8, before any of its rows is
+    reported: the path, then the message of the UnicodeDecodeError that
+    reading its whole text raises, whose position counts from the file's
+    start. The file is decoded a block at a time."""
     try:
         with open(path, encoding="utf-8") as fh:
             while fh.read(1 << 20):
                 pass
     except UnicodeDecodeError:
-        Path(path).read_text(encoding="utf-8")
+        try:
+            Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         raise
 
 

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import formats
-from .association import Cluster, associate_multicamera
+from .association import Cluster, associate_methods
 from .config import PipelineConfig
 from .geometry import (
     CameraStream, Detection, detection_faults, embedding_fault, first_problem, nms
@@ -135,10 +135,10 @@ def process_camera(
     then gathered once, and the tracker reads only those.
 
     The detection and embedding rules also run once, over the whole stream:
-    file ingest checks a camera's files, and _check_columns checks columns.
-    The tracked rows are a subset of those rows, so Tracker.step skips its
-    own pass of the rules unless a column is not float64: step converts to
-    float64, and a converted value need not keep the rules.
+    file ingest checks a camera's files, and _check_columns checks the
+    float64 copies of columns, which are what the tracker tracks. The
+    tracked rows are a subset of those rows, so Tracker.step skips its own
+    pass of the rules.
     """
     stream = source.load() if isinstance(source, CameraFiles) else source
     tcfg = cfg.tracker
@@ -152,7 +152,9 @@ def process_camera(
             f"stream's frames [0, {total_frames})"
         )
     if isinstance(source, CameraStream):  # ingest has checked a camera's files
-        _check_columns(camera_id, stream)
+        box, confidence, embeddings = _check_columns(camera_id, stream)
+    else:
+        box, confidence, embeddings = stream.box, stream.confidence, stream.embeddings
 
     rows = np.flatnonzero(
         (stream.confidence >= cfg.detection_threshold)
@@ -165,17 +167,15 @@ def process_camera(
                         stream.class_id[rows], frame[rows])]
     det_frames, starts = np.unique(frame[rows], return_index=True)
     det_frames, bounds = det_frames.tolist(), [*starts.tolist(), len(rows)]
-    boxes, confidences = stream.box[rows], stream.confidence[rows]
-    embeddings = None if stream.embeddings is None else stream.embeddings[rows]
+    boxes, confidences = box[rows], confidence[rows]
+    embeddings = None if embeddings is None else embeddings[rows]
     # The tracker reads only the gathered rows. Dropping the stream frees a
     # parsed file's whole embedding matrix before tracking starts, since
     # nothing else holds it; for most configs the tracked rows are a fraction.
-    del source, stream, frame
+    del source, stream, frame, box, confidence
 
     tracker = Tracker(tcfg, camera_id=camera_id)
-    tracker._checked_stream = all(
-        c is None or c.dtype == np.float64 for c in (boxes, confidences, embeddings)
-    )
+    tracker._checked_stream = True
     f, i = -1, 0  # the last frame stepped; det_frames[i] is the next holding detections
     while i < len(det_frames) or len(tracker.table):
         next_det = det_frames[i] if i < len(det_frames) else total_frames
@@ -201,10 +201,18 @@ def process_camera(
     return CameraRun(camera_id=camera_id, tracklets=tracklets, frames_processed=frames_processed)
 
 
-def _check_columns(camera_id: int, stream: CameraStream) -> None:
+def _check_columns(
+    camera_id: int, stream: CameraStream
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """The rules file ingest applies, over every row of columns given
     through the Python API: one length, the detection rules, then finite
-    embeddings. ValueError names the first bad row."""
+    embeddings. ValueError names the first bad row.
+
+    The rules run on float64 copies of the box, confidence and embedding
+    columns (the columns themselves when they are float64), and those
+    copies are returned for the tracker: a value that keeps the rules in
+    its own dtype need not keep them in float64.
+    """
     n = len(stream.frame)
     columns = (stream.frame, stream.det_id, stream.box, stream.confidence, stream.class_id)
     shapes = [np.shape(c) for c in columns]
@@ -218,12 +226,17 @@ def _check_columns(camera_id: int, stream: CameraStream) -> None:
             f"embeddings (n, D) or None must be columns of one length n, got shapes "
             f"{', '.join(map(str, shapes))} and {e_shape}"
         )
-    found = first_problem(detection_faults(stream.box, stream.confidence))
+    box = np.asarray(stream.box, dtype=np.float64)
+    confidence = np.asarray(stream.confidence, dtype=np.float64)
+    if embeddings is not None:
+        embeddings = np.asarray(embeddings, dtype=np.float64)
+    found = first_problem(detection_faults(box, confidence))
     if found is None and embeddings is not None:
         found = first_problem([embedding_fault(embeddings)])
     if found is not None:
         row, message = found
         raise ValueError(f"camera {camera_id}: detection {row}: {message}")
+    return box, confidence, embeddings
 
 
 def _columns(source: CameraSource) -> Union[CameraStream, CameraFiles]:
@@ -305,8 +318,9 @@ def associate_and_refine(
     cfg: PipelineConfig,
     methods: Optional[Sequence[str]] = None,
 ) -> tuple[list[Cluster], Optional[dict[str, int]]]:
-    """Refine once, associate once per method (default: the configured
-    one), and drop refined-away members and then emptied clusters.
+    """Refine once, associate under every method (default: the configured
+    one) in one associate_methods call, and drop refined-away members and
+    then emptied clusters.
 
     Returns the first method's clusters, renumbered from 1, and the number
     of clusters per method when more than one method ran (None otherwise).
@@ -315,8 +329,8 @@ def associate_and_refine(
     surviving = {(t.camera_id, t.track_id) for t in refine(all_tracklets, cfg.refine)}
     methods = methods or [cfg.association.method]
     per_method: dict[str, list[Cluster]] = {}
-    for method in methods:
-        clusters = associate_multicamera(camera_tracklets, replace(cfg.association, method=method))
+    for method, clusters in zip(methods, associate_methods(camera_tracklets, cfg.association,
+                                                           methods)):
         kept = [[m for m in c.members if m in surviving] for c in clusters]
         per_method[method] = [
             Cluster(global_id=i + 1, members=members)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmot import association
-from mcmot.association import AssociationConfig, _row_distances, associate_multicamera, voting_merge
+from mcmot.association import (
+    AssociationConfig, Cluster, _row_distances, associate_methods, associate_multicamera, voting_merge
+)
 from mcmot.config import PipelineConfig
 from mcmot.geometry import CameraStream
 from mcmot.pipeline import process_camera
@@ -326,18 +329,19 @@ def reference_associate(per_camera, cfg):
 
 
 @st.composite
-def embedding_sets(draw):
-    """Per-camera tracklets whose embeddings come from a small pool of grid
-    points on a 0.5 lattice: duplicates give exact argmin ties, and lattice
-    distances such as 0.5, 1.0 and 1.5 equal the thresholds exactly. Some
-    tracklets average several pool points (non-lattice means)."""
+def embedding_sets(draw, max_cameras=3):
+    """Per-camera tracklets (1 to max_cameras cameras) whose embeddings come
+    from a small pool of grid points on a 0.5 lattice: duplicates give exact
+    argmin ties, and lattice distances such as 0.5, 1.0 and 1.5 equal the
+    thresholds exactly. Some tracklets average several pool points
+    (non-lattice means)."""
     dim = draw(st.integers(1, 4))
     pool = draw(st.lists(
         st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=1, max_size=6
     ))
     pool = [np.asarray(p, dtype=float) * 0.5 for p in pool]
     per_camera = {}
-    for cam in range(draw(st.integers(1, 3))):
+    for cam in range(draw(st.integers(1, max_cameras))):
         n = draw(st.integers(0, 8))
         per_camera[cam] = [
             make_tracklet(cam, tid, [pool[i] for i in draw(
@@ -403,3 +407,143 @@ class TestAssociationOracle:
         want = np.array([np.linalg.norm(x - c) for x in X])
         assert _row_distances(X, c).tobytes() == want.tobytes()
         assert _row_distances(X[:7], c).tobytes() == want[:7].tobytes()
+
+
+# ----------------------------------------------------------------------
+# Shared passes: associate_methods runs each distinct greedy pass once. The
+# reference is the driver it replaced: one whole association per method,
+# sharing nothing.
+
+
+def reference_multicamera(per_camera, cfg):
+    """associate_multicamera as it was before its passes were shared."""
+    tracklets = [
+        t for cam in sorted(per_camera)
+        for t in sorted(per_camera[cam], key=lambda t: (t.camera_id, t.track_id))
+    ]
+    E = association._pooled_matrix(tracklets)
+
+    def cluster_rows(units):
+        clusters = association._greedy_pass(units, E, cfg.threshold)
+        if cfg.method == "euclidean_voting":
+            clusters = association.voting_merge(clusters, E, cfg.threshold)
+        return clusters
+
+    units, start = [], 0
+    for cam in sorted(per_camera):
+        singles = [[r] for r in range(start, start + len(per_camera[cam]))]
+        start += len(singles)
+        units.extend(cluster_rows(singles) if cfg.intra_first else singles)
+    keys = [(t.camera_id, t.track_id) for t in tracklets]
+    return [Cluster(i + 1, [keys[r] for r in rows]) for i, rows in enumerate(cluster_rows(units))]
+
+
+def reference_methods(per_camera, cfg, methods):
+    return [reference_multicamera(per_camera, replace(cfg, method=m)) for m in methods]
+
+
+def count_passes(per_camera, cfg, methods):
+    """associate_methods' clusters, and its _greedy_pass and voting_merge
+    calls as (units, result) pairs."""
+    calls = {"greedy": [], "vote": []}
+
+    def recorded(name, fn):
+        def wrapper(clusters, E, threshold):
+            result = fn(clusters, E, threshold)
+            calls[name].append((clusters, result))
+            return result
+        return wrapper
+
+    with mock.patch.object(association, "_greedy_pass",
+                           recorded("greedy", association._greedy_pass)), \
+            mock.patch.object(association, "voting_merge",
+                              recorded("vote", association.voting_merge)):
+        got = associate_methods(per_camera, cfg, methods)
+    return got, calls
+
+
+@st.composite
+def lattice_walks(draw, max_cameras=4):
+    """Per-camera tracklets (1 to max_cameras cameras) whose embeddings walk
+    a 0.25 lattice in small steps, one tracklet a step. Greedy centroids
+    drift along such chains, so votes merge often: at the thresholds of
+    SHARED_THRESHOLDS the methods differ in about one draw in six, and a
+    vote merges within a camera in about one in twenty. Many distances
+    equal a threshold exactly."""
+    dim = draw(st.integers(1, 2))
+    step = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    per_camera = {}
+    for cam in range(draw(st.integers(1, max_cameras))):
+        point = np.asarray(draw(step), dtype=float) * 0.25
+        tracklets = []
+        for tid in range(1, draw(st.integers(0, 12)) + 1):
+            point = point + np.asarray(draw(step), dtype=float) * 0.25
+            tracklets.append(make_tracklet(cam, tid, [point]))
+        per_camera[cam] = tracklets
+    return per_camera
+
+
+SHARED_THRESHOLDS = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 3.0])
+METHOD_LISTS = st.sampled_from([
+    ["euclidean", "euclidean_voting"], ["euclidean_voting", "euclidean"],
+    ["euclidean"], ["euclidean_voting"],
+])
+
+
+def separated_identities(cameras, identities):
+    """Each camera sees each identity once, 4 apart on a one-hot axis, so no
+    pass is close to the threshold of 1.0 and no vote merges."""
+    rng = np.random.default_rng(47)
+    return {
+        cam: [make_tracklet(cam, k + 1, [4.0 * np.eye(identities)[k]
+                                          + rng.uniform(-0.05, 0.05, identities)])
+              for k in range(identities)]
+        for cam in range(cameras)
+    }
+
+
+class TestSharedPasses:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        per_camera=st.one_of(embedding_sets(max_cameras=4), lattice_walks()),
+        methods=METHOD_LISTS,
+        threshold=SHARED_THRESHOLDS,
+        intra_first=st.booleans(),
+    )
+    def test_matches_one_association_per_method(self, per_camera, methods, threshold,
+                                                intra_first):
+        cfg = AssociationConfig(threshold=threshold, intra_first=intra_first)
+        want = [snapshot(c) for c in reference_methods(per_camera, cfg, methods)]
+        got, calls = count_passes(per_camera, cfg, methods)
+        assert [snapshot(c) for c in got] == want
+        # A kept pass is handed out again, never changed: each result still
+        # equals a fresh pass over the same units.
+        for units, result in calls["greedy"]:
+            assert result == reference_greedy_pass(units, association._pooled_matrix(
+                [t for cam in sorted(per_camera) for t in per_camera[cam]]), threshold)
+        if len(methods) == 1:
+            one = associate_multicamera(per_camera, replace(cfg, method=methods[0]))
+            assert snapshot(one) == want[0]
+
+    # One pass per camera and one across them. One camera whose pass keeps
+    # its singletons hands the cross-camera pass the same units: one pass.
+    @pytest.mark.parametrize("cameras, passes", [(1, 1), (2, 3), (3, 4), (4, 5)])
+    def test_both_methods_share_every_pass_when_no_vote_merges(self, cameras, passes):
+        per_camera = separated_identities(cameras, 5)
+        cfg = AssociationConfig(threshold=1.0)
+        (euclid, voting), calls = count_passes(
+            per_camera, cfg, ["euclidean", "euclidean_voting"])
+        assert len(calls["greedy"]) == passes
+        assert all(len(r) == len(c) for c, r in calls["vote"])  # no vote merged
+        assert snapshot(euclid) == snapshot(voting)
+        assert len(euclid) == 5
+
+    def test_one_method_runs_each_pass_once(self):
+        per_camera = separated_identities(3, 4)
+        for method in association.METHODS:
+            _, calls = count_passes(per_camera, AssociationConfig(threshold=1.0), [method])
+            assert len(calls["greedy"]) == 4
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="method must be one of"):
+            associate_methods(separated_identities(1, 2), AssociationConfig(), ["voting"])

@@ -1444,3 +1444,50 @@ class TestEmbeddingBound:
         write_sidecar(tracks, 1, "[-1e100, 1e100]")
         assert main(["associate", "--tracks", str(tracks), "--method", "both",
                      "--output", str(tmp_path / "r.json")]) == 0
+
+
+def spoil_byte(path: Path, line: int) -> int:
+    """Replace the second byte of the given line (0 is the header) with
+    0xff; returns the byte's position in the file."""
+    data = bytearray(path.read_bytes())
+    start = 0
+    for _ in range(line):
+        start = data.index(b"\n", start) + 1
+    data[start + 1] = 0xFF
+    path.write_bytes(bytes(data))
+    return start + 1
+
+
+def undecodable(path: Path, position: int) -> str:
+    return (f"error[format]: {path}: 'utf-8' codec can't decode byte 0xff in position "
+            f"{position}: invalid start byte\n")
+
+
+class TestUndecodableCsv:
+    """A detections or embeddings file that is not UTF-8 is a format error
+    that names the file, with the bad byte's position counted from the
+    file's start, in its header or in a data row."""
+
+    @pytest.mark.parametrize("kind", ["detections", "embeddings"])
+    @pytest.mark.parametrize("line", [0, 1, 150], ids=["header", "first-row", "later-row"])
+    def test_track(self, tmp_path, capsys, kind, line):
+        scn = simulate(tmp_path, cameras=1, identities=4, frames=60, embedding_dim=4)
+        det, emb = scn / "detections_cam0.csv", scn / "embeddings_cam0.csv"
+        position = spoil_byte(scn / f"{kind}_cam0.csv", line)
+        out = tmp_path / "t.csv"
+        assert main(["track", "--detections", str(det), "--embeddings", str(emb),
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == undecodable(scn / f"{kind}_cam0.csv", position)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["detections", "embeddings"])
+    @pytest.mark.parametrize("line", [0, 150], ids=["header", "later-row"])
+    def test_count(self, tmp_path, capsys, kind, line):
+        scn = simulate(tmp_path, cameras=2, identities=4, frames=60, embedding_dim=4)
+        bad = scn / f"{kind}_cam1.csv"
+        position = spoil_byte(bad, line)
+        argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
+        for extra in ([], ["--parallel"]):
+            assert main(argv + extra) == 1
+            assert capsys.readouterr().err == undecodable(bad, position)
+            assert not (tmp_path / "r.json").exists()

@@ -11,19 +11,29 @@ and without its embeddings (`cam0_motion.*`, the motion-only IoU path),
 `eval` report of the count results. Each test regenerates one file and
 compares bytes; `simulate` of the committed `scenario.json` regenerates the
 whole scenario directory. `--method both` takes its clusters from `euclidean`, so
-`count_voting.json` is the one file that pins `euclidean_voting`'s
-clusters.
+`count_voting.json` pins `euclidean_voting`'s clusters there. The golden
+scenario's vote merges nothing.
+
+`voting/` is a case where it does. `voting/tracks/` holds three cameras'
+sidecars (10 tracklets, D=2), and `voting/expected/` what `associate
+--threshold 1.0` writes from them with `--method both` and `--method
+voting`. At that threshold the vote merges two of camera 0's clusters, and
+then two clusters across cameras: `euclidean` finds 4 identities and
+`euclidean_voting` 3.
 
 Regenerate `expected/` only for a deliberate change of an output format,
 and say so where the change is recorded.
 """
 
+import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mcmot import formats
+from mcmot import association, formats
+from mcmot.association import AssociationConfig, associate_methods
 from mcmot.cli import main
 from mcmot.sim import GroundTruth
 
@@ -31,6 +41,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 SCENARIO = GOLDEN / "scenario"
 CONFIG = GOLDEN / "config.json"
 EXPECTED = GOLDEN / "expected"
+VOTING = GOLDEN / "voting"
 
 
 def track(out_dir: Path, camera: int) -> Path:
@@ -119,3 +130,41 @@ def test_truth_json_rewrites_to_the_same_bytes(tmp_path):
     out = tmp_path / "truth.json"
     formats.write_truth_json(out, truth)
     assert out.read_bytes() == (SCENARIO / "truth.json").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["both", "voting"])
+def test_associate_where_the_vote_merges(tmp_path, method):
+    out = tmp_path / "results.json"
+    assert main(["associate", "--tracks", str(VOTING / "tracks"), "--threshold", "1.0",
+                 "--method", method, "--output", str(out)]) == 0
+    assert out.read_bytes() == (VOTING / "expected" / f"associate_{method}.json").read_bytes()
+
+
+def test_the_vote_changes_the_clusters_and_the_count():
+    both, voting = (json.loads((VOTING / "expected" / f"associate_{m}.json").read_text())
+                    for m in ("both", "voting"))
+    assert both["method_counts"] == {"euclidean": 4, "euclidean_voting": 3}
+    assert voting["unique_count"] == 3
+    assert both["clusters"] != voting["clusters"]
+
+
+def test_the_vote_merges_within_and_across_cameras():
+    """Camera 0's vote merges, so the methods' cross-camera passes start from
+    different units: each runs once per method, after the three cameras'
+    passes that both methods share."""
+    per_camera = dict(formats.read_tracklets_json(path)
+                      for path in sorted((VOTING / "tracks").glob("*.tracklets.json")))
+    merged, real_vote = [], association.voting_merge
+
+    def vote(clusters, E, threshold):
+        out = real_vote(clusters, E, threshold)
+        merged.append(len(clusters) - len(out))
+        return out
+
+    with mock.patch.object(association, "_greedy_pass",
+                           wraps=association._greedy_pass) as greedy, \
+            mock.patch.object(association, "voting_merge", vote):
+        associate_methods(per_camera, AssociationConfig(threshold=1.0),
+                          ["euclidean", "euclidean_voting"])
+    assert greedy.call_count == 5
+    assert merged == [1, 0, 0, 1]  # cameras 0, 1 and 2, then across cameras

@@ -182,8 +182,9 @@ class TestDetectionFile:
             formats.read_detections(path)
 
     def test_undecodable_bytes_below_a_bad_row(self, tmp_path):
-        # The file is not UTF-8: the error is reading its text's, with the
-        # byte's position in the file, whatever row is bad above it.
+        # The file is not UTF-8: the error names the file, then gives reading
+        # its text's message, with the byte's position in the file, whatever
+        # row is bad above it.
         path = tmp_path / "bad.csv"
         rows = [f"{f},0,1,2,3,4,0.5,0" for f in range(500)]
         rows[3] = "3,x,1,2,3,4,0.5,0"
@@ -191,9 +192,9 @@ class TestDetectionFile:
                          + b"500,0,1,2,3,\xff,0.5,0\n")
         with pytest.raises(UnicodeDecodeError) as expected:
             path.read_text(encoding="utf-8")
-        with pytest.raises(UnicodeDecodeError) as got:
+        with pytest.raises(FormatError) as got:
             formats.read_detections(path)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == f"{path}: {expected.value}"
 
     def test_failing_read_holds_a_block_not_the_file(self, tmp_path):
         # A 6 MB embeddings file whose last row is short. The error path

@@ -391,14 +391,42 @@ class TestOneRulePass:
                      "--method", "both", "--output", str(out)]) == 0
         assert out.read_bytes() == (self.GOLDEN / "expected" / "count_both.json").read_bytes()
 
-    def test_columns_not_in_float64_keep_the_step_rule_pass(self):
-        # The int64 box passes the rules, 2**60 + 1 > 2**60, but the step's
-        # float64 copy has x + w == x: the step checks what it converted.
+    def test_columns_are_checked_in_float64(self):
+        # The int64 box keeps the rules in int64, 2**60 + 1 > 2**60, but its
+        # float64 copy, which the tracker tracks, has x + w == x. The check
+        # runs on that copy, so the row is named as every column error is.
         stream = CameraStream(frame=np.zeros(1, dtype=np.int64), det_id=np.zeros(1, dtype=np.int64),
                               box=np.array([[2**60, 0, 1, 1]]), confidence=np.array([0.9]),
                               class_id=np.zeros(1, dtype=np.int64))
-        with pytest.raises(ValueError, match="^box width and height must be positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                "camera 0: detection 0: box size 1.0x1.0 vanishes at "
+                "(1.152921504606847e+18, 0.0): x + w == x or y + h == y")):
             process_camera(0, stream, PipelineConfig())
+
+    def test_columns_in_other_dtypes_track_their_float64_copies(self, monkeypatch):
+        # float32 and int columns track as their float64 copies would, and
+        # the tracker still makes no rule pass of its own.
+        rng = np.random.default_rng(8)
+        n = 40
+        frame = np.repeat(np.arange(10), 4)
+        box = np.column_stack([rng.integers(0, 500, (n, 2)), rng.integers(20, 80, (n, 2))])
+        embeddings = rng.normal(size=(n, 8)).astype(np.float32)
+        stream64 = CameraStream(frame=frame, det_id=np.tile(np.arange(4), 10),
+                                box=box.astype(np.float64), confidence=np.full(n, 0.75),
+                                class_id=np.zeros(n, dtype=np.int64),
+                                embeddings=embeddings.astype(np.float64))
+        want = process_camera(0, stream64, PipelineConfig())
+
+        def forbidden(*args):
+            raise AssertionError("Tracker.step ran its rule pass")
+
+        monkeypatch.setattr(Tracker, "_check_rules", forbidden)
+        got = process_camera(0, replace(stream64, box=box, confidence=np.full(n, 0.75, np.float32),
+                                        embeddings=embeddings), PipelineConfig())
+        assert [(t.track_id, t.frames.tolist(), t.boxes.tobytes(), t.embedding.tobytes())
+                for t in got.tracklets] == \
+            [(t.track_id, t.frames.tolist(), t.boxes.tobytes(), t.embedding.tobytes())
+             for t in want.tracklets]
 
 
 class TestDetectionRuleParity:
