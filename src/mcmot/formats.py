@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string_text
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -58,13 +58,12 @@ _DETECTION_DTYPE = np.dtype([
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingColumns:
-    """One embeddings file: row i of the (n, D) `vectors` matrix is the
-    embedding keyed by (frame[i], det_id[i]). All three are views into one
-    parse buffer of (frame, det_id, e0..e{D-1}) records, so `vectors` is
-    strided, not C-contiguous; no copy of the matrix is made."""
+    """One embeddings file: `frame` and `det_id` hold every row's key in
+    file order, and `vectors` the (n, D) embeddings read_embeddings kept:
+    row i is keyed (frame[i], det_id[i]) when every row's was kept."""
 
-    frame: np.ndarray  # (n,) int64
-    det_id: np.ndarray  # (n,) int64
+    frame: np.ndarray  # (rows,) int64
+    det_id: np.ndarray  # (rows,) int64
     vectors: np.ndarray  # (n, D) float64
 
     def __len__(self) -> int:
@@ -85,7 +84,9 @@ def read_detections(path: str | Path) -> CameraStream:
     row in file order."""
     if _read_header(path) != DETECTION_HEADER:
         raise FormatError(f"{path}:1: expected header '{DETECTION_HEADER}'")
-    rows = _read_rows(path, _DETECTION_DTYPE, _detection_checks)
+    blocks: list[np.ndarray] = []
+    _read_rows(path, _DETECTION_DTYPE, _detection_faults, blocks.append, sorted_frames=True)
+    rows = np.concatenate(blocks)
     return CameraStream(
         frame=rows["frame"],
         det_id=rows["det_id"],
@@ -95,13 +96,8 @@ def read_detections(path: str | Path) -> CameraStream:
     )
 
 
-def _detection_checks(rows: np.ndarray) -> list[Fault]:
-    frame = rows["frame"]
-    return [
-        *detection_faults(rows["box"], rows["confidence"]),
-        (np.diff(frame, prepend=frame[:1]) < 0, lambda i: "frames must be sorted ascending"),
-        _duplicate_check(rows),
-    ]
+def _detection_faults(rows: np.ndarray) -> list[Fault]:
+    return detection_faults(rows["box"], rows["confidence"])
 
 
 def write_embeddings(path: str | Path, stream: CameraStream, dim: int) -> None:
@@ -119,7 +115,18 @@ def write_embeddings(path: str | Path, stream: CameraStream, dim: int) -> None:
     )
 
 
-def read_embeddings(path: str | Path) -> EmbeddingColumns:
+def read_embeddings(
+    path: str | Path, detections: Optional[CameraStream] = None,
+    rows: Optional[np.ndarray] = None,
+) -> EmbeddingColumns:
+    """An embeddings file, read a block of rows at a time.
+
+    Without detections, every row's embedding is kept, in file order. With
+    them, the file's keys must be the detections' (merge_embeddings' rule
+    and errors), and only the embeddings of detections `rows` (default: all)
+    are kept: vectors[i] is that of detection rows[i]. A camera that tracks
+    a fraction of its detections then never holds the file's matrix.
+    """
     header = _read_header(path)
     if not header.startswith("frame,det_id,"):
         raise FormatError(f"{path}:1: expected header 'frame,det_id,e0,...'")
@@ -127,19 +134,38 @@ def read_embeddings(path: str | Path) -> EmbeddingColumns:
     if cols != [f"e{i}" for i in range(len(cols))] or not cols:
         raise FormatError(f"{path}:1: embedding columns must be e0..e{{D-1}}")
     dtype = np.dtype([("frame", np.int64), ("det_id", np.int64), ("e", np.float64, (len(cols),))])
-    rows = _read_rows(path, dtype, _embedding_checks)
-    return EmbeddingColumns(frame=rows["frame"], det_id=rows["det_id"], vectors=rows["e"])
+    if detections is None:
+        blocks: list[np.ndarray] = []
+        frame, det_id = _read_rows(path, dtype, _embedding_faults,
+                                   lambda block: blocks.append(block["e"].copy()))
+        return EmbeddingColumns(frame=frame, det_id=det_id, vectors=np.concatenate(blocks))
+
+    if rows is None:
+        rows = np.arange(len(detections))
+    index = _key_index(detections.frame[rows], detections.det_id[rows])
+    vectors = np.empty((len(rows), len(cols)))
+
+    def keep(block: np.ndarray) -> None:
+        at = index(block["frame"], block["det_id"])
+        hit = at >= 0
+        vectors[at[hit]] = block["e"][hit]
+
+    frame, det_id = _read_rows(path, dtype, _embedding_faults, keep)
+    columns = EmbeddingColumns(frame=frame, det_id=det_id, vectors=vectors)
+    _embedding_rows(detections, columns)  # every vector kept is set once the keys match
+    return columns
 
 
-def _embedding_checks(rows: np.ndarray) -> list[Fault]:
-    return [embedding_fault(rows["e"]), _duplicate_check(rows)]
+def _embedding_faults(rows: np.ndarray) -> list[Fault]:
+    return [embedding_fault(rows["e"])]
 
 
 def merge_embeddings(
     detections: CameraStream, embeddings: Optional[EmbeddingColumns]
 ) -> Optional[np.ndarray]:
     """The (n, D) embedding matrix whose row i is keyed like detection i, or
-    None without embeddings; the key sets must match.
+    None without embeddings; the key sets must match. `embeddings` holds
+    every row's vector (read_embeddings without detections).
 
     When the file's rows are already in detection order, its own matrix is
     returned, not a copy.
@@ -186,13 +212,49 @@ def _embedding_rows(detections: CameraStream, embeddings: EmbeddingColumns) -> n
     return rows
 
 
+def _key_index(
+    frame: np.ndarray, det_id: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """For the distinct keys (frame[j], det_id[j]): a function that maps
+    key columns to the index j of each key, or -1 for a key not among them.
+
+    A key's code is the place of its frame among the sorted frames times
+    one more than the number of keys, plus the place of its det_id among
+    the sorted det_ids; a looked-up key's code is found by binary search,
+    then its key compared. (np.sort, not np.unique: numpy 2's hashing
+    np.unique costs about 6 ms on its first call in a process.)
+    """
+    frames, det_ids = np.sort(frame), np.sort(det_id)
+
+    def code(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return np.searchsorted(frames, f) * (len(det_ids) + 1) + np.searchsorted(det_ids, d)
+
+    codes = code(frame, det_id)
+    order = np.argsort(codes)
+    codes = codes[order]
+
+    def index(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+        if not len(codes):
+            return np.full(len(f), -1)
+        j = order[np.minimum(np.searchsorted(codes, code(f, d)), len(codes) - 1)]
+        return np.where((frame[j] == f) & (det_id[j] == d), j, -1)
+
+    return index
+
+
 # ----------------------------------------------------------------------
-# Columnar CSV parsing. The fast path is one np.loadtxt call plus vectorized
-# checks; a file's lines are split out only to put a line number on an error.
+# Columnar CSV parsing. A file is parsed a block of rows at a time, each block
+# by one np.loadtxt call on the open file and checked by vectorized rules; a
+# file's lines are split out only to put a line number on an error.
 
-
+_READ_BLOCK = 1 << 18  # bytes of parsed rows in a block
 # Lines parsed at a time on a bad file's error path.
 _ERROR_BLOCK = 128
+
+
+def _block_rows(dtype: np.dtype) -> int:
+    """Rows parsed at a time: about _READ_BLOCK bytes of them."""
+    return max(1, _READ_BLOCK // dtype.itemsize)
 
 
 def _read_header(path: str | Path) -> str:
@@ -204,33 +266,15 @@ def _read_header(path: str | Path) -> str:
         raise
 
 
-def _line_bound(path: str | Path) -> int:
-    """At least the number of lines in a file, whichever of '\n', '\r' and
-    '\r\n' ends them: one more than its bytes up to 13 ('\r'), counted a
-    block at a time.
-
-    Given this as max_rows, np.loadtxt allocates its array once and trims it
-    at the end. Without it the array grows block by block, and an outgrown
-    block freed inside glibc's heap could stay resident through the parse,
-    so the parse's peak RSS followed the heap's layout.
-    """
-    block = bytearray(1 << 16)
-    lines = 1  # a last line without a line break
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(block):
-            lines += int(np.count_nonzero(np.frombuffer(block, np.uint8, n) <= 13))
-    return lines
-
-
-def _loadtxt(
-    source, dtype: np.dtype, skiprows: int = 0, max_rows: Optional[int] = None
-) -> np.ndarray:
-    """Parse CSV rows (a path or a list of lines) into a 1-d structured array.
+def _loadtxt(source, dtype: np.dtype, max_rows: Optional[int] = None) -> np.ndarray:
+    """Parse CSV rows (an open file or a list of lines) into a 1-d
+    structured array.
 
     Empty lines are skipped; '#' is data, not a comment. Integer fields must
     be integer literals: numpy < 2 parses "1.0" as an integer with a
     DeprecationWarning, raised here as an error as numpy >= 2 does. At most
-    max_rows rows are read.
+    max_rows rows are read, and an open file is left at the line after the
+    last of them.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -238,50 +282,99 @@ def _loadtxt(
         # Blank lines are skipped, and max_rows is a bound, not a count.
         warnings.filterwarnings("ignore", message="Input line .* contained no data")
         return np.loadtxt(
-            source, delimiter=",", skiprows=skiprows, comments=None, ndmin=1, dtype=dtype,
-            encoding="utf-8", max_rows=max_rows,
+            source, delimiter=",", comments=None, ndmin=1, dtype=dtype, encoding="utf-8",
+            max_rows=max_rows,
         )
 
 
 def _read_rows(
-    path: str | Path, dtype: np.dtype, checks: Callable[[np.ndarray], list[Fault]]
-) -> np.ndarray:
-    """Parse and check the data rows below a CSV header.
+    path: str | Path, dtype: np.dtype, faults: Callable[[np.ndarray], list[Fault]],
+    take: Callable[[np.ndarray], object], sorted_frames: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse and check the data rows below a CSV header, _block_rows(dtype)
+    rows at a time, and hand each block (the last may be empty) to take.
+    Returns every row's frame and det_id.
 
-    A bad file is reported at its first bad row, as a line-by-line reader
-    would: a row that fails to parse, or else the first row any check flags.
-    The error path reads the file's lines a block at a time, so it holds the
-    rows above the bad one and one block of text, never the whole text.
+    faults(rows) gives the rules of a row on its own, and run on each
+    block. The rules of the keys run on all of them at the end: frames
+    sorted ascending (when sorted_frames), and no key twice. A bad file is
+    reported at its first bad row by _report_bad_row.
     """
+    size = _block_rows(dtype)
+    frames: list[np.ndarray] = []
+    det_ids: list[np.ndarray] = []
+    error = None
     try:
-        rows = _loadtxt(path, dtype, skiprows=1, max_rows=_line_bound(path))
-    except ValueError as exc:
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()  # the header
+            while True:
+                rows = _loadtxt(fh, dtype, max_rows=size)
+                if first_problem(faults(rows)) is not None:
+                    break
+                frames.append(rows["frame"].copy())
+                det_ids.append(rows["det_id"].copy())
+                take(rows)
+                if len(rows) < size:
+                    frame, det_id = np.concatenate(frames), np.concatenate(det_ids)
+                    if first_problem(_key_faults(frame, det_id, sorted_frames)) is None:
+                        return frame, det_id
+                    break
+    except ValueError as exc:  # a row numpy rejects, or bytes that are not UTF-8
         error = exc
-    else:
-        found = first_problem(checks(rows))
-        if found is None:
-            return rows
-        row, message = found
-        for numbers, texts in _data_line_blocks(path):
-            if row < len(texts):
-                raise FormatError(f"{path}:{numbers[row]}: {message}")
-            row -= len(texts)
+    _report_bad_row(path, dtype, faults, sorted_frames, error)
 
+
+def _key_faults(frame: np.ndarray, det_id: np.ndarray, sorted_frames: bool) -> list[Fault]:
+    """The rules of a file's keys, in the order a row is checked: frames
+    sorted ascending (when sorted_frames), then no key on an earlier row."""
+    order = np.lexsort((det_id, frame))  # stable: equal keys keep file order
+    same = (frame[order][1:] == frame[order][:-1]) & (det_id[order][1:] == det_id[order][:-1])
+    dup = np.zeros(len(frame), dtype=bool)
+    dup[order[1:][same]] = True
+    faults = [(dup, lambda i: f"duplicate key (frame={frame[i]}, det_id={det_id[i]})")]
+    if sorted_frames:
+        faults.insert(0, (np.diff(frame, prepend=frame[:1]) < 0,
+                          lambda i: "frames must be sorted ascending"))
+    return faults
+
+
+def _report_bad_row(
+    path: str | Path, dtype: np.dtype, faults: Callable[[np.ndarray], list[Fault]],
+    sorted_frames: bool, error: Optional[ValueError],
+) -> NoReturn:
+    """FormatError for the first bad row of a file _read_rows rejected, as a
+    line-by-line reader would name it: a row that fails to parse, or else
+    the first row a rule flags (a row's own rules before its keys'), with
+    its line number. A file that is not UTF-8 is reported as such first.
+
+    The lines are read _ERROR_BLOCK at a time, so this holds the keys and
+    line numbers of the rows above the bad one and one block of text.
+    """
     _check_utf8(path)
-    bound = _line_bound(path)  # pages of the two arrays are touched only as rows arrive
-    rows, numbers = np.empty(bound, dtype), np.empty(bound, dtype=np.int64)
-    n = 0
+    empty = np.empty(0, dtype=np.int64)
+    numbers, frames, det_ids = [empty], [empty], [empty]
+    n, own, bad = 0, None, None
     for block_numbers, texts in _data_line_blocks(path):
-        numbers[n:n + len(texts)] = block_numbers
-        bad = _first_unparsable(texts, dtype, rows[n:])
-        if bad is not None:
-            found = first_problem(checks(rows[:n + bad]))
-            row, message = found if found is not None else (
-                n + bad, _parse_problem(texts[bad], dtype))
-            raise FormatError(f"{path}:{numbers[row]}: {message}") from error
+        rows = np.empty(len(texts), dtype)
+        bad = _first_unparsable(texts, dtype, rows)
+        rows = rows[:bad]
+        numbers.append(np.array(block_numbers, dtype=np.int64))
+        frames.append(rows["frame"].copy())
+        det_ids.append(rows["det_id"].copy())
+        own = first_problem(faults(rows))
+        if own is not None or bad is not None:
+            break
         n += len(texts)
-    # The lines parse one by one: report what numpy saw.
-    raise FormatError(f"{path}: {error}") from error
+    found = first_problem(
+        _key_faults(np.concatenate(frames), np.concatenate(det_ids), sorted_frames))
+    if own is not None and (found is None or n + own[0] <= found[0]):
+        found = n + own[0], own[1]
+    if found is None and bad is not None:
+        found = n + bad, _parse_problem(texts[bad], dtype)
+    if found is None:  # the lines parse one by one and keep the rules: report what numpy saw
+        raise FormatError(f"{path}: {error}") from error
+    row, message = found
+    raise FormatError(f"{path}:{np.concatenate(numbers)[row]}: {message}") from error
 
 
 def _first_unparsable(texts: list[str], dtype: np.dtype, rows: np.ndarray) -> Optional[int]:
@@ -357,16 +450,6 @@ def _parse_problem(text: str, dtype: np.dtype) -> str:
         what = "an integer" if kind.kind == "i" else "a number"
         return f"cannot parse {field!r} as {what}"
     return f"cannot parse {text!r}"
-
-
-def _duplicate_check(rows: np.ndarray) -> Fault:
-    """Check flagging each row whose (frame, det_id) key is on an earlier row."""
-    frame, det_id = rows["frame"], rows["det_id"]
-    order = np.lexsort((det_id, frame))  # stable: equal keys keep file order
-    same = (frame[order][1:] == frame[order][:-1]) & (det_id[order][1:] == det_id[order][:-1])
-    dup = np.zeros(len(rows), dtype=bool)
-    dup[order[1:][same]] = True
-    return dup, lambda i: f"duplicate key (frame={frame[i]}, det_id={det_id[i]})"
 
 
 # ----------------------------------------------------------------------

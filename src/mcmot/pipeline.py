@@ -96,8 +96,7 @@ class CameraFiles:
         stream = formats.read_detections(self.detections)
         if self.embeddings is None:
             return stream
-        embeddings = formats.read_embeddings(self.embeddings)
-        return replace(stream, embeddings=formats.merge_embeddings(stream, embeddings))
+        return replace(stream, embeddings=formats.read_embeddings(self.embeddings, stream).vectors)
 
 
 # What a camera's input may be: a Detection list (the simulator, the Python
@@ -132,7 +131,10 @@ def process_camera(
 
     The confidence filter, the decimation, NMS and the split into frames
     each run once over the whole stream. The tracked rows' embeddings are
-    then gathered once, and the tracker reads only those.
+    then gathered once, and the tracker reads only those. Given files, the
+    detections are read first and the tracked rows chosen from them; the
+    embeddings file is then read a block at a time, keeping only those
+    rows' vectors, so the file's whole matrix is never held.
 
     The detection and embedding rules also run once, over the whole stream:
     file ingest checks a camera's files, and _check_columns checks the
@@ -140,39 +142,25 @@ def process_camera(
     tracked rows are a subset of those rows, so Tracker.step skips its own
     pass of the rules.
     """
-    stream = source.load() if isinstance(source, CameraFiles) else source
     tcfg = cfg.tracker
-    frame = stream.frame
-    if total_frames is None:
-        total_frames = int(frame.max(initial=-1)) + 1
-    outside = np.flatnonzero((frame < 0) | (frame >= total_frames))
-    if outside.size:
-        raise ValueError(
-            f"camera {camera_id}: detection at frame {frame[outside[0]]} is outside the "
-            f"stream's frames [0, {total_frames})"
-        )
-    if isinstance(source, CameraStream):  # ingest has checked a camera's files
-        box, confidence, embeddings = _check_columns(camera_id, stream)
+    if isinstance(source, CameraFiles):
+        stream = formats.read_detections(source.detections)
+        rows = _tracked_rows(stream, cfg)
+        embeddings = None
+        if source.embeddings is not None:
+            embeddings = formats.read_embeddings(source.embeddings, stream, rows).vectors
+        total_frames = _frame_range(camera_id, stream.frame, total_frames)
+        box, confidence = stream.box, stream.confidence
     else:
-        box, confidence, embeddings = stream.box, stream.confidence, stream.embeddings
-
-    rows = np.flatnonzero(
-        (stream.confidence >= cfg.detection_threshold)
-        & (stream.confidence >= tcfg.min_confidence)
-        & keep_frame(frame, cfg.frame_keep, tcfg.frame_stride)
-    )
-    rows = rows[np.argsort(frame[rows], kind="stable")]  # a no-op on a sorted stream
-    if rows.size and tcfg.nms_threshold < 1.0:
-        rows = rows[nms(stream.box[rows], stream.confidence[rows], tcfg.nms_threshold,
-                        stream.class_id[rows], frame[rows])]
-    det_frames, starts = np.unique(frame[rows], return_index=True)
+        stream = source
+        total_frames = _frame_range(camera_id, stream.frame, total_frames)
+        box, confidence, embeddings = _check_columns(camera_id, stream)
+        rows = _tracked_rows(stream, cfg)
+        embeddings = None if embeddings is None else embeddings[rows]
+    det_frames, starts = np.unique(stream.frame[rows], return_index=True)
     det_frames, bounds = det_frames.tolist(), [*starts.tolist(), len(rows)]
     boxes, confidences = box[rows], confidence[rows]
-    embeddings = None if embeddings is None else embeddings[rows]
-    # The tracker reads only the gathered rows. Dropping the stream frees a
-    # parsed file's whole embedding matrix before tracking starts, since
-    # nothing else holds it; for most configs the tracked rows are a fraction.
-    del source, stream, frame, box, confidence
+    del source, stream, box, confidence  # the tracker reads only the gathered rows
 
     tracker = Tracker(tcfg, camera_id=camera_id)
     tracker._checked_stream = True
@@ -199,6 +187,37 @@ def process_camera(
     ]
     frames_processed = kept_count(total_frames, cfg.frame_keep, tcfg.frame_stride)
     return CameraRun(camera_id=camera_id, tracklets=tracklets, frames_processed=frames_processed)
+
+
+def _frame_range(camera_id: int, frame: np.ndarray, total_frames: Optional[int]) -> int:
+    """total_frames, by default one past the last detection's frame;
+    ValueError for a detection outside [0, total_frames)."""
+    if total_frames is None:
+        total_frames = int(frame.max(initial=-1)) + 1
+    outside = np.flatnonzero((frame < 0) | (frame >= total_frames))
+    if outside.size:
+        raise ValueError(
+            f"camera {camera_id}: detection at frame {frame[outside[0]]} is outside the "
+            f"stream's frames [0, {total_frames})"
+        )
+    return total_frames
+
+
+def _tracked_rows(stream: CameraStream, cfg: PipelineConfig) -> np.ndarray:
+    """The rows a camera tracks, in frame order: those the confidence filter
+    and the decimation keep, less those NMS suppresses."""
+    tcfg = cfg.tracker
+    frame = stream.frame
+    rows = np.flatnonzero(
+        (stream.confidence >= cfg.detection_threshold)
+        & (stream.confidence >= tcfg.min_confidence)
+        & keep_frame(frame, cfg.frame_keep, tcfg.frame_stride)
+    )
+    rows = rows[np.argsort(frame[rows], kind="stable")]  # a no-op on a sorted stream
+    if rows.size and tcfg.nms_threshold < 1.0:
+        rows = rows[nms(stream.box[rows], stream.confidence[rows], tcfg.nms_threshold,
+                        stream.class_id[rows], frame[rows])]
+    return rows
 
 
 def _check_columns(

@@ -16,7 +16,8 @@ forms, so no 8x8 covariance is built. The frame's association is one
 vector, the table row matched to each detection or -1. Every detection a
 tracker is given becomes one row of its History, whose `owner` column holds
 the id of the track the detection updated or started; a track's history is
-the rows its id owns.
+the rows its id owns. History keeps no embedding per row: it pools each
+track's embeddings as a running sum.
 """
 
 from __future__ import annotations
@@ -225,9 +226,17 @@ def _row_norms(embs: np.ndarray, metric: str) -> np.ndarray:
 
 class History:
     """Every detection a tracker was given, one row each in step order:
-    frame, box (x, y, w, h), confidence, the id of the track that owns it
-    and, for a stream with embeddings, the embedding. The columns are arrays
-    whose capacity doubles as they fill."""
+    frame, box (x, y, w, h), confidence and the id of the track that owns
+    it. The columns are arrays whose capacity doubles as they fill.
+
+    For a stream with embeddings, each track's embeddings are pooled as
+    they arrive, in a running sum per track id (Tracker numbers tracks 1,
+    2, ...). A sum starts at 0.0 and adds the track's embeddings in step
+    order, as np.mean sums the rows of an (n, D) matrix for D >= 2, so the
+    pooled mean is np.mean's to the bit. For D = 1 numpy sums the column
+    pairwise, so a D = 1 stream keeps its values as one more column and
+    pools them with np.mean.
+    """
 
     def __init__(self) -> None:
         self._n = 0
@@ -235,7 +244,8 @@ class History:
         self._box = np.empty((0, 4))
         self._confidence = np.empty(0)
         self._owner = np.empty(0, dtype=np.int64)
-        self._embedding: Optional[np.ndarray] = None
+        self._value: Optional[np.ndarray] = None  # the embeddings of a D = 1 stream
+        self._sum: Optional[np.ndarray] = None  # (ids, D) running sums, by track id
 
     @property
     def owner(self) -> np.ndarray:
@@ -250,30 +260,46 @@ class History:
         track detection i updated or started."""
         first = self._n
         self._n += len(boxes)
+        if embeddings is not None and self._value is None and self._sum is None:
+            if embeddings.shape[1] == 1:
+                self._value = np.empty((len(self._frame), 1))
+            else:
+                self._sum = np.zeros((0, embeddings.shape[1]))
         if self._n > len(self._frame):
             cap = max(self._n, 2 * len(self._frame), 64)
             self._frame, self._box, self._confidence, self._owner = (
                 _grown(a, first, cap)
                 for a in (self._frame, self._box, self._confidence, self._owner)
             )
-            if self._embedding is not None:
-                self._embedding = _grown(self._embedding, first, cap)
-        if embeddings is not None and self._embedding is None:
-            self._embedding = np.empty((len(self._frame), embeddings.shape[1]))
+            if self._value is not None:
+                self._value = _grown(self._value, first, cap)
         self._frame[first:self._n] = frame
         self._box[first:self._n] = boxes
         self._confidence[first:self._n] = confidences
         self._owner[first:self._n] = owners
-        if embeddings is not None:
-            self._embedding[first:self._n] = embeddings
+        if self._value is not None:
+            self._value[first:self._n] = embeddings
+        elif self._sum is not None and len(owners):
+            ids = int(owners.max()) + 1
+            if ids > len(self._sum):  # new rows are zeros: a sum starts at 0.0
+                grown = np.zeros((max(ids, 2 * len(self._sum), 64), self._sum.shape[1]))
+                grown[:len(self._sum)] = self._sum
+                self._sum = grown
+            self._sum[owners] += embeddings  # a frame's owners are distinct
 
-    def take(
-        self, rows: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """(frames, boxes, confidences, embeddings or None) of the given rows."""
+    def take(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(frames, boxes, confidences) of the given rows."""
         rows = np.asarray(rows, dtype=np.intp)
-        embeddings = None if self._embedding is None else self._embedding[rows]
-        return self._frame[rows], self._box[rows], self._confidence[rows], embeddings
+        return self._frame[rows], self._box[rows], self._confidence[rows]
+
+    def pooled(self, track_id: int, rows: Sequence[int]) -> Optional[np.ndarray]:
+        """np.mean of the embeddings of a track, which owns the given rows,
+        or None for a stream without embeddings."""
+        if self._value is not None:
+            return np.mean(self._value[np.asarray(rows, dtype=np.intp)], axis=0)
+        if self._sum is None:
+            return None
+        return self._sum[track_id] / len(rows)
 
 
 def _grown(a: np.ndarray, n: int, cap: int) -> np.ndarray:
@@ -444,7 +470,7 @@ class Tracker:
                      np.searchsorted(owner, ids, side="right").tolist())
         out = []
         for track_id, (lo, hi) in zip(ids.tolist(), bounds):
-            frames, boxes, confidences, embeddings = self.history.take(order[lo:hi])
+            frames, boxes, confidences = self.history.take(order[lo:hi])
             out.append(
                 Tracklet(
                     camera_id=self.camera_id,
@@ -452,7 +478,7 @@ class Tracker:
                     frames=frames,
                     boxes=boxes,
                     confidences=confidences,
-                    embedding=None if embeddings is None else np.mean(embeddings, axis=0),
+                    embedding=self.history.pooled(track_id, order[lo:hi]),
                 )
             )
         return out

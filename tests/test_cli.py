@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mcmot
-from mcmot import formats, geometry
+from mcmot import cli, formats, geometry
 from mcmot.cli import main
 
 
@@ -101,6 +101,32 @@ class TestSimulateCli:
         )
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("entry", ["scenario.json", ".hidden", "subdir/"])
+    def test_non_empty_out_directory_is_refused(self, tmp_path, capsys, monkeypatch, entry):
+        # Files of an earlier run would stay beside the new scenario's. The
+        # directory is refused before the scenario is generated, and left
+        # as it was.
+        out = tmp_path / "scn"
+        out.mkdir()
+        if entry.endswith("/"):
+            (out / entry).mkdir()
+        else:
+            (out / entry).write_text("old")
+        before = sorted((p.relative_to(out), p.is_file() and p.read_bytes())
+                        for p in out.rglob("*"))
+        monkeypatch.setattr(cli, "generate", lambda cfg: pytest.fail("generated"))
+        cfg = write_scenario_config(tmp_path, cameras=1, identities=1, frames=5)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error[input]: {out}: the output directory is not empty\n"
+        assert sorted((p.relative_to(out), p.is_file() and p.read_bytes())
+                      for p in out.rglob("*")) == before
+
+    def test_empty_out_directory_is_accepted(self, tmp_path):
+        (tmp_path / "scn").mkdir()
+        out = simulate(tmp_path, cameras=1, identities=1, frames=5, embedding_dim=4)
+        assert (out / "scenario.json").exists()
 
     def test_unplaceable_identities_leave_no_directory(self, tmp_path, capsys):
         cfg = write_scenario_config(tmp_path, identities=50, embedding_dim=2,
@@ -1195,13 +1221,13 @@ class TestCountErrorParity:
 
     @pytest.mark.parametrize("stale", [2, 10, -1])
     def test_camera_the_scenario_lacks(self, tmp_path, capsys, stale):
-        # A 3-camera scenario simulated over by a 2-camera one leaves camera
-        # 2's files beside a scenario.json of 2 cameras; count once tracked them.
-        simulate(tmp_path, cameras=3, identities=2, frames=10, embedding_dim=4)
+        # Camera 2's files of a 3-camera scenario beside a scenario.json of 2
+        # cameras, as a simulate over an old run once left them; count once
+        # tracked them.
+        old = simulate(tmp_path, out="old", cameras=3, identities=2, frames=10, embedding_dim=4)
         scn = simulate(tmp_path, cameras=2, identities=2, frames=10, embedding_dim=4)
-        if stale != 2:
-            for kind in ("detections", "embeddings"):
-                (scn / f"{kind}_cam2.csv").rename(scn / f"{kind}_cam{stale}.csv")
+        for kind in ("detections", "embeddings"):
+            (old / f"{kind}_cam2.csv").rename(scn / f"{kind}_cam{stale}.csv")
         argv = ["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]
         seq, par = self.errors(capsys, argv)
         assert seq == par == (

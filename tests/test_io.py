@@ -22,6 +22,7 @@ from mcmot.config import (
 )
 from mcmot.formats import EmbeddingColumns, FormatError
 from mcmot.geometry import BoundingBox, CameraStream, Detection
+from mcmot.pipeline import CameraFiles, process_camera
 from mcmot.sim import ConfigError, ScenarioConfig, generate, to_json
 from mcmot.tracker import Tracklet, TrackerConfig
 
@@ -125,10 +126,11 @@ class TestDetectionFile:
 
     @pytest.mark.parametrize("n", [64, 500, 3000])
     def test_error_path_parses_in_blocks(self, tmp_path, monkeypatch, n):
-        # After the whole file fails to parse, its lines are parsed in blocks,
-        # then the failing block's lines one at a time up to the bad one, then
-        # the bad line's fields one at a time: at most blocks + block size + 8
-        # hand-offs, where one per line would be n.
+        # After the block of rows holding the bad one fails to parse (here the
+        # file's one block, read from the open file), the lines are parsed in
+        # blocks, then the failing block's lines one at a time up to the bad
+        # one, then the bad line's fields one at a time: at most blocks +
+        # block size + 8 hand-offs, where one per line would be n.
         rows = [f"{f},0,1,2,3,4,0.5,0" for f in range(n - 1)] + [f"{n - 1},x,1,2,3,4,0.5,0"]
         path = tmp_path / "bad.csv"
         path.write_text(formats.DETECTION_HEADER + "\n" + "\n".join(rows) + "\n")
@@ -142,7 +144,8 @@ class TestDetectionFile:
         with pytest.raises(FormatError, match=f":{n + 1}: cannot parse 'x' as an integer$"):
             formats.read_detections(path)
         whole, *pieces = handed
-        assert whole == path
+        assert n < formats._block_rows(formats._DETECTION_DTYPE)
+        assert whole.name == str(path) and all(isinstance(piece, list) for piece in pieces)
         block = formats._ERROR_BLOCK
         blocks = -(-n // block)
         assert [line for piece in pieces[:blocks] for line in piece] == rows
@@ -317,18 +320,24 @@ class TestDetectionFile:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
-    def test_every_row_read_whatever_ends_the_lines(self, tmp_path, newline, monkeypatch):
-        # np.loadtxt is given a bound on the rows, so the bound must count
-        # every line ending that np.loadtxt reads as one.
-        rows = [f"{f},0,1.5,2,3,4,0.5,0" for f in range(40)] + ["", "40,1,1,2,3,4,0.5,0"]
-        path = tmp_path / "dets.csv"
-        path.write_bytes(newline.join([formats.DETECTION_HEADER, *rows]).encode())
-        bounds = []
-        line_bound = formats._line_bound
-        monkeypatch.setattr(formats, "_line_bound",
-                            lambda p: bounds.append(line_bound(p)) or bounds[-1])
-        assert formats.read_detections(path).frame.tolist() == list(range(41))
-        assert bounds and bounds[0] >= 43
+    @settings(max_examples=60, deadline=None)
+    @given(frames=st.lists(st.integers(0, 3), max_size=40).map(np.cumsum),
+           blank=st.lists(st.booleans(), min_size=41, max_size=41),
+           block=st.integers(1, 9), end=st.booleans())
+    def test_every_row_read_whatever_ends_the_lines(self, newline, frames, blank, block, end):
+        # The rows are read a block at a time from the open file: every row
+        # is read once, in file order, wherever blank lines and block
+        # boundaries fall and whatever ends the lines.
+        lines = [formats.DETECTION_HEADER]
+        for k, f in enumerate(frames.tolist()):
+            lines += [""] * blank[k] + [f"{f},{k},1.5,2,3,4,0.5,0"]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_block_rows", lambda dtype: block)
+            path = Path(tmp) / "dets.csv"
+            path.write_bytes((newline.join(lines) + newline * end).encode())
+            got = formats.read_detections(path)
+        assert got.frame.tolist() == frames.tolist()
+        assert got.det_id.tolist() == list(range(len(frames)))
 
 
 class TestEmbeddingFile:
@@ -347,24 +356,35 @@ class TestEmbeddingFile:
         formats.write_embeddings(path, merged, dim=8)
         assert path.read_text() == text
 
-    def test_vectors_view_the_parse_buffer(self, tmp_path, monkeypatch):
-        # The matrix is not copied out of the parsed records: the file is
-        # held in memory once.
-        buffers = []
-
-        def loadtxt(*args, _loadtxt=formats._loadtxt, **kwargs):
-            buffers.append(_loadtxt(*args, **kwargs))
-            return buffers[-1]
-
-        monkeypatch.setattr(formats, "_loadtxt", loadtxt)
-        keyed = [(f, 0, np.full(6, f + 0.5)) for f in range(4)]
-        path = tmp_path / "embs.csv"
-        formats.write_embeddings(path, keyed_stream(keyed, dim=6), dim=6)
-        got = formats.read_embeddings(path)
-        assert len(buffers) == 1
-        for column in (got.frame, got.det_id, got.vectors):
-            assert np.shares_memory(column, buffers[0])
-        assert got.vectors.tolist() == [[f + 0.5] * 6 for f in range(4)]
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(0, 30), st.integers(1, 4), st.integers(1, 9))
+    def test_kept_vectors_are_the_rows_of_the_whole_read(self, data, n, dim, block):
+        # Read with detections, the file keeps only the vectors of the
+        # detections asked for, in their order: those rows of the matrix
+        # read whole, whatever the file's row order and the block size.
+        keyed = [(f // 3, f % 3, data.draw(st.lists(st.floats(-1e6, 1e6), min_size=dim,
+                                                      max_size=dim)))
+                 for f in range(n)]
+        stream = keyed_stream(keyed, dim)
+        order = data.draw(st.permutations(range(n)))
+        rows = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True,
+                                           max_size=n)), dtype=np.intp)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_block_rows", lambda dtype: block)
+            path = Path(tmp) / "embs.csv"
+            formats.write_embeddings(path, replace(
+                stream, frame=stream.frame[order], det_id=stream.det_id[order],
+                embeddings=stream.embeddings[order]), dim)
+            whole = formats.read_embeddings(path)
+            kept = formats.read_embeddings(path, stream, rows)
+            every = formats.read_embeddings(path, stream)
+        merged = formats.merge_embeddings(stream, whole)
+        assert kept.vectors.shape == (len(rows), dim)
+        assert kept.vectors.tobytes() == merged[rows].tobytes()
+        assert every.vectors.tobytes() == merged.tobytes()
+        for got in (kept, every):
+            assert (got.frame.tolist(), got.det_id.tolist()) == \
+                (whole.frame.tolist(), whole.det_id.tolist())
 
     def test_header_declares_dimension(self, tmp_path):
         path = tmp_path / "embs.csv"
@@ -426,6 +446,279 @@ class TestEmbeddingFile:
         # Rows already in detection order: the file's own matrix, not a copy.
         in_order = embedding_columns([(0, 1, [2.0]), (0, 0, [1.0]), (2, 5, [3.0])], dim=1)
         assert formats.merge_embeddings(records, in_order) is in_order.vectors
+
+
+# ----------------------------------------------------------------------
+# Streaming ingest at block edges. The readers parse a file a block of rows
+# at a time; these cases put each fault at a block's first and last row,
+# across a boundary and in the last, partial block, under every line ending
+# and with blank lines between the rows. The expected messages were written
+# by the whole-file reader that streaming replaced.
+
+EDGE_BLOCK = 8  # rows a block holds in these cases
+EDGE_ROWS = 5 * EDGE_BLOCK + 3  # five whole blocks and a partial one
+# The rows a fault is put on, by place.
+EDGE_PLACES = {
+    "block-first": [2 * EDGE_BLOCK],
+    "block-last": [3 * EDGE_BLOCK - 1],
+    "boundary": [3 * EDGE_BLOCK - 1, 3 * EDGE_BLOCK],
+    "partial": [5 * EDGE_BLOCK + 1],
+}
+EDGE_ENDINGS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+EDGE_FAULTS = {
+    "embeddings": ["unparsable", "short", "range", "duplicate", "unmatched", "missing"],
+    "detections": ["unparsable", "short", "range", "duplicate", "unsorted"],
+}
+
+
+def edge_key(r: int) -> list[str]:
+    return [str(r // 2), str(r % 2)]
+
+
+def edge_rows(kind: str, *faults: tuple[str, str]) -> list:
+    """The data rows of an embeddings (D = 3) or detections file of
+    EDGE_ROWS rows, row r keyed (r // 2, r % 2), with each (fault, place) of
+    `faults` on the rows of its place. A fault that adds or drops a row does
+    so at that index."""
+    def row(r):
+        if kind == "embeddings":
+            return edge_key(r) + [f"{r}.5", f"-{r}.25", "0.125"]
+        return edge_key(r) + [f"{r}.5", "2", "30", "40.5", "0.75", "0"]
+
+    rows = [row(r) for r in range(EDGE_ROWS)]
+    for fault, place in faults:
+        _put_fault(kind, rows, fault, place)
+    return rows
+
+
+def _put_fault(kind: str, rows: list, fault: str, place: str) -> None:
+    places = EDGE_PLACES[place]
+    if fault == "duplicate" and place == "boundary":
+        places = places[1:]  # the later copy; the earlier one is the row above it
+    for r in sorted(places, reverse=True):
+        if fault == "unparsable":
+            rows[r][3] = "x"
+        elif fault == "short":
+            rows[r].pop()
+        elif fault == "range":
+            if kind == "embeddings":
+                rows[r][2] = "1e101"
+            else:
+                rows[r][6] = "1.5"
+        elif fault == "duplicate":
+            # A detections file keeps its frames sorted: it copies the key
+            # above. An embeddings file copies one from a block above.
+            above = kind == "detections" or place == "boundary"
+            rows[r][:2] = edge_key(r - 1 if above else r // 4)
+        elif fault == "unsorted":
+            rows[r][0] = "0"
+        elif fault == "unmatched":
+            rows.insert(r, [str(r // 2), "7"] + rows[r][2:])
+        elif fault == "missing":
+            del rows[r]
+
+
+def edge_bytes(kind: str, rows: list, ending: str) -> bytes:
+    """A file of the rows, with blank lines below the header, above the
+    first row of block 3 and at the end."""
+    header = "frame,det_id,e0,e1,e2" if kind == "embeddings" else formats.DETECTION_HEADER
+    lines = [header, "", *(",".join(row) for row in rows), "", ""]
+    lines.insert(2 + 3 * EDGE_BLOCK, "")
+    return (ending.join(lines) + ending).encode()
+
+
+def edge_camera(tmp_path: Path, kind: str, ending: str, rows: list) -> CameraFiles:
+    """A camera's files: `rows` as the `kind` file, beside a valid other file
+    (none for a faulty detections file)."""
+    det, emb = tmp_path / "detections.csv", tmp_path / "embeddings.csv"
+    det.write_bytes(edge_bytes("detections", edge_rows("detections"), ending))
+    (det if kind == "detections" else emb).write_bytes(edge_bytes(kind, rows, ending))
+    return CameraFiles(det, emb if kind == "embeddings" else None)
+
+
+# Two faults in one file, in different blocks.
+EDGE_MIXED = [
+    ("embeddings", [("range", "block-first"), ("unparsable", "partial")]),
+    ("embeddings", [("unparsable", "block-first"), ("duplicate", "partial")]),
+    ("embeddings", [("short", "partial"), ("duplicate", "boundary")]),
+    ("embeddings", [("range", "partial"), ("unparsable", "block-last")]),
+    ("detections", [("range", "block-first"), ("short", "partial")]),
+    ("detections", [("unparsable", "block-last"), ("unsorted", "partial")]),
+    ("detections", [("short", "partial"), ("duplicate", "boundary")]),
+]
+# Written by the whole-file reader; {tmp} is the files' directory.
+EDGE_EXPECTED = {
+    'embeddings:unparsable@block-first':
+        "{tmp}/embeddings.csv:19: cannot parse 'x' as a number",
+    'embeddings:unparsable@block-last':
+        "{tmp}/embeddings.csv:26: cannot parse 'x' as a number",
+    'embeddings:unparsable@boundary':
+        "{tmp}/embeddings.csv:26: cannot parse 'x' as a number",
+    'embeddings:unparsable@partial':
+        "{tmp}/embeddings.csv:45: cannot parse 'x' as a number",
+    'embeddings:short@block-first':
+        '{tmp}/embeddings.csv:19: expected 5 fields, got 4',
+    'embeddings:short@block-last':
+        '{tmp}/embeddings.csv:26: expected 5 fields, got 4',
+    'embeddings:short@boundary':
+        '{tmp}/embeddings.csv:26: expected 5 fields, got 4',
+    'embeddings:short@partial':
+        '{tmp}/embeddings.csv:45: expected 5 fields, got 4',
+    'embeddings:range@block-first':
+        '{tmp}/embeddings.csv:19: embedding value 1e+101 out of range: '
+        'every embedding value must be within [-1e+100, 1e+100]',
+    'embeddings:range@block-last':
+        '{tmp}/embeddings.csv:26: embedding value 1e+101 out of range: '
+        'every embedding value must be within [-1e+100, 1e+100]',
+    'embeddings:range@boundary':
+        '{tmp}/embeddings.csv:26: embedding value 1e+101 out of range: '
+        'every embedding value must be within [-1e+100, 1e+100]',
+    'embeddings:range@partial':
+        '{tmp}/embeddings.csv:45: embedding value 1e+101 out of range: '
+        'every embedding value must be within [-1e+100, 1e+100]',
+    'embeddings:duplicate@block-first':
+        '{tmp}/embeddings.csv:19: duplicate key (frame=2, det_id=0)',
+    'embeddings:duplicate@block-last':
+        '{tmp}/embeddings.csv:26: duplicate key (frame=2, det_id=1)',
+    'embeddings:duplicate@boundary':
+        '{tmp}/embeddings.csv:28: duplicate key (frame=11, det_id=1)',
+    'embeddings:duplicate@partial':
+        '{tmp}/embeddings.csv:45: duplicate key (frame=5, det_id=0)',
+    'embeddings:unmatched@block-first':
+        'embedding key (frame=8, det_id=7) matches no detection',
+    'embeddings:unmatched@block-last':
+        'embedding key (frame=11, det_id=7) matches no detection',
+    'embeddings:unmatched@boundary':
+        'embedding key (frame=11, det_id=7) matches no detection',
+    'embeddings:unmatched@partial':
+        'embedding key (frame=20, det_id=7) matches no detection',
+    'embeddings:missing@block-first':
+        'detection (frame=8, det_id=0) has no embedding',
+    'embeddings:missing@block-last':
+        'detection (frame=11, det_id=1) has no embedding',
+    'embeddings:missing@boundary':
+        'detection (frame=11, det_id=1) has no embedding',
+    'embeddings:missing@partial':
+        'detection (frame=20, det_id=1) has no embedding',
+    'detections:unparsable@block-first':
+        "{tmp}/detections.csv:19: cannot parse 'x' as a number",
+    'detections:unparsable@block-last':
+        "{tmp}/detections.csv:26: cannot parse 'x' as a number",
+    'detections:unparsable@boundary':
+        "{tmp}/detections.csv:26: cannot parse 'x' as a number",
+    'detections:unparsable@partial':
+        "{tmp}/detections.csv:45: cannot parse 'x' as a number",
+    'detections:short@block-first':
+        '{tmp}/detections.csv:19: expected 8 fields, got 7',
+    'detections:short@block-last':
+        '{tmp}/detections.csv:26: expected 8 fields, got 7',
+    'detections:short@boundary':
+        '{tmp}/detections.csv:26: expected 8 fields, got 7',
+    'detections:short@partial':
+        '{tmp}/detections.csv:45: expected 8 fields, got 7',
+    'detections:range@block-first':
+        '{tmp}/detections.csv:19: confidence 1.5 outside [0, 1]',
+    'detections:range@block-last':
+        '{tmp}/detections.csv:26: confidence 1.5 outside [0, 1]',
+    'detections:range@boundary':
+        '{tmp}/detections.csv:26: confidence 1.5 outside [0, 1]',
+    'detections:range@partial':
+        '{tmp}/detections.csv:45: confidence 1.5 outside [0, 1]',
+    'detections:duplicate@block-first':
+        '{tmp}/detections.csv:19: duplicate key (frame=7, det_id=1)',
+    'detections:duplicate@block-last':
+        '{tmp}/detections.csv:26: duplicate key (frame=11, det_id=0)',
+    'detections:duplicate@boundary':
+        '{tmp}/detections.csv:28: duplicate key (frame=11, det_id=1)',
+    'detections:duplicate@partial':
+        '{tmp}/detections.csv:45: duplicate key (frame=20, det_id=0)',
+    'detections:unsorted@block-first':
+        '{tmp}/detections.csv:19: frames must be sorted ascending',
+    'detections:unsorted@block-last':
+        '{tmp}/detections.csv:26: frames must be sorted ascending',
+    'detections:unsorted@boundary':
+        '{tmp}/detections.csv:26: frames must be sorted ascending',
+    'detections:unsorted@partial':
+        '{tmp}/detections.csv:45: frames must be sorted ascending',
+    'embeddings:range@block-first+unparsable@partial':
+        '{tmp}/embeddings.csv:19: embedding value 1e+101 out of range: '
+        'every embedding value must be within [-1e+100, 1e+100]',
+    'embeddings:unparsable@block-first+duplicate@partial':
+        "{tmp}/embeddings.csv:19: cannot parse 'x' as a number",
+    'embeddings:short@partial+duplicate@boundary':
+        '{tmp}/embeddings.csv:28: duplicate key (frame=11, det_id=1)',
+    'embeddings:range@partial+unparsable@block-last':
+        "{tmp}/embeddings.csv:26: cannot parse 'x' as a number",
+    'detections:range@block-first+short@partial':
+        '{tmp}/detections.csv:19: confidence 1.5 outside [0, 1]',
+    'detections:unparsable@block-last+unsorted@partial':
+        "{tmp}/detections.csv:26: cannot parse 'x' as a number",
+    'detections:short@partial+duplicate@boundary':
+        '{tmp}/detections.csv:28: duplicate key (frame=11, det_id=1)',
+}
+
+
+class TestStreamingIngest:
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(formats, "_block_rows", lambda dtype: EDGE_BLOCK)
+
+    @pytest.mark.parametrize("ending", EDGE_ENDINGS)
+    @pytest.mark.parametrize("place", EDGE_PLACES)
+    @pytest.mark.parametrize("kind, fault", [
+        (kind, fault) for kind, faults in EDGE_FAULTS.items() for fault in faults
+    ])
+    def test_fault_at_a_block_edge(self, tmp_path, kind, fault, place, ending):
+        files = edge_camera(tmp_path, kind, EDGE_ENDINGS[ending], edge_rows(kind, (fault, place)))
+        expected = EDGE_EXPECTED[f"{kind}:{fault}@{place}"].format(tmp=tmp_path)
+        for cfg in (PipelineConfig(), study2_preset()):
+            with pytest.raises(FormatError) as got:
+                process_camera(0, files, cfg)
+            assert str(got.value) == expected
+
+    @pytest.mark.parametrize("ending", EDGE_ENDINGS)
+    @pytest.mark.parametrize("kind, faults", EDGE_MIXED)
+    def test_first_bad_row_across_blocks(self, tmp_path, kind, faults, ending):
+        # A row a check flags and a row that fails to parse, in different
+        # blocks: the first of them is reported.
+        files = edge_camera(tmp_path, kind, EDGE_ENDINGS[ending], edge_rows(kind, *faults))
+        key = "+".join(f"{fault}@{place}" for fault, place in faults)
+        with pytest.raises(FormatError) as got:
+            process_camera(0, files, PipelineConfig())
+        assert str(got.value) == EDGE_EXPECTED[f"{kind}:{key}"].format(tmp=tmp_path)
+
+    @pytest.mark.parametrize("ending", EDGE_ENDINGS)
+    @pytest.mark.parametrize("kind", EDGE_FAULTS)
+    def test_undecodable_byte_below_a_bad_block(self, tmp_path, kind, ending):
+        # A byte that is not UTF-8 in the last block is reported, not the
+        # bad row in a block above it.
+        files = edge_camera(tmp_path, kind, EDGE_ENDINGS[ending],
+                            edge_rows(kind, ("range", "block-first")))
+        path = files.embeddings or files.detections
+        path.write_bytes(path.read_bytes().rstrip(EDGE_ENDINGS[ending].encode())[:-1] + b"\xff")
+        with pytest.raises(UnicodeDecodeError) as expected:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(FormatError) as got:
+            process_camera(0, files, PipelineConfig())
+        assert str(got.value) == f"{path}: {expected.value}"
+
+    @pytest.mark.parametrize("ending", EDGE_ENDINGS)
+    def test_blocks_read_as_one_parse(self, tmp_path, monkeypatch, ending):
+        # Each file is read EDGE_BLOCK rows at a time, whatever ends its
+        # lines, and its rows are the line-by-line reference's.
+        files = edge_camera(tmp_path, "embeddings", EDGE_ENDINGS[ending], edge_rows("embeddings"))
+        parsed = []
+
+        def loadtxt(*args, _loadtxt=formats._loadtxt, **kwargs):
+            rows = _loadtxt(*args, **kwargs)
+            parsed.append(len(rows))
+            return rows
+
+        want = [detection_fields(d) for d in read_reference(files.detections, files.embeddings)]
+        monkeypatch.setattr(formats, "_loadtxt", loadtxt)
+        got = [detection_fields(d) for d in read_stream(files.detections, files.embeddings)]
+        assert got == want
+        assert parsed == 2 * ([EDGE_BLOCK] * (EDGE_ROWS // EDGE_BLOCK) + [EDGE_ROWS % EDGE_BLOCK])
 
 
 # ----------------------------------------------------------------------

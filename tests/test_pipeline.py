@@ -3,7 +3,7 @@ import pickle
 import re
 import sys
 import tempfile
-import weakref
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -508,38 +508,52 @@ class TestCameraFiles:
                                                   study2_preset(), 60)])
         assert len(got[0][2]) >= 3 and got[0][2][0][4] is None
 
+    @pytest.fixture(scope="class")
+    def wide_camera(self, tmp_path_factory):
+        """A camera whose embeddings file is 10 MB (D = 256), of which
+        study2 tracks about a sixth of the rows."""
+        scene = ScenarioConfig(seed=11, cameras=1, identities=10, frames=300,
+                               embedding_dim=256, embedding_noise_sigma=0.02,
+                               false_positive_rate=0.2, miss_prob=0.05)
+        return write_camera(tmp_path_factory.mktemp("wide"), scene)
+
     @pytest.mark.parametrize("route", ["process_camera", "run_cameras", "track"])
-    def test_parse_buffer_freed_before_tracking(self, tmp_path, monkeypatch, route):
-        # study2 tracks a fraction of the rows; the file's whole matrix, a
-        # view of the parse buffer, must be gone by the first step.
-        det, emb = write_camera(tmp_path, self.SCENE)
-        buffers = []
-        read = formats.read_embeddings
-
-        def reading(path):
-            columns = read(path)
-            buffers.append(weakref.ref(columns.vectors.base))
-            return columns
-
-        alive_at_step = []
+    def test_peak_holds_tracked_rows_not_the_file(self, wide_camera, monkeypatch, route):
+        # The embeddings file is read a block at a time, keeping the tracked
+        # rows' vectors only: up to the first step the traced peak stays
+        # below their bytes plus a few blocks, far under the file's matrix.
+        det, emb = wide_camera
+        files = CameraFiles(det, emb)
+        stream = formats.read_detections(det)
+        dim = 256
+        tracked = len(pipeline._tracked_rows(stream, study2_preset())) * dim * 8
+        matrix = len(stream) * dim * 8
+        bound = tracked + 6 * formats._READ_BLOCK
+        assert emb.stat().st_size >= 6 << 20 and bound < matrix / 2, (bound, matrix)
+        at_step = []
         step = Tracker.step
 
         def stepping(tracker, *args):
-            if not alive_at_step:
-                alive_at_step.append(buffers[0]() is not None)
+            if not at_step:
+                at_step.append(tracemalloc.get_traced_memory()[1])
             return step(tracker, *args)
 
-        monkeypatch.setattr(formats, "read_embeddings", reading)
         monkeypatch.setattr(Tracker, "step", stepping)
-        files = CameraFiles(det, emb)
-        if route == "process_camera":
-            process_camera(0, files, study2_preset(), 60)
-        elif route == "run_cameras":
-            run_cameras({0: files}, study2_preset(), total_frames=60)
-        else:
-            assert main(["track", "--detections", str(det), "--embeddings", str(emb),
-                         "--config", "study2", "--output", str(tmp_path / "t.csv")]) == 0
-        assert alive_at_step == [False]
+        run = {
+            "process_camera": lambda: process_camera(0, files, study2_preset(), 300),
+            "run_cameras": lambda: run_cameras({0: files}, study2_preset(), total_frames=300),
+            "track": lambda: main(["track", "--detections", str(det), "--embeddings", str(emb),
+                                   "--config", "study2", "--output",
+                                   str(det.with_name(f"{route}.csv"))]),
+        }[route]
+        run()  # once untraced, so one-time allocations are not counted
+        at_step.clear()
+        tracemalloc.start()
+        try:
+            run()
+        finally:
+            tracemalloc.stop()
+        assert at_step and at_step[0] < bound, (at_step, tracked, matrix)
 
 
 def make_tracklet(camera_id, track_id, embedding, length=10, w=80.0, h=120.0):

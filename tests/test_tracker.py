@@ -321,6 +321,7 @@ class TestGalleryBudget:
         tr = Tracker(cfg)
         rng = np.random.default_rng(22)
         centers = [(60.0, 60.0), (300.0, 200.0), (520.0, 90.0)]
+        stepped = []  # the embedding of each History row, in step order
         for f in range(10_000):
             dets = []
             for cx, cy in centers:
@@ -335,12 +336,13 @@ class TestGalleryBudget:
                         )
                     )
             step(tr, f, dets)
+            stepped += [d.embedding for d in dets]
             assert all(len(ring(tr.table, row)) <= cfg.nn_budget for row in range(len(tr.tracks)))
             assert tr.table.gallery is None or tr.table.gallery.shape[1] <= cfg.nn_budget
             for row, track_id in enumerate(tr.tracks):
                 # The ring holds the track's last nn_budget embeddings, the
                 # j-th at position j % nn_budget.
-                embeddings = tr.history.take(rows_of(tr, track_id))[3]
+                embeddings = [stepped[i] for i in rows_of(tr, track_id)]
                 n = len(embeddings)
                 want = {j % cfg.nn_budget: embeddings[j] for j in range(max(0, n - cfg.nn_budget), n)}
                 gallery = ring(tr.table, row)
@@ -373,8 +375,52 @@ class TestGalleryBudget:
             dets = [det(f, x=10), det(f, x=200)]
             step(tr, f, dets)
             last = [tr.history.take(rows_of(tr, track_id)[-1:]) for track_id in tr.tracks]
-            boxes_this_frame = [tuple(box[0]) for frame, box, _, _ in last if frame[0] == f]
+            boxes_this_frame = [tuple(box[0]) for frame, box, _ in last if frame[0] == f]
             assert len(boxes_this_frame) == len(set(boxes_this_frame))
+
+
+@st.composite
+def embedding_streams(draw):
+    """A tracker config and a stream of frames for it: a few tracks that
+    move, appear and vanish, with embeddings of D in {1, 2, 3, 32} holding
+    -0.0 values, and clutter detections."""
+    dim = draw(st.sampled_from([1, 2, 3, 32]))
+    n_init = draw(st.integers(1, 3))
+    values = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e-300, 3.25e7]) | st.floats(-1e3, 1e3)
+    tracks = draw(st.lists(st.tuples(st.integers(0, 25), st.integers(1, 25),
+                                     st.floats(20.0, 600.0)), min_size=1, max_size=4))
+    frames = []
+    for f in range(30):
+        dets = []
+        for k, (born, life, x) in enumerate(tracks):
+            if born <= f < born + life and draw(st.integers(0, 9)):
+                dets.append(((x + 3.0 * (f - born), 80.0 * k + 20.0, 20.0, 40.0),
+                             draw(st.lists(values, min_size=dim, max_size=dim))))
+        if draw(st.integers(0, 4)) == 0:
+            dets.append(((draw(st.floats(0.0, 600.0)), 400.0, 15.0, 30.0),
+                         draw(st.lists(values, min_size=dim, max_size=dim))))
+        frames.append(dets)
+    return TrackerConfig(n_init=n_init, max_age=draw(st.integers(1, 5))), frames
+
+
+class TestPooledEmbeddings:
+    @settings(max_examples=200, deadline=None)
+    @given(embedding_streams())
+    def test_pooled_embedding_is_the_mean_of_the_stepped_rows(self, case):
+        # Each exported embedding is, byte for byte, np.mean over the
+        # embeddings its track was given, in frame order, kept here.
+        cfg, frames = case
+        tr = Tracker(cfg)
+        stepped = []  # the embedding of each History row, in step order
+        for f, dets in enumerate(frames):
+            boxes = np.array([b for b, _ in dets]).reshape(-1, 4)
+            embs = np.array([e for _, e in dets]) if dets else None
+            tr.step(f, boxes, np.full(len(dets), 0.9), embs)
+            stepped += [e for _, e in dets]
+        for t in tr.export_tracklets():
+            rows = rows_of(tr, t.track_id)
+            want = np.mean(np.array([stepped[i] for i in rows]), axis=0)
+            assert t.embedding.tobytes() == want.tobytes()
 
 
 class TestInputValidation:
