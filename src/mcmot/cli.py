@@ -22,7 +22,7 @@ import numpy as np
 
 from . import formats
 from .config import PRESETS, load_config
-from .errors import ConfigError
+from .errors import ConfigError, ResourceError
 from .formats import FormatError
 from .pipeline import CameraFiles, associate_and_refine, process_camera, run_pipeline
 from .refine import (
@@ -93,9 +93,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail("input", exc)
     except OSError as exc:
         return _fail("io", exc)
+    except (MemoryError, ResourceError) as exc:
+        return _fail("resource", str(exc) or "out of memory")
 
 
-def _fail(category: str, exc: Exception) -> int:
+def _fail(category: str, exc: object) -> int:
     print(f"error[{category}]: {exc}", file=sys.stderr)
     return 1
 

@@ -3,3 +3,7 @@
 
 class ConfigError(ValueError):
     """Invalid or unsatisfiable scenario/pipeline configuration."""
+
+
+class ResourceError(RuntimeError):
+    """A run lost its work for want of a resource: memory or a worker process."""

@@ -91,6 +91,19 @@ def first_problem(faults: Sequence[Fault]) -> Optional[tuple[int, str]]:
     return row, faults[k][1](row)
 
 
+def first_bad_detection(
+    box: np.ndarray, confidence: np.ndarray, embeddings: Optional[np.ndarray] = None
+) -> Optional[tuple[int, str]]:
+    """(row, message) of the first row that breaks a detection rule
+    (detection_faults); if no row does, of the first whose embedding breaks
+    the embedding rule (embedding_fault); otherwise None. File ingest checks
+    a camera in this order too: its detections file, then its embeddings."""
+    found = first_problem(detection_faults(box, confidence))
+    if found is None and embeddings is not None:
+        found = first_problem([embedding_fault(embeddings)])
+    return found
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned box in pixels, top-left origin: (x, y) = top-left corner."""

@@ -14,7 +14,7 @@ import ctypes
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -24,7 +24,8 @@ import numpy as np
 from . import formats
 from .association import Cluster, associate_methods
 from .config import PipelineConfig
-from .geometry import CameraStream, detection_faults, embedding_fault, first_problem, nms
+from .errors import ResourceError
+from .geometry import CameraStream, first_bad_detection, nms
 from .refine import refine
 from .tracker import Tracker, Tracklet
 
@@ -89,12 +90,6 @@ class CameraFiles:
 
     detections: Path
     embeddings: Optional[Path] = None
-
-    def load(self) -> CameraStream:
-        stream = formats.read_detections(self.detections)
-        if self.embeddings is None:
-            return stream
-        return replace(stream, embeddings=formats.read_embeddings(self.embeddings, stream).vectors)
 
 
 # What a camera's input may be: its columns or its files.
@@ -231,8 +226,8 @@ def _check_columns(
     camera_id: int, stream: CameraStream
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """The rules file ingest applies, over every row of columns given
-    through the Python API: one length, the detection rules, then finite
-    embeddings. ValueError names the first bad row.
+    through the Python API: one length, then geometry.first_bad_detection.
+    ValueError names the first bad row.
 
     The rules run on float64 copies of the box, confidence and embedding
     columns (the columns themselves when they are float64), and those
@@ -256,12 +251,9 @@ def _check_columns(
     confidence = np.asarray(stream.confidence, dtype=np.float64)
     if embeddings is not None:
         embeddings = np.asarray(embeddings, dtype=np.float64)
-    found = first_problem(detection_faults(box, confidence))
-    if found is None and embeddings is not None:
-        found = first_problem([embedding_fault(embeddings)])
+    found = first_bad_detection(box, confidence, embeddings)
     if found is not None:
-        row, message = found
-        raise ValueError(f"camera {camera_id}: detection {row}: {message}")
+        raise ValueError(f"camera {camera_id}: detection {found[0]}: {found[1]}")
     return box, confidence, embeddings
 
 
@@ -278,17 +270,26 @@ def run_cameras(
     that is neither a CameraStream nor CameraFiles is a TypeError. A worker
     gets only its camera's columns or file paths, and returns only its
     CameraRun. Either way the error raised is that of the first camera, in
-    camera order, that fails.
+    camera order, that fails. A worker that ends abruptly breaks the pool,
+    which loses the results of every camera not yet returned: that is a
+    ResourceError naming the first of them.
     """
     cams = sorted(streams)
     sources = [_checked(cam, streams[cam]) for cam in cams]
     if parallel and len(cams) > 1:
         # Imported here: the pool's modules cost every other command start-up time.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        workers = min(len(cams), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_camera, cams, sources, repeat(cfg), repeat(total_frames)))
+        runs: list[CameraRun] = []
+        with ProcessPoolExecutor(max_workers=min(len(cams), os.cpu_count() or 1)) as pool:
+            try:
+                for run in pool.map(_run_camera, cams, sources, repeat(cfg), repeat(total_frames)):
+                    runs.append(run)
+            except BrokenProcessPool as exc:  # runs holds the results returned before it broke
+                raise ResourceError(f"camera {cams[len(runs)]}: result lost: a worker process "
+                                    "ended abruptly (killed, or out of memory)") from exc
+        return runs
     return [_run_camera(cam, source, cfg, total_frames) for cam, source in zip(cams, sources)]
 
 

@@ -28,18 +28,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assignment import INFEASIBLE, iou_matching, matching_cascade, solve_assignment
-from .geometry import BOX_RANGE, detection_faults, embedding_fault
+from .geometry import first_bad_detection
 from .kalman import CHI2_GATE_95, KalmanFilter, NoiseProfile
 
 # Frame indices are int64 columns, so a frame stride or a frame_keep block
 # beyond this bound cannot be applied to them.
 INT64_MAX = 2**63 - 1
-
-# Tracker.step's error per geometry.detection_faults rule, then for the
-# embedding rule when the frame has embeddings; None: the rule's own.
-_DEGENERATE = "box width and height must be positive, with x + w > x, y + h > y and w * h > 0"
-_STEP_ERRORS = ("step needs finite boxes, confidences and embeddings", None,
-                _DEGENERATE, _DEGENERATE, _DEGENERATE, f"box out of range: {BOX_RANGE}", None)
 
 
 @dataclass(frozen=True)
@@ -388,9 +382,9 @@ class Tracker:
     ) -> np.ndarray:
         """Advance one frame with its NMS/confidence-filtered detections:
         `boxes` (n, 4) rows of (x, y, w, h), `confidences` (n,) and
-        `embeddings` (n, D) or None, all finite, the boxes and confidences
-        within the rules of file ingest (geometry.detection_faults).
-        Either every non-empty frame of a tracker has embeddings or none has.
+        `embeddings` (n, D) or None, within the rules of file ingest
+        (geometry.first_bad_detection). Either every non-empty frame of a
+        tracker has embeddings or none has.
 
         Returns the int64 ids of the confirmed tracks updated at this frame,
         in row order. Frame indices must be strictly increasing across calls;
@@ -399,9 +393,11 @@ class Tracker:
 
         Every call checks the frame order, the one box, confidence and
         embedding per detection, and the embeddings all or none. The
-        detection and embedding rules (_check_rules) run on every call too,
-        except in a tracker that process_camera feeds: it has checked its
-        whole stream once, before the first step.
+        detection and embedding rules run on every call too, except in a
+        tracker that process_camera feeds: it has checked its whole stream
+        once, before the first step. A row that breaks them is
+        ValueError("detection i: <message>"), i counting within the frame
+        and the message file ingest gives for that row.
         """
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(f"frame indices must be strictly increasing: {frame} after {self._last_frame}")
@@ -411,8 +407,9 @@ class Tracker:
         if confidences.shape != (n,) or (embeddings is not None and len(embeddings) != n):
             raise ValueError("step needs one box, confidence and embedding per detection")
         embs = None if embeddings is None or not n else np.asarray(embeddings, dtype=float)
-        if not self._checked_stream:
-            self._check_rules(tlwh, confidences, embs)
+        found = None if self._checked_stream else first_bad_detection(tlwh, confidences, embs)
+        if found is not None:
+            raise ValueError(f"detection {found[0]}: {found[1]}")
         if n:
             if self._with_embeddings is None:
                 self._with_embeddings = embs is not None
@@ -484,26 +481,6 @@ class Tracker:
         return out
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _check_rules(
-        tlwh: np.ndarray, confidences: np.ndarray, embs: Optional[np.ndarray]
-    ) -> None:
-        """ValueError for the first rule a detection breaks: those of
-        geometry.detection_faults, then, for a frame with embeddings, the
-        embedding rule (a non-finite embedding breaks the finiteness rule).
-        _STEP_ERRORS gives each rule's message."""
-        faults = detection_faults(tlwh, confidences)
-        if embs is not None:
-            bad, message = embedding_fault(embs)
-            if bad.any():
-                nonfinite = np.zeros_like(bad)
-                nonfinite[bad] = ~np.isfinite(embs[bad]).all(axis=1)
-                faults[0] = faults[0][0] | nonfinite, faults[0][1]
-            faults.append((bad, message))
-        for (mask, message), error in zip(faults, _STEP_ERRORS):
-            if mask.any():
-                raise ValueError(error or message(int(mask.argmax())))
 
     def _associate(
         self, tlwh: np.ndarray, xyah: np.ndarray, embs: Optional[np.ndarray]

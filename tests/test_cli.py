@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mcmot
-from mcmot import cli, formats, geometry
+from mcmot import cli, formats, geometry, pipeline
 from mcmot.cli import main
 
 
@@ -1536,3 +1538,70 @@ class TestUndecodableCsv:
             assert main(argv + extra) == 1
             assert capsys.readouterr().err == undecodable(bad, position)
             assert not (tmp_path / "r.json").exists()
+
+
+def fail_camera(monkeypatch, failures):
+    """Patch process_camera so camera k runs failures[k]() instead; the
+    other cameras run as usual. A --parallel worker, forked after the
+    patch, inherits it."""
+    run = pipeline.process_camera
+
+    def process_camera(camera_id, *args):
+        if camera_id in failures:
+            failures[camera_id]()
+        return run(camera_id, *args)
+
+    monkeypatch.setattr(pipeline, "process_camera", process_camera)
+
+
+def out_of_memory():
+    raise MemoryError("Unable to allocate 146. TiB for an array with shape (10000000000000, 2)")
+
+
+def bad_value():
+    raise ValueError("a bad value")
+
+
+class TestResourceErrors:
+    """A lost worker and a failed allocation are one error[resource] line
+    and exit 1, and no results file or output directory is written."""
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers inherit the patch only when forked")
+    def test_dead_worker(self, tmp_path, capsys, monkeypatch):
+        scn = simulate(tmp_path, cameras=3, identities=2, frames=20, embedding_dim=4)
+        fail_camera(monkeypatch, {1: lambda: os._exit(9)})  # as if killed
+        out = tmp_path / "r.json"
+        assert main(["count", "--scenario", str(scn), "--parallel", "--output", str(out)]) == 1
+        # Camera 0's result is lost too unless it came back before the pool broke.
+        assert re.fullmatch(r"error\[resource\]: camera [01]: result lost: a worker process ended "
+                            r"abruptly \(killed, or out of memory\)\n", capsys.readouterr().err)
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("parallel", [[], ["--parallel"]], ids=["sequential", "parallel"])
+    @pytest.mark.parametrize("first", ["memory", "value"])
+    def test_failed_allocation_in_a_camera(self, tmp_path, capsys, monkeypatch, parallel, first):
+        # The first failing camera's error is reported, whichever kind it is.
+        scn = simulate(tmp_path, cameras=3, identities=2, frames=20, embedding_dim=4)
+        if first == "memory":
+            fail_camera(monkeypatch, {1: out_of_memory, 2: bad_value})
+            want = ("error[resource]: Unable to allocate 146. TiB for an array with shape "
+                    "(10000000000000, 2)\n")
+        else:
+            fail_camera(monkeypatch, {1: bad_value, 2: out_of_memory})
+            want = "error[input]: a bad value\n"
+        out = tmp_path / "r.json"
+        assert main(["count", "--scenario", str(scn), "--output", str(out), *parallel]) == 1
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
+    def test_failed_allocation_in_simulate(self, tmp_path, capsys, monkeypatch):
+        def generate(cfg):
+            raise MemoryError  # numpy's message is not always there
+
+        monkeypatch.setattr(cli, "generate", generate)
+        out = tmp_path / "scn"
+        assert main(["simulate", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error[resource]: out of memory\n"
+        assert not out.exists()

@@ -382,7 +382,7 @@ class TestOneRulePass:
         def forbidden(*args):
             raise AssertionError("Tracker.step ran its rule pass")
 
-        monkeypatch.setattr(Tracker, "_check_rules", forbidden)
+        monkeypatch.setattr("mcmot.tracker.first_bad_detection", forbidden)
         out = tmp_path / "results.json"
         assert main(["count", "--scenario", str(self.GOLDEN / "scenario"),
                      "--config", str(self.GOLDEN / "config.json"),
@@ -418,7 +418,7 @@ class TestOneRulePass:
         def forbidden(*args):
             raise AssertionError("Tracker.step ran its rule pass")
 
-        monkeypatch.setattr(Tracker, "_check_rules", forbidden)
+        monkeypatch.setattr("mcmot.tracker.first_bad_detection", forbidden)
         got = process_camera(0, replace(stream64, box=box, confidence=np.full(n, 0.75, np.float32),
                                         embeddings=embeddings), PipelineConfig())
         assert [(t.track_id, t.frames.tolist(), t.boxes.tobytes(), t.embedding.tobytes())
@@ -427,15 +427,37 @@ class TestOneRulePass:
              for t in want.tracklets]
 
 
+@st.composite
+def embedding_rows(draw, n):
+    """An (n, D) embedding matrix, 1 <= D <= 3, whose rows are valid or
+    hold one non-finite value or one beyond the 1e100 bound; a value at the
+    bound is valid."""
+    dim = draw(st.integers(1, 3))
+    emb = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
+                                 min_size=n, max_size=n)))
+    for row in emb:
+        kind = draw(st.sampled_from(["valid", "valid", "at-bound", "non-finite", "past-bound"]))
+        if kind == "valid":
+            continue
+        value = {"at-bound": st.sampled_from([1e100, -1e100]),
+                 "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
+                 "past-bound": st.floats(1e100, 1e300, exclude_min=True)
+                 | st.floats(-1e300, -1e100, exclude_max=True)}[kind]
+        row[draw(st.integers(0, dim - 1))] = draw(value)
+    return emb
+
+
 class TestDetectionRuleParity:
-    """geometry.detection_faults is the one list of detection rules: the CSV
-    reader and process_camera name the same first bad row with the same
-    message, and Tracker.step rejects a frame exactly when a row is bad."""
+    """geometry.first_bad_detection is the one check of a camera's rows: the
+    CSV readers, process_camera and Tracker.step name the same first bad row
+    with the same message."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(detection_row(), min_size=1, max_size=8))
+    @given(st.lists(detection_row(), min_size=1, max_size=8).flatmap(
+        lambda rows: st.tuples(st.just(rows), embedding_rows(len(rows)))))
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_reader_columns_and_tracker_agree(self, rows):
+    def test_reader_columns_and_tracker_agree(self, drawn):
+        rows, emb = drawn
         n = len(rows)
         box = np.array([row[:4] for row in rows])
         conf = np.array([row[4] for row in rows])
@@ -443,15 +465,20 @@ class TestDetectionRuleParity:
             path = Path(tmp) / "dets.csv"
             path.write_text(formats.DETECTION_HEADER + "\n" + "".join(
                 f"0,{i},{','.join(map(repr, row))},0\n" for i, row in enumerate(rows)))
+            emb_path = Path(tmp) / "embs.csv"
+            emb_path.write_text(
+                "frame,det_id," + ",".join(f"e{k}" for k in range(emb.shape[1])) + "\n" + "".join(
+                    f"0,{i},{','.join(map(repr, vec.tolist()))}\n" for i, vec in enumerate(emb)))
             try:
-                formats.read_detections(path)
+                formats.read_embeddings(emb_path, formats.read_detections(path))
                 ingest = None
             except FormatError as exc:
-                line, message = re.fullmatch(rf"{re.escape(str(path))}:(\d+): (.*)",
-                                             str(exc)).groups()
+                at, line, message = re.fullmatch(r"(.*):(\d+): (.*)", str(exc)).groups()
+                assert at in (str(path), str(emb_path))
                 ingest = f"detection {int(line) - 2}: {message}"
         stream = CameraStream(frame=np.zeros(n, dtype=np.int64), det_id=np.arange(n),
-                              box=box, confidence=conf, class_id=np.zeros(n, dtype=np.int64))
+                              box=box, confidence=conf, class_id=np.zeros(n, dtype=np.int64),
+                              embeddings=emb)
         try:
             process_camera(0, stream, PipelineConfig())
             columns = None
@@ -459,11 +486,11 @@ class TestDetectionRuleParity:
             columns = str(exc)
         assert columns == (None if ingest is None else f"camera 0: {ingest}")
         try:
-            Tracker(TrackerConfig()).step(0, box, conf)
-            stepped = True
-        except ValueError:
-            stepped = False
-        assert stepped == (ingest is None)
+            Tracker(TrackerConfig()).step(0, box, conf, emb)
+            stepped = None
+        except ValueError as exc:
+            stepped = str(exc)
+        assert stepped == ingest
 
 
 def write_camera(tmp_path, scene, shuffled=False):
@@ -494,7 +521,8 @@ class TestCameraFiles:
     def test_files_track_as_columns(self, tmp_path, preset, shuffled):
         _, in_order = write_camera(tmp_path, self.SCENE)
         det, emb = write_camera(tmp_path, self.SCENE, shuffled)
-        stream = CameraFiles(det, in_order).load()
+        stream = formats.read_detections(det)
+        stream = replace(stream, embeddings=formats.read_embeddings(in_order, stream).vectors)
         got = fingerprint([process_camera(0, CameraFiles(det, emb), preset(), 60)])
         assert got == fingerprint([process_camera(0, stream, preset(), 60)])
         assert len(got[0][2]) >= 3

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmot.assignment import INFEASIBLE, gate, iou_matching, matching_cascade, solve_assignment
-from mcmot.geometry import BoundingBox, Detection, detection_faults
+from mcmot.config import PipelineConfig
+from mcmot.geometry import BoundingBox, CameraStream, Detection
 from mcmot.kalman import CHI2_GATE_95
+from mcmot.pipeline import process_camera
 from mcmot.refine import id_switches
 from mcmot.sim import ScenarioConfig, generate
 from mcmot.tracker import (
-    _CONFIRMED, _STEP_ERRORS, Tracker, TrackerConfig, TrackTable, appearance_cost,
+    _CONFIRMED, Tracker, TrackerConfig, TrackTable, appearance_cost,
 )
 
 
@@ -431,33 +433,41 @@ class TestPooledEmbeddings:
 
 class TestInputValidation:
     """Malformed detections are a ValueError before the tracker changes, as
-    file ingest rejects them."""
+    file ingest rejects them: "detection i: <message>", with the message
+    process_camera gives for the same row."""
+
+    RANGE = "out of range: |x|, |y|, w, h, w/h and h/w must be at most 1e+150"
 
     @pytest.mark.parametrize(
-        "box, conf, emb, match",
+        "box, conf, emb, message",
         [
-            ((np.nan, 50.0, 20.0, 40.0), 0.9, None, "finite"),
-            ((50.0, 50.0, np.inf, 40.0), 0.9, None, "finite"),
-            ((50.0, 50.0, 20.0, 40.0), np.nan, None, "finite"),
-            ((50.0, 50.0, 20.0, 40.0), 1.5, None, r"^confidence 1.5 outside \[0, 1\]$"),
-            ((50.0, 50.0, 20.0, 40.0), -0.25, None, r"^confidence -0.25 outside \[0, 1\]$"),
-            ((50.0, 50.0, 20.0, 40.0), 0.9, (np.nan, 0.0), "finite"),
-            ((50.0, 50.0, 20.0, 40.0), 0.9, (0.0, -np.inf), "finite"),
-            ((50.0, 50.0, 0.0, 40.0), 0.9, None, "positive"),
-            ((50.0, 50.0, -5.0, 40.0), 0.9, None, "positive"),
-            ((50.0, 50.0, 20.0, 0.0), 0.9, None, "positive"),
-            ((1000.0, 500.0, 1e-14, 1e-14), 0.9, None, r"x \+ w > x"),
-            ((0.0, -1e300, 7.0, 1e-290), 0.9, None, r"y \+ h > y"),
-            ((0.0, 0.0, 1e-200, 1e-200), 0.9, None, r"w \* h > 0"),
-            ((0.0, 0.0, 1e200, 1e200), 0.9, None, "out of range"),
-            ((-2e150, 0.0, 1e140, 1.0), 0.9, None, "out of range"),
-            ((0.0, 0.0, 1e150, 1e-300), 0.9, None, "out of range"),
+            ((np.nan, 50.0, 20.0, 40.0), 0.9, None, "non-finite box or confidence"),
+            ((50.0, 50.0, np.inf, 40.0), 0.9, None, "non-finite box or confidence"),
+            ((50.0, 50.0, 20.0, 40.0), np.nan, None, "non-finite box or confidence"),
+            ((50.0, 50.0, 20.0, 40.0), 1.5, None, "confidence 1.5 outside [0, 1]"),
+            ((50.0, 50.0, 20.0, 40.0), -0.25, None, "confidence -0.25 outside [0, 1]"),
+            ((50.0, 50.0, 20.0, 40.0), 0.9, (np.nan, 0.0), "non-finite embedding value"),
+            ((50.0, 50.0, 20.0, 40.0), 0.9, (0.0, -np.inf), "non-finite embedding value"),
+            ((50.0, 50.0, 0.0, 40.0), 0.9, None, "non-positive box size 0.0x40.0"),
+            ((50.0, 50.0, -5.0, 40.0), 0.9, None, "non-positive box size -5.0x40.0"),
+            ((50.0, 50.0, 20.0, 0.0), 0.9, None, "non-positive box size 20.0x0.0"),
+            ((1000.0, 500.0, 1e-14, 1e-14), 0.9, None,
+             "box size 1e-14x1e-14 vanishes at (1000.0, 500.0): x + w == x or y + h == y"),
+            ((0.0, -1e300, 7.0, 1e-290), 0.9, None,
+             "box size 7.0x1e-290 vanishes at (0.0, -1e+300): x + w == x or y + h == y"),
+            ((0.0, 0.0, 1e-200, 1e-200), 0.9, None,
+             "box size 1e-200x1e-200 has zero area in float64: w * h == 0"),
+            ((0.0, 0.0, 1e200, 1e200), 0.9, None, f"box (0.0, 0.0, 1e+200, 1e+200) {RANGE}"),
+            ((-2e150, 0.0, 1e140, 1.0), 0.9, None, f"box (-2e+150, 0.0, 1e+140, 1.0) {RANGE}"),
+            ((0.0, 0.0, 1e150, 1e-300), 0.9, None, f"box (0.0, 0.0, 1e+150, 1e-300) {RANGE}"),
             ((50.0, 50.0, 20.0, 40.0), 0.9, (0.0, -1e101),
-             r"^embedding value -1e\+101 out of range: every embedding value must be within "),
-            # The rules are checked in order over the whole frame: a
-            # non-finite embedding breaks the first, a huge one the last.
-            ((50.0, 50.0, 0.0, 40.0), 0.9, (np.nan, 1e300), "finite"),
-            ((0.0, 0.0, 1e200, 1e200), 0.9, (1e300, 0.0), "^box out of range"),
+             "embedding value -1e+101 out of range: every embedding value must be within "
+             "[-1e+100, 1e+100]"),
+            # The detection rules come before the embedding rule, as file
+            # ingest reads the detections file before the embeddings file.
+            ((50.0, 50.0, 0.0, 40.0), 0.9, (np.nan, 1e300), "non-positive box size 0.0x40.0"),
+            ((0.0, 0.0, 1e200, 1e200), 0.9, (1e300, 0.0),
+             f"box (0.0, 0.0, 1e+200, 1e+200) {RANGE}"),
         ],
         ids=["nan-x", "inf-w", "nan-conf", "conf-above", "conf-below", "nan-emb", "inf-emb",
              "zero-w", "negative-w", "zero-h",
@@ -465,24 +475,23 @@ class TestInputValidation:
              "huge-emb", "nan-emb-before-box-size", "box-range-before-huge-emb"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_rejected_before_any_state_changes(self, box, conf, emb, match):
+    def test_rejected_before_any_state_changes(self, box, conf, emb, message):
         tr = Tracker(TrackerConfig(n_init=1))
         embs = None if emb is None else np.array([emb])
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError) as stepped:
             tr.step(0, np.array([box]), np.array([conf]), embs)
+        assert str(stepped.value) == f"detection 0: {message}"
         assert len(tr.tracks) == 0 and len(tr.history.owner) == 0
         # The frame was not consumed: it can be stepped again with valid input.
         valid = None if emb is None else np.array([unit(1, 0)])
         assert tr.step(0, np.array([[50.0, 50.0, 20.0, 40.0]]), np.array([0.9]), valid).tolist() == [1]
-
-    def test_every_rule_has_a_step_error(self):
-        # step pairs the rules with _STEP_ERRORS through a plain zip, so one
-        # more detection rule would silently drop the embedding rule.
-        rules = len(detection_faults(np.empty((0, 4)), np.empty(0)))
-        assert len(_STEP_ERRORS) == rules + 1, (
-            f"_STEP_ERRORS must map each rule: {rules} detection rules and the embedding rule, "
-            f"got {len(_STEP_ERRORS)} entries"
-        )
+        # process_camera names the same row with the same message.
+        stream = CameraStream(frame=np.zeros(1, dtype=np.int64), det_id=np.zeros(1, dtype=np.int64),
+                              box=np.array([box]), confidence=np.array([conf]),
+                              class_id=np.zeros(1, dtype=np.int64), embeddings=embs)
+        with pytest.raises(ValueError) as processed:
+            process_camera(0, stream, PipelineConfig())
+        assert str(processed.value) == f"camera 0: detection 0: {message}"
 
 
 class TestMotionOnly:
