@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string_text
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NoReturn, Optional, Sequence
+from typing import Callable, Mapping, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -321,7 +321,7 @@ def _read_rows(
                     break
     except ValueError as exc:  # a row numpy rejects, or bytes that are not UTF-8
         error = exc
-    _report_bad_row(path, dtype, faults, sorted_frames, error)
+    _report_bad_row(path, dtype, faults, sorted_frames, frames, det_ids, error)
 
 
 def _key_faults(frame: np.ndarray, det_id: np.ndarray, sorted_frames: bool) -> list[Fault]:
@@ -340,79 +340,64 @@ def _key_faults(frame: np.ndarray, det_id: np.ndarray, sorted_frames: bool) -> l
 
 def _report_bad_row(
     path: str | Path, dtype: np.dtype, faults: Callable[[np.ndarray], list[Fault]],
-    sorted_frames: bool, error: Optional[ValueError],
+    sorted_frames: bool, frames: list[np.ndarray], det_ids: list[np.ndarray],
+    error: Optional[ValueError],
 ) -> NoReturn:
     """FormatError for the first bad row of a file _read_rows rejected, as a
     line-by-line reader would name it: a row that fails to parse, or else
     the first row a rule flags (a row's own rules before its keys'), with
     its line number. A file that is not UTF-8 is reported as such first.
 
-    The lines are read _ERROR_BLOCK at a time, so this holds the keys and
-    line numbers of the rows above the bad one and one block of text.
+    frames and det_ids hold the keys of the blocks _read_rows accepted. The
+    data lines above the rejected block (non-empty, as Path.read_text splits
+    the text) are counted, not parsed. Only that block's lines are parsed:
+    its rows get the row rules, and its keys the key rules with the held ones.
     """
     _check_utf8(path)
-    empty = np.empty(0, dtype=np.int64)
-    numbers, frames, det_ids = [empty], [empty], [empty]
-    n, own, bad = 0, None, None
-    for block_numbers, texts in _data_line_blocks(path):
-        rows = np.empty(len(texts), dtype)
-        bad = _first_unparsable(texts, dtype, rows)
-        rows = rows[:bad]
-        numbers.append(np.array(block_numbers, dtype=np.int64))
-        frames.append(rows["frame"].copy())
-        det_ids.append(rows["det_id"].copy())
-        own = first_problem(faults(rows))
-        if own is not None or bad is not None:
-            break
-        n += len(texts)
-    found = first_problem(
-        _key_faults(np.concatenate(frames), np.concatenate(det_ids), sorted_frames))
-    if own is not None and (found is None or n + own[0] <= found[0]):
-        found = n + own[0], own[1]
+    held, size = sum(map(len, frames)), _block_rows(dtype)
+    data, blanks, texts = 0, [], []  # blanks: per blank line, the data lines above it
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()  # the header
+        for line in fh:
+            if line == "\n":
+                blanks.append(data)
+                continue
+            if data >= held:
+                texts.append(line.removesuffix("\n"))
+                if len(texts) == size:
+                    break
+            data += 1
+    rows, bad = _first_unparsable(texts, dtype)
+    own = first_problem(faults(rows))
+    found = first_problem(_key_faults(np.concatenate([*frames, rows["frame"]]),
+                                      np.concatenate([*det_ids, rows["det_id"]]), sorted_frames))
+    if own is not None and (found is None or held + own[0] <= found[0]):
+        found = held + own[0], own[1]
     if found is None and bad is not None:
-        found = n + bad, _parse_problem(texts[bad], dtype)
+        found = held + bad, _parse_problem(texts[bad], dtype)
     if found is None:  # the lines parse one by one and keep the rules: report what numpy saw
         raise FormatError(f"{path}: {error}") from error
     row, message = found
-    raise FormatError(f"{path}:{np.concatenate(numbers)[row]}: {message}") from error
+    number = 2 + row + np.searchsorted(blanks, row, side="right")  # below the header and blanks
+    raise FormatError(f"{path}:{number}: {message}") from error
 
 
-def _first_unparsable(texts: list[str], dtype: np.dtype, rows: np.ndarray) -> Optional[int]:
-    """Index of the first of one block's lines that numpy rejects alone, or
-    None; rows[:index] receives the lines above it (all of them for None).
-
-    The block parses in one np.loadtxt call, and only when that fails line
-    by line, up to the bad line.
-    """
-    try:
-        rows[:len(texts)] = _loadtxt(texts, dtype)
-    except ValueError:
-        for bad, text in enumerate(texts):
-            try:
-                rows[bad:bad + 1] = _loadtxt([text], dtype)
-            except ValueError:
-                return bad
-    return None
-
-
-def _data_line_blocks(path: str | Path) -> Iterator[tuple[list[int], list[str]]]:
-    """(line numbers, texts) of the data rows, _ERROR_BLOCK rows at a time:
-    every non-empty line after the header, as np.loadtxt numbers its rows.
-    The lines are those of the file's text split at '\n'; the text is read
-    as Path.read_text reads it, so '\r\n' and a lone '\r' end a line too."""
-    numbers: list[int] = []
-    texts: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            text = line.removesuffix("\n")
-            if text and number > 1:
-                numbers.append(number)
-                texts.append(text)
-                if len(texts) == _ERROR_BLOCK:
-                    yield numbers, texts
-                    numbers, texts = [], []
-    if texts:
-        yield numbers, texts
+def _first_unparsable(texts: list[str], dtype: np.dtype) -> tuple[np.ndarray, Optional[int]]:
+    """The rows of the lines above the first that numpy rejects alone, and
+    that line's index (every line's row and None when all parse). The lines
+    parse _ERROR_BLOCK at a time, and a piece that fails line by line."""
+    rows = np.empty(len(texts), dtype)
+    for start in range(0, len(texts), _ERROR_BLOCK):
+        piece = texts[start:start + _ERROR_BLOCK]
+        try:
+            rows[start:start + len(piece)] = _loadtxt(piece, dtype)
+        except ValueError:
+            for bad, text in enumerate(piece, start):
+                try:
+                    rows[bad:bad + 1] = _loadtxt([text], dtype)
+                except ValueError:
+                    return rows[:bad], bad
+    return rows, None
 
 
 def _check_utf8(path: str | Path) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .assignment import INFEASIBLE, iou_matching, matching_cascade, solve_assignment
 from .geometry import first_bad_detection
-from .kalman import CHI2_GATE_95, KalmanFilter, NoiseProfile
+from .kalman import CHI2_GATE_95, KalmanFilter
 
 # Frame indices are int64 columns, so a frame stride or a frame_keep block
 # beyond this bound cannot be applied to them.
@@ -353,17 +353,17 @@ class Tracker:
         self,
         config: TrackerConfig | None = None,
         camera_id: int = 0,
-        noise_profile: NoiseProfile | None = None,
     ):
         self.config = config if config is not None else TrackerConfig()
         self.camera_id = camera_id
-        self.kf = KalmanFilter(noise_profile)
+        self.kf = KalmanFilter()
         self.table = TrackTable(self.config.nn_budget, self.config.appearance_metric)
         self.history = History()
         self._confirmed_ids: list[int] = []  # every track that reached Confirmed
         self._next_id = 1
         self._last_frame: int | None = None
         self._with_embeddings: bool | None = None  # set by the first non-empty frame
+        self._dim: int | None = None  # D, set by the first frame with embeddings
         # Set by pipeline.process_camera, whose rows have passed the detection
         # and embedding rules as float64 before the first step: step then
         # skips its own pass of those rules.
@@ -384,7 +384,7 @@ class Tracker:
         `boxes` (n, 4) rows of (x, y, w, h), `confidences` (n,) and
         `embeddings` (n, D) or None, within the rules of file ingest
         (geometry.first_bad_detection). Either every non-empty frame of a
-        tracker has embeddings or none has.
+        tracker has embeddings, all of one width D, or none has.
 
         Returns the int64 ids of the confirmed tracks updated at this frame,
         in row order. Frame indices must be strictly increasing across calls;
@@ -392,7 +392,8 @@ class Tracker:
         re-indexed upstream).
 
         Every call checks the frame order, the one box, confidence and
-        embedding per detection, and the embeddings all or none. The
+        embedding per detection, the embeddings' (n, D) shape and D, and the
+        embeddings all or none, before the tracker changes. The
         detection and embedding rules run on every call too, except in a
         tracker that process_camera feeds: it has checked its whole stream
         once, before the first step. A row that breaks them is
@@ -404,9 +405,11 @@ class Tracker:
         tlwh = np.asarray(boxes, dtype=float).reshape(-1, 4)
         confidences = np.asarray(confidences, dtype=float)
         n = len(tlwh)
-        if confidences.shape != (n,) or (embeddings is not None and len(embeddings) != n):
-            raise ValueError("step needs one box, confidence and embedding per detection")
         embs = None if embeddings is None or not n else np.asarray(embeddings, dtype=float)
+        if confidences.shape != (n,) or (embeddings is not None and len(embeddings) != n) or (
+                embs is not None and (embs.ndim != 2 or self._dim not in (None, embs.shape[1]))):
+            raise ValueError("step needs one box, confidence and embedding per detection, "
+                             "the embeddings an (n, D) matrix with the stream's one D")
         found = None if self._checked_stream else first_bad_detection(tlwh, confidences, embs)
         if found is not None:
             raise ValueError(f"detection {found[0]}: {found[1]}")
@@ -416,6 +419,8 @@ class Tracker:
             if self._with_embeddings != (embs is not None):
                 raise ValueError("a stream's detections must all carry embeddings or none")
         self._last_frame = frame
+        if embs is not None:
+            self._dim = embs.shape[1]
 
         x, y, w, h = tlwh.T
         table = self.table

@@ -205,6 +205,37 @@ class TestDetectionFile:
                                               f"{re.escape(expected)}$"):
             formats.read_detections(path)
 
+    @pytest.mark.parametrize("bad_row, bad, n_accepted, expected", [
+        (650, "650,x,1,2,3,4,0.5,0", 600, "cannot parse 'x' as an integer"),
+        (650, "650,0,1,2,3,4,1.5,0", 600, "confidence 1.5 outside [0, 1]"),
+        (949, "948,0,5,6,7,8,0.5,0", 950, "duplicate key (frame=948, det_id=0)"),
+    ], ids=["unparsable", "checked", "duplicate-key"])
+    def test_error_path_parses_only_the_rejected_block(self, tmp_path, monkeypatch,
+                                                       bad_row, bad, n_accepted, expected):
+        # Five blocks of 200 rows. The rows of the blocks accepted before the
+        # rejected one (block 4; for a bad key no block is rejected) are
+        # counted on the error path, never handed to numpy again.
+        block = 200
+        rows = [f"{f},0,1,2,3,4,0.5,0" for f in range(950)]
+        rows[bad_row] = bad
+        accepted = set(rows[:n_accepted])
+        lines = [formats.DETECTION_HEADER, *rows[:10], "", *rows[10:640], "", *rows[640:]]
+        path = tmp_path / "dets.csv"
+        path.write_text("\n".join(lines) + "\n")
+        handed = []
+
+        def loadtxt(source, *args, _loadtxt=formats._loadtxt, **kwargs):
+            if isinstance(source, list):
+                handed.append(source)
+            return _loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(formats, "_block_rows", lambda dtype: block)
+        monkeypatch.setattr(formats, "_loadtxt", loadtxt)
+        with pytest.raises(FormatError) as got:
+            formats.read_detections(path)
+        assert str(got.value) == f"{path}:{lines.index(bad) + 1}: {expected}"
+        assert not [piece for piece in handed if accepted.intersection(piece)]
+
     def test_undecodable_bytes_below_a_bad_row(self, tmp_path):
         # The file is not UTF-8: the error names the file, then gives reading
         # its text's message, with the byte's position in the file, whatever

@@ -493,6 +493,30 @@ class TestInputValidation:
             process_camera(0, stream, PipelineConfig())
         assert str(processed.value) == f"camera 0: detection 0: {message}"
 
+    SHAPE = ("step needs one box, confidence and embedding per detection, "
+             "the embeddings an (n, D) matrix with the stream's one D")
+
+    def test_one_dimensional_embeddings_rejected(self):
+        tr = Tracker(TrackerConfig(n_init=1))
+        box = np.array([[50.0, 50.0, 20.0, 40.0]])
+        with pytest.raises(ValueError) as stepped:
+            tr.step(0, box, np.array([0.9]), np.array([0.5]))
+        assert str(stepped.value) == self.SHAPE
+        assert tr.step(0, box, np.array([0.9]), np.array([[0.5]])).tolist() == [1]
+
+    def test_embedding_width_change_rejected_before_any_state_changes(self):
+        # Frame 1's D differs from frame 0's: rejected before the Kalman
+        # predict, so frame 1 can be stepped again with frame 0's D.
+        tr = Tracker(TrackerConfig(n_init=1))
+        box = np.array([[50.0, 50.0, 20.0, 40.0]])
+        assert tr.step(0, box, np.array([0.9]), np.array([unit(1, 0, 0)])).tolist() == [1]
+        means = tr.table.means.copy()
+        with pytest.raises(ValueError) as stepped:
+            tr.step(1, box, np.array([0.9]), np.array([unit(1, 0, 0, 0)]))
+        assert str(stepped.value) == self.SHAPE
+        assert tr.table.means.tobytes() == means.tobytes() and len(tr.history.owner) == 1
+        assert tr.step(1, box, np.array([0.9]), np.array([unit(1, 0, 0)])).tolist() == [1]
+
 
 class TestMotionOnly:
     def test_tracks_without_embeddings(self):
