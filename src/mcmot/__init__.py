@@ -18,7 +18,6 @@ from .kalman import CHI2_GATE_95, KalmanFilter, KalmanState, NoiseProfile
 from .pipeline import CameraFiles, process_camera, run_cameras, run_pipeline
 from .refine import (
     ConfusionCounts,
-    CountReport,
     RefineConfig,
     count_confusion,
     id_switches,

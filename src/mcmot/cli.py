@@ -27,12 +27,11 @@ from .formats import FormatError
 from .pipeline import CameraFiles, associate_and_refine, process_camera, run_pipeline
 from .refine import (
     ConfusionCounts,
-    CountReport,
     cluster_identity_claims,
     count_confusion,
     match_tracklets_to_identities,
 )
-from .sim import generate, scenario_from_dict, scenario_to_dict
+from .sim import GroundTruth, generate, scenario_from_dict, scenario_to_dict
 from .tracker import Tracklet
 
 # CLI method names: "voting" is euclidean_voting (greedy clustering followed
@@ -315,7 +314,7 @@ def _report_timing(args, frames: int, wall: float) -> None:
         )
 
 
-def _truth_identity_labels(truth: formats.TruthFile, path: str) -> list[int]:
+def _truth_identity_labels(truth: GroundTruth, path: str) -> list[int]:
     labels = sorted(
         {identity for frames in truth.cameras.values() for entries in frames.values()
          for identity, _ in entries}
@@ -330,7 +329,7 @@ def _truth_identity_labels(truth: formats.TruthFile, path: str) -> list[int]:
     return labels
 
 
-def _evaluate_set(camera_tracklets, clusters, truth: formats.TruthFile, truth_path) -> ConfusionCounts:
+def _evaluate_set(camera_tracklets, clusters, truth: GroundTruth, truth_path) -> ConfusionCounts:
     """Identity-level confusion for one camera set against its truth."""
     identity_map: dict = {}
     for cam in sorted(camera_tracklets):
@@ -366,8 +365,8 @@ def _cmd_eval(args) -> int:
         fp += conf.fp
         fn += conf.fn
 
-    report = CountReport.build(per_set_pred, per_set_truth, ConfusionCounts(tp, fp, fn))
-    text = json.dumps(formats.count_report_doc(report), indent=2, sort_keys=True)
+    report = formats.count_report_doc(per_set_pred, per_set_truth, ConfusionCounts(tp, fp, fn))
+    text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")

@@ -24,7 +24,7 @@ from .association import Cluster
 from .geometry import (
     BoundingBox, CameraStream, Fault, detection_faults, embedding_fault, first_problem
 )
-from .refine import CountReport
+from .refine import ConfusionCounts, l2_count_error
 from .sim import GroundTruth
 from .tracker import Tracklet
 
@@ -596,33 +596,29 @@ def _tracklet_from_doc(path: str | Path, camera_id: int, entry) -> Tracklet:
 
 
 def write_truth_json(path: str | Path, truth: GroundTruth) -> None:
+    """truth.json of a GroundTruth, embeddings None written as null."""
     doc = {
         "identity_count": truth.identity_count,
-        "embeddings": np.asarray(truth.embeddings, dtype=np.float64),
+        "embeddings": None if truth.embeddings is None
+        else np.asarray(truth.embeddings, dtype=np.float64),
         "cameras": {
             str(cam): {
                 str(f): [
                     [identity, float(b.x), float(b.y), float(b.w), float(b.h)]
                     for identity, b in entries
                 ]
-                for f, entries in enumerate(frames)
+                for f, entries in frames.items()
             }
-            for cam, frames in sorted(truth.boxes.items())
+            for cam, frames in truth.cameras.items()
         },
     }
     _write_json(path, doc)
 
 
-@dataclass(eq=False)
-class TruthFile:
-    identity_count: int
-    embeddings: Optional[np.ndarray]
-    cameras: dict[int, dict[int, list[tuple[int, BoundingBox]]]]
-
-
-def read_truth_json(path: str | Path) -> TruthFile:
-    """Camera and frame keys are decimal integer strings; identities are
-    JSON integers."""
+def read_truth_json(path: str | Path) -> GroundTruth:
+    """The GroundTruth that write_truth_json wrote. Camera and frame keys
+    are decimal integer strings; identities are JSON integers; embeddings
+    may be absent or null."""
     doc = read_json(path)
     identity_count = _field(path, doc, "identity_count", int)
     if identity_count < 0:
@@ -651,7 +647,7 @@ def read_truth_json(path: str | Path) -> TruthFile:
     _check_groups(path, detection_faults(box.reshape(-1, 4), np.ones(len(box))),
                   [len(g[2]) for g in groups],
                   lambda k: f"camera {groups[k][0]}, frame {groups[k][1]}", "box")
-    return TruthFile(identity_count=identity_count, embeddings=embeddings, cameras=cameras)
+    return GroundTruth(identity_count=identity_count, embeddings=embeddings, cameras=cameras)
 
 
 def _truth_entry(where: str, entry) -> tuple[int, BoundingBox]:
@@ -689,17 +685,21 @@ def results_doc(
     }
 
 
-def count_report_doc(report: CountReport) -> dict:
+def count_report_doc(per_set_predicted: Sequence[int], per_set_truth: Sequence[int],
+                     counts: ConfusionCounts) -> dict:
+    """The eval report: each camera set's predicted and true counts, their
+    L2 count error, and the identity-level confusion counts with accuracy,
+    recall and F1 (None where undefined)."""
     return {
-        "per_set_predicted": list(report.per_set_predicted),
-        "per_set_truth": list(report.per_set_truth),
-        "l2_error": round9(report.l2_error),
-        "tp": report.tp,
-        "fp": report.fp,
-        "fn": report.fn,
-        "accuracy": None if report.accuracy is None else round9(report.accuracy),
-        "recall": None if report.recall is None else round9(report.recall),
-        "f1": None if report.f1 is None else round9(report.f1),
+        "per_set_predicted": [int(v) for v in per_set_predicted],
+        "per_set_truth": [int(v) for v in per_set_truth],
+        "l2_error": round9(l2_count_error(per_set_predicted, per_set_truth)),
+        "tp": counts.tp,
+        "fp": counts.fp,
+        "fn": counts.fn,
+        "accuracy": None if counts.accuracy is None else round9(counts.accuracy),
+        "recall": None if counts.recall is None else round9(counts.recall),
+        "f1": None if counts.f1 is None else round9(counts.f1),
     }
 
 

@@ -226,8 +226,8 @@ def _check_columns(
     camera_id: int, stream: CameraStream
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """The rules file ingest applies, over every row of columns given
-    through the Python API: one length, then geometry.first_bad_detection.
-    ValueError names the first bad row.
+    through the Python API: one length, embeddings at least one wide, then
+    geometry.first_bad_detection. ValueError names the first bad row.
 
     The rules run on float64 copies of the box, confidence and embedding
     columns (the columns themselves when they are float64), and those
@@ -240,7 +240,7 @@ def _check_columns(
     embeddings = stream.embeddings
     e_shape = None if embeddings is None else np.shape(embeddings)
     if shapes != [(n,), (n,), (n, 4), (n,), (n,)] or (
-        e_shape is not None and (len(e_shape) != 2 or e_shape[0] != n)
+        e_shape is not None and (len(e_shape) != 2 or e_shape[0] != n or not e_shape[1])
     ):
         raise ValueError(
             f"camera {camera_id}: frame, det_id, box (n, 4), confidence, class_id and "

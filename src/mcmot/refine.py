@@ -133,40 +133,6 @@ def count_confusion(
     return ConfusionCounts(tp=tp, fp=fp, fn=len(truth) - tp)
 
 
-@dataclass(frozen=True)
-class CountReport:
-    """Per-set predicted/truth counts with the derived counting metrics."""
-
-    per_set_predicted: tuple[int, ...]
-    per_set_truth: tuple[int, ...]
-    l2_error: float
-    tp: int
-    fp: int
-    fn: int
-    accuracy: Optional[float]
-    recall: Optional[float]
-    f1: Optional[float]
-
-    @classmethod
-    def build(
-        cls,
-        per_set_predicted: Sequence[int],
-        per_set_truth: Sequence[int],
-        confusion: ConfusionCounts,
-    ) -> "CountReport":
-        return cls(
-            per_set_predicted=tuple(int(v) for v in per_set_predicted),
-            per_set_truth=tuple(int(v) for v in per_set_truth),
-            l2_error=l2_count_error(per_set_predicted, per_set_truth),
-            tp=confusion.tp,
-            fp=confusion.fp,
-            fn=confusion.fn,
-            accuracy=confusion.accuracy,
-            recall=confusion.recall,
-            f1=confusion.f1,
-        )
-
-
 FrameTruth = Mapping[int, Sequence[tuple[int, BoundingBox]]]
 
 

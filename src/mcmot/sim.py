@@ -104,17 +104,17 @@ class ScenarioConfig:
 
 @dataclass(eq=False)
 class GroundTruth:
-    """Per-camera per-frame identity boxes plus one unit embedding per identity."""
+    """A scenario's ground truth as generate builds it and truth.json holds
+    it (formats.write_truth_json, read_truth_json): the identity count, one
+    unit embedding per identity (None if a truth file has none), and each
+    camera's identity boxes by frame; generate lists every frame."""
 
-    embeddings: np.ndarray  # (identities, D), unit rows
-    boxes: dict[int, list[list[tuple[int, BoundingBox]]]] = field(default_factory=dict)
-
-    @property
-    def identity_count(self) -> int:
-        return self.embeddings.shape[0]
+    identity_count: int
+    embeddings: typing.Optional[np.ndarray]  # (identities, D), unit rows
+    cameras: dict[int, dict[int, list[tuple[int, BoundingBox]]]] = field(default_factory=dict)
 
     def frames_of(self, camera: int) -> dict[int, list[tuple[int, BoundingBox]]]:
-        return {f: entries for f, entries in enumerate(self.boxes[camera])}
+        return self.cameras[camera]
 
 
 def _sample_ground_embeddings(rng: np.random.Generator, cfg: ScenarioConfig) -> np.ndarray:
@@ -179,14 +179,14 @@ def generate(cfg: ScenarioConfig) -> tuple[GroundTruth, dict[int, CameraStream]]
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     img_w, img_h = cfg.image_size
     ground = _sample_ground_embeddings(rng, cfg)
-    truth = GroundTruth(embeddings=ground)
+    truth = GroundTruth(identity_count=cfg.identities, embeddings=ground)
     streams: dict[int, CameraStream] = {}
 
     for camera in range(cfg.cameras):
         trajectories = [_sample_trajectory(rng, cfg) for _ in range(cfg.identities)]
         drift = (np.cumsum(rng.normal(scale=cfg.camera_motion_sigma, size=(cfg.frames, 2)), axis=0)
                  if cfg.camera_motion_sigma > 0 else np.zeros((cfg.frames, 2)))
-        frames: list[list[tuple[int, BoundingBox]]] = []
+        frames: dict[int, list[tuple[int, BoundingBox]]] = {}
         rows: list[tuple[int, float, float, float, float, float]] = []  # frame, box, confidence
         vectors: list[np.ndarray] = []
         for f in range(cfg.frames):
@@ -217,8 +217,8 @@ def generate(cfg: ScenarioConfig) -> tuple[GroundTruth, dict[int, CameraStream]]
                     e = rng.normal(size=cfg.embedding_dim)  # drawn before the confidence
                     vectors.append(e / np.linalg.norm(e))
                     rows.append((f, fx, fy, fw, fh, float(rng.uniform(0.5, 1.0))))
-            frames.append(entries)
-        truth.boxes[camera] = frames
+            frames[f] = entries
+        truth.cameras[camera] = frames
         n = len(rows)
         frame = np.array([r[0] for r in rows], dtype=np.int64)
         values = np.array([r[1:] for r in rows], dtype=np.float64).reshape(n, 5)

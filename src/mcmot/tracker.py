@@ -392,11 +392,11 @@ class Tracker:
         re-indexed upstream).
 
         Every call checks the frame order, the one box, confidence and
-        embedding per detection, the embeddings' (n, D) shape and D, and the
-        embeddings all or none, before the tracker changes. The
-        detection and embedding rules run on every call too, except in a
-        tracker that process_camera feeds: it has checked its whole stream
-        once, before the first step. A row that breaks them is
+        embedding per detection, the embeddings' (n, D) shape with D >= 1 and
+        the stream's one D, and the embeddings all or none, before the
+        tracker changes. The detection and embedding rules run on every call
+        too, except in a tracker that process_camera feeds: it has checked
+        its whole stream once, before the first step. A row that breaks them is
         ValueError("detection i: <message>"), i counting within the frame
         and the message file ingest gives for that row.
         """
@@ -406,8 +406,9 @@ class Tracker:
         confidences = np.asarray(confidences, dtype=float)
         n = len(tlwh)
         embs = None if embeddings is None or not n else np.asarray(embeddings, dtype=float)
-        if confidences.shape != (n,) or (embeddings is not None and len(embeddings) != n) or (
-                embs is not None and (embs.ndim != 2 or self._dim not in (None, embs.shape[1]))):
+        e_rows = None if embeddings is None else np.shape(embeddings)[:1]
+        if confidences.shape != (n,) or e_rows not in (None, (n,)) or (embs is not None and (
+                embs.ndim != 2 or not embs.shape[1] or self._dim not in (None, embs.shape[1]))):
             raise ValueError("step needs one box, confidence and embedding per detection, "
                              "the embeddings an (n, D) matrix with the stream's one D")
         found = None if self._checked_stream else first_bad_detection(tlwh, confidences, embs)

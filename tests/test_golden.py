@@ -29,13 +29,11 @@ import json
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from mcmot import association, formats
 from mcmot.association import AssociationConfig, associate_methods
 from mcmot.cli import main
-from mcmot.sim import GroundTruth
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 SCENARIO = GOLDEN / "scenario"
@@ -117,18 +115,11 @@ def test_eval_report(tmp_path, capsys):
 
 
 def test_truth_json_rewrites_to_the_same_bytes(tmp_path):
-    """The truth writer, fed what the committed truth file holds, writes it
-    back unchanged (simulate writes truth.json through it)."""
-    got = formats.read_truth_json(SCENARIO / "truth.json")
-    truth = GroundTruth(
-        embeddings=np.asarray(got.embeddings),
-        boxes={
-            cam: [frames[f] for f in range(len(frames))]
-            for cam, frames in got.cameras.items()
-        },
-    )
+    """The truth writer, fed what the truth reader returns for the committed
+    truth file, writes it back unchanged (simulate writes truth.json through
+    it)."""
     out = tmp_path / "truth.json"
-    formats.write_truth_json(out, truth)
+    formats.write_truth_json(out, formats.read_truth_json(SCENARIO / "truth.json"))
     assert out.read_bytes() == (SCENARIO / "truth.json").read_bytes()
 
 

@@ -1125,7 +1125,7 @@ class TestTruthFile:
         assert got.embeddings.shape == (3, 8)
         assert len(got.cameras[0]) == 10
         first = got.cameras[0][0]
-        want = truth.boxes[0][0]
+        want = truth.cameras[0][0]
         assert [i for i, _ in first] == [i for i, _ in want]
 
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from mcmot import formats
 from mcmot.association import Cluster
 from mcmot.geometry import BoundingBox, CameraStream
-from mcmot.sim import GroundTruth
+from mcmot.sim import GroundTruth, Occlusion, ScenarioConfig, generate
 from mcmot.tracker import Tracklet
 
 round9 = formats.round9
@@ -177,16 +177,17 @@ def reference_results_doc(camera_tracklets, clusters, method_counts, frames_proc
 def reference_truth_doc(truth: GroundTruth) -> dict:
     return {
         "identity_count": truth.identity_count,
-        "embeddings": [[round9(v) for v in row] for row in truth.embeddings],
+        "embeddings": None if truth.embeddings is None
+        else [[round9(v) for v in row] for row in truth.embeddings],
         "cameras": {
             str(cam): {
                 str(f): [
                     [identity, round9(b.x), round9(b.y), round9(b.w), round9(b.h)]
                     for identity, b in entries
                 ]
-                for f, entries in enumerate(frames)
+                for f, entries in frames.items()
             }
-            for cam, frames in sorted(truth.boxes.items())
+            for cam, frames in truth.cameras.items()
         },
     }
 
@@ -236,19 +237,53 @@ class TestFileWriters:
         assert path.read_bytes() == dumped(want)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3), st.data())
-    def test_truth(self, tmp_path_factory, identities, dim, cameras, data):
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 3), st.booleans(), st.data())
+    def test_truth(self, tmp_path_factory, identities, dim, cameras, with_embeddings, data):
         embeddings = np.reshape(
             data.draw(st.lists(finite, min_size=identities * dim, max_size=identities * dim)),
-            (identities, dim))
+            (identities, dim)) if with_embeddings else None
         box = st.builds(BoundingBox, finite, finite, finite, finite)
-        frames = st.lists(st.lists(st.tuples(st.integers(0, identities - 1), box), max_size=2),
-                          max_size=3)
-        truth = GroundTruth(embeddings=embeddings,
-                            boxes={cam: data.draw(frames) for cam in range(cameras)})
+        frames = st.dictionaries(
+            st.integers(0, 20),
+            st.lists(st.tuples(st.integers(0, identities - 1), box), max_size=2), max_size=3)
+        truth = GroundTruth(identity_count=identities, embeddings=embeddings,
+                            cameras={cam: data.draw(frames) for cam in range(cameras)})
         path = tmp_path_factory.mktemp("truth") / "truth.json"
         formats.write_truth_json(path, truth)
         assert path.read_bytes() == dumped(reference_truth_doc(truth))
+
+    @pytest.mark.parametrize("truth", [
+        # Misses, occlusions and false positives touch only the detections:
+        # every identity stays in every truth frame. 12 frames put "10" and
+        # "11" before "2" in the file.
+        generate(ScenarioConfig(
+            seed=5, cameras=2, identities=3, frames=12, embedding_dim=4, miss_prob=0.4,
+            false_positive_rate=1.0, occlusions=(Occlusion(1, 2, 9, (0.0, 0.0, 1920.0, 1080.0)),),
+        ))[0],
+        # No embeddings, and frames a file may hold: empty, sparse, or none.
+        GroundTruth(identity_count=2, embeddings=None, cameras={
+            0: {0: [(0, BoundingBox(1.5, 2.0, 30.0, 60.0))], 3: [],
+                12: [(1, BoundingBox(400.0, 50.0, 30.25, 60.0)),
+                     (0, BoundingBox(2.0, 2.5, 30.0, 60.0))]},
+            4: {},
+        }),
+    ], ids=["generated", "no_embeddings"])
+    def test_truth_round_trip(self, tmp_path, truth):
+        """write_truth_json, read_truth_json and write_truth_json again give
+        the same bytes: the reader returns the record the writer takes."""
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        formats.write_truth_json(first, truth)
+        got = formats.read_truth_json(first)
+        formats.write_truth_json(second, got)
+        assert second.read_bytes() == first.read_bytes()
+        assert got.identity_count == truth.identity_count
+        assert {cam: sorted(frames) for cam, frames in got.cameras.items()} == \
+            {cam: sorted(frames) for cam, frames in truth.cameras.items()}
+        if truth.embeddings is None:
+            assert json.loads(first.read_text())["embeddings"] is None
+            assert got.embeddings is None
+        else:
+            assert got.embeddings.shape == truth.embeddings.shape
 
 
 # ----------------------------------------------------------------------

@@ -228,6 +228,25 @@ class TestProcessCamera:
             with pytest.raises(ValueError, match="columns of one length"):
                 process_camera(0, replace(stream, embeddings=embeddings), PipelineConfig())
 
+    @pytest.mark.parametrize("embeddings, shape", [
+        (np.zeros((6, 0)), "(6, 0)"), (0.5, "()"), (np.array(0.5), "()"),
+    ], ids=["zero_width", "float", "zero_dim_array"])
+    def test_zero_width_or_scalar_embeddings_rejected(self, tmp_path, embeddings, shape):
+        # A (6, 0) matrix once tracked into a sidecar holding
+        # "mean_embedding": [], which read_tracklets_json rejects.
+        stream = CameraStream.from_detections(constant_stream(6))
+        cfg = PipelineConfig(tracker=TrackerConfig(n_init=1))
+        with pytest.raises(ValueError) as exc:
+            process_camera(0, replace(stream, embeddings=embeddings), cfg)
+        assert str(exc.value) == (
+            "camera 0: frame, det_id, box (n, 4), confidence, class_id and embeddings (n, D) "
+            "or None must be columns of one length n, got shapes (6,), (6,), (6, 4), (6,), "
+            f"(6,) and {shape}")
+        run = process_camera(0, replace(stream, embeddings=np.ones((6, 1))), cfg)
+        path = tmp_path / "cam0.tracklets.json"
+        formats.write_tracklets_json(path, 0, run.tracklets)
+        assert [t.embedding.tolist() for t in formats.read_tracklets_json(path)[1]] == [[1.0]]
+
     def test_study1_preset_decimation(self):
         run = track(constant_stream(300), study1_preset())
         assert run.frames_processed == 270

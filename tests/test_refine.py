@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcmot import formats
 from mcmot.geometry import BoundingBox
 from mcmot.refine import (
     ConfusionCounts,
-    CountReport,
     RefineConfig,
     cluster_identity_claims,
     count_confusion,
@@ -227,10 +227,10 @@ class TestCountConfusion:
         assert c.f1 == pytest.approx(harmonic, abs=1e-9)
 
     def test_report_build(self):
-        r = CountReport.build([4], [6], ConfusionCounts(5, 1, 2))
-        assert r.l2_error == 2.0
-        assert r.tp == 5 and r.fp == 1 and r.fn == 2
-        assert r.accuracy == pytest.approx(0.625)
+        r = formats.count_report_doc([4], [6], ConfusionCounts(5, 1, 2))
+        assert r["l2_error"] == 2.0
+        assert r["tp"] == 5 and r["fp"] == 1 and r["fn"] == 2
+        assert r["accuracy"] == pytest.approx(0.625)
 
 
 def rows(boxes):

@@ -36,7 +36,7 @@ def reference_generate(cfg: ScenarioConfig) -> tuple[GroundTruth, dict[int, list
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     img_w, img_h = cfg.image_size
     ground = _sample_ground_embeddings(rng, cfg)
-    truth = GroundTruth(embeddings=ground)
+    truth = GroundTruth(identity_count=cfg.identities, embeddings=ground)
     streams: dict[int, list[Detection]] = {}
 
     def noisy_embedding(identity):
@@ -53,7 +53,7 @@ def reference_generate(cfg: ScenarioConfig) -> tuple[GroundTruth, dict[int, list
             drift = np.cumsum(steps, axis=0)
         else:
             drift = np.zeros((cfg.frames, 2))
-        frames = []
+        frames = {}
         dets = []
         for f in range(cfg.frames):
             entries = []
@@ -88,8 +88,8 @@ def reference_generate(cfg: ScenarioConfig) -> tuple[GroundTruth, dict[int, list
                     dets.append(Detection(frame=f, box=BoundingBox(fx, fy, fw, fh),
                                           confidence=float(rng.uniform(0.5, 1.0)),
                                           embedding=e / np.linalg.norm(e)))
-            frames.append(entries)
-        truth.boxes[camera] = frames
+            frames[f] = entries
+        truth.cameras[camera] = frames
         streams[camera] = dets
     return truth, streams
 
@@ -132,10 +132,10 @@ class TestColumnsOracle:
         assert truth.embeddings.tobytes() == ref_truth.embeddings.tobytes()
         assert sorted(streams) == sorted(ref_streams) == list(range(cfg.cameras))
         for cam, stream in streams.items():
-            assert [[(i, (b.x, b.y, b.w, b.h)) for i, b in entries]
-                    for entries in truth.boxes[cam]] == \
-                [[(i, (b.x, b.y, b.w, b.h)) for i, b in entries]
-                 for entries in ref_truth.boxes[cam]]
+            assert {f: [(i, (b.x, b.y, b.w, b.h)) for i, b in entries]
+                    for f, entries in truth.cameras[cam].items()} == \
+                {f: [(i, (b.x, b.y, b.w, b.h)) for i, b in entries]
+                 for f, entries in ref_truth.cameras[cam].items()}
             want = CameraStream.from_detections(ref_streams[cam])
             n = len(ref_streams[cam])
             assert stream.embeddings.shape == (n, cfg.embedding_dim)
@@ -175,11 +175,12 @@ class TestDeterminism:
         t2, s2 = generate(cfg)
         assert stream_fingerprint(s1) == stream_fingerprint(s2)
         assert t1.embeddings.tobytes() == t2.embeddings.tobytes()
-        assert t1.boxes.keys() == t2.boxes.keys()
-        for cam in t1.boxes:
+        assert t1.cameras.keys() == t2.cameras.keys()
+        for cam in t1.cameras:
             assert [
-                [(i, (b.x, b.y, b.w, b.h)) for i, b in frame] for frame in t1.boxes[cam]
-            ] == [[(i, (b.x, b.y, b.w, b.h)) for i, b in frame] for frame in t2.boxes[cam]]
+                [(i, (b.x, b.y, b.w, b.h)) for i, b in frame] for frame in t1.cameras[cam].values()
+            ] == [[(i, (b.x, b.y, b.w, b.h)) for i, b in frame]
+                  for frame in t2.cameras[cam].values()]
 
     def test_different_seeds_differ(self):
         cfg1 = ScenarioConfig(seed=1, cameras=1, identities=2, frames=10, embedding_dim=8)
@@ -211,8 +212,8 @@ class TestBounds:
         )
         truth, streams = generate(cfg)
         img_w, img_h = cfg.image_size
-        for frames in truth.boxes.values():
-            for entries in frames:
+        for frames in truth.cameras.values():
+            for entries in frames.values():
                 for _, b in entries:
                     assert 0 <= b.x and b.x + b.w <= img_w + 1e-9
                     assert 0 <= b.y and b.y + b.h <= img_h + 1e-9
@@ -224,9 +225,9 @@ class TestBounds:
     def test_constant_velocity_truth(self):
         cfg = ScenarioConfig(seed=10, cameras=1, identities=3, frames=50, embedding_dim=8)
         truth, _ = generate(cfg)
-        frames = truth.boxes[0]
+        frames = truth.cameras[0]
         for identity in range(3):
-            xs = [e[identity][1].x for e in frames]
+            xs = [e[identity][1].x for e in frames.values()]
             diffs = np.diff(xs)
             assert np.allclose(diffs, diffs[0], atol=1e-9)
 
@@ -250,7 +251,7 @@ class TestSeparation:
         truth, streams = generate(cfg)
         by_identity = {0: [], 1: []}
         for e, entry in zip(streams[0].embeddings,
-                            [e for frame in truth.boxes[0] for e in frame]):
+                            [e for frame in truth.cameras[0].values() for e in frame]):
             by_identity[entry[0]].append(e)
         inter = np.linalg.norm(truth.embeddings[0] - truth.embeddings[1])
         for embs in by_identity.values():

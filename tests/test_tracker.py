@@ -517,6 +517,27 @@ class TestInputValidation:
         assert tr.table.means.tobytes() == means.tobytes() and len(tr.history.owner) == 1
         assert tr.step(1, box, np.array([0.9]), np.array([unit(1, 0, 0)])).tolist() == [1]
 
+    @pytest.mark.parametrize("boxes, embeddings", [
+        (np.array([[50.0, 50.0, 20.0, 40.0]]), np.zeros((1, 0))),
+        (np.array([[50.0, 50.0, 20.0, 40.0]]), 0.5),
+        (np.array([[50.0, 50.0, 20.0, 40.0]]), np.array(0.5)),
+        (np.empty((0, 4)), 0.5),
+    ], ids=["zero_width", "float", "zero_dim_array", "float_on_an_empty_frame"])
+    def test_zero_width_or_scalar_embeddings_rejected(self, boxes, embeddings):
+        # A zero-width matrix once tracked into a sidecar whose empty
+        # mean_embedding the sidecar reader rejects; a scalar once raised a
+        # TypeError from len().
+        tr = Tracker(TrackerConfig(n_init=1))
+        with pytest.raises(ValueError) as stepped:
+            tr.step(0, boxes, np.full(len(boxes), 0.9), embeddings)
+        assert str(stepped.value) == self.SHAPE
+        assert (tr._last_frame, tr._dim, tr._with_embeddings) == (None, None, None)
+        assert len(tr.table) == 0 and len(tr.history.owner) == 0
+        valid = np.array([unit(1, 0)] * len(boxes)).reshape(len(boxes), 2)
+        assert tr.step(0, boxes, np.full(len(boxes), 0.9), valid).tolist() == \
+            list(range(1, len(boxes) + 1))
+        assert all(len(t.embedding) == 2 for t in tr.export_tracklets())
+
 
 class TestMotionOnly:
     def test_tracks_without_embeddings(self):
