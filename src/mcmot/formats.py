@@ -481,15 +481,33 @@ def write_tracklets_json(path: str | Path, camera_id: int, tracklets: Sequence[T
 def read_tracklets_json(path: str | Path) -> tuple[int, list[Tracklet]]:
     """A sidecar's camera and tracklets. Their boxes and confidences are
     left to check_tracklet_boxes, which `associate` calls after its check
-    that no tracklet is in two sidecars."""
-    doc = read_json(path)
-    camera_id = _field(path, doc, "camera_id", int)
-    tracklets = _tracklets_from_doc(path, camera_id, _field(path, doc, "tracklets", list))
+    that no tracklet is in two sidecars.
+
+    The text is parsed with no float hook: _tracklets_from_doc converts
+    every number of a valid sidecar, so an overflowing literal is an inf
+    there. On any doubt, read_json and _tracklets_by_entry name the fault."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                         object_pairs_hook=_unique_keys, parse_constant=_reject_constant)
+    except ValueError:
+        doc = None
+    found = None
+    if (type(doc) is dict and doc.keys() == {"camera_id", "tracklets"}
+            and type(doc["camera_id"]) is int and type(doc["tracklets"]) is list):
+        found = _tracklets_from_doc(doc["camera_id"], doc["tracklets"])
+    if found:
+        camera_id, (tracklets, values) = doc["camera_id"], found
+    else:
+        doc = read_json(path)
+        camera_id = _field(path, doc, "camera_id", int)
+        tracklets = _tracklets_by_entry(path, camera_id, _field(path, doc, "tracklets", list))
+        values = np.concatenate(
+            [np.empty(0)] + [t.embedding for t in tracklets if t.embedding is not None])
+    del doc
     pooled = [t for t in tracklets if t.embedding is not None]
     if pooled:  # geometry.embedding_fault over every value, one value a row
-        values = np.concatenate([t.embedding for t in pooled])[:, None]
         _check_groups(
-            path, [embedding_fault(values)], [len(t.embedding) for t in pooled],
+            path, [embedding_fault(values[:, None])], [len(t.embedding) for t in pooled],
             lambda k: f"camera {camera_id}, track {pooled[k].track_id}", "mean_embedding entry",
         )
     return camera_id, tracklets
@@ -532,8 +550,77 @@ def _check_groups(
         raise FormatError(f"{path}: {place(k)}: {item} {row - ends[k] + sizes[k]}: {message}")
 
 
-def _tracklets_from_doc(path: str | Path, camera_id: int, entries: list) -> list[Tracklet]:
-    """One camera's tracklet entries; a track_id may appear once."""
+_ENTRY_KEYS = frozenset(
+    ("track_id", "frames", "boxes", "confidences", "mean_confidence", "mean_embedding")
+)
+
+
+def _tracklets_from_doc(
+    camera_id: int, entries: list
+) -> Optional[tuple[list[Tracklet], np.ndarray]]:
+    """One camera's tracklet entries checked as columns, with the rules of
+    _tracklet_from_doc and a track_id listed once: the tracklets, which
+    hold slices of one array per column, and the column of all their
+    mean_embedding values. None when an entry breaks a rule, holds a
+    non-finite number or a key this does not convert (_ENTRY_KEYS; a
+    mean_confidence must be a number), for _tracklets_by_entry to name."""
+    if not (_DICT_TYPE.issuperset(map(type, entries))
+            and _ENTRY_KEYS.issuperset(set().union(*entries))):
+        return None
+    try:
+        track_ids, frames, boxes, confidences = (
+            [e[key] for e in entries] for key in ("track_id", "frames", "boxes", "confidences")
+        )
+    except KeyError:
+        return None
+    mean_confidences = [e.get("mean_confidence", 0.0) for e in entries]
+    pooled = [e.get("mean_embedding") for e in entries]
+    embeddings = [p for p in pooled if p is not None]
+    if not (_INT_TYPE.issuperset(map(type, track_ids)) and len(set(track_ids)) == len(entries)
+            and _NUMBER_TYPES.issuperset(map(type, mean_confidences))
+            and _LIST_TYPE.issuperset(map(type, itertools.chain(
+                frames, boxes, confidences, embeddings)))):
+        return None
+    lengths = list(map(len, frames))
+    rows = list(itertools.chain.from_iterable(boxes))
+    if not (0 not in lengths and lengths == list(map(len, boxes)) == list(map(len, confidences))
+            and 0 not in map(len, embeddings)
+            and _LIST_TYPE.issuperset(map(type, rows)) and {4}.issuperset(map(len, rows))):
+        return None
+    frame_values = list(itertools.chain.from_iterable(frames))
+    columns = [list(itertools.chain.from_iterable(v)) for v in (rows, confidences, embeddings)]
+    if not (_INT_TYPE.issuperset(map(type, frame_values))
+            and _NUMBER_TYPES.issuperset(map(type, itertools.chain(*columns)))):
+        return None
+    try:
+        frame = np.array(frame_values, dtype=np.int64)
+        floats = [np.array(v, dtype=np.float64) for v in (*columns, mean_confidences)]
+    except OverflowError:  # an integer literal beyond the int64 or float range
+        return None
+    del frame_values, rows, columns  # the flat lists, before the tracklets are built
+    box, confidence, embedding, _ = floats
+    ends = list(itertools.accumulate(lengths))
+    steps = frame[1:] <= frame[:-1]
+    steps[np.array(ends[:-1], dtype=np.intp) - 1] = False  # from one tracklet to the next
+    if steps.any() or not all(np.isfinite(v).all() for v in floats):
+        return None
+    box = box.reshape(-1, 4)
+    tracklets = []
+    start = used = 0
+    for track_id, end, p in zip(track_ids, ends, pooled):
+        if p is not None:
+            p, used = embedding[used:used + len(p)], used + len(p)
+        tracklets.append(Tracklet(
+            camera_id=camera_id, track_id=track_id, frames=frame[start:end],
+            boxes=box[start:end], confidences=confidence[start:end], embedding=p,
+        ))
+        start = end
+    return tracklets, embedding
+
+
+def _tracklets_by_entry(path: str | Path, camera_id: int, entries: list) -> list[Tracklet]:
+    """One camera's tracklet entries read one at a time; the first bad
+    entry, in entry order, is named; a track_id may appear once."""
     tracklets = [_tracklet_from_doc(path, camera_id, entry) for entry in entries]
     seen: set[int] = set()
     for t in tracklets:
@@ -544,7 +631,8 @@ def _tracklets_from_doc(path: str | Path, camera_id: int, entries: list) -> list
 
 
 def _tracklet_from_doc(path: str | Path, camera_id: int, entry) -> Tracklet:
-    """One tracklet entry of a sidecar or results file.
+    """One tracklet entry of a sidecar or results file, whose first fault
+    is named (_tracklets_from_doc checks valid entries faster).
 
     track_id and frames are JSON integers, at least one frame, strictly
     increasing; boxes (4 numbers each) and confidences come one per frame. A
@@ -563,10 +651,9 @@ def _tracklet_from_doc(path: str | Path, camera_id: int, entry) -> Tracklet:
             f"{where}: frames, boxes and confidences must have one non-zero length, got "
             f"{len(frames)}, {len(boxes)} and {len(confidences)}"
         )
-    if not _INT_TYPE.issuperset(map(type, frames)):
-        for f in frames:
-            _typed(f"{where}: frame", f, int)
-    boxes = _number_rows(where, "box", boxes, 4)
+    for f in frames:
+        _typed(f"{where}: frame", f, int)
+    boxes = np.array([_numbers(where, "box", row, 4) for row in boxes])
     confidences = _numbers(where, "confidences", confidences, len(confidences))
     pooled = entry.get("mean_embedding")
     embedding = None if pooled is None else np.array(_numbers(where, "mean_embedding", pooled))
@@ -618,7 +705,7 @@ def write_truth_json(path: str | Path, truth: GroundTruth) -> None:
 def read_truth_json(path: str | Path) -> GroundTruth:
     """The GroundTruth that write_truth_json wrote. Camera and frame keys
     are decimal integer strings; identities are JSON integers; embeddings
-    may be absent or null."""
+    may be absent or null, or else are identity_count rows of one width >= 1."""
     doc = read_json(path)
     identity_count = _field(path, doc, "identity_count", int)
     if identity_count < 0:
@@ -637,6 +724,11 @@ def read_truth_json(path: str | Path) -> GroundTruth:
     embeddings = doc.get("embeddings")
     if embeddings is not None:
         rows = [_numbers(path, "embeddings", row) for row in _typed(path, embeddings, list)]
+        if not rows or len(rows) != identity_count:
+            raise FormatError(
+                f"{path}: embeddings must be null or identity_count rows of one width >= 1, "
+                f"got {len(rows)} rows for identity_count {identity_count}"
+            )
         if len({len(row) for row in rows}) > 1:
             raise FormatError(f"{path}: embeddings rows differ in length")
         embeddings = np.array(rows, dtype=float)
@@ -727,7 +819,8 @@ def read_results_json(path: str | Path) -> ResultsFile:
         if cam in camera_tracklets:
             raise FormatError(f"{path}: camera {cam} is listed twice")
         entries = _field(f"{path}: camera {cam}", cam_doc, "tracklets", list)
-        camera_tracklets[cam] = _tracklets_from_doc(path, cam, entries)
+        found = _tracklets_from_doc(cam, entries)
+        camera_tracklets[cam] = found[0] if found else _tracklets_by_entry(path, cam, entries)
     listed = {(cam, t.track_id) for cam, tls in camera_tracklets.items() for t in tls}
     owner: dict[tuple[int, int], int] = {}
     clusters = []
@@ -954,6 +1047,8 @@ def read_json(path: str | Path) -> dict:
 
 _KIND_NAMES = {int: "an integer", list: "a list", dict: "an object"}
 _INT_TYPE = frozenset((int,))
+_LIST_TYPE = frozenset((list,))
+_DICT_TYPE = frozenset((dict,))
 _NUMBER_TYPES = frozenset((int, float))
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
@@ -987,19 +1082,6 @@ def _numbers(where: str, name: str, value, length: Optional[int] = None) -> list
             pass
     count = "a non-empty list of" if length is None else f"a list of {length}"
     raise FormatError(f"{where}: {name} must be {count} numbers, got {_show(value)}")
-
-
-def _number_rows(where: str, name: str, rows: list, width: int) -> np.ndarray:
-    """A JSON list of lists of `width` numbers, as an (n, width) float array;
-    the first bad row is reported as _numbers reports it."""
-    try:
-        if all(type(row) is list and len(row) == width for row in rows) and (
-            _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows)))
-        ):
-            return np.array(rows, dtype=np.float64)
-    except OverflowError:  # an integer literal beyond the float range
-        pass
-    return np.array([_numbers(where, name, row, width) for row in rows])
 
 
 def int_key(where: str | Path, what: str, key: str) -> int:

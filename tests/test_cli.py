@@ -386,6 +386,51 @@ class TestAssociateInputChecks:
         assert err.startswith(f"error[format]: {path}: ") and literal.lstrip("-") in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("where", ["mean_confidence", "entry_key", "top_level_key"])
+    def test_overflowing_literal_anywhere_in_a_sidecar(self, tmp_path, capsys, where):
+        """Every JSON input rejects a float literal past the float range,
+        also where no reader rule looks: in the derived mean_confidence, or
+        under a key the reader ignores."""
+        entry = {"track_id": 1, "frames": [0], "boxes": [[0.0, 0.0, 5.0, 5.0]],
+                 "confidences": [0.9], "mean_confidence": 0.9, "mean_embedding": [1.0]}
+        doc = {"camera_id": 0, "tracklets": [entry]}
+        if where == "mean_confidence":
+            entry["mean_confidence"] = "OVERFLOW"
+        elif where == "entry_key":
+            entry["note"] = [1.0, "OVERFLOW"]
+        else:
+            doc["note"] = [1.0, "OVERFLOW"]
+        tracks = tmp_path / "tracks"
+        tracks.mkdir()
+        path = tracks / "cam0.tracklets.json"
+        path.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e999"))
+        argv = ["associate", "--tracks", str(tracks), "--output", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error[format]: {path}: number 1e999 overflows a float\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_overflow_reported_before_a_missing_key(self, tmp_path, capsys):
+        """The parse rejects an overflowing literal before any entry is
+        checked: entry 0 lacks frames, entry 5 holds 1e999."""
+        entries = [
+            {"track_id": k, "frames": [0], "boxes": [[0.0, 0.0, 5.0, 5.0]],
+             "confidences": [0.9], "mean_embedding": None}
+            for k in range(8)
+        ]
+        del entries[0]["frames"]
+        entries[5]["confidences"] = ["OVERFLOW"]
+        tracks = tmp_path / "tracks"
+        tracks.mkdir()
+        path = tracks / "cam0.tracklets.json"
+        path.write_text(json.dumps({"camera_id": 0, "tracklets": entries})
+                        .replace('"OVERFLOW"', "1e999"))
+        argv = ["associate", "--tracks", str(tracks), "--output", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error[format]: {path}: number 1e999 overflows a float\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_associate_never_imports_the_assignment_solver(self, tmp_path):
         scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=8)
         tracks = track_all(tmp_path, scn, 2)

@@ -1113,6 +1113,142 @@ class TestTrackFiles:
         assert formats.tracklet_sidecar_path("/a/b/cam0.csv").name == "cam0.tracklets.json"
 
 
+def per_entry_tracklets(path) -> tuple[int, list[Tracklet]]:
+    """A sidecar as the per-entry reader reads it: the hooked read_json,
+    then one entry at a time."""
+    doc = formats.read_json(path)
+    return doc["camera_id"], formats._tracklets_by_entry(path, doc["camera_id"], doc["tracklets"])
+
+
+def assert_same_tracklets(got: list[Tracklet], want: list[Tracklet]) -> None:
+    """Bitwise equal columns, of equal dtypes and shapes; None embeddings alike."""
+    assert [(t.camera_id, t.track_id) for t in got] == [(t.camera_id, t.track_id) for t in want]
+    for a, b in zip(got, want):
+        for name in ("frames", "boxes", "confidences", "embedding"):
+            x, y = getattr(a, name), getattr(b, name)
+            if y is None:
+                assert x is None, name
+            else:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+@pytest.fixture(scope="module")
+def tracked_sidecars(tmp_path_factory) -> dict[str, Path]:
+    """Sidecars `mcmot track` wrote with and without --embeddings, and the
+    results file `mcmot associate` wrote from the first two."""
+    from mcmot.cli import main
+
+    root = tmp_path_factory.mktemp("sidecars")
+    cfg = root / "scenario.json"
+    cfg.write_text(json.dumps({"cameras": 2, "identities": 4, "frames": 30, "embedding_dim": 8,
+                               "miss_prob": 0.1, "false_positive_rate": 0.3}))
+    scn = root / "scn"
+    assert main(["simulate", "--config", str(cfg), "--seed", "29", "--out", str(scn)]) == 0
+    (root / "tracks").mkdir()
+    (root / "plain").mkdir()
+    for cam in range(2):
+        assert main(["track", "--detections", str(scn / f"detections_cam{cam}.csv"),
+                     "--embeddings", str(scn / f"embeddings_cam{cam}.csv"), "--camera-id",
+                     str(cam), "--output", str(root / "tracks" / f"cam{cam}.csv")]) == 0
+    assert main(["track", "--detections", str(scn / "detections_cam1.csv"), "--camera-id", "1",
+                 "--output", str(root / "plain" / "cam1.csv")]) == 0
+    results = root / "results.json"
+    assert main(["associate", "--tracks", str(root / "tracks"), "--output", str(results)]) == 0
+    return {"embeddings": root / "tracks" / "cam0.tracklets.json",
+            "no_embeddings": root / "plain" / "cam1.tracklets.json", "results": results}
+
+
+def long_sidecar(path: Path, n: int = 600) -> dict:
+    """A sidecar of n three-frame tracklets with track_id k at entry k, as
+    the JSON document written to path."""
+    formats.write_tracklets_json(path, 0, [make_tracklet(track_id=k, n=3) for k in range(n)])
+    return json.loads(path.read_text())
+
+
+class TestSidecarColumns:
+    """The column reader of tracklet entries (_tracklets_from_doc) against
+    the per-entry reader (_tracklets_by_entry)."""
+
+    @pytest.mark.parametrize("which", ["embeddings", "no_embeddings"])
+    def test_tracked_sidecar_reads_as_per_entry(self, tracked_sidecars, monkeypatch, which):
+        path = tracked_sidecars[which]
+        want_camera, want = per_entry_tracklets(path)
+        assert want and (want[0].embedding is None) == (which == "no_embeddings")
+        # A valid sidecar is read without the hooked read_json.
+        monkeypatch.setattr(formats, "read_json", None)
+        camera_id, got = formats.read_tracklets_json(path)
+        assert camera_id == want_camera
+        assert_same_tracklets(got, want)
+
+    @pytest.mark.parametrize("tracklets", [
+        [make_tracklet(track_id=k, n=1, with_embeddings=k % 2 == 0) for k in (4, 1, 9)],
+        [],
+    ], ids=["one_frame", "no_tracklets"])
+    def test_written_sidecar_reads_as_per_entry(self, tmp_path, monkeypatch, tracklets):
+        path = tmp_path / "cam3.tracklets.json"
+        formats.write_tracklets_json(path, 3, tracklets)
+        want = per_entry_tracklets(path)
+        monkeypatch.setattr(formats, "read_json", None)
+        got = formats.read_tracklets_json(path)
+        assert got[0] == want[0] == 3
+        assert_same_tracklets(got[1], want[1])
+
+    def test_hand_written_numbers_read_as_per_entry(self, tmp_path):
+        """Integers where floats go, past int64, near the float range, -0.0
+        and a subnormal convert as the per-entry reader converts them."""
+        entries = [
+            {"track_id": -7, "frames": [-3, 2**62, 2**63 - 1],
+             "boxes": [[2**63 + 1, -0.0, 10**300, 5e-324], [1, 2, 3, 4], [0.1, 0.2, 0.3, 0.4]],
+             "confidences": [1, 0, 0.5], "mean_confidence": 2**70,
+             "mean_embedding": [2**53 + 1, -1, 1.7976931348623157e308]},
+            {"track_id": 0, "frames": [5], "boxes": [[0, 0, 1, 1]], "confidences": [0.25]},
+        ]
+        found = formats._tracklets_from_doc(2, entries)
+        assert found is not None
+        assert_same_tracklets(found[0], formats._tracklets_by_entry(tmp_path, 2, entries))
+
+    def test_results_file_reads_as_per_entry(self, tracked_sidecars):
+        path = tracked_sidecars["results"]
+        doc = formats.read_json(path)
+        got = formats.read_results_json(path).camera_tracklets
+        assert sorted(got) == [0, 1]
+        for cam_doc in doc["cameras"]:
+            cam, entries = cam_doc["camera_id"], cam_doc["tracklets"]
+            assert formats._tracklets_from_doc(cam, entries) is not None
+            assert_same_tracklets(got[cam], formats._tracklets_by_entry(path, cam, entries))
+
+    @pytest.mark.parametrize("fault, message", [
+        ("bool_frame", "camera 0, track 437: frame must be an integer, got true"),
+        ("ragged_box",
+         "camera 0, track 437: box must be a list of 4 numbers, got [2.0, 2.0, 30.0]"),
+        ("frames_not_increasing",
+         "camera 0, track 437: frames must be strictly increasing, got 1 after 2"),
+        ("repeated_track_id", "camera 0: track 436 is listed twice"),
+    ], ids=["bool_frame", "ragged_box", "frames_not_increasing", "repeated_track_id"])
+    def test_first_bad_entry_is_named(self, tmp_path, fault, message):
+        """One bad value in entry 437 of 600 is named as the per-entry
+        reader names it, before a fault of a later entry."""
+        path = tmp_path / "cam0.tracklets.json"
+        doc = long_sidecar(path)
+        entries = doc["tracklets"]
+        for k in (437, 599):
+            entry = entries[k]
+            if fault == "bool_frame":
+                entry["frames"][1] = True
+            elif fault == "ragged_box":
+                entry["boxes"][2].pop()
+            elif fault == "frames_not_increasing":
+                entry["frames"] = [0, 2, 1]
+            else:
+                entry["track_id"] = k - 1
+            if k == 599 and fault != "repeated_track_id":
+                entry["confidences"] = "high"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as exc:
+            formats.read_tracklets_json(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+
 class TestTruthFile:
     def test_round_trip(self, tmp_path):
         cfg = ScenarioConfig(seed=63, cameras=2, identities=3, frames=10, embedding_dim=8)
@@ -1127,6 +1263,20 @@ class TestTruthFile:
         first = got.cameras[0][0]
         want = truth.cameras[0][0]
         assert [i for i, _ in first] == [i for i, _ in want]
+
+    @pytest.mark.parametrize("identity_count, embeddings", [
+        (3, [[1.0, 0.0]]), (3, []), (1, [[1.0], [0.0]]), (0, []),
+    ], ids=["too_few", "empty", "too_many", "empty_for_none"])
+    def test_embeddings_are_one_row_per_identity(self, tmp_path, identity_count, embeddings):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(
+            {"identity_count": identity_count, "embeddings": embeddings, "cameras": {}}))
+        with pytest.raises(FormatError) as exc:
+            formats.read_truth_json(path)
+        assert str(exc.value) == (
+            f"{path}: embeddings must be null or identity_count rows of one width >= 1, "
+            f"got {len(embeddings)} rows for identity_count {identity_count}"
+        )
 
 
 class TestResultsFile:
