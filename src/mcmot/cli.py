@@ -10,7 +10,6 @@ directory). Exit code 0 on success; on failure a machine-parsable
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import sys
@@ -24,7 +23,8 @@ from . import formats
 from .config import PRESETS, load_config
 from .errors import ConfigError, ResourceError
 from .formats import FormatError
-from .pipeline import CameraFiles, associate_and_refine, process_camera, run_pipeline
+from .pipeline import (CameraFiles, PipelineResult, associate_and_refine, fix_malloc_thresholds,
+                       process_camera, run_pipeline)
 from .refine import (
     ConfusionCounts,
     cluster_identity_claims,
@@ -45,41 +45,11 @@ _CLI_METHODS = {
 }
 
 
-def _fix_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at 2 MiB
-    (a no-op without glibc).
-
-    A count frees its per-camera arrays of several MB (a camera's tracked
-    embeddings, its tracker's galleries) after each camera. By default glibc
-    then raises both thresholds, so the next camera's arrays come from the
-    brk heap, where freed space stays resident and its reuse depends on the
-    heap's layout: the peak RSS of one count moved by up to 12 MB when only
-    the paths of its files changed. With the thresholds fixed, each such
-    array gets its own mapping, unmapped when freed; smaller blocks, most
-    per-frame arrays among them, keep coming from the heap.
-
-    The trim threshold sits above the per-frame blocks, such as the gallery
-    gather of appearance_cost. At 128 KiB each was freed at the top of the
-    heap, trimmed and faulted in again at the next frame: a count of a
-    drone_d512-like scenario (3 cameras, D = 512, study2) took 23.2k minor
-    faults, against 12.9k at 2 MiB and 11.9k at 8 MiB, and 2.3% more wall
-    time than at 2 MiB. 8 MiB held 0.3 MB more at the peak than 2 MiB.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        libc = ctypes.CDLL(None)
-        libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD (malloc.h)
-        libc.mallopt(-1, 2 << 20)  # M_TRIM_THRESHOLD
-    except (OSError, AttributeError):
-        pass  # not glibc
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.func in (_cmd_simulate, _cmd_track, _cmd_count):
-        _fix_malloc_thresholds()  # associate and eval free no per-camera arrays
+        fix_malloc_thresholds()  # associate and eval free no per-camera arrays
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -174,6 +144,8 @@ def _cmd_simulate(args) -> int:
     truth, streams = generate(cfg)  # before the directory: a failure leaves none behind
     out.mkdir(parents=True, exist_ok=True)
 
+    # Each float at its exact repr, not formats' 9 digits: simulate --config
+    # <out>/scenario.json must regenerate this same tree.
     (out / "scenario.json").write_text(
         json.dumps(scenario_to_dict(cfg), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -241,12 +213,9 @@ def _cmd_associate(args) -> int:
         len(set().union(*(t.frames.tolist() for t in tracklets)))
         for tracklets in camera_tracklets.values()
     )
-    doc = formats.results_doc(camera_tracklets, clusters, counts, frames_processed)
-    formats.write_results_json(args.output, doc)
-    _report_timing(args, frames_processed, wall)
-    extra = f"  (by method: {counts})" if counts else ""
-    print(f"unique_count: {len(clusters)}{extra}")
-    return 0
+    return _report_run(
+        args, PipelineResult(camera_tracklets, clusters, counts, frames_processed, wall)
+    )
 
 
 def _cmd_count(args) -> int:
@@ -284,34 +253,24 @@ def _cmd_count(args) -> int:
         total_frames=None if scenario_cfg is None else scenario_cfg.frames,
         methods=_CLI_METHODS.get(args.method),
     )
+    return _report_run(args, result)
+
+
+def _report_run(args, result: PipelineResult) -> int:
+    """The finish of count and associate: the results file (with --output),
+    the timing line and its --timing-out sidecar, then the count line."""
     if args.output:
-        doc = formats.results_doc(
-            result.camera_tracklets,
-            result.clusters,
-            result.method_counts,
-            result.frames_processed,
-        )
-        formats.write_results_json(args.output, doc)
-    _report_timing(args, result.frames_processed, result.wall_time_s)
+        formats.write_results_json(args.output, formats.results_doc(
+            result.camera_tracklets, result.clusters, result.method_counts, result.frames_processed
+        ))
+    frames, wall, fps = result.frames_processed, result.wall_time_s, result.effective_fps
+    print(f"timing: frames={frames} wall={wall:.3f}s fps={fps:.1f}")
+    if args.timing_out:
+        formats.write_json(args.timing_out,
+                           {"frames_processed": frames, "wall_time_s": wall, "effective_fps": fps})
     extra = f"  (by method: {result.method_counts})" if result.method_counts else ""
     print(f"unique_count: {result.unique_count}{extra}")
     return 0
-
-
-def _report_timing(args, frames: int, wall: float) -> None:
-    fps = frames / wall if wall > 0 else float("inf")
-    print(f"timing: frames={frames} wall={wall:.3f}s fps={fps:.1f}")
-    timing_out = getattr(args, "timing_out", None)
-    if timing_out:
-        Path(timing_out).write_text(
-            json.dumps(
-                {"frames_processed": frames, "wall_time_s": wall, "effective_fps": fps},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
 
 
 def _truth_identity_labels(truth: GroundTruth, path: str) -> list[int]:
@@ -366,10 +325,9 @@ def _cmd_eval(args) -> int:
         fn += conf.fn
 
     report = formats.count_report_doc(per_set_pred, per_set_truth, ConfusionCounts(tp, fp, fn))
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(formats.json_text(report))
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        formats.write_json(args.output, report)
     return 0
 
 

@@ -475,7 +475,7 @@ def write_tracklets_json(path: str | Path, camera_id: int, tracklets: Sequence[T
             for t in tracklets
         ],
     }
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def read_tracklets_json(path: str | Path) -> tuple[int, list[Tracklet]]:
@@ -699,7 +699,7 @@ def write_truth_json(path: str | Path, truth: GroundTruth) -> None:
             for cam, frames in truth.cameras.items()
         },
     }
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def read_truth_json(path: str | Path) -> GroundTruth:
@@ -781,24 +781,25 @@ def count_report_doc(per_set_predicted: Sequence[int], per_set_truth: Sequence[i
                      counts: ConfusionCounts) -> dict:
     """The eval report: each camera set's predicted and true counts, their
     L2 count error, and the identity-level confusion counts with accuracy,
-    recall and F1 (None where undefined)."""
+    recall and F1 (None where undefined). Its floats are unrounded: the
+    writer rounds them."""
     return {
         "per_set_predicted": [int(v) for v in per_set_predicted],
         "per_set_truth": [int(v) for v in per_set_truth],
-        "l2_error": round9(l2_count_error(per_set_predicted, per_set_truth)),
+        "l2_error": l2_count_error(per_set_predicted, per_set_truth),
         "tp": counts.tp,
         "fp": counts.fp,
         "fn": counts.fn,
-        "accuracy": None if counts.accuracy is None else round9(counts.accuracy),
-        "recall": None if counts.recall is None else round9(counts.recall),
-        "f1": None if counts.f1 is None else round9(counts.f1),
+        "accuracy": counts.accuracy,
+        "recall": counts.recall,
+        "f1": counts.f1,
     }
 
 
 def write_results_json(path: str | Path, doc: dict) -> None:
     if doc["unique_count"] != len(doc["clusters"]):
         raise ValueError("unique_count must equal the number of clusters listed")
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 @dataclass(eq=False)
@@ -882,7 +883,8 @@ def _write_rows(
             fh.write("".join(map(line, *(c[start:start + step].tolist() for c in columns))))
 
 
-def _write_json(path: str | Path, doc: dict) -> None:
+def write_json(path: str | Path, doc: dict) -> None:
+    """A JSON file holding json_text(doc) and a final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _encode(doc, "\n", fh.write)
         fh.write("\n")

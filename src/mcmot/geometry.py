@@ -266,7 +266,10 @@ def nms(
     ix = np.minimum(x2[first], x2[second]) - np.maximum(b[first, 0], b[second, 0])
     iy = np.minimum(y2[first], y2[second]) - np.maximum(b[first, 1], b[second, 1])
     inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):  # as in iou_matrix
+    # A box given through the API can lose its area to rounding (x + w == x,
+    # or w * h underflowing), and a pair of such boxes has the union 0: the
+    # 0/0 is NaN, which compares False, so the pair suppresses nothing.
+    with np.errstate(divide="ignore", invalid="ignore"):
         overlapping = inter / (area[first] + area[second] - inter) > overlap_threshold
     first, second = first[overlapping], second[overlapping]
 

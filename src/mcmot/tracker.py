@@ -514,8 +514,8 @@ class Tracker:
                 m = matching_cascade(
                     cost, table.time_since_update[rows], cfg.max_age, cfg.max_appearance_distance
                 )
-            pairs = np.array(m.pairs, dtype=np.intp).reshape(-1, 2)
-            det_row[pairs[:, 1]] = rows[pairs[:, 0]]
+            for r, c in m.pairs:
+                det_row[c] = rows[r]
 
         late = confirmed.copy()  # the confirmed rows the first stage left
         late[det_row[det_row >= 0]] = False
@@ -525,8 +525,8 @@ class Tracker:
         free = np.flatnonzero(det_row < 0)
         if candidates.size and free.size:
             m = iou_matching(table.predicted_tlwh(candidates), tlwh[free], cfg.max_iou_distance)
-            pairs = np.array(m.pairs, dtype=np.intp).reshape(-1, 2)
-            det_row[free[pairs[:, 1]]] = candidates[pairs[:, 0]]
+            for r, c in m.pairs:
+                det_row[free[c]] = candidates[r]
         return det_row
 
     def _gated_cost(self, rows: np.ndarray, embs: np.ndarray, xyah: np.ndarray) -> np.ndarray:

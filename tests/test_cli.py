@@ -630,6 +630,25 @@ class TestEvalCli:
         assert round(100 * report["recall"], 1) == 71.4
         assert round(100 * report["f1"], 1) == 76.9
 
+    def test_stdout_is_the_output_file(self, tmp_path, capsys):
+        # Two camera sets, each associated at threshold 1e-6 (one cluster per
+        # tracklet), so the report's ratios and L2 error are not round numbers.
+        results, truths = [], []
+        for seed in (1, 2):
+            set_dir = tmp_path / f"set{seed}"
+            set_dir.mkdir()
+            scn = simulate(set_dir, seed=seed, cameras=2, identities=3, frames=30, embedding_dim=8,
+                           embedding_noise_sigma=0.2)
+            results.append(str(self._results_for(set_dir, scn, cameras=2, threshold="1e-6")))
+            truths.append(str(scn / "truth.json"))
+        out_json = tmp_path / "report.json"
+        capsys.readouterr()
+        assert main(["eval", "--results", *results, "--truth", *truths,
+                     "--output", str(out_json)]) == 0
+        assert capsys.readouterr().out.encode() == out_json.read_bytes()
+        report = json.loads(out_json.read_text())
+        assert all(report[k] != round(report[k], 3) for k in ("f1", "l2_error"))
+
     def test_camera_set_mismatch_rejected(self, tmp_path, capsys):
         truth_doc = {"identity_count": 1, "embeddings": None, "cameras": {"5": {}}}
         truth = tmp_path / "truth.json"
@@ -1140,6 +1159,37 @@ class TestCountCli:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[format]: {cfg}: duplicate key ") and err.count("\n") == 1
+
+
+def timing_sidecar(tmp_path, command: str) -> tuple[str, dict]:
+    """The --timing-out text of `command` (associate or count) on a small
+    scenario, and the results file's timing block."""
+    scn = simulate(tmp_path, cameras=2, identities=2, frames=20, embedding_dim=8)
+    timing, res = tmp_path / "timing.json", tmp_path / "r.json"
+    if command == "associate":
+        args = ["associate", "--tracks", str(track_all(tmp_path, scn, 2))]
+    else:
+        args = ["count", "--scenario", str(scn)]
+    assert main([*args, "--timing-out", str(timing), "--output", str(res)]) == 0
+    return timing.read_text(), json.loads(res.read_text())["timing"]
+
+
+class TestTimingSidecar:
+    def test_associate_sidecar(self, tmp_path):
+        text, res_timing = timing_sidecar(tmp_path, "associate")
+        doc = json.loads(text)
+        assert set(doc) == {"frames_processed", "wall_time_s", "effective_fps"}
+        assert doc["frames_processed"] == res_timing["frames_processed"] > 0
+        assert doc["wall_time_s"] > 0
+
+    @pytest.mark.parametrize("command", ["associate", "count"])
+    def test_floats_carry_9_significant_digits(self, tmp_path, command):
+        floats: list[str] = []
+        json.loads(timing_sidecar(tmp_path, command)[0], parse_float=floats.append)
+        assert len(floats) == 2  # wall_time_s and effective_fps
+        for text in floats:
+            mantissa = text.split("e")[0].lstrip("-").replace(".", "").strip("0")
+            assert len(mantissa) <= 9, text
 
 
 class TestFrameRulesBeyondInt64:

@@ -364,7 +364,7 @@ class TestStreamedWrites:
     @given(trees, block_sizes)
     def test_json_file_is_json_text(self, tmp_path_factory, doc, sizes):
         with small_blocks(sizes):
-            got = written(tmp_path_factory, lambda p: formats._write_json(p, doc))
+            got = written(tmp_path_factory, lambda p: formats.write_json(p, doc))
         assert got == (formats.json_text(doc) + "\n").encode()
 
     def test_json_file_of_many_blocks(self, tmp_path):
@@ -374,7 +374,7 @@ class TestStreamedWrites:
                "b": [{"k": i, "v": [i / 7] * 3} for i in range(500)]}
         text = formats.json_text(doc) + "\n"
         assert doc["a"].size > 8 * formats._BLOCK_VALUES
-        formats._write_json(tmp_path / "doc.json", doc)
+        formats.write_json(tmp_path / "doc.json", doc)
         assert (tmp_path / "doc.json").read_bytes() == text.encode()
         assert text == json.dumps(plain(doc), indent=2, sort_keys=True) + "\n"
 

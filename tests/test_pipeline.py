@@ -94,6 +94,34 @@ class TestHeapTrim:
         assert calls == [("camera", 0), ("trim", 0), ("camera", 1), ("trim", 0),
                          ("camera", 2), ("trim", 0)]
 
+    def test_thresholds_fixed(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def malloc_trim(self, pad):
+                calls.append(("trim", pad))
+
+            def mallopt(self, param, value):
+                calls.append((param, value))
+
+        monkeypatch.setattr(pipeline.sys, "platform", "linux")
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda name: Libc())
+        pipeline.fix_malloc_thresholds()
+        assert calls == [(-3, 4 << 20), (-1, 2 << 20)]
+
+    @pytest.mark.parametrize("platform, libc", [("darwin", None), ("linux", object())],
+                             ids=["not_linux", "not_glibc"])
+    def test_no_call_without_glibc(self, monkeypatch, platform, libc):
+        def cdll(name):
+            assert libc is not None, "no C library is loaded off Linux"
+            return libc
+
+        monkeypatch.setattr(pipeline.sys, "platform", platform)
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", cdll)
+        pipeline.fix_malloc_thresholds()
+        stream = CameraStream.from_detections(constant_stream(3))
+        assert len(run_cameras({0: stream, 1: stream}, PipelineConfig())) == 2
+
 
 class TestProcessCamera:
     def test_frames_processed_counts_decimated(self):
