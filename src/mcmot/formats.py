@@ -122,11 +122,23 @@ def read_embeddings(
     """An embeddings file, read a block of rows at a time.
 
     Without detections, every row's embedding is kept, in file order. With
-    them, the file's keys must be the detections' (merge_embeddings' rule
-    and errors), and only the embeddings of detections `rows` (default: all)
-    are kept: vectors[i] is that of detection rows[i]. A camera that tracks
-    a fraction of its detections then never holds the file's matrix.
+    them, the file's keys must be the detections' (the join merge_embeddings
+    runs, its errors prefixed with the path), and only the embeddings of
+    detections `rows` (default: all) are kept: vectors[i] is that of
+    detection rows[i]. A camera that tracks a fraction of its detections
+    then never holds the file's matrix. `rows` must be distinct indices of
+    detections, or ValueError is raised before the file is read.
     """
+    if detections is not None:
+        n = len(detections)
+        rows = np.arange(n) if rows is None else np.asarray(rows)
+        if rows.ndim != 1 or rows.size and (rows.dtype.kind not in "iu"
+                                            or not -n <= rows.min() <= rows.max() < n):
+            raise ValueError(f"rows must be a 1-d array of integer indices in [-{n}, {n})")
+        slot = np.full(n + 1, -1)  # each detection's place in rows, or -1; slot[n] is -1
+        slot[:n][rows.astype(np.intp)] = np.arange(len(rows))
+        if np.count_nonzero(slot >= 0) < len(rows):
+            raise ValueError("rows must not name a detection twice")
     header = _read_header(path)
     if not header.startswith("frame,det_id,"):
         raise FormatError(f"{path}:1: expected header 'frame,det_id,e0,...'")
@@ -140,20 +152,20 @@ def read_embeddings(
                                    lambda block: blocks.append(block["e"].copy()))
         return EmbeddingColumns(frame=frame, det_id=det_id, vectors=np.concatenate(blocks))
 
-    if rows is None:
-        rows = np.arange(len(detections))
-    index = _key_index(detections.frame[rows], detections.det_id[rows])
+    index = _key_index(detections.frame, detections.det_id)
     vectors = np.empty((len(rows), len(cols)))
+    found: list[np.ndarray] = []  # each row's detection
 
     def keep(block: np.ndarray) -> None:
         at = index(block["frame"], block["det_id"])
-        hit = at >= 0
-        vectors[at[hit]] = block["e"][hit]
+        found.append(at)
+        to = slot[at]  # a row of no detection (at == -1) reads slot[-1] == -1
+        hit = to >= 0
+        vectors[to[hit]] = block["e"][hit]
 
     frame, det_id = _read_rows(path, dtype, _embedding_faults, keep)
-    columns = EmbeddingColumns(frame=frame, det_id=det_id, vectors=vectors)
-    _embedding_rows(detections, columns)  # every vector kept is set once the keys match
-    return columns
+    _check_join(detections, frame, det_id, np.concatenate(found), f"{path}: ")
+    return EmbeddingColumns(frame=frame, det_id=det_id, vectors=vectors)
 
 
 def _embedding_faults(rows: np.ndarray) -> list[Fault]:
@@ -165,58 +177,43 @@ def merge_embeddings(
 ) -> Optional[np.ndarray]:
     """The (n, D) embedding matrix whose row i is keyed like detection i, or
     None without embeddings; the key sets must match. `embeddings` holds
-    every row's vector (read_embeddings without detections).
-
-    When the file's rows are already in detection order, its own matrix is
-    returned, not a copy.
+    every row's vector (read_embeddings without detections). When its rows
+    are already in detection order, its own matrix is returned, not a copy.
     """
     if embeddings is None:
         return None
-    rows = _embedding_rows(detections, embeddings)
-    if np.array_equal(rows, np.arange(len(rows))):
+    at = _key_index(detections.frame, detections.det_id)(embeddings.frame, embeddings.det_id)
+    _check_join(detections, embeddings.frame, embeddings.det_id, at)
+    if np.array_equal(at, np.arange(len(at))):
         return embeddings.vectors
-    return embeddings.vectors[rows]
+    return embeddings.vectors[np.argsort(at)]  # at is a permutation: argsort inverts it
 
 
-def _embedding_rows(detections: CameraStream, embeddings: EmbeddingColumns) -> np.ndarray:
-    """Row of `embeddings` keyed like each detection.
-
-    Both key sets are sorted together; a key present in both sorts as a
-    detection row directly followed by an embedding row (lexsort is stable).
-    A key without a partner names the smallest offending key.
+def _check_join(detections: CameraStream, frame: np.ndarray, det_id: np.ndarray,
+                at: np.ndarray, where: str = "") -> None:
+    """FormatError, after `where`, unless the rows keyed (frame, det_id),
+    which _key_index found at detections `at` (-1: none), match the
+    detections one to one. It names the smallest key of a detection no row
+    matched; else that of a row that matched none, or one another row did.
     """
-    n = len(detections)
-    frame = np.concatenate([detections.frame, embeddings.frame])
-    det_id = np.concatenate([detections.det_id, embeddings.det_id])
-    order = np.lexsort((det_id, frame))
-    frame, det_id = frame[order], det_id[order]
-    paired = (
-        (frame[1:] == frame[:-1]) & (det_id[1:] == det_id[:-1])
-        & (order[:-1] < n) & (order[1:] >= n)
-    )
-    alone = np.ones(len(order), dtype=bool)
-    alone[1:] &= ~paired
-    alone[:-1] &= ~paired
-    missing = np.flatnonzero(alone & (order < n))
-    if missing.size:
-        i = missing[0]
-        raise FormatError(f"detection (frame={frame[i]}, det_id={det_id[i]}) has no embedding")
-    extra = np.flatnonzero(alone)
-    if extra.size:
-        i = extra[0]
-        raise FormatError(
-            f"embedding key (frame={frame[i]}, det_id={det_id[i]}) matches no detection"
-        )
-    rows = np.empty(n, dtype=np.intp)
-    rows[order[:-1][paired]] = order[1:][paired] - n
-    return rows
+    hits = np.bincount(at + 1, minlength=len(detections) + 1)  # at + 1: -1 never wraps
+    for bad, f, d, text in (
+        (hits[1:] == 0, detections.frame, detections.det_id, "detection ({}) has no embedding"),
+        ((at < 0) | (hits[at + 1] > 1), frame, det_id, "embedding key ({}) matches no detection"),
+    ):
+        if bad.any():
+            f, d = f[bad], d[bad]
+            i = np.lexsort((d, f))[0]
+            raise FormatError(where + text.format(f"frame={f[i]}, det_id={d[i]}"))
 
 
 def _key_index(
     frame: np.ndarray, det_id: np.ndarray
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """For the distinct keys (frame[j], det_id[j]): a function that maps
-    key columns to the index j of each key, or -1 for a key not among them.
+    """For the keys (frame[j], det_id[j]): a function that maps key columns
+    to the index j of each key, or -1 for a key not among them. A key held
+    by more than one j (a stream given through the API may repeat one) maps
+    to one of them.
 
     A key's code is the place of its frame among the sorted frames times
     one more than the number of keys, plus the place of its det_id among

@@ -1421,6 +1421,50 @@ class TestCountErrorParity:
         assert not (tmp_path / "t.csv").exists()
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+class TestEmbeddingKeySets:
+    """An embeddings file whose keys differ from its detections' fails
+    `track`, `count` and `count --parallel` alike: one error line that
+    names the file, and no output."""
+
+    @pytest.fixture(params=["missing", "unknown"])
+    def case(self, request, tmp_path) -> tuple[Path, Path, str]:
+        scn = tmp_path / "scenario"
+        scn.mkdir()
+        for path in (GOLDEN / "scenario").iterdir():
+            (scn / path.name).write_bytes(path.read_bytes())
+        emb = scn / "embeddings_cam1.csv"
+        lines = emb.read_text().splitlines(keepends=True)
+        if request.param == "missing":
+            del lines[4]  # data row 4
+            message = "detection (frame=0, det_id=3) has no embedding"
+        else:
+            lines.append("999,0," + ",".join(["0.5"] * 8) + "\n")
+            message = "embedding key (frame=999, det_id=0) matches no detection"
+        emb.write_text("".join(lines))
+        return scn, emb, f"error[format]: {emb}: {message}\n"
+
+    def test_track(self, tmp_path, capsys, case):
+        scn, emb, error = case
+        out = tmp_path / "t.csv"
+        assert main(["track", "--detections", str(scn / "detections_cam1.csv"),
+                     "--embeddings", str(emb), "--camera-id", "1",
+                     "--config", str(GOLDEN / "config.json"), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == error
+        assert list(tmp_path.glob("t.*")) == []
+
+    @pytest.mark.parametrize("extra", [[], ["--parallel"]], ids=["sequential", "parallel"])
+    def test_count(self, tmp_path, capsys, case, extra):
+        scn, _, error = case
+        out = tmp_path / "r.json"
+        assert main(["count", "--scenario", str(scn), "--config", str(GOLDEN / "config.json"),
+                     "--output", str(out), *extra]) == 1
+        assert capsys.readouterr().err == error
+        assert not out.exists()
+
+
 class TestThresholdMustBeFinite:
     """A NaN threshold passes a `<= 0` check and gives wrong counts; an
     infinite one merges everyone. Both are rejected before any work."""

@@ -484,6 +484,47 @@ class TestEmbeddingFile:
                 embedding_columns([(4, 0, np.zeros(2)), (0, 0, np.zeros(2)), (3, 1, np.zeros(2))]),
             )
 
+    @pytest.mark.parametrize("det_keys, emb_keys, message", [
+        ([(0, 0)], [(0, 0), (0, 0)], "embedding key (frame=0, det_id=0) matches no detection"),
+        ([(2, 1), (2, 1)], [(2, 1)], "detection (frame=2, det_id=1) has no embedding"),
+        ([(1, 0), (1, 0)], [(1, 0), (1, 0)], "detection (frame=1, det_id=0) has no embedding"),
+    ], ids=["two-rows-one-detection", "two-detections-one-row", "two-of-each"])
+    def test_merge_repeated_keys(self, det_keys, emb_keys, message):
+        # Only columns given through the API can repeat a key: each detection
+        # needs its own row, and each row its own detection.
+        records = columns([(f, d, (0, 0, 1, 1), 0.5, 0) for f, d in det_keys])
+        embeddings = embedding_columns([(f, d, np.zeros(2)) for f, d in emb_keys])
+        with pytest.raises(FormatError) as got:
+            formats.merge_embeddings(records, embeddings)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("rows", [[0, 0], [2, 0, 2], [-1, 2], [True, False, True], [3],
+                                      [-4], [0.0], [[0]]],
+                             ids=["repeat", "repeats", "negative-repeat", "mask", "past-end",
+                                  "before-start", "float", "2-d"])
+    def test_rows_must_be_distinct_indices(self, tmp_path, rows):
+        # A repeated index (a negative one too), a boolean mask or an index
+        # out of range is refused before the file is read: an absent file
+        # gives the same error.
+        stream = keyed_stream([(0, 0, [1.0, 0.0]), (0, 1, [2.0, 0.0]), (1, 0, [3.0, 0.0])], 2)
+        path = tmp_path / "embs.csv"
+        formats.write_embeddings(path, stream, dim=2)
+        for source in (path, tmp_path / "absent.csv"):
+            with pytest.raises(ValueError, match="^rows must ") as got:
+                formats.read_embeddings(source, stream, np.array(rows))
+            assert not isinstance(got.value, FormatError)
+
+    @pytest.mark.parametrize("rows, want", [
+        (None, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), ([], []), ([2, 0], [[3.0, 0.0], [1.0, 0.0]]),
+        ([-1], [[3.0, 0.0]]),
+    ])
+    def test_rows_kept_in_their_order(self, tmp_path, rows, want):
+        stream = keyed_stream([(0, 0, [1.0, 0.0]), (0, 1, [2.0, 0.0]), (1, 0, [3.0, 0.0])], 2)
+        path = tmp_path / "embs.csv"
+        formats.write_embeddings(path, stream, dim=2)
+        got = formats.read_embeddings(path, stream, rows)
+        assert got.vectors.shape == (len(want), 2) and got.vectors.tolist() == want
+
     def test_merge_attaches_embeddings(self):
         records = columns([(0, 0, (0, 0, 1, 1), 0.5, 0)])
         embs = formats.merge_embeddings(records, embedding_columns([(0, 0, np.array([1.0, 0.0]))]))
@@ -637,21 +678,21 @@ EDGE_EXPECTED = {
     'embeddings:duplicate@partial':
         '{tmp}/embeddings.csv:45: duplicate key (frame=5, det_id=0)',
     'embeddings:unmatched@block-first':
-        'embedding key (frame=8, det_id=7) matches no detection',
+        '{tmp}/embeddings.csv: embedding key (frame=8, det_id=7) matches no detection',
     'embeddings:unmatched@block-last':
-        'embedding key (frame=11, det_id=7) matches no detection',
+        '{tmp}/embeddings.csv: embedding key (frame=11, det_id=7) matches no detection',
     'embeddings:unmatched@boundary':
-        'embedding key (frame=11, det_id=7) matches no detection',
+        '{tmp}/embeddings.csv: embedding key (frame=11, det_id=7) matches no detection',
     'embeddings:unmatched@partial':
-        'embedding key (frame=20, det_id=7) matches no detection',
+        '{tmp}/embeddings.csv: embedding key (frame=20, det_id=7) matches no detection',
     'embeddings:missing@block-first':
-        'detection (frame=8, det_id=0) has no embedding',
+        '{tmp}/embeddings.csv: detection (frame=8, det_id=0) has no embedding',
     'embeddings:missing@block-last':
-        'detection (frame=11, det_id=1) has no embedding',
+        '{tmp}/embeddings.csv: detection (frame=11, det_id=1) has no embedding',
     'embeddings:missing@boundary':
-        'detection (frame=11, det_id=1) has no embedding',
+        '{tmp}/embeddings.csv: detection (frame=11, det_id=1) has no embedding',
     'embeddings:missing@partial':
-        'detection (frame=20, det_id=1) has no embedding',
+        '{tmp}/embeddings.csv: detection (frame=20, det_id=1) has no embedding',
     'detections:unparsable@block-first':
         "{tmp}/detections.csv:19: cannot parse 'x' as a number",
     'detections:unparsable@block-last':
