@@ -20,7 +20,7 @@ from typing import Callable, Mapping, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .association import Cluster
+from .association import METHODS, Cluster
 from .geometry import (
     BoundingBox, CameraStream, Fault, detection_faults, embedding_fault, first_problem
 )
@@ -127,8 +127,11 @@ def read_embeddings(
     detections `rows` (default: all) are kept: vectors[i] is that of
     detection rows[i]. A camera that tracks a fraction of its detections
     then never holds the file's matrix. `rows` must be distinct indices of
-    detections, or ValueError is raised before the file is read.
+    detections, and comes only with them, or ValueError is raised before the
+    file is read.
     """
+    if detections is None and rows is not None:
+        raise ValueError("rows must come with detections: without them every row is kept")
     if detections is not None:
         n = len(detections)
         rows = np.arange(n) if rows is None else np.asarray(rows)
@@ -809,7 +812,11 @@ class ResultsFile:
 
 def read_results_json(path: str | Path) -> ResultsFile:
     """Ids are JSON integers; a camera_id, and a track_id within a camera,
-    may appear once; each cluster member is a listed tracklet in one cluster."""
+    may appear once; each cluster member is a listed tracklet in one cluster.
+    method_counts is null or absent, or maps method names to integers >= 0;
+    count_report is null or absent; timing is an object whose
+    frames_processed and cameras are integers >= 0. Keys the reader does not
+    know are accepted."""
     doc = read_json(path)
     camera_tracklets: dict[int, list[Tracklet]] = {}
     for cam_doc in _field(path, doc, "cameras", list):
@@ -848,12 +855,28 @@ def read_results_json(path: str | Path) -> ResultsFile:
     unique_count = _field(path, doc, "unique_count", int)
     if unique_count != len(clusters):
         raise FormatError(f"{path}: unique_count {unique_count} != {len(clusters)} clusters")
+    method_counts = doc.get("method_counts")
+    if method_counts is not None:
+        if type(method_counts) is not dict:
+            raise FormatError(
+                f"{path}: method_counts must be null or an object, got {_show(method_counts)}")
+        for method, count in method_counts.items():
+            if method not in METHODS:
+                raise FormatError(f"{path}: method_counts: {_show(method)} is not a method")
+            if _typed(f"{path}: method_counts: {method}", count, int) < 0:
+                raise FormatError(f"{path}: method_counts: {method} must be >= 0, got {count}")
+    if doc.get("count_report") is not None:
+        raise FormatError(f"{path}: count_report must be null, got {_show(doc['count_report'])}")
+    timing = _field(path, doc, "timing", dict)
+    for key in ("frames_processed", "cameras"):
+        if _field(f"{path}: timing", timing, key, int) < 0:
+            raise FormatError(f"{path}: timing: {key} must be >= 0, got {timing[key]}")
     check_tracklet_boxes(path, [t for tls in camera_tracklets.values() for t in tls])
     return ResultsFile(
         camera_tracklets=camera_tracklets,
         clusters=clusters,
         unique_count=unique_count,
-        method_counts=doc.get("method_counts"),
+        method_counts=method_counts,
     )
 
 

@@ -545,3 +545,100 @@ class TestSharedPasses:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method must be one of"):
             associate_methods(separated_identities(1, 2), AssociationConfig(), ["voting"])
+
+
+# ----------------------------------------------------------------------
+# Bound pruning: both passes skip the exact distances that a centroid bound
+# proves cannot change a decision. The loop references above still decide
+# every case, and a pruned pass never hands _row_distances more rows than
+# the unpruned one did.
+
+
+def exact_rows(fn, *args):
+    """fn(*args), and the number of rows it handed to _row_distances."""
+    with mock.patch.object(association, "_row_distances",
+                           wraps=association._row_distances) as kernel:
+        result = fn(*args)
+    return result, sum(len(call.args[0]) for call in kernel.call_args_list)
+
+
+def unpruned_greedy_rows(units, clusters):
+    """Rows the unpruned greedy loop hands _row_distances: one per cluster
+    open when each unit arrives. A cluster's first rows are its opener's."""
+    unit_of = {row: i for i, unit in enumerate(units) for row in unit}
+    openers = [unit_of[c[0]] for c in clusters]
+    return sum(sum(o < i for o in openers) for i in range(len(units)))
+
+
+def unpruned_vote_rows(clusters, merged):
+    """Rows the unpruned vote hands _row_distances: every member once per
+    column, for each column of the first table and for each merge."""
+    return (2 * len(clusters) - len(merged)) * sum(map(len, clusters))
+
+
+@st.composite
+def planted_sets(draw):
+    """Row lists over a matrix E whose rows sit at a drawn scale, from 1e-6
+    to 1e95, in up to 512 dimensions. Most anchors lie far apart; next to
+    some of them a point is planted at threshold * (1 + e), where e is
+    +-1e-12 or a value near the bound's slack, so exact decisions and
+    pruned ones meet at the threshold."""
+    dim = draw(st.sampled_from([1, 2, 3, 7, 32, 33, 128, 512]))
+    scale = 10.0 ** draw(st.integers(-6, 95))
+    threshold = scale * draw(st.sampled_from([0.5, 1.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        anchor = rng.normal(size=dim) * scale * draw(st.sampled_from([0.1, 2.0, 50.0]))
+        points.append(anchor)
+        for e in draw(st.lists(
+            st.sampled_from([-1e-12, 1e-12, -1e-7, 1e-7, 1e-5, 0.0]), max_size=2
+        )):
+            v = rng.normal(size=dim)
+            points.append(anchor + v / np.linalg.norm(v) * threshold * (1 + e))
+    E = np.asarray(points, dtype=float)
+    order = draw(st.permutations(range(len(E))))
+    sizes = []
+    while sum(sizes) < len(E):
+        sizes.append(min(draw(st.integers(1, 3)), len(E) - sum(sizes)))
+    ends = np.cumsum(sizes).tolist()
+    return [order[end - size:end] for size, end in zip(sizes, ends)], E, threshold
+
+
+class TestBoundPruning:
+    @settings(max_examples=300, deadline=None)
+    @given(planted=planted_sets(), singletons=st.booleans())
+    def test_passes_match_references_at_every_scale(self, planted, singletons):
+        groups, E, threshold = planted
+        if singletons:
+            groups = [[r] for g in groups for r in g]
+        greedy, greedy_rows = exact_rows(association._greedy_pass, groups, E, threshold)
+        assert greedy == reference_greedy_pass(groups, E, threshold)
+        assert greedy_rows <= unpruned_greedy_rows(groups, greedy)
+        merged, vote_rows = exact_rows(voting_merge, groups, E, threshold)
+        assert merged == reference_voting_merge(groups, E, threshold)
+        assert vote_rows <= unpruned_vote_rows(groups, merged)
+
+    @pytest.mark.parametrize("dim", [32, 512])
+    def test_separated_singletons_cost_no_exact_rows(self, dim):
+        rng = np.random.default_rng(dim)
+        E = rng.normal(size=(150, dim))
+        E *= 4.0 / np.linalg.norm(E, axis=1, keepdims=True)  # about 5.7 apart
+        E[:, 0] += 4.0 * np.arange(150)  # and at least 4 apart on axis 0
+        singletons = [[r] for r in range(150)]
+        greedy, rows = exact_rows(association._greedy_pass, singletons, E, 1.0)
+        assert greedy == singletons and rows == 0
+        merged, rows = exact_rows(voting_merge, singletons, E, 1.0)
+        assert merged == singletons and rows == 0
+
+    def test_pruning_keeps_the_first_join_exact(self):
+        # 40 separated singletons, then one 0.5 from singleton 3: the pass
+        # prunes every pair among the 40 and computes the 41st unit's
+        # distances to all 40 clusters, as the loop does.
+        E = np.zeros((41, 2))
+        E[:40, 0] = 4.0 * np.arange(40)
+        E[40] = E[3] + [0.0, 0.5]
+        units = [[r] for r in range(41)]
+        greedy, rows = exact_rows(association._greedy_pass, units, E, 1.0)
+        assert greedy == reference_greedy_pass(units, E, 1.0)
+        assert greedy[3] == [3, 40] and rows == 40

@@ -514,6 +514,18 @@ class TestEmbeddingFile:
                 formats.read_embeddings(source, stream, np.array(rows))
             assert not isinstance(got.value, FormatError)
 
+    @pytest.mark.parametrize("rows", [[0, 0, 5], [], [1]])
+    def test_rows_need_detections(self, tmp_path, rows):
+        # Without detections every row is kept, so rows would be ignored:
+        # it is refused before the file is read.
+        stream = keyed_stream([(0, 0, [1.0, 0.0]), (0, 1, [2.0, 0.0]), (1, 0, [3.0, 0.0])], 2)
+        path = tmp_path / "embs.csv"
+        formats.write_embeddings(path, stream, dim=2)
+        for source in (path, tmp_path / "absent.csv"):
+            with pytest.raises(ValueError, match="^rows must come with detections") as got:
+                formats.read_embeddings(source, rows=np.array(rows))
+            assert not isinstance(got.value, FormatError)
+
     @pytest.mark.parametrize("rows, want", [
         (None, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), ([], []), ([2, 0], [[3.0, 0.0], [1.0, 0.0]]),
         ([-1], [[3.0, 0.0]]),
@@ -1334,6 +1346,61 @@ class TestResultsFile:
         assert got.clusters[0].members == [(0, 1), (1, 1)]
         assert got.method_counts == {"euclidean": 1}
         assert set(got.camera_tracklets) == {0, 1}
+
+    @staticmethod
+    def written_doc(tmp_path):
+        from mcmot.association import Cluster
+
+        camera_tracklets = {0: [make_tracklet(0, 1)]}
+        doc = formats.results_doc(camera_tracklets, [Cluster(1, [(0, 1)])],
+                                  {"euclidean": 1, "euclidean_voting": 1}, 20)
+        formats.write_results_json(tmp_path / "results.json", doc)
+        return json.loads((tmp_path / "results.json").read_text())
+
+    @pytest.mark.parametrize("changes, message", [
+        # Each of these read cleanly before its key was typed.
+        ({"method_counts": "garbage", "count_report": [1e308, {"x": True}], "timing": "nope"},
+         'method_counts must be null or an object, got "garbage"'),
+        ({"method_counts": {"euclidean": -1}}, "method_counts: euclidean must be >= 0, got -1"),
+        ({"method_counts": {"euclidean": True}},
+         "method_counts: euclidean must be an integer, got true"),
+        ({"method_counts": {"euclidean": 1.0}},
+         "method_counts: euclidean must be an integer, got 1.0"),
+        ({"method_counts": {"voting": 1}}, 'method_counts: "voting" is not a method'),
+        ({"count_report": [1e308, {"x": True}]},
+         'count_report must be null, got [1e+308, {"x": true}]'),
+        ({"count_report": {}}, "count_report must be null, got {}"),
+        ({"timing": "nope"}, 'timing must be an object, got "nope"'),
+        ({"timing": None}, "timing must be an object, got null"),
+        ({"timing": {"cameras": 1}}, "timing: missing key 'frames_processed'"),
+        ({"timing": {"frames_processed": 20, "cameras": -1}}, "timing: cameras must be >= 0, got -1"),
+        ({"timing": {"frames_processed": 2.0, "cameras": 1}},
+         "timing: frames_processed must be an integer, got 2.0"),
+    ])
+    def test_other_keys_typed(self, tmp_path, changes, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(self.written_doc(tmp_path), **changes)))
+        with pytest.raises(FormatError) as got:
+            formats.read_results_json(path)
+        assert str(got.value) == f"{path}: {message}"
+
+    def test_missing_timing_rejected(self, tmp_path):
+        doc = self.written_doc(tmp_path)
+        del doc["timing"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"^{path}: missing key 'timing'$"):
+            formats.read_results_json(path)
+
+    def test_unknown_and_absent_optional_keys_accepted(self, tmp_path):
+        doc = self.written_doc(tmp_path)
+        del doc["method_counts"], doc["count_report"]
+        doc["extra"] = 1
+        doc["timing"]["wall_time_s"] = 0.5
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(doc))
+        got = formats.read_results_json(path)
+        assert got.method_counts is None and got.unique_count == 1
 
     def test_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

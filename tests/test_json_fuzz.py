@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcmot.association import METHODS
 from mcmot.cli import main
 from mcmot.config import config_to_dict, study1_preset
 
@@ -140,9 +141,22 @@ def test_mutated_sidecars(valid, data):
 @given(data=st.data())
 def test_mutated_results(valid, data):
     results = valid["root"] / "fuzz_eval.json"
-    results.write_text(json.dumps(data.draw(mutated(valid["results"]))))
+    doc = data.draw(mutated(valid["results"]))
+    results.write_text(json.dumps(doc))
     argv = ["eval", "--results", str(results), "--truth", str(valid["truth"])]
-    assert_clean_outcome(*run_cli(argv))
+    code, err = run_cli(argv)
+    assert_clean_outcome(code, err)
+    if code == 0:
+        # A file eval reads holds what its typed keys say, also the keys
+        # eval itself does not use.
+        counts = doc.get("method_counts")
+        assert counts is None or type(counts) is dict and all(
+            method in METHODS and type(n) is int and n >= 0 for method, n in counts.items())
+        assert doc.get("count_report") is None
+        timing = doc["timing"]
+        assert type(timing) is dict
+        assert all(type(timing[k]) is int and timing[k] >= 0
+                   for k in ("frames_processed", "cameras"))
 
 
 @settings(max_examples=200, deadline=None)
