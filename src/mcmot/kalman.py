@@ -11,10 +11,11 @@ blocks: a covariance of shape (n, 4, 3) holds each axis's `pp`, `pv` and
 `vv` (position variance, position-velocity covariance, velocity variance),
 and the per-axis forms (`initiate_axes`, `predict_axes`, `update_axes`,
 `gating_axes`) are elementwise over (n, 4) arrays, with no LAPACK call and
-no matrix product. They give the bits of the 8x8 forms (`initiate`,
-`predict_batch`, `update_batch`, `gating_matrix`), which, with the
-single-state `gating_distance`, take a full (8, 8) covariance per state and
-stay for callers that build coupled ones.
+no matrix product. The 8x8 forms (`initiate`, `predict_batch`,
+`update_batch`, `gating_matrix` and the single-state `gating_distance`) take
+a full (8, 8) covariance per state, coupled or not, and factor the
+innovation covariance with LAPACK's Cholesky. They are the plain reference
+the per-axis forms are held to, byte for byte, on uncoupled covariances.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class NoiseProfile:
     std_weight_velocity: float = 1.0 / 160
 
     def __post_init__(self) -> None:
-        if self.std_weight_position <= 0 or self.std_weight_velocity <= 0:
+        if not (self.std_weight_position > 0 and self.std_weight_velocity > 0):
             raise ValueError("noise weights must be strictly positive")
 
 
@@ -71,31 +72,20 @@ class KalmanFilter:
         uncertainty scaled to the measured height.
         """
         z = np.asarray(measurement, dtype=float)
-        h = z[3]
-        if h <= 0:
-            raise ValueError(f"measurement height must be positive, got {h}")
+        h = z[3:]
+        if not h[0] > 0:
+            raise ValueError(f"measurement height must be positive, got {h[0]}")
         mean = np.zeros(_DIM)
         mean[:_MDIM] = z
         wp, wv = self.profile.std_weight_position, self.profile.std_weight_velocity
-        std = np.array(
-            [
-                2 * wp * h,
-                2 * wp * h,
-                1e-2,
-                2 * wp * h,
-                10 * wv * h,
-                10 * wv * h,
-                1e-5,
-                10 * wv * h,
-            ]
-        )
-        return KalmanState(mean=mean, covariance=np.diag(std * std))
+        variances = np.hstack((_variances(h, 2 * wp, 1e-2), _variances(h, 10 * wv, 1e-5)))
+        return KalmanState(mean=mean, covariance=np.diag(variances[0]))
 
     def gating_distance(self, s: KalmanState, measurements: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance from the projected state to each row of
         `measurements` (m, 4), under the innovation covariance."""
         zs = np.atleast_2d(np.asarray(measurements, dtype=float))
-        if np.any(zs[:, 3] <= 0):
+        if not (zs[:, 3] > 0).all():
             raise ValueError("measurement heights must be positive")
         return self.gating_matrix(s.mean[None], s.covariance[None], zs)[0]
 
@@ -105,11 +95,6 @@ class KalmanFilter:
     def predict_batch(self, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         wp, wv = self.profile.std_weight_position, self.profile.std_weight_velocity
         h = means[:, 3]
-        std = np.empty((means.shape[0], _DIM))
-        std[:, 0] = std[:, 1] = std[:, 3] = wp * h
-        std[:, 2] = 1e-2
-        std[:, 4] = std[:, 5] = std[:, 7] = wv * h
-        std[:, 6] = 1e-5
         new_means = means.copy()
         new_means[:, :_MDIM] += means[:, _MDIM:]
         # F = [[I, I], [0, I]] in 4x4 blocks, so F P F^T assembles from the
@@ -123,18 +108,14 @@ class KalmanFilter:
         new_covs[:, :_MDIM, _MDIM:] = pv + vv
         new_covs[:, _MDIM:, :_MDIM] = vp + vv
         new_covs[:, _MDIM:, _MDIM:] = vv
-        new_covs[:, np.arange(_DIM), np.arange(_DIM)] += std * std
+        new_covs[:, np.arange(_DIM), np.arange(_DIM)] += np.hstack(
+            (_variances(h, wp, 1e-2), _variances(h, wv, 1e-5)))
         return new_means, _symmetrize(new_covs)
 
     def project_batch(self, means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Measurement-space mean (n, 4) and innovation covariance S (n, 4, 4)."""
-        wp = self.profile.std_weight_position
-        h = means[:, 3]
-        std = np.empty((means.shape[0], _MDIM))
-        std[:, 0] = std[:, 1] = std[:, 3] = wp * h
-        std[:, 2] = 1e-1
         s = covs[:, :_MDIM, :_MDIM].copy()
-        s[:, np.arange(_MDIM), np.arange(_MDIM)] += std * std
+        s[:, np.arange(_MDIM), np.arange(_MDIM)] += self._measurement_variances(means)
         return means[:, :_MDIM].copy(), s
 
     def update_batch(
@@ -142,9 +123,9 @@ class KalmanFilter:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Kalman correction of each state i with measurement zs[i].
 
-        The gain P H^T S^-1 comes from `_solve_innovation`, per axis for the
-        diagonal S the tracker builds; a non-positive-definite S (degenerate
-        NoiseProfile) surfaces as numpy.linalg.LinAlgError.
+        The gain P H^T S^-1 comes from the Cholesky factor of S; a
+        non-positive-definite S (degenerate NoiseProfile) surfaces as
+        numpy.linalg.LinAlgError.
         """
         proj_mean, s = self.project_batch(means, covs)
         b = covs[:, :, :_MDIM]  # P H^T
@@ -171,7 +152,7 @@ class KalmanFilter:
         """`initiate` of each row of `measurements` (k, 4)."""
         z = np.asarray(measurements, dtype=float)
         h = z[:, 3]
-        bad = h <= 0
+        bad = ~(h > 0)
         if bad.any():
             raise ValueError(f"measurement height must be positive, got {h[bad.argmax()]}")
         wp, wv = self.profile.std_weight_position, self.profile.std_weight_velocity
@@ -218,7 +199,9 @@ class KalmanFilter:
         """`gating_matrix`: squared Mahalanobis distances (n_states, m)."""
         sd = _innovation_sd(covs[..., 0] + self._measurement_variances(means))[:, :, None]
         diff = (zs[None, :, :] - means[:, None, :_MDIM]).transpose(0, 2, 1)
-        # Divide or multiply by the reciprocal as _solve_innovation does.
+        # Divide or multiply by the reciprocal as LAPACK's solve does: a
+        # single column is divided by the diagonal, several are scaled by its
+        # reciprocal.
         op, f = (np.divide, sd) if diff.shape[2] == 1 else (np.multiply, 1.0 / sd)
         y = op(diff, f, order="C")
         return np.einsum("nim,nim->nm", y, y)
@@ -244,27 +227,13 @@ def _innovation_sd(d: np.ndarray) -> np.ndarray:
     return np.sqrt(d)
 
 
-_OFF_DIAGONAL = np.array([i for i in range(_MDIM * _MDIM) if i % (_MDIM + 1)])  # flat 4x4
-
-
 def _solve_innovation(s: np.ndarray, x: np.ndarray, twice: bool) -> np.ndarray:
     """L^-1 x, or S^-1 x = L^-T L^-1 x when `twice`, for each state's
     innovation covariance S = L L^T (n, 4, 4) and columns x (n, 4, k).
-    The result is C-contiguous either way.
-
-    The filter never couples the measured axes, so every S the tracker builds
-    is diagonal and L is sqrt(diag S): the solve scales x per axis, with no
-    LAPACK call and the bits of the triangular solves. Only an S with a
-    nonzero off-diagonal entry, which a caller built, is factored. Either way
-    a non-positive-definite S raises LinAlgError.
+    A non-positive-definite S raises LinAlgError. Its diagonal is checked
+    first, because the factorization lets a NaN through.
     """
-    if not s.reshape(len(s), _MDIM * _MDIM)[:, _OFF_DIAGONAL].any():
-        sd = _innovation_sd(s.diagonal(axis1=1, axis2=2))[:, :, None]
-        # LAPACK's solve (OpenBLAS) divides a single column by the diagonal
-        # and scales several by its reciprocal; so does this, bit for bit.
-        op, f = (np.divide, sd) if x.shape[2] == 1 else (np.multiply, 1.0 / sd)
-        y = op(x, f, order="C")
-        return op(y, f) if twice else y
+    _innovation_sd(s.diagonal(axis1=1, axis2=2))
     chol = np.linalg.cholesky(s)
     y = np.linalg.solve(chol, x)
     return np.linalg.solve(chol.transpose(0, 2, 1), y) if twice else y

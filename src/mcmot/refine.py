@@ -25,7 +25,8 @@ class RefineConfig:
     min_mean_confidence: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.min_width, self.min_height, self.min_track_length, self.min_mean_confidence) < 0:
+        if not all(x >= 0 for x in (self.min_width, self.min_height, self.min_track_length,
+                                    self.min_mean_confidence)):
             raise ValueError("refine thresholds must be >= 0")
 
 

@@ -75,7 +75,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.identities < 1 or self.cameras < 1 or self.frames < 1:
             raise ConfigError("cameras, identities and frames must be >= 1")
-        if self.identity_min_separation <= 0:
+        if not self.identity_min_separation > 0:
             raise ConfigError("identity_min_separation must be > 0")
         if not 0.0 <= self.miss_prob <= 1.0:
             raise ConfigError("miss_prob must be in [0, 1]")
@@ -83,7 +83,7 @@ class ScenarioConfig:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         for name in ("embedding_noise_sigma", "false_positive_rate", "box_jitter_sigma",
                      "camera_motion_sigma", "speed_max"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if (
             self.box_width_range[1] >= self.image_size[0]

@@ -391,15 +391,18 @@ class Tracker:
         each call is one motion tick regardless of gaps (decimation is
         re-indexed upstream).
 
-        Every call checks the frame order, the one box, confidence and
-        embedding per detection, the embeddings' (n, D) shape with D >= 1 and
-        the stream's one D, and the embeddings all or none, before the
-        tracker changes. The detection and embedding rules run on every call
-        too, except in a tracker that process_camera feeds: it has checked
-        its whole stream once, before the first step. A row that breaks them is
+        Every call checks the frame's type (an int or a numpy integer) and
+        order, the one box, confidence and embedding per detection, the
+        embeddings' (n, D) shape with D >= 1 and the stream's one D, and the
+        embeddings all or none, before the tracker changes. The detection
+        and embedding rules run on every call too, except in a tracker that
+        process_camera feeds: it has checked its whole stream once, before
+        the first step. A row that breaks them is
         ValueError("detection i: <message>"), i counting within the frame
         and the message file ingest gives for that row.
         """
+        if not isinstance(frame, (int, np.integer)):
+            raise ValueError(f"frame index must be an integer, got {frame!r}")
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(f"frame indices must be strictly increasing: {frame} after {self._last_frame}")
         tlwh = np.asarray(boxes, dtype=float).reshape(-1, 4)

@@ -75,8 +75,9 @@ class TestInitiate:
         assert d[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_non_positive_height(self):
-        with pytest.raises(ValueError):
-            KalmanFilter().initiate(np.array([5.0, 5.0, 1.0, 0.0]))
+        for h in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                KalmanFilter().initiate(np.array([5.0, 5.0, 1.0, h]))
 
 
 class TestPredict:
@@ -194,6 +195,13 @@ class TestGatingDistance:
             zs = rng.uniform(1, 300, (5, 4))
             assert np.all(kf.gating_distance(s, zs) >= 0)
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan])
+    def test_rejects_non_positive_height(self, h):
+        kf = KalmanFilter()
+        s = kf.initiate(np.array([5.0, 5.0, 1.0, 10.0]))
+        with pytest.raises(ValueError, match="^measurement heights must be positive$"):
+            kf.gating_distance(s, np.array([[5.0, 5.0, 1.0, 10.0], [5.0, 5.0, 1.0, h]]))
+
 
 def run_interleaving(kf, rng, steps=100):
     z0 = np.array([rng.uniform(50, 500), rng.uniform(50, 500), rng.uniform(0.3, 2), rng.uniform(20, 200)])
@@ -236,17 +244,17 @@ class TestNoiselessTracking:
 
 class TestNoiseProfile:
     def test_positive_weights_required(self):
-        with pytest.raises(ValueError):
-            NoiseProfile(std_weight_position=0.0)
-        with pytest.raises(ValueError):
-            NoiseProfile(std_weight_velocity=-1.0)
+        for weights in (dict(std_weight_position=0.0), dict(std_weight_velocity=-1.0),
+                        dict(std_weight_position=np.nan), dict(std_weight_velocity=np.nan)):
+            with pytest.raises(ValueError, match="^noise weights must be strictly positive$"):
+                NoiseProfile(**weights)
 
 
 # ----------------------------------------------------------------------
-# Per-axis branch: the filter never couples its four measured axes, so the
-# innovation covariances it builds are diagonal and `update_batch` and
-# `gating_matrix` skip LAPACK. The reference below is the Cholesky form the
-# per-axis branch replaced, kept here as its byte oracle.
+# The 8x8 forms against a Cholesky reference written out here: `update_batch`
+# and `gating_matrix` factor every innovation covariance with LAPACK, and the
+# test's own factor-and-solve is their byte oracle. S's diagonal is checked
+# before LAPACK is called, and the tracker's run calls LAPACK not at all.
 
 _cholesky, _solve = np.linalg.cholesky, np.linalg.solve
 
@@ -318,15 +326,13 @@ class TestPerAxisBranch:
                 means[rows], covs[rows] = kf.predict_batch(means[rows], covs[rows])
             elif kind == "update":
                 want = cholesky_update_batch(kf, means[rows], covs[rows], zs)
-                with lapack_forbidden():
-                    got = kf.update_batch(means[rows], covs[rows], zs)
+                got = kf.update_batch(means[rows], covs[rows], zs)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
                 means[rows], covs[rows] = got
             else:
                 want = cholesky_gating_matrix(kf, means, covs, zs)
-                with lapack_forbidden():
-                    got = kf.gating_matrix(means, covs, zs)
+                got = kf.gating_matrix(means, covs, zs)
                 assert got.tobytes() == want.tobytes()
             assert np.all(covs[:, CROSS_AXIS] == 0.0)
 
@@ -414,11 +420,12 @@ class TestPerAxisForms:
             assert blocks(axis_covs).tobytes() == covs.tobytes()
 
     def test_initiate_rejects_the_first_non_positive_height(self):
-        zs = np.array([[5.0, 5.0, 1.0, 10.0], [5.0, 5.0, 1.0, -2.0], [5.0, 5.0, 1.0, 0.0]])
-        with pytest.raises(ValueError) as single:
-            KalmanFilter().initiate(zs[1])
-        with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
-            KalmanFilter().initiate_axes(zs)
+        for h in (-2.0, np.nan):
+            zs = np.array([[5.0, 5.0, 1.0, 10.0], [5.0, 5.0, 1.0, h], [5.0, 5.0, 1.0, 0.0]])
+            with pytest.raises(ValueError) as single:
+                KalmanFilter().initiate(zs[1])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+                KalmanFilter().initiate_axes(zs)
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
     def test_non_positive_innovation_variance_raises(self, bad):

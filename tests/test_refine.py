@@ -80,8 +80,10 @@ class TestRefine:
         assert refine(once, cfg) == once
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RefineConfig(min_width=-1)
+        for bad in (dict(min_width=-1), dict(min_width=np.nan), dict(min_height=np.nan),
+                    dict(min_track_length=np.nan), dict(min_mean_confidence=np.nan)):
+            with pytest.raises(ValueError, match="^refine thresholds must be >= 0$"):
+                RefineConfig(**bad)
 
 
 def reference_refine(tracklets, cfg):

@@ -327,6 +327,21 @@ class TestScenarioSerialization:
         with pytest.raises(ConfigError):
             scenario_from_dict({"identities": 0})
 
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in ("embedding_noise_sigma", "false_positive_rate",
+                                   "box_jitter_sigma", "camera_motion_sigma", "speed_max")
+        for value in (-1.0, np.nan)
+    ])
+    def test_sign_guards_reject_nan(self, name, value):
+        # The Python API has no JSON reader in front of it to reject a NaN.
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 0, got {value}$"):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    def test_separation_guard_rejects_nan(self, value):
+        with pytest.raises(ConfigError, match="^identity_min_separation must be > 0$"):
+            ScenarioConfig(identity_min_separation=value)
+
     @pytest.mark.parametrize(
         "doc",
         [

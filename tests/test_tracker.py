@@ -493,6 +493,30 @@ class TestInputValidation:
             process_camera(0, stream, PipelineConfig())
         assert str(processed.value) == f"camera 0: detection 0: {message}"
 
+    @pytest.mark.parametrize("first, second", [(0.5, 1.7), (0.2, 0.7), (0, 1.0),
+                                               (0, np.float64(1.0)), (0, "1"), (0, None)],
+                             ids=["float-floats", "floats-truncating-to-one-frame",
+                                  "int-float", "int-numpy-float", "int-str", "int-none"])
+    def test_non_integer_frame_rejected_before_any_state_changes(self, first, second):
+        # A float frame was truncated: 0.2 then 0.7 exported frames [0, 0],
+        # a sidecar its own reader rejects.
+        box, conf = np.array([[50.0, 50.0, 20.0, 40.0]]), np.array([0.9])
+        tr = Tracker(TrackerConfig(n_init=1))
+        if isinstance(first, float):
+            with pytest.raises(ValueError, match="^frame index must be an integer, got 0."):
+                tr.step(first, box, conf)
+            assert tr._last_frame is None and len(tr.table) == 0
+            first = 0
+        assert tr.step(first, box, conf).tolist() == [1]
+        means = tr.table.means.copy()
+        with pytest.raises(ValueError, match="^frame index must be an integer, got "):
+            tr.step(second, box, conf)
+        assert tr._last_frame == 0 and tr.table.means.tobytes() == means.tobytes()
+        assert len(tr.history.owner) == 1
+        assert tr.step(np.int64(1), box, conf).tolist() == [1]
+        assert tr.step(np.uint8(2), box, conf).tolist() == [1]
+        assert tr.export_tracklets()[0].frames.tolist() == [0, 1, 2]
+
     SHAPE = ("step needs one box, confidence and embedding per detection, "
              "the embeddings an (n, D) matrix with the stream's one D")
 
