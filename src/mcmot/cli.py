@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +44,20 @@ _CLI_METHODS = {
     "voting": ["euclidean_voting"],
     "both": ["euclidean", "euclidean_voting"],
 }
+
+
+def run() -> NoReturn:
+    """Program entry of the `mcmot` script and of `python -m mcmot.cli`.
+
+    It freezes every object the imports built (numpy's and mcmot's module
+    graphs) before main() parses, so no later collection scans them, the
+    interpreter's last one at exit included, and --parallel workers fork
+    from the frozen heap. main() itself leaves the collector as it found
+    it: tests and the benchmark's spans call it in-process, and a freeze
+    there would pin their uncollected garbage for the rest of the process.
+    """
+    gc.freeze()
+    sys.exit(main())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -332,4 +347,4 @@ def _cmd_eval(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -3,6 +3,7 @@ JSON config-file parsing with explicit overrides."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -33,6 +34,10 @@ class PipelineConfig:
     frame_keep: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
+        # A negative threshold keeps every detection or tracklet; NaN keeps none.
+        for name in ("detection_threshold", "export_confidence"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got nan")
         if self.frame_keep is not None:
             keep, block = self.frame_keep
             if not 1 <= keep <= block <= INT64_MAX:

@@ -22,6 +22,7 @@ track's embeddings as a running sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -65,6 +66,11 @@ class TrackerConfig:
             raise ValueError(f"unknown appearance metric: {self.appearance_metric!r}")
         if not 0.0 <= self.nms_threshold <= 1.0:
             raise ValueError(f"nms_threshold must be in [0, 1], got {self.nms_threshold}")
+        for name in ("max_appearance_distance", "max_iou_distance"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if math.isnan(self.min_confidence):
+            raise ValueError("min_confidence must be a number, got nan")
 
 
 # TrackTable.status codes; a deleted track leaves the table.

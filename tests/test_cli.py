@@ -1,3 +1,4 @@
+import gc
 import json
 import multiprocessing
 import os
@@ -472,6 +473,49 @@ def test_cli_import_does_not_load_the_process_pool():
         env=cli_env(), capture_output=True, text=True, timeout=120, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+class TestProgramEntry:
+    """run() freezes the imported heap before main() parses, so the
+    collection at exit skips it; main() leaves the collector alone."""
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        scn = simulate(tmp_path, cameras=2, identities=2, frames=10, embedding_dim=4)
+        assert main(["count", "--scenario", str(scn), "--output", str(tmp_path / "r.json")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("rc", [0, 1])
+    def test_run_freezes_before_main_parses(self, monkeypatch, rc):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+
+        def recording_main(argv=None):
+            calls.append(("main", argv))
+            return rc
+
+        monkeypatch.setattr(cli, "main", recording_main)
+        with pytest.raises(SystemExit) as info:
+            cli.run()
+        assert calls == ["freeze", ("main", None)]  # main parses sys.argv itself
+        assert info.value.code == rc
+
+    def test_module_entry_writes_the_bytes_of_main(self, tmp_path, capsys):
+        argv = ["count", "--scenario", str(GOLDEN / "scenario"), "--config",
+                str(GOLDEN / "config.json"), "--method", "both", "--output"]
+        assert main(argv + [str(tmp_path / "in_process.json")]) == 0
+        printed = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "mcmot.cli", *argv, str(tmp_path / "entry.json")],
+                              env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "entry.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
+        def untimed(text):
+            return [line for line in text.splitlines() if not line.startswith("timing: ")]
+        assert untimed(proc.stdout) == untimed(printed) != []
 
 
 class TestTrackingWithoutScipy:
@@ -1122,6 +1166,19 @@ class TestCountCli:
             "error[config]: invalid tracker config: nms_threshold must be in [0, 1], "
             f"got {threshold}\n"
         )
+
+    def test_negative_match_distance_is_config_error(self, tmp_path, capsys):
+        # This config once ran count to exit 0 with unique_count 0.
+        scn = simulate(tmp_path, cameras=1, identities=2, frames=10, embedding_dim=4)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"tracker": {"max_appearance_distance": -1.0, "max_iou_distance": -5.0}}))
+        out = tmp_path / "r.json"
+        assert main(["count", "--scenario", str(scn), "--config", str(cfg),
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == ("error[config]: invalid tracker config: "
+                                           "max_appearance_distance must be >= 0, got -1.0\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["detections_cam01.csv", "detections_cam1_0.csv",
                                       "detections_cam.csv", "detections_cam+1.csv"])

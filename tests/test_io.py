@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 import tracemalloc
@@ -1426,7 +1427,7 @@ SECTION_FIELDS = {
         "min_confidence": FINITE, "nms_threshold": st.floats(0.0, 1.0),
         "max_age": POSITIVE_INT, "n_init": POSITIVE_INT,
         "nn_budget": POSITIVE_INT | st.integers(2**63, 10**30),
-        "max_appearance_distance": FINITE, "max_iou_distance": FINITE,
+        "max_appearance_distance": NON_NEGATIVE, "max_iou_distance": NON_NEGATIVE,
         "appearance_metric": st.sampled_from(["euclidean", "cosine"]),
         "frame_stride": POSITIVE_INT, "single_shot_matching": st.booleans(),
     },
@@ -1533,11 +1534,33 @@ class TestPresets:
             ({"tracker": [1, 2]}, "tracker must be a JSON object"),
             ({"zz_bogus": 1}, "unknown key 'zz_bogus' in config"),
             ({"refine": {"min_hight": 1}}, "unknown key 'min_hight' in refine"),
+            ({"tracker": {"max_appearance_distance": -1.0, "max_iou_distance": -5.0}},
+             "invalid tracker config: max_appearance_distance must be >= 0, got -1.0"),
+            ({"tracker": {"max_iou_distance": -5.0}},
+             "invalid tracker config: max_iou_distance must be >= 0, got -5.0"),
         ],
     )
     def test_field_errors_name_the_field(self, doc, message):
         with pytest.raises(ConfigError) as info:
             config_from_dict(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "section, field, message",
+        [
+            (TrackerConfig, "max_appearance_distance",
+             "max_appearance_distance must be >= 0, got nan"),
+            (TrackerConfig, "max_iou_distance", "max_iou_distance must be >= 0, got nan"),
+            (TrackerConfig, "min_confidence", "min_confidence must be a number, got nan"),
+            (PipelineConfig, "detection_threshold", "detection_threshold must be a number, got nan"),
+            (PipelineConfig, "export_confidence", "export_confidence must be a number, got nan"),
+        ],
+    )
+    def test_python_api_thresholds_refuse_nan(self, section, field, message):
+        # JSON cannot spell NaN (typed_value refuses it); the Python API can.
+        # A negative confidence threshold stays valid: it keeps everything.
+        with pytest.raises(ValueError) as info:
+            section(**{field: math.nan})
         assert str(info.value) == message
 
     def test_null_section_keeps_the_preset_section(self):
